@@ -25,6 +25,7 @@ from .errors import (
     DegenerateInterval,
     DomainError,
     EmptyFrame,
+    FileFormatError,
     InvalidDelta,
     InvalidRange,
     NegativeMargin,

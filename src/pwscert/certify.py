@@ -11,8 +11,14 @@ agree on the top label, none abstains, and
 Frames that disagree on the top label abstain the whole sample: the
 premise of the guarantee fails, so nothing is proven either way.
 
-Each confidence bound holds with its own failure probability alpha; the
-report carries ``n_partitions * alpha`` as the aggregate failure budget.
+Frames that render the same image share one Monte-Carlo estimate: the
+smoothed classifier depends only on the image, so each distinct frame is
+tallied once, on the stream of its first occurrence, and every repeat
+reuses that result.  Each such estimate holds with its own failure
+probability alpha, so a union bound over the distinct estimates gives a
+failure budget of at most ``n_partitions * alpha``; the report carries
+that figure as ``aggregate_alpha``, which over-approximates the bound
+whenever frames repeat.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classifier import BaseClassifier
+from .errors import ConfigError
 from .geometry import CameraModel, MotionSpec, MotionValue
 from .intervals import (
     CertMethod,
@@ -170,7 +177,10 @@ class AttackReport:
 def worker_count() -> int:
     env = os.environ.get("PWS_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError as exc:
+            raise ConfigError(f"PWS_THREADS must be an integer, got {env!r}") from exc
     return os.cpu_count() or 1
 
 
@@ -185,20 +195,10 @@ def _pool_init(classifier, cfg, context):
 
 def _pool_estimate(task):
     index, image = task
-    est = smoothed_estimate(
+    return smoothed_estimate(
         _POOL["classifier"], image, _POOL["cfg"],
         stream=stream_id(_POOL["context"], index),
     )
-    return index, est
-
-
-def _pool_predict(task):
-    index, image = task
-    label = smoothed_prediction(
-        _POOL["classifier"], image, _POOL["cfg"],
-        stream=stream_id(_POOL["context"], index),
-    )
-    return index, label
 
 
 def _run_tasks(fn, tasks, classifier, cfg, context):
@@ -212,6 +212,20 @@ def _run_tasks(fn, tasks, classifier, cfg, context):
         initargs=(classifier, cfg, context),
     ) as pool:
         return list(pool.map(fn, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
+
+
+def _estimate_distinct(frames, classifier, cfg, context):
+    """One smoothed estimate per frame, tallied once per distinct image.
+
+    The first occurrence of each image is estimated on the stream
+    ``stream_id(context, first_index)``; every repeat reuses that result.
+    """
+    first = {}
+    owners = [first.setdefault(f.tobytes(), i) for i, f in enumerate(frames)]
+    tasks = [(i, frames[i]) for i in first.values()]
+    results = _run_tasks(_pool_estimate, tasks, classifier, cfg, context)
+    by_index = dict(zip(first.values(), results))
+    return [by_index[i] for i in owners]
 
 
 def compute_delta_alpha(
@@ -264,14 +278,7 @@ def certify(
     plan = build_partition(delta_alpha, spec, method, interval_cfg.quantile)
     frames = render_sweep(cloud, spec, cam, plan.values, interval_cfg.background)
 
-    results = _run_tasks(
-        _pool_estimate,
-        list(enumerate(frames)),
-        classifier,
-        smoothing_cfg,
-        STREAM_FRAME,
-    )
-    estimates = [est for _, est in sorted(results, key=lambda r: r[0])]
+    estimates = _estimate_distinct(frames, classifier, smoothing_cfg, STREAM_FRAME)
 
     max_err = 0.0
     for a, b in zip(frames, frames[1:]):
@@ -354,12 +361,9 @@ def empirical_attack(
         smoothing_cfg,
         stream=stream_id(STREAM_ATTACK_REFERENCE, 0),
     )
-    tasks = [
-        (i, render(cloud, MotionValue(spec, float(v)), cam, background))
-        for i, v in enumerate(values)
-    ]
-    results = _run_tasks(_pool_predict, tasks, classifier, smoothing_cfg, STREAM_ATTACK)
-    labels = [lab for _, lab in sorted(results, key=lambda r: r[0])]
+    frames = render_sweep(cloud, spec, cam, values, background)
+    estimates = _estimate_distinct(frames, classifier, smoothing_cfg, STREAM_ATTACK)
+    labels = [e.top_label for e in estimates]
 
     first_failure = None
     for value, label in zip(values, labels):

@@ -285,6 +285,8 @@ def cmd_certify(corpus, model, axis, radius, sigma, n_samples, alpha, method,
         try:
             report = certify(scene.cloud, spec, cam, clf, smoothing,
                              CertMethod(method), cfg)
+        except ConfigError:
+            raise
         except PwsError as err:
             samples[scene.name] = {
                 "error": f"{err.kind}: {err}",

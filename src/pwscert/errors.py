@@ -69,3 +69,9 @@ class ConfigError(PwsError):
     """Bad run configuration (CLI exits with status 2)."""
 
     kind = "config_error"
+
+
+class FileFormatError(PwsError, ValueError):
+    """A file is not in its declared format, or is cut short."""
+
+    kind = "file_format"

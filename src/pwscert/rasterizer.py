@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeMismatch
+from .errors import FileFormatError, ShapeMismatch
 from .geometry import (
     Axis,
     CameraModel,
@@ -161,12 +161,16 @@ def load_image(path) -> np.ndarray:
     with open(path, "rb") as fh:
         magic = fh.read(5)
         if magic != b"PWSI1":
-            raise ValueError(f"not a PWSI1 file: magic {magic!r}")
-        k, h, w = struct.unpack("<III", fh.read(12))
-        data = np.frombuffer(fh.read(4 * k * h * w), dtype="<f4")
-    if data.size != k * h * w:
-        raise ValueError("truncated PWSI1 file")
-    return data.reshape(k, h, w).astype(np.float64)
+            raise FileFormatError(f"not a PWSI1 file: magic {magic!r}")
+        header = fh.read(12)
+        if len(header) != 12:
+            raise FileFormatError(f"truncated PWSI1 header: {len(header)} of 12 bytes")
+        k, h, w = struct.unpack("<III", header)
+        size = 4 * k * h * w
+        body = fh.read(size)
+    if len(body) != size:
+        raise FileFormatError(f"truncated PWSI1 body: {len(body)} of {size} bytes")
+    return np.frombuffer(body, dtype="<f4").reshape(k, h, w).astype(np.float64)
 
 
 def save_cloud(path, cloud: ColoredPointCloud) -> None:

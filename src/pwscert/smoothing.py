@@ -14,9 +14,11 @@ is exact only for unclipped additive noise and the classifiers accept
 unbounded inputs.
 
 Randomness is organized in named Philox streams keyed by (seed, stream
-id): every evaluation (a partition frame, an attack pose) owns one stream
-and consumes it serially, so results do not depend on how evaluations are
-distributed over workers or how draws are batched.
+id): every evaluation owns one stream and consumes it serially, so results
+do not depend on how evaluations are distributed over workers or how draws
+are batched.  Certification and attack sweeps evaluate each distinct frame
+once, on the stream keyed by the index of its first occurrence in the
+sweep (``stream_id(context, first_index)``); repeated frames reuse it.
 
 For classifiers exposing an affine pixel-to-logit map, the argmax under
 pixel noise is sampled exactly in logit space: the noise pushes forward to
@@ -216,14 +218,5 @@ def smoothed_prediction(
     cfg: SmoothingConfig,
     stream: int = STREAM_GENERIC,
 ) -> int:
-    """Argmax of the Monte-Carlo tally, without confidence machinery."""
-    image = np.asarray(image, dtype=np.float64)
-    rng = noise_generator(cfg.seed, stream)
-    logit_map = None if cfg.force_pixel_noise else classifier.logit_map()
-    if logit_map is not None:
-        counts = _tally_logit_noise(
-            logit_map, image, cfg, rng, classifier.label_count
-        )
-    else:
-        counts = _tally_pixel_noise(classifier, image, cfg, rng)
-    return int(np.argmax(counts))
+    """Top label of the Monte-Carlo tally; the draws of ``smoothed_estimate``."""
+    return smoothed_estimate(classifier, image, cfg, stream).top_label

@@ -16,6 +16,8 @@ from pwscert import (
 )
 from pwscert.demo import demo_specs
 from pwscert.intervals import CertMethod, DeltaConvexity
+from pwscert.rasterizer import render_sweep
+from pwscert.smoothing import STREAM_FRAME, smoothed_estimate, stream_id
 
 
 class ConfidentClassifier(BaseClassifier):
@@ -48,6 +50,22 @@ class PixelSignClassifier(BaseClassifier):
     def predict_batch(self, images):
         hot = (images[:, 0, self.row, self.col] > 0.5).astype(float)
         return np.column_stack([1 - hot, hot])
+
+
+class CountingClassifier(PixelSignClassifier):
+    """PixelSignClassifier that counts the images it scores."""
+
+    images = 0
+
+    def predict_batch(self, images):
+        self.images += len(images)
+        return super().predict_batch(images)
+
+
+def first_indices(frames):
+    """Index of the first identical frame, for every frame."""
+    first = {}
+    return [first.setdefault(f.tobytes(), i) for i, f in enumerate(frames)]
 
 
 def static_scene(cam):
@@ -176,18 +194,72 @@ class TestCertify:
         assert payload["extra"]["classifier"]["type"] == "ConfidentClassifier"
 
     def test_parallel_matches_serial(self, cam, monkeypatch):
-        cloud, spec = static_scene(cam)
+        # several distinct frames, so the pooled run really fans out, and a
+        # noise level at which every tally depends on its stream
+        cloud, spec = flip_scene(cam)
         cfg = SmoothingConfig(sigma=0.5, n_samples=600, confidence_alpha=0.01,
                               seed=8, force_pixel_noise=True)
         monkeypatch.setenv("PWS_THREADS", "1")
-        serial = certify(cloud, spec, cam, ConfidentClassifier(), cfg,
+        serial = certify(cloud, spec, cam, PixelSignClassifier(50, 50), cfg,
                          CertMethod.EXACT, IVCFG)
         monkeypatch.setenv("PWS_THREADS", "2")
-        parallel = certify(cloud, spec, cam, ConfidentClassifier(), cfg,
+        parallel = certify(cloud, spec, cam, PixelSignClassifier(50, 50), cfg,
                            CertMethod.EXACT, IVCFG)
         a, b = serial.to_json(), parallel.to_json()
         a.pop("timing"), b.pop("timing")
         assert a == b
+
+
+class TestSharedTallies:
+    """Repeated frames reuse the tally of their first occurrence."""
+
+    CFG = SmoothingConfig(sigma=0.02, n_samples=400, confidence_alpha=0.01,
+                          seed=4, force_pixel_noise=True)
+
+    def test_static_scene_tallies_once(self, cam, monkeypatch):
+        monkeypatch.setenv("PWS_THREADS", "1")  # keep the counter in-process
+        cloud, spec = static_scene(cam)
+        clf = CountingClassifier(50, 50)
+        report = certify(cloud, spec, cam, clf, self.CFG, CertMethod.EXACT, IVCFG)
+        assert report.n_partitions > 1
+        assert clf.images == self.CFG.n_samples
+
+    def test_attack_tallies_each_distinct_frame_once(self, cam, monkeypatch):
+        monkeypatch.setenv("PWS_THREADS", "1")
+        cloud, spec = flip_scene(cam)
+        frames = render_sweep(cloud, spec, cam,
+                              np.linspace(-spec.radius_b, spec.radius_b, 40))
+        distinct = len(set(first_indices(frames)))
+        assert 1 < distinct < 40
+        clf = CountingClassifier(50, 50)
+        empirical_attack(cloud, spec, cam, clf, self.CFG, poses=40)
+        assert clf.images == (distinct + 1) * self.CFG.n_samples  # + reference
+
+    def test_repeats_equal_first_occurrence(self, cam):
+        cloud, spec = flip_scene(cam)
+        clf = PixelSignClassifier(50, 50)
+        report = certify(cloud, spec, cam, clf, self.CFG, CertMethod.EXACT, IVCFG)
+        frames = render_sweep(cloud, spec, cam,
+                              [p.alpha for p in report.per_partition])
+        owners = first_indices(frames)
+        assert 1 < len(set(owners)) < len(frames)
+        for i, (owner, entry) in enumerate(zip(owners, report.per_partition)):
+            got = entry.to_json()
+            got.pop("alpha")
+            if owner != i:
+                want = report.per_partition[owner].to_json()
+                want.pop("alpha")
+                assert got == want
+                continue
+            est = smoothed_estimate(clf, frames[i], self.CFG,
+                                    stream=stream_id(STREAM_FRAME, i))
+            assert got == {
+                "top_label": est.top_label,
+                "p_a_lower": est.p_a_lower,
+                "p_b_upper": est.p_b_upper,
+                "radius": est.radius,
+                "abstained": est.abstained,
+            }
 
 
 class TestEmpiricalAttack:

@@ -186,6 +186,18 @@ class TestErrorHandling:
         ])
         assert res.exit_code == 2
 
+    def test_bad_thread_count_exits_2(self, runner, workspace, tmp_path):
+        _, corpus, model = workspace
+        res = runner.invoke(main, [
+            "certify", "--corpus", str(corpus), "--model", str(model),
+            "--axis", "tz", "--radius", "36mm", "--n-samples", "500",
+            "--resolution", "201", "--out", str(tmp_path / "r"),
+        ], env={"PWS_THREADS": "abc"})
+        assert res.exit_code == 2
+        assert res.output.splitlines() == [
+            "config_error: PWS_THREADS must be an integer, got 'abc'"
+        ]
+
     def test_module_error_exits_1(self, runner, workspace, tmp_path):
         _, corpus, _ = workspace
         # a huge translation radius puts scene points behind the camera

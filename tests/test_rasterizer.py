@@ -6,6 +6,7 @@ import pytest
 from pwscert import (
     Axis,
     ColoredPointCloud,
+    FileFormatError,
     MotionSpec,
     ShapeMismatch,
     adjacent_frame_error,
@@ -199,6 +200,16 @@ class TestFileFormats:
         path.write_bytes(b"NOPE!" + b"\0" * 16)
         with pytest.raises(ValueError):
             load_image(path)
+
+    def test_truncated_image_rejected_at_every_offset(self, tmp_path):
+        path = tmp_path / "full.pwsi"
+        save_image(path, np.full((2, 2, 3), 0.25))
+        raw = path.read_bytes()
+        cut = tmp_path / "cut.pwsi"
+        for size in range(len(raw)):
+            cut.write_bytes(raw[:size])
+            with pytest.raises(FileFormatError):
+                load_image(cut)
 
 
 class TestCloudValidation:

@@ -26,6 +26,7 @@ from .errors import (
     DomainError,
     EmptyFrame,
     FileFormatError,
+    InvalidCloud,
     InvalidDelta,
     InvalidRange,
     NegativeMargin,

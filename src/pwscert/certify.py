@@ -242,13 +242,13 @@ def compute_delta_alpha(
     if method is CertMethod.LIPSCHITZ:
         return lipschitz_delta(cloud, spec, cam, res, q), None
     if method is CertMethod.ONE_FRAME:
+        if interval_cfg.convexity is None:
+            raise ConfigError("one-frame certification requires a convexity delta")
         one_frame = interval_cfg.one_frame
         if one_frame is None:
             from .scenes import extract_one_frame
 
             one_frame = extract_one_frame(cloud, cam)
-        if interval_cfg.convexity is None:
-            raise ValueError("one-frame certification requires a convexity delta")
         delta = one_frame_delta(
             one_frame, spec, cam, res, interval_cfg.convexity, q
         )

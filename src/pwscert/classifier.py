@@ -26,7 +26,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 from scipy.optimize import minimize
 
-from .errors import DegenerateDataset, ShapeMismatch
+from .errors import DegenerateDataset, FileFormatError, ShapeMismatch
 from .rasterizer import save_image
 
 DEFAULT_DOWNSAMPLE = 4
@@ -230,18 +230,27 @@ def save_model(path, clf: LinearSoftmaxClassifier) -> None:
 
 
 def load_model(path) -> LinearSoftmaxClassifier:
+    """Read a ``save_model`` file; FileFormatError if it is anything else."""
     with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode("utf-8"))
-        if header.get("format") != "pws-linear-1":
-            raise ValueError("not a pws linear model file")
-        f, labels = header["features"], header["labels"]
-        w = np.frombuffer(fh.read(4 * f * labels), dtype="<f4")
-        b = np.frombuffer(fh.read(4 * labels), dtype="<f4")
+        line = fh.readline()
+        body = fh.read()
+    try:  # undecodable or non-JSON header, missing or mistyped fields
+        header = json.loads(line.decode("utf-8"))
+        if not isinstance(header, dict) or header.get("format") != "pws-linear-1":
+            raise ValueError("header is not pws-linear-1")
+        f, labels = int(header["features"]), int(header["labels"])
+        shape = tuple(int(s) for s in header["image_shape"])
+        downsample = int(header["downsample"])
+    except (ValueError, KeyError, TypeError) as exc:
+        raise FileFormatError(f"not a pws linear model file: {exc!r}") from exc
+    if f < 1 or labels < 1 or len(shape) != 3 or downsample < 1:
+        raise FileFormatError(f"bad model header fields: {header}")
+    size = 4 * (f * labels + labels)
+    if len(body) != size:
+        raise FileFormatError(f"model body has {len(body)} bytes, expected {size}")
+    params = np.frombuffer(body, dtype="<f4").astype(np.float64)
     return LinearSoftmaxClassifier(
-        w.reshape(f, labels).astype(np.float64),
-        b.astype(np.float64),
-        header["image_shape"],
-        header["downsample"],
+        params[: f * labels].reshape(f, labels), params[f * labels :], shape, downsample
     )
 
 

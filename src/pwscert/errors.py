@@ -71,6 +71,12 @@ class ConfigError(PwsError):
     kind = "config_error"
 
 
+class InvalidCloud(PwsError, ValueError):
+    """Cloud points or colors are not finite, or colors leave [0, 1]."""
+
+    kind = "invalid_cloud"
+
+
 class FileFormatError(PwsError, ValueError):
     """A file is not in its declared format, or is cut short."""
 

@@ -67,8 +67,8 @@ class CameraModel:
     height: int
 
     def __post_init__(self):
-        if self.fx <= 0 or self.fy <= 0:
-            raise ValueError("focal lengths must be positive")
+        if not (0 < self.fx < math.inf and 0 < self.fy < math.inf):
+            raise ValueError("focal lengths must be positive and finite")
         if not (0 <= self.cx < self.width) or not (0 <= self.cy < self.height):
             raise ValueError("principal point must lie inside the grid")
         if self.width < 1 or self.height < 1:
@@ -124,11 +124,13 @@ def _as_points(points) -> np.ndarray:
 def project_points(points, axis: Axis, value, cam: CameraModel):
     """Project an (N, 3) array of points.
 
-    ``value`` is the motion scalar, either a single pose for all points or
-    an (N,) array giving each point its own pose.  Returns ``(uv, depth)``
-    with ``uv`` of shape (N, 2) and ``depth`` of shape (N,).  Entries with
-    non-positive depth carry the raw depth value so callers can mask them;
-    uv rows for such entries are not meaningful.
+    ``value`` is the motion scalar: a single pose for all points, an (N,)
+    array giving each point its own pose, or a (T, 1) column of T poses
+    that broadcasts against the points.  Returns ``(uv, depth)`` with
+    ``depth`` of the broadcast shape ((N,) or (T, N)) and ``uv`` of that
+    shape plus a trailing axis of 2 for (u, v).  Entries with non-positive
+    depth carry the raw depth value so callers can mask them; uv entries
+    for such points are not meaningful.
     """
     pts = _as_points(points)
     x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
@@ -165,7 +167,7 @@ def project_points(points, axis: Axis, value, cam: CameraModel):
         raise ValueError(f"unknown axis {axis}")
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        uv = np.stack([un / depth + cam.cx, vn / depth + cam.cy], axis=1)
+        uv = np.stack([un / depth + cam.cx, vn / depth + cam.cy], axis=-1)
     return uv, depth
 
 

@@ -42,7 +42,7 @@ from .geometry import (
     delta_constant,
     project_points,
 )
-from .rasterizer import ColoredPointCloud, zbuffer_winners
+from .rasterizer import ColoredPointCloud, zbuffer_blocks
 
 DEFAULT_RESOLUTION = 2001
 DEFAULT_QUANTILE = 0.995
@@ -97,12 +97,16 @@ def _sweep_runs(
     step = float(values[1] - values[0])
     npix = cam.height * cam.width
 
-    prev = zbuffer_winners(cloud, spec.axis, float(values[0]), cam)
+    frames = (
+        winners
+        for block in zbuffer_blocks(cloud, spec.axis, values, cam)
+        for winners in block
+    )
+    prev = next(frames)
     run_start = np.zeros(npix, dtype=np.int64)
     px_parts, pt_parts, lo_parts, hi_parts = [], [], [], []
 
-    for t in range(1, resolution):
-        cur = zbuffer_winners(cloud, spec.axis, float(values[t]), cam)
+    for t, cur in enumerate(frames, start=1):
         changed = np.nonzero(cur != prev)[0]
         if changed.size:
             owners = prev[changed]

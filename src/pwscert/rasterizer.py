@@ -1,11 +1,21 @@
 """Z-buffered point-splat rasterization of colored point clouds.
 
 A cloud point lands in the pixel cell ``(row, col) = (floor(v), floor(u))``
-of its continuous projection; among all points mapping to the same cell
-with positive depth, the nearest one paints the cell.  Exact depth ties
-break toward the smallest point index so rendering is fully deterministic.
-Cells no point reaches take a configurable background color (default
-mid-gray), keeping every image inside [0, 1].
+of its continuous projection.  Among all points mapping to the same cell
+with positive depth, the nearest one paints the cell; exact depth ties
+break toward the smallest point index, so rendering is fully
+deterministic.  Cells no point reaches take a configurable background
+color (default mid-gray), keeping every image inside [0, 1].
+
+One kernel, ``zbuffer_winners_batch``, applies this rule to many poses at
+once: it projects the cloud at every pose in one broadcast, sends points
+off the grid or behind the camera to a spare cell, and picks each cell's
+winner with two unbuffered minimum passes, first over depths, then over
+the indices of the points at the winning depth.  There is no sort and no
+rounding, so the winners are those of ordering each cell's points by
+(depth, index).  ``zbuffer_blocks`` feeds long pose sequences through the
+kernel in blocks of bounded size; every render and ownership sweep goes
+through it.
 
 Points are pure one-pixel splats: no footprint, no interpolation, no
 anti-aliasing.  File formats: ``PWSI1`` for images (binary) and ``PWSPC1``
@@ -19,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FileFormatError, ShapeMismatch
+from .errors import FileFormatError, InvalidCloud, ShapeMismatch
 from .geometry import (
     Axis,
     CameraModel,
@@ -50,8 +60,11 @@ class ColoredPointCloud:
             raise ShapeMismatch("clouds need at least one color channel")
         if len(self.points) == 0:
             raise ShapeMismatch("clouds must be nonempty")
+        # NaN passes the [0, 1] test below, and a non-finite point has no pixel
+        if not (np.all(np.isfinite(self.points)) and np.all(np.isfinite(self.colors))):
+            raise InvalidCloud("points and colors must be finite")
         if np.any(self.colors < 0) or np.any(self.colors > 1):
-            raise ValueError("color entries must lie in [0, 1]")
+            raise InvalidCloud("color entries must lie in [0, 1]")
 
     def __len__(self) -> int:
         return len(self.points)
@@ -64,33 +77,64 @@ class ColoredPointCloud:
         return ColoredPointCloud(self.points[indices], self.colors[indices])
 
 
+# Upper bound on poses x max(points, pixels) in one kernel call: large
+# enough to spread numpy's per-call cost over many poses, small enough that
+# the block's temporaries stay far below the program's peak memory.
+_BLOCK_ENTRIES = 1 << 14
+
+
+def zbuffer_winners_batch(
+    cloud: ColoredPointCloud, axis: Axis, values, cam: CameraModel
+) -> np.ndarray:
+    """(T, H*W) array of winning point indices per pose and pixel, -1 where
+    empty, for the T poses in ``values``."""
+    values = np.asarray(values, dtype=np.float64).reshape(-1, 1)
+    poses, n = len(values), len(cloud)
+    npix = cam.height * cam.width
+    uv, depth = project_points(cloud.points, axis, values, cam)
+    u, v = uv[..., 0], uv[..., 1]
+    # compared as floats, before any integer cast: floor(u) lies in
+    # [0, W) exactly when u does, and NaN compares false
+    ok = (
+        (depth > DEPTH_EPS)
+        & (u >= 0)
+        & (u < cam.width)
+        & (v >= 0)
+        & (v < cam.height)
+    )
+    cell = np.full((poses, n), npix, dtype=np.int64)  # npix: the spare cell
+    cell[ok] = (
+        np.floor(v[ok]).astype(np.int64) * cam.width
+        + np.floor(u[ok]).astype(np.int64)
+    )
+    # pose t owns slots t*(npix+1) .. t*(npix+1) + npix
+    slot = (cell + np.arange(poses)[:, None] * (npix + 1)).ravel()
+    depth = depth.ravel()
+    nearest = np.full(poses * (npix + 1), np.inf)
+    np.minimum.at(nearest, slot, depth)
+    front = np.flatnonzero(depth == nearest[slot])
+    winners = np.full(poses * (npix + 1), n, dtype=np.int64)
+    np.minimum.at(winners, slot[front], front % n)
+    winners = winners.reshape(poses, npix + 1)[:, :npix]
+    winners[winners == n] = -1
+    return winners
+
+
+def zbuffer_blocks(cloud: ColoredPointCloud, axis: Axis, values, cam: CameraModel):
+    """Yield ``zbuffer_winners_batch`` over consecutive blocks of ``values``,
+    each of at most ``_BLOCK_ENTRIES`` poses x max(points, pixels) entries
+    (at least one pose)."""
+    values = np.asarray(values, dtype=np.float64).reshape(-1)
+    size = max(1, _BLOCK_ENTRIES // max(len(cloud), cam.height * cam.width))
+    for start in range(0, len(values), size):
+        yield zbuffer_winners_batch(cloud, axis, values[start : start + size], cam)
+
+
 def zbuffer_winners(
     cloud: ColoredPointCloud, axis: Axis, value: float, cam: CameraModel
 ) -> np.ndarray:
     """Flat (H*W,) array of winning point indices per pixel, -1 where empty."""
-    uv, depth = project_points(cloud.points, axis, value, cam)
-    visible = depth > DEPTH_EPS
-    cols = np.floor(uv[:, 0]).astype(np.int64)
-    rows = np.floor(uv[:, 1]).astype(np.int64)
-    ok = (
-        visible
-        & (cols >= 0)
-        & (cols < cam.width)
-        & (rows >= 0)
-        & (rows < cam.height)
-    )
-    winners = np.full(cam.height * cam.width, -1, dtype=np.int64)
-    if not np.any(ok):
-        return winners
-    idx = np.nonzero(ok)[0]
-    flat = rows[idx] * cam.width + cols[idx]
-    # sort by (pixel, depth, index); lexsort keys go least significant first
-    order = np.lexsort((idx, depth[idx], flat))
-    flat_sorted = flat[order]
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = flat_sorted[1:] != flat_sorted[:-1]
-    winners[flat_sorted[first]] = idx[order][first]
-    return winners
+    return zbuffer_winners_batch(cloud, axis, [value], cam)[0]
 
 
 def render(
@@ -122,10 +166,14 @@ def render_sweep(
     background=DEFAULT_BACKGROUND,
 ):
     """Render one image per motion value; values must lie inside [-b, +b]."""
-    out = []
+    values = np.asarray(values, dtype=np.float64).reshape(-1)
     for value in values:
-        out.append(render(cloud, MotionValue(spec, float(value)), cam, background))
-    return out
+        MotionValue(spec, float(value))  # range check
+    return [
+        _paint(cloud, winners, cam, background)
+        for block in zbuffer_blocks(cloud, spec.axis, values, cam)
+        for winners in block
+    ]
 
 
 def adjacent_frame_error(a: np.ndarray, b: np.ndarray) -> float:
@@ -185,13 +233,16 @@ def save_cloud(path, cloud: ColoredPointCloud) -> None:
 
 def load_cloud(path) -> ColoredPointCloud:
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 3 or header[0] != "PWSPC1":
-            raise ValueError("not a PWSPC1 file")
-        count, k = int(header[1]), int(header[2])
-        data = np.loadtxt(fh, dtype=np.float64, ndmin=2)
+        try:  # undecodable text, a bad header or a non-numeric body
+            header = fh.readline().split()
+            if len(header) != 3 or header[0] != "PWSPC1":
+                raise ValueError(f"header {' '.join(header[:3])!r}")
+            count, k = int(header[1]), int(header[2])
+            data = np.loadtxt(fh, dtype=np.float64, ndmin=2)
+        except ValueError as exc:
+            raise FileFormatError(f"not a PWSPC1 file: {exc}") from exc
     if data.shape != (count, 3 + k):
-        raise ValueError(
+        raise FileFormatError(
             f"PWSPC1 body has shape {data.shape}, expected ({count}, {3 + k})"
         )
     return ColoredPointCloud(data[:, :3], data[:, 3:])

@@ -36,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyFrame, InvalidRange
+from .errors import EmptyFrame, FileFormatError, InvalidRange
 from .geometry import Axis, CameraModel, project_points
 from .rasterizer import ColoredPointCloud, load_cloud, save_cloud, zbuffer_winners
 
@@ -463,11 +463,16 @@ def save_corpus(root, scenes, cam: CameraModel) -> None:
 
 def load_corpus(root):
     root = Path(root)
-    labels = json.loads((root / "labels.json").read_text(encoding="utf-8"))
-    cam_raw = json.loads((root / "camera.json").read_text(encoding="utf-8"))
-    cam = CameraModel(**cam_raw)
+    try:  # non-JSON text, unknown or missing fields, an invalid camera
+        labels = json.loads((root / "labels.json").read_text(encoding="utf-8"))
+        if not isinstance(labels, dict):
+            raise TypeError("labels.json must map scene names to labels")
+        labels = {name: int(label) for name, label in labels.items()}
+        cam = CameraModel(**json.loads((root / "camera.json").read_text(encoding="utf-8")))
+    except (ValueError, TypeError) as exc:
+        raise FileFormatError(f"bad corpus metadata in {root}: {exc}") from exc
     scenes = []
     for name in sorted(labels):
         cloud = load_cloud(root / "scenes" / f"{name}.pwspc")
-        scenes.append(Scene(cloud=cloud, label=int(labels[name]), name=name))
+        scenes.append(Scene(cloud=cloud, label=labels[name], name=name))
     return scenes, cam

@@ -8,7 +8,7 @@ from pwscert import (
     render,
 )
 from pwscert.demo import build_demo_scene, demo_camera, demo_specs
-from pwscert.geometry import MotionValue
+from pwscert.geometry import DEPTH_EPS, MotionValue, project_points
 from pwscert.scenes import ShapeClass
 
 
@@ -18,6 +18,30 @@ def random_visible_points(rng, n, z_lo=1.2, z_hi=3.0, spread=0.9):
     x = rng.uniform(-spread, spread, n) * z * 0.45
     y = rng.uniform(-spread, spread, n) * z * 0.45
     return np.column_stack([x, y, z])
+
+
+def lexsort_winners(cloud, axis, value, cam):
+    """Reference z-buffer: sort the visible hits by (pixel, depth, index)
+    and keep the first hit of each pixel."""
+    uv, depth = project_points(cloud.points, axis, value, cam)
+    cols = np.floor(uv[:, 0]).astype(np.int64)
+    rows = np.floor(uv[:, 1]).astype(np.int64)
+    ok = (
+        (depth > DEPTH_EPS)
+        & (cols >= 0)
+        & (cols < cam.width)
+        & (rows >= 0)
+        & (rows < cam.height)
+    )
+    winners = np.full(cam.height * cam.width, -1, dtype=np.int64)
+    idx = np.nonzero(ok)[0]
+    flat = rows[idx] * cam.width + cols[idx]
+    order = np.lexsort((idx, depth[idx], flat))
+    flat_sorted = flat[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = flat_sorted[1:] != flat_sorted[:-1]
+    winners[flat_sorted[first]] = idx[order][first]
+    return winners
 
 
 def axis_radius(axis):

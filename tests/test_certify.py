@@ -5,6 +5,7 @@ from pwscert import (
     Axis,
     BaseClassifier,
     ColoredPointCloud,
+    ConfigError,
     IntervalConfig,
     MotionSpec,
     SmoothingConfig,
@@ -157,7 +158,7 @@ class TestCertify:
     def test_one_frame_method_requires_delta(self, demo_corpus, demo_classifier):
         scenes, cam = demo_corpus
         spec = demo_specs()[0]
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             certify(scenes[0].cloud, spec, cam, demo_classifier, SMOOTH,
                     CertMethod.ONE_FRAME,
                     IntervalConfig(resolution=801, quantile=1.0))

@@ -6,6 +6,8 @@ import pytest
 
 from pwscert import (
     DegenerateDataset,
+    FileFormatError,
+    LinearSoftmaxClassifier,
     ShapeMismatch,
     SubprocessClassifier,
     builtin_train,
@@ -119,6 +121,41 @@ class TestModelFile:
         header = json.loads(path.read_bytes().split(b"\n", 1)[0])
         assert header["format"] == "pws-linear-1"
         assert header["labels"] == demo_classifier.label_count
+
+    def test_truncated_model_rejected_at_every_offset(self, tmp_path):
+        clf = LinearSoftmaxClassifier(
+            np.arange(6.0).reshape(3, 2), [0.5, -0.5], (3, 4, 4), downsample=4
+        )
+        path = tmp_path / "full.pws"
+        save_model(path, clf)
+        raw = path.read_bytes()
+        cut = tmp_path / "cut.pws"
+        for size in range(len(raw)):
+            cut.write_bytes(raw[:size])
+            with pytest.raises(FileFormatError):
+                load_model(cut)
+        cut.write_bytes(raw + b"\0")
+        with pytest.raises(FileFormatError):
+            load_model(cut)
+
+    @pytest.mark.parametrize("header", [
+        b"not json",
+        b"\xff\xfe",
+        b"[1, 2]",
+        b'{"format": "pws-linear-2"}',
+        b'{"format": "pws-linear-1", "features": 3}',
+        b'{"downsample": 4, "features": "x", "format": "pws-linear-1", '
+        b'"image_shape": [3, 4, 4], "labels": 2}',
+        b'{"downsample": 4, "features": 0, "format": "pws-linear-1", '
+        b'"image_shape": [3, 4, 4], "labels": 2}',
+        b'{"downsample": 4, "features": 3, "format": "pws-linear-1", '
+        b'"image_shape": 7, "labels": 2}',
+    ])
+    def test_bad_header_rejected(self, tmp_path, header):
+        path = tmp_path / "bad.pws"
+        path.write_bytes(header + b"\n" + b"\0" * 32)
+        with pytest.raises(FileFormatError):
+            load_model(path)
 
 
 SCORER = textwrap.dedent(

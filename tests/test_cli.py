@@ -198,6 +198,21 @@ class TestErrorHandling:
             "config_error: PWS_THREADS must be an integer, got 'abc'"
         ]
 
+    @pytest.mark.parametrize("command", ["partition", "project", "certify"])
+    def test_one_frame_without_delta_exits_2(self, runner, workspace, tmp_path, command):
+        _, corpus, model = workspace
+        args = [command, "--corpus", str(corpus), "--axis", "tz",
+                "--radius", "36mm", "--method", "one-frame", "--resolution", "201"]
+        if command != "partition":
+            args += ["--out", str(tmp_path / "out")]
+        if command == "certify":
+            args += ["--model", str(model), "--n-samples", "500"]
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2
+        assert res.output.splitlines() == [
+            "config_error: one-frame certification requires a convexity delta"
+        ]
+
     def test_module_error_exits_1(self, runner, workspace, tmp_path):
         _, corpus, _ = workspace
         # a huge translation radius puts scene points behind the camera

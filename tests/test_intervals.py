@@ -23,8 +23,10 @@ from pwscert.demo import (
     demo_specs,
 )
 from pwscert.geometry import MotionValue
-from pwscert.intervals import CertMethod, DeltaConvexity
+from pwscert.intervals import CertMethod, DeltaConvexity, _sweep_runs
 from pwscert.scenes import ShapeClass
+
+from conftest import axis_radius, lexsort_winners, random_visible_points
 
 
 def single_point_scene(cam):
@@ -42,6 +44,41 @@ def single_point_scene(cam):
     x = (u0 - cam.cx) * z / cam.fx
     cloud = ColoredPointCloud(np.array([[x, 0.0, z]]), np.array([[0.9]]))
     return cloud, MotionSpec(Axis.TX, b)
+
+
+def oracle_sweep_runs(cloud, spec, cam, resolution):
+    """Per-pose reference sweep: (point, pixel, lo, hi) of every ownership
+    run, closed runs in sweep order, then the runs open at the last pose."""
+    values = np.linspace(-spec.radius_b, spec.radius_b, resolution)
+    prev = lexsort_winners(cloud, spec.axis, float(values[0]), cam)
+    start = np.zeros(len(prev), dtype=np.int64)
+    runs = []
+    for t in range(1, resolution):
+        cur = lexsort_winners(cloud, spec.axis, float(values[t]), cam)
+        for px in np.nonzero(cur != prev)[0]:
+            if prev[px] >= 0:
+                runs.append((prev[px], px, values[start[px]], values[t - 1]))
+            start[px] = t
+        prev = cur
+    for px in np.nonzero(prev >= 0)[0]:
+        runs.append((prev[px], px, values[start[px]], values[-1]))
+    return runs
+
+
+class TestSweepRuns:
+    def test_matches_per_pose_oracle(self, small_cam, demo_cam):
+        rng = np.random.default_rng(31)
+        random_cloud = ColoredPointCloud(
+            random_visible_points(rng, 300), rng.uniform(0, 1, (300, 1))
+        )
+        demo_cloud = build_demo_scene(ShapeClass.SPHERE_CAP, 0).cloud
+        cases = [(random_cloud, MotionSpec(axis, axis_radius(axis)), small_cam)
+                 for axis in Axis]
+        cases += [(demo_cloud, spec, demo_cam) for spec in demo_specs()]
+        for cloud, spec, cam in cases:
+            runs = _sweep_runs(cloud, spec, cam, 301)
+            got = list(zip(runs.point_index, runs.pixel_flat, runs.lo, runs.hi))
+            assert got and got == oracle_sweep_runs(cloud, spec, cam, 301)
 
 
 class TestConsistentIntervals:

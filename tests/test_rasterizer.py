@@ -7,6 +7,7 @@ from pwscert import (
     Axis,
     ColoredPointCloud,
     FileFormatError,
+    InvalidCloud,
     MotionSpec,
     ShapeMismatch,
     adjacent_frame_error,
@@ -18,9 +19,14 @@ from pwscert import (
     save_image,
 )
 from pwscert.geometry import MotionValue
-from pwscert.rasterizer import zbuffer_winners
+from pwscert.rasterizer import (
+    _BLOCK_ENTRIES,
+    zbuffer_blocks,
+    zbuffer_winners,
+    zbuffer_winners_batch,
+)
 
-from conftest import random_visible_points
+from conftest import axis_radius, lexsort_winners, random_visible_points
 
 TX1 = MotionSpec(Axis.TX, 1.0)
 
@@ -111,6 +117,62 @@ class TestRender:
             assert img.tobytes() == ref.tobytes()
 
 
+def awkward_cloud(rng, n):
+    """Random cloud with exact depth ties, points behind the camera and
+    points off the grid."""
+    pts = random_visible_points(rng, n)
+    pts[: n // 8] = pts[n // 8 : 2 * (n // 8)]  # duplicates: ties on every axis
+    pts[2 * (n // 8) : 3 * (n // 8), 2] = pts[3 * (n // 8), 2]  # one shared depth
+    pts[3 * (n // 8) : 4 * (n // 8), 2] *= -1.0  # behind the camera
+    pts[4 * (n // 8) : 5 * (n // 8), 0] += 3.0  # right of the grid
+    perm = rng.permutation(n)  # ties must not follow index order
+    return ColoredPointCloud(pts[perm], rng.uniform(0, 1, (n, 2)))
+
+
+class TestBatchedZBuffer:
+    def test_matches_lexsort_on_all_axes(self, small_cam):
+        rng = np.random.default_rng(21)
+        cloud = awkward_cloud(rng, 600)
+        for axis in Axis:
+            b = axis_radius(axis)
+            values = np.concatenate([[0.0, -b, b], rng.uniform(-b, b, 9)])
+            got = zbuffer_winners_batch(cloud, axis, values, small_cam)
+            assert got.shape == (len(values), small_cam.height * small_cam.width)
+            for row, value in zip(got, values):
+                oracle = lexsort_winners(cloud, axis, float(value), small_cam)
+                np.testing.assert_array_equal(row, oracle)
+                np.testing.assert_array_equal(
+                    zbuffer_winners(cloud, axis, float(value), small_cam), oracle
+                )
+
+    def test_block_boundaries(self, small_cam):
+        rng = np.random.default_rng(22)
+        cloud = awkward_cloud(rng, 400)
+        block = _BLOCK_ENTRIES // max(len(cloud), small_cam.height * small_cam.width)
+        assert block > 2
+        for axis in (Axis.TZ, Axis.RY):
+            b = axis_radius(axis)
+            for count in (1, block - 1, block, block + 1):
+                values = np.linspace(-b, b, count)
+                blocks = list(zbuffer_blocks(cloud, axis, values, small_cam))
+                assert [len(blk) for blk in blocks[:-1]] == [block] * (len(blocks) - 1)
+                rows = np.concatenate(blocks)
+                assert len(rows) == count
+                for row, value in zip(rows, values):
+                    oracle = lexsort_winners(cloud, axis, float(value), small_cam)
+                    np.testing.assert_array_equal(row, oracle)
+
+    def test_cloud_beyond_block_budget_takes_one_pose_per_block(self, small_cam):
+        rng = np.random.default_rng(23)
+        cloud = awkward_cloud(rng, _BLOCK_ENTRIES + 5)
+        values = [-0.1, 0.0, 0.07]
+        blocks = list(zbuffer_blocks(cloud, Axis.RX, values, small_cam))
+        assert [len(blk) for blk in blocks] == [1, 1, 1]
+        for blk, value in zip(blocks, values):
+            oracle = lexsort_winners(cloud, Axis.RX, value, small_cam)
+            np.testing.assert_array_equal(blk[0], oracle)
+
+
 class TestRenderSweep:
     def test_single_value_equals_render(self, cam, two_point_cloud):
         spec = MotionSpec(Axis.TZ, 0.2)
@@ -136,6 +198,22 @@ class TestRenderSweep:
             assert math.isfinite(err)
         for f in frames:
             assert f.min() >= 0.0 and f.max() <= 1.0
+
+    def test_equals_per_pose_render(self, small_cam):
+        rng = np.random.default_rng(24)
+        cloud = awkward_cloud(rng, 500)
+        for axis in Axis:
+            spec = MotionSpec(axis, axis_radius(axis))
+            values = np.linspace(-spec.radius_b, spec.radius_b, 70)  # > one block
+            frames = render_sweep(cloud, spec, small_cam, values, background=0.3)
+            assert len(frames) == len(values)
+            for frame, value in zip(frames, values):
+                direct = render(cloud, MotionValue(spec, float(value)), small_cam, 0.3)
+                assert frame.tobytes() == direct.tobytes()
+
+    def test_value_outside_range_rejected(self, cam, two_point_cloud):
+        with pytest.raises(ValueError):
+            render_sweep(two_point_cloud, MotionSpec(Axis.TZ, 0.2), cam, [0.0, 0.3])
 
 
 class TestAdjacentFrameError:
@@ -201,6 +279,20 @@ class TestFileFormats:
         with pytest.raises(ValueError):
             load_image(path)
 
+    @pytest.mark.parametrize("text", [
+        "PLY 1 1\n0 0 1 0.5\n",
+        "PWSPC1 one 1\n0 0 1 0.5\n",
+        "PWSPC1 2 1\n0 0 1 0.5\n",
+        "PWSPC1 1 1\n0 0 1\n",
+        "PWSPC1 1 1\n0 zero 1 0.5\n",
+        "",
+    ])
+    def test_bad_cloud_file_rejected(self, tmp_path, text):
+        path = tmp_path / "bad.pwspc"
+        path.write_text(text)
+        with pytest.raises(FileFormatError):
+            load_cloud(path)
+
     def test_truncated_image_rejected_at_every_offset(self, tmp_path):
         path = tmp_path / "full.pwsi"
         save_image(path, np.full((2, 2, 3), 0.25))
@@ -216,6 +308,15 @@ class TestCloudValidation:
     def test_color_range_enforced(self):
         with pytest.raises(ValueError):
             ColoredPointCloud(np.zeros((2, 3)), np.array([[1.2], [0.0]]))
+
+    @pytest.mark.parametrize("points, colors", [
+        ([[math.nan, 0, 1], [0, 0, math.inf]], [[math.nan], [0.5]]),
+        ([[0, 0, 1], [0, -math.inf, 1]], [[0.2], [0.5]]),
+        ([[0, 0, 1], [0, 0, 2]], [[0.2], [math.nan]]),
+    ])
+    def test_non_finite_rejected(self, points, colors):
+        with pytest.raises(InvalidCloud):
+            ColoredPointCloud(np.array(points), np.array(colors))
 
     def test_length_mismatch(self):
         with pytest.raises(ShapeMismatch):

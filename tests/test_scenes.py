@@ -5,6 +5,7 @@ from pwscert import (
     Axis,
     ColoredPointCloud,
     EmptyFrame,
+    FileFormatError,
     InvalidRange,
     MotionSpec,
     NonPositiveDepth,
@@ -129,3 +130,19 @@ class TestCorpusIO:
         scene = generate_scene(ShapeClass.BOX_FACE, 700, (1.5, 2.5), 5, demo_cam)
         with pytest.raises(ValueError):
             save_corpus(tmp_path / "c", [scene, scene], demo_cam)
+
+    @pytest.mark.parametrize("name, text", [
+        ("camera.json", '{"fx": 0, "fy": 7.5, "cx": 12, "cy": 12, "width": 24, "height": 24}'),
+        ("camera.json", '{"fx": NaN, "fy": 7.5, "cx": 12, "cy": 12, "width": 24, "height": 24}'),
+        ("camera.json", '{"fx": 7.5, "lens": 1}'),
+        ("camera.json", "[7.5]"),
+        ("camera.json", "{"),
+        ("labels.json", '["a", "b"]'),
+        ("labels.json", '{"a": "first"}'),
+    ])
+    def test_bad_metadata_rejected(self, tmp_path, demo_cam, name, text):
+        scene = generate_scene(ShapeClass.BOX_FACE, 700, (1.5, 2.5), 5, demo_cam)
+        save_corpus(tmp_path / "c", [scene], demo_cam)
+        (tmp_path / "c" / name).write_text(text)
+        with pytest.raises(FileFormatError):
+            load_corpus(tmp_path / "c")

@@ -20,6 +20,7 @@ from .classifier import (
     save_model,
 )
 from .errors import (
+    ClassifierError,
     ConfigError,
     DegenerateDataset,
     DegenerateInterval,
@@ -29,6 +30,7 @@ from .errors import (
     InvalidCloud,
     InvalidDelta,
     InvalidRange,
+    MissingFile,
     NegativeMargin,
     NonPositiveDepth,
     PwsError,

@@ -19,6 +19,10 @@ probability alpha, so a union bound over the distinct estimates gives a
 failure budget of at most ``n_partitions * alpha``; the report carries
 that figure as ``aggregate_alpha``, which over-approximates the bound
 whenever frames repeat.
+
+Distinct frames are tallied on up to ``PWS_THREADS`` threads (default:
+the CPU count) of the calling process; each tally owns its stream, so the
+estimates do not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from __future__ import annotations
 import enum
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -184,34 +188,21 @@ def worker_count() -> int:
     return os.cpu_count() or 1
 
 
-_POOL = {}
+def _run_tasks(tasks, classifier, cfg, context):
+    """Smoothed estimates of ``(index, image)`` tasks, in order, on up to
+    ``worker_count()`` threads: numpy releases the GIL where a tally spends
+    its time (the noise fill, ufuncs, reductions and BLAS)."""
 
+    def estimate(task):
+        index, image = task
+        return smoothed_estimate(classifier, image, cfg,
+                                 stream=stream_id(context, index))
 
-def _pool_init(classifier, cfg, context):
-    _POOL["classifier"] = classifier
-    _POOL["cfg"] = cfg
-    _POOL["context"] = context
-
-
-def _pool_estimate(task):
-    index, image = task
-    return smoothed_estimate(
-        _POOL["classifier"], image, _POOL["cfg"],
-        stream=stream_id(_POOL["context"], index),
-    )
-
-
-def _run_tasks(fn, tasks, classifier, cfg, context):
-    workers = worker_count()
-    if workers <= 1 or len(tasks) <= 1:
-        _pool_init(classifier, cfg, context)
-        return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(
-        max_workers=workers,
-        initializer=_pool_init,
-        initargs=(classifier, cfg, context),
-    ) as pool:
-        return list(pool.map(fn, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
+    workers = min(worker_count(), len(tasks))
+    if workers <= 1:
+        return [estimate(t) for t in tasks]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(estimate, tasks))
 
 
 def _estimate_distinct(frames, classifier, cfg, context):
@@ -223,7 +214,7 @@ def _estimate_distinct(frames, classifier, cfg, context):
     first = {}
     owners = [first.setdefault(f.tobytes(), i) for i, f in enumerate(frames)]
     tasks = [(i, frames[i]) for i in first.values()]
-    results = _run_tasks(_pool_estimate, tasks, classifier, cfg, context)
+    results = _run_tasks(tasks, classifier, cfg, context)
     by_index = dict(zip(first.values(), results))
     return [by_index[i] for i in owners]
 

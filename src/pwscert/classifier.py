@@ -26,7 +26,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 from scipy.optimize import minimize
 
-from .errors import DegenerateDataset, FileFormatError, ShapeMismatch
+from .errors import ClassifierError, DegenerateDataset, FileFormatError, ShapeMismatch
 from .rasterizer import save_image
 
 DEFAULT_DOWNSAMPLE = 4
@@ -34,7 +34,8 @@ _KEY_MASK = (1 << 128) - 1
 
 
 class BaseClassifier:
-    """Deterministic image classifier interface."""
+    """Deterministic image classifier interface; ``predict_batch`` and
+    ``logit_map`` may be called from several threads at once."""
 
     @property
     def label_count(self) -> int:
@@ -118,19 +119,17 @@ class LinearSoftmaxClassifier(BaseClassifier):
 
     def logit_map(self):
         if self._pixel_map is None:
+            # pixel (k, r, c) feeds feature (k, r // f, c // f) with weight 1/f^2
             k, h, w = self.image_shape
             f = self.downsample
-            n_feat = self.weights.shape[0]
-            pool = np.zeros((n_feat, k * h * w))
-            cell = np.arange(k * h * w).reshape(k, h, w)
-            feat = 0
-            for ki in range(k):
-                for r in range(0, h, f):
-                    for c in range(0, w, f):
-                        block = cell[ki, r : r + f, c : c + f].ravel()
-                        pool[feat, block] = 1.0 / (f * f)
-                        feat += 1
-            self._pixel_map = (self.weights.T @ pool, self.bias.copy())
+            feature = (
+                (np.arange(k)[:, None, None] * (h // f) + np.arange(h)[:, None] // f)
+                * (w // f)
+                + np.arange(w) // f
+            )
+            a_mat = self.weights[feature.ravel()].T * (1.0 / (f * f))
+            # row-major, as the dense pooling product was: BLAS then sums alike
+            self._pixel_map = (np.ascontiguousarray(a_mat), self.bias.copy())
         return self._pixel_map
 
 
@@ -258,7 +257,8 @@ class SubprocessClassifier(BaseClassifier):
     """External model invoked per image: ``command <pwsi-file>``.
 
     The process must print one score per label, newline separated; scores
-    are renormalized to sum to one.
+    are renormalized to sum to one.  A program that cannot be started or
+    exits with a non-zero status raises ``ClassifierError``.
     """
 
     def __init__(self, command, label_count: int):
@@ -273,13 +273,17 @@ class SubprocessClassifier(BaseClassifier):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "frame.pwsi"
             save_image(path, image)
-            out = subprocess.run(
-                self._command + [str(path)],
-                check=True,
-                capture_output=True,
-                text=True,
-            ).stdout
-        scores = np.array([float(line) for line in out.split()], dtype=np.float64)
+            try:
+                proc = subprocess.run(self._command + [str(path)], capture_output=True,
+                                      text=True)
+            except OSError as exc:  # missing or non-executable program
+                raise ClassifierError(f"cannot run {self._command[0]!r}: {exc}") from exc
+        if proc.returncode != 0:
+            first = (proc.stderr.strip().splitlines() or ["no output on stderr"])[0]
+            raise ClassifierError(
+                f"{self._command[0]!r} exited with status {proc.returncode}: {first}"
+            )
+        scores = np.array([float(line) for line in proc.stdout.split()], dtype=np.float64)
         if scores.size != self._labels:
             raise ShapeMismatch(
                 f"scorer returned {scores.size} values, expected {self._labels}"

@@ -81,3 +81,15 @@ class FileFormatError(PwsError, ValueError):
     """A file is not in its declared format, or is cut short."""
 
     kind = "file_format"
+
+
+class MissingFile(PwsError, FileNotFoundError):
+    """A file that an input directory must hold is not there."""
+
+    kind = "missing_file"
+
+
+class ClassifierError(PwsError):
+    """An external classifier could not be run or exited with a failure."""
+
+    kind = "classifier_error"

@@ -36,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyFrame, FileFormatError, InvalidRange
+from .errors import EmptyFrame, FileFormatError, InvalidRange, MissingFile
 from .geometry import Axis, CameraModel, project_points
 from .rasterizer import ColoredPointCloud, load_cloud, save_cloud, zbuffer_winners
 
@@ -462,7 +462,15 @@ def save_corpus(root, scenes, cam: CameraModel) -> None:
 
 
 def load_corpus(root):
+    """Scenes and camera of a ``save_corpus`` directory."""
     root = Path(root)
+    try:
+        return _read_corpus(root)
+    except FileNotFoundError as exc:
+        raise MissingFile(f"corpus {root} has no {exc.filename}") from exc
+
+
+def _read_corpus(root):
     try:  # non-JSON text, unknown or missing fields, an invalid camera
         labels = json.loads((root / "labels.json").read_text(encoding="utf-8"))
         if not isinstance(labels, dict):

@@ -19,6 +19,9 @@ do not depend on how evaluations are distributed over workers or how draws
 are batched.  Certification and attack sweeps evaluate each distinct frame
 once, on the stream keyed by the index of its first occurrence in the
 sweep (``stream_id(context, first_index)``); repeated frames reuse it.
+Evaluations may run side by side on threads, so the pixel-space tally
+draws at most ``_NOISE_ENTRIES`` noise entries at a time; a stream is
+consumed in the same order whatever the block size.
 
 For classifiers exposing an affine pixel-to-logit map, the argmax under
 pixel noise is sampled exactly in logit space: the noise pushes forward to
@@ -45,6 +48,8 @@ _KEY_MASK = (1 << 128) - 1
 STREAM_FRAME = 1
 STREAM_ATTACK = 2
 STREAM_GENERIC = 0
+
+_NOISE_ENTRIES = 1 << 16
 
 
 def stream_id(context: int, index: int) -> int:
@@ -149,13 +154,15 @@ def clopper_pearson_lower(successes: int, trials: int, alpha: float) -> float:
 
 def _tally_pixel_noise(classifier, image, cfg, rng) -> np.ndarray:
     flat = image.reshape(-1)
+    rows = max(1, min(cfg.batch_size, _NOISE_ENTRIES // flat.size))
     counts = np.zeros(classifier.label_count, dtype=np.int64)
     done = 0
     while done < cfg.n_samples:
-        nb = min(cfg.batch_size, cfg.n_samples - done)
-        eps = cfg.sigma * rng.standard_normal((nb, flat.size))
-        batch = (flat[None, :] + eps).reshape(nb, *image.shape)
-        scores = classifier.predict_batch(batch)
+        nb = min(rows, cfg.n_samples - done)
+        batch = rng.standard_normal((nb, flat.size))
+        batch *= cfg.sigma
+        batch += flat
+        scores = classifier.predict_batch(batch.reshape(nb, *image.shape))
         counts += np.bincount(
             np.argmax(scores, axis=1), minlength=classifier.label_count
         )

@@ -44,6 +44,22 @@ def lexsort_winners(cloud, axis, value, cam):
     return winners
 
 
+def dense_logit_map(clf):
+    """Reference pixel-to-logit matrix of a LinearSoftmaxClassifier: the
+    weights times a dense (features x pixels) mean-pooling matrix."""
+    k, h, w = clf.image_shape
+    f = clf.downsample
+    pool = np.zeros((clf.weights.shape[0], k * h * w))
+    cell = np.arange(k * h * w).reshape(k, h, w)
+    feat = 0
+    for ki in range(k):
+        for r in range(0, h, f):
+            for c in range(0, w, f):
+                pool[feat, cell[ki, r : r + f, c : c + f].ravel()] = 1.0 / (f * f)
+                feat += 1
+    return clf.weights.T @ pool, clf.bias.copy()
+
+
 def axis_radius(axis):
     """Motion radii keeping random test points visible over the range."""
     return 0.25 if not axis.is_rotation else 0.12

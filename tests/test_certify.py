@@ -1,3 +1,7 @@
+import multiprocessing.process
+import os
+import threading
+
 import numpy as np
 import pytest
 
@@ -54,12 +58,16 @@ class PixelSignClassifier(BaseClassifier):
 
 
 class CountingClassifier(PixelSignClassifier):
-    """PixelSignClassifier that counts the images it scores."""
+    """PixelSignClassifier that counts the images it scores, from any thread."""
 
-    images = 0
+    def __init__(self, row, col):
+        super().__init__(row, col)
+        self.images = 0
+        self._lock = threading.Lock()
 
     def predict_batch(self, images):
-        self.images += len(images)
+        with self._lock:
+            self.images += len(images)
         return super().predict_batch(images)
 
 
@@ -210,6 +218,24 @@ class TestCertify:
         a.pop("timing"), b.pop("timing")
         assert a == b
 
+    def test_logit_path_demo_reports_match_across_threads(
+        self, demo_corpus, demo_classifier, monkeypatch
+    ):
+        scenes, cam = demo_corpus
+        cfg = SmoothingConfig(sigma=0.5, n_samples=2000, confidence_alpha=0.01, seed=3)
+        reports = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("PWS_THREADS", threads)
+            reports[threads] = []
+            for scene, spec in zip(scenes[:2], demo_specs()):
+                payload = certify(scene.cloud, spec, cam, demo_classifier, cfg,
+                                  CertMethod.EXACT, IVCFG).to_json()
+                payload.pop("timing")
+                reports[threads].append(payload)
+        distinct = {p["p_a_lower"] for r in reports["2"] for p in r["per_partition"]}
+        assert len(distinct) > 2  # several tallies, so two threads share the work
+        assert reports["1"] == reports["2"]
+
 
 class TestSharedTallies:
     """Repeated frames reuse the tally of their first occurrence."""
@@ -217,8 +243,7 @@ class TestSharedTallies:
     CFG = SmoothingConfig(sigma=0.02, n_samples=400, confidence_alpha=0.01,
                           seed=4, force_pixel_noise=True)
 
-    def test_static_scene_tallies_once(self, cam, monkeypatch):
-        monkeypatch.setenv("PWS_THREADS", "1")  # keep the counter in-process
+    def test_static_scene_tallies_once(self, cam):
         cloud, spec = static_scene(cam)
         clf = CountingClassifier(50, 50)
         report = certify(cloud, spec, cam, clf, self.CFG, CertMethod.EXACT, IVCFG)
@@ -226,7 +251,12 @@ class TestSharedTallies:
         assert clf.images == self.CFG.n_samples
 
     def test_attack_tallies_each_distinct_frame_once(self, cam, monkeypatch):
-        monkeypatch.setenv("PWS_THREADS", "1")
+        started = []
+        start, fork = multiprocessing.process.BaseProcess.start, os.fork
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                            lambda proc: started.append(proc) or start(proc))
+        monkeypatch.setattr(os, "fork", lambda: started.append("fork") or fork())
+        monkeypatch.setenv("PWS_THREADS", "2")
         cloud, spec = flip_scene(cam)
         frames = render_sweep(cloud, spec, cam,
                               np.linspace(-spec.radius_b, spec.radius_b, 40))
@@ -235,6 +265,7 @@ class TestSharedTallies:
         clf = CountingClassifier(50, 50)
         empirical_attack(cloud, spec, cam, clf, self.CFG, poses=40)
         assert clf.images == (distinct + 1) * self.CFG.n_samples  # + reference
+        assert started == []  # every tally ran in this process
 
     def test_repeats_equal_first_occurrence(self, cam):
         cloud, spec = flip_scene(cam)

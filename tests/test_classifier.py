@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from pwscert import (
+    ClassifierError,
     DegenerateDataset,
     FileFormatError,
     LinearSoftmaxClassifier,
@@ -17,6 +18,8 @@ from pwscert import (
 )
 from pwscert.demo import demo_specs
 from pwscert.geometry import MotionValue
+
+from conftest import dense_logit_map
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +98,21 @@ class TestPredict:
             scores = demo_classifier.predict(noisy)
             logits = a_mat @ noisy.ravel() + bias
             assert int(np.argmax(scores)) == int(np.argmax(logits))
+
+    @pytest.mark.parametrize("shape, f", [
+        ((1, 24, 24), 4), ((1, 6, 9), 1), ((2, 9, 12), 3), ((3, 20, 10), 5),
+        ((1, 64, 64), 4),
+    ])
+    def test_logit_map_equals_dense_pooling_oracle(self, shape, f):
+        k, h, w = shape
+        rng = np.random.default_rng(sum(shape) + f)
+        weights = rng.standard_normal((k * (h // f) * (w // f), 3))
+        clf = LinearSoftmaxClassifier(weights, rng.standard_normal(3), shape, f)
+        a_mat, bias = clf.logit_map()
+        want_a, want_bias = dense_logit_map(clf)
+        assert a_mat.shape == want_a.shape
+        assert a_mat.tobytes() == want_a.tobytes()
+        assert bias.tobytes() == want_bias.tobytes()
 
 
 class TestModelFile:
@@ -189,4 +207,17 @@ class TestSubprocessClassifier:
         script.write_text("print(0.5)")
         clf = SubprocessClassifier([sys.executable, str(script)], label_count=3)
         with pytest.raises(ShapeMismatch):
+            clf.predict(dataset[0][0])
+
+    def test_nonzero_exit_is_classifier_error(self, dataset):
+        code = "import sys; sys.stderr.write('model broke\\nsecond line\\n'); sys.exit(3)"
+        clf = SubprocessClassifier([sys.executable, "-c", code], label_count=2)
+        with pytest.raises(ClassifierError) as info:
+            clf.predict(dataset[0][0])
+        assert str(info.value).endswith("exited with status 3: model broke")
+        assert info.value.kind == "classifier_error"
+
+    def test_missing_program_is_classifier_error(self, tmp_path, dataset):
+        clf = SubprocessClassifier([str(tmp_path / "no-such-scorer")], label_count=2)
+        with pytest.raises(ClassifierError, match="cannot run"):
             clf.predict(dataset[0][0])

@@ -1,5 +1,6 @@
 import csv
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -222,3 +223,21 @@ class TestErrorHandling:
         ])
         assert res.exit_code == 1
         assert "non_positive_depth:" in res.output
+
+    @pytest.mark.parametrize("missing", ["labels.json", "camera.json", "scene"])
+    def test_missing_corpus_file_exits_1(self, runner, workspace, tmp_path, missing):
+        _, corpus, _ = workspace
+        copy = tmp_path / "corpus"
+        shutil.copytree(corpus, copy)
+        if missing == "scene":
+            target = sorted((copy / "scenes").iterdir())[0]
+        else:
+            target = copy / missing
+        target.unlink()
+        res = runner.invoke(main, [
+            "partition", "--corpus", str(copy), "--axis", "tz", "--radius", "36mm",
+        ])
+        assert res.exit_code == 1
+        assert res.output.splitlines() == [
+            f"missing_file: corpus {copy} has no {target}"
+        ]

@@ -6,13 +6,14 @@ import pytest
 from pwscert import (
     BaseClassifier,
     DomainError,
+    LinearSoftmaxClassifier,
     SmoothingConfig,
     clopper_pearson_lower,
     gaussian_quantile,
     smoothed_estimate,
     smoothed_prediction,
 )
-from pwscert.smoothing import STREAM_FRAME, noise_generator, stream_id
+from pwscert.smoothing import _NOISE_ENTRIES, STREAM_FRAME, noise_generator, stream_id
 
 
 class ConstantClassifier(BaseClassifier):
@@ -46,6 +47,18 @@ class CoinClassifier(BaseClassifier):
         flat = images.reshape(len(images), -1)
         hot = (flat[:, 0] > 0).astype(float)
         return np.column_stack([1 - hot, hot])
+
+
+class BatchRecorder(LinearSoftmaxClassifier):
+    """LinearSoftmaxClassifier that records the size of every batch."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.batches = []
+
+    def predict_batch(self, images):
+        self.batches.append(len(images))
+        return super().predict_batch(images)
 
 
 class TestGaussianQuantile:
@@ -186,6 +199,25 @@ class TestSmoothedEstimate:
         a = smoothed_estimate(CoinClassifier(), img, small)
         b = smoothed_estimate(CoinClassifier(), img, big)
         np.testing.assert_array_equal(a.counts, b.counts)
+
+    def test_pixel_blocks_match_one_batch_oracle(self):
+        shape = (1, 64, 64)
+        rng = np.random.default_rng(6)
+        clf = BatchRecorder(rng.standard_normal((256, 3)), rng.standard_normal(3),
+                            shape, 4)
+        img = rng.uniform(0.0, 1.0, shape)
+        cfg = SmoothingConfig(sigma=0.8, n_samples=500, confidence_alpha=0.01,
+                              seed=2, force_pixel_noise=True)
+        est = smoothed_estimate(clf, img, cfg, stream=7)
+        assert max(clf.batches) == _NOISE_ENTRIES // img.size < cfg.n_samples
+        # the oracle draws every noise image of the stream in one batch
+        eps = cfg.sigma * noise_generator(cfg.seed, 7).standard_normal(
+            (cfg.n_samples, img.size))
+        scores = LinearSoftmaxClassifier.predict_batch(
+            clf, (img.reshape(-1) + eps).reshape(cfg.n_samples, *shape))
+        want = np.bincount(np.argmax(scores, axis=1), minlength=3)
+        np.testing.assert_array_equal(est.counts, want)
+        assert len(np.nonzero(want)[0]) > 1  # the noise moves the argmax
 
     def test_radius_scales_with_sigma(self, demo_classifier, demo_corpus):
         scenes, cam = demo_corpus

@@ -31,7 +31,7 @@ import enum
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -65,7 +65,7 @@ from .smoothing import (
 )
 
 STREAM_ATTACK_REFERENCE = 3
-REPORT_VERSION = 1
+REPORT_VERSION = 2
 
 
 class Verdict(str, enum.Enum):
@@ -95,14 +95,7 @@ class PartitionEstimate:
     abstained: bool
 
     def to_json(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "top_label": self.top_label,
-            "p_a_lower": self.p_a_lower,
-            "p_b_upper": self.p_b_upper,
-            "radius": self.radius,
-            "abstained": self.abstained,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -119,7 +112,6 @@ class CertificationReport:
     margin: float
     top_label: int  # -1 when frames disagree
     per_partition: list
-    frames_rendered: int
     quantile: float
     resolution: int
     background: float
@@ -127,39 +119,19 @@ class CertificationReport:
     n_samples: int
     confidence_alpha: float
     aggregate_alpha: float
-    noise_clamped: bool
     convexity_delta: float = None
     wall_time_s: float = 0.0
     extra: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return {
-            "pws_report_version": REPORT_VERSION,
-            "verdict": self.verdict.value,
-            "method": self.method.value,
-            "axis": self.axis,
-            "radius_b": self.radius_b,
-            "sigma": self.sigma,
-            "n_partitions": self.n_partitions,
-            "delta_alpha": self.delta_alpha,
-            "max_adjacent_error": self.max_adjacent_error,
-            "min_radius": self.min_radius,
-            "margin": self.margin,
-            "top_label": self.top_label,
-            "per_partition": [p.to_json() for p in self.per_partition],
-            "frames_rendered": self.frames_rendered,
-            "quantile": self.quantile,
-            "resolution": self.resolution,
-            "background": self.background,
-            "seed": self.seed,
-            "n_samples": self.n_samples,
-            "confidence_alpha": self.confidence_alpha,
-            "aggregate_alpha": self.aggregate_alpha,
-            "noise_clamped": self.noise_clamped,
-            "convexity_delta": self.convexity_delta,
-            "extra": self.extra,
-            "timing": {"wall_time_s": self.wall_time_s},
-        }
+        payload = asdict(self)
+        payload.update(
+            pws_report_version=REPORT_VERSION,
+            verdict=self.verdict.value,
+            method=self.method.value,
+            timing={"wall_time_s": payload.pop("wall_time_s")},
+        )
+        return payload
 
 
 @dataclass
@@ -170,12 +142,7 @@ class AttackReport:
     reference_label: int
 
     def to_json(self) -> dict:
-        return {
-            "poses_tested": self.poses_tested,
-            "first_failure_pose": self.first_failure_pose,
-            "empirically_robust": self.empirically_robust,
-            "reference_label": self.reference_label,
-        }
+        return asdict(self)
 
 
 def worker_count() -> int:
@@ -225,13 +192,13 @@ def compute_delta_alpha(
     cam: CameraModel,
     method: CertMethod,
     interval_cfg: IntervalConfig,
-):
-    """Partition spacing for the requested method; returns (delta, one_frame)."""
+) -> float:
+    """Partition spacing for the requested method."""
     res, q = interval_cfg.resolution, interval_cfg.quantile
     if method is CertMethod.EXACT:
-        return exact_delta(cloud, spec, cam, res, q), None
+        return exact_delta(cloud, spec, cam, res, q)
     if method is CertMethod.LIPSCHITZ:
-        return lipschitz_delta(cloud, spec, cam, res, q), None
+        return lipschitz_delta(cloud, spec, cam, res, q)
     if method is CertMethod.ONE_FRAME:
         if interval_cfg.convexity is None:
             raise ConfigError("one-frame certification requires a convexity delta")
@@ -240,10 +207,7 @@ def compute_delta_alpha(
             from .scenes import extract_one_frame
 
             one_frame = extract_one_frame(cloud, cam)
-        delta = one_frame_delta(
-            one_frame, spec, cam, res, interval_cfg.convexity, q
-        )
-        return delta, one_frame
+        return one_frame_delta(one_frame, spec, cam, res, interval_cfg.convexity, q)
     raise ValueError(f"unknown method {method}")  # pragma: no cover
 
 
@@ -265,7 +229,7 @@ def certify(
     """
     t0 = time.perf_counter()
     interval_cfg = interval_cfg or IntervalConfig()
-    delta_alpha, _ = compute_delta_alpha(cloud, spec, cam, method, interval_cfg)
+    delta_alpha = compute_delta_alpha(cloud, spec, cam, method, interval_cfg)
     plan = build_partition(delta_alpha, spec, method, interval_cfg.quantile)
     frames = render_sweep(cloud, spec, cam, plan.values, interval_cfg.background)
 
@@ -312,7 +276,6 @@ def certify(
         margin=min_radius - max_err,
         top_label=top,
         per_partition=per_partition,
-        frames_rendered=plan.count,
         quantile=interval_cfg.quantile,
         resolution=interval_cfg.resolution,
         background=interval_cfg.background,
@@ -320,7 +283,6 @@ def certify(
         n_samples=smoothing_cfg.n_samples,
         confidence_alpha=smoothing_cfg.confidence_alpha,
         aggregate_alpha=plan.count * smoothing_cfg.confidence_alpha,
-        noise_clamped=False,
         convexity_delta=(
             interval_cfg.convexity.delta if interval_cfg.convexity else None
         ),

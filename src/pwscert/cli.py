@@ -25,19 +25,15 @@ from .certify import (
     IntervalConfig,
     Verdict,
     certify,
+    compute_delta_alpha,
     empirical_attack,
     frame_budget_comparison,
 )
 from .classifier import builtin_train, load_model, save_model
 from .errors import ConfigError, PwsError
 from .geometry import Axis, CameraModel, MotionSpec, MotionValue
-from .intervals import (
-    CertMethod,
-    DeltaConvexity,
-    build_partition,
-)
-from .certify import compute_delta_alpha
-from .rasterizer import render, save_image
+from .intervals import CertMethod, DeltaConvexity, build_partition
+from .rasterizer import render, render_sweep, save_image
 from .scenes import ShapeClass, generate_scene, load_corpus, save_corpus
 from .smoothing import SmoothingConfig
 
@@ -81,14 +77,55 @@ def _write_json(path: Path, obj) -> None:
     os.replace(tmp, path)
 
 
-def _interval_config(resolution, quantile, delta_px, background=0.5):
+def _interval_config(resolution, quantile, delta_px):
     convexity = DeltaConvexity(delta_px) if delta_px is not None else None
-    return IntervalConfig(
-        resolution=resolution,
-        quantile=quantile,
-        convexity=convexity,
-        background=background,
+    return IntervalConfig(resolution=resolution, quantile=quantile, convexity=convexity)
+
+
+def _spacing_options(command):
+    """The options that choose and tune the partition-spacing bound."""
+    options = (
+        click.option("--method", type=click.Choice([m.value for m in CertMethod]),
+                     default="exact", show_default=True),
+        click.option("--resolution", default=2001, show_default=True),
+        click.option("--quantile", default=0.995, show_default=True),
+        click.option("--delta", "delta_px", default=None, type=float,
+                     help="convexity slack in pixels (one-frame only)"),
     )
+    for option in reversed(options):
+        command = option(command)
+    return command
+
+
+def _pick_scene(scenes, name):
+    if name is None:
+        return scenes[0]
+    for scene in scenes:
+        if scene.name == name:
+            return scene
+    raise ConfigError(f"scene {name!r} not in corpus")
+
+
+def _partition_plan(corpus, scene_name, axis, radius, method, resolution,
+                    quantile, delta_px):
+    """One corpus scene, its camera and its partition plan."""
+    scenes, cam = load_corpus(corpus)
+    scene = _pick_scene(scenes, scene_name)
+    spec = _spec_from(axis, radius)
+    method = CertMethod(method)
+    cfg = _interval_config(resolution, quantile, delta_px)
+    delta = compute_delta_alpha(scene.cloud, spec, cam, method, cfg)
+    return scene, cam, build_partition(delta, spec, method, quantile)
+
+
+def _load_scenes(corpus, only):
+    """Corpus scenes, restricted to the names in ``only`` when given."""
+    scenes, cam = load_corpus(corpus)
+    if only:
+        scenes = [s for s in scenes if s.name in set(only)]
+        if not scenes:
+            raise ConfigError("scene filter matched nothing")
+    return scenes, cam
 
 
 def _fail(err: PwsError):
@@ -189,36 +226,15 @@ def cmd_train(corpus, out, sigma, augment, downsample, seed):
 @click.option("--scene", "scene_name", default=None, help="default: first scene")
 @click.option("--axis", required=True)
 @click.option("--radius", required=True)
-@click.option("--method", type=click.Choice([m.value for m in CertMethod]),
-              default="exact", show_default=True)
-@click.option("--resolution", default=2001, show_default=True)
-@click.option("--quantile", default=0.995, show_default=True)
-@click.option("--delta", "delta_px", default=None, type=float,
-              help="convexity slack in pixels (one-frame only)")
+@_spacing_options
 @click.option("--json-out", default=None, type=click.Path(path_type=Path))
-def cmd_partition(corpus, scene_name, axis, radius, method, resolution, quantile,
-                  delta_px, json_out):
+def cmd_partition(corpus, scene_name, axis, radius, json_out, **spacing):
     """Print the admissible spacing and partition size for one scene."""
-    scenes, cam = load_corpus(corpus)
-    scene = _pick_scene(scenes, scene_name)
-    spec = _spec_from(axis, radius)
-    cfg = _interval_config(resolution, quantile, delta_px)
-    delta, _ = compute_delta_alpha(
-        scene.cloud, spec, cam, CertMethod(method), cfg
-    )
-    plan = build_partition(delta, spec, CertMethod(method), quantile)
-    click.echo(f"delta_alpha={delta:.8g} n={plan.count} method={method}")
+    _, _, plan = _partition_plan(corpus, scene_name, axis, radius, **spacing)
+    click.echo(f"delta_alpha={plan.delta_alpha:.8g} n={plan.count} "
+               f"method={plan.method.value}")
     if json_out is not None:
         _write_json(json_out, plan.to_json())
-
-
-def _pick_scene(scenes, name):
-    if name is None:
-        return scenes[0]
-    for scene in scenes:
-        if scene.name == name:
-            return scene
-    raise ConfigError(f"scene {name!r} not in corpus")
 
 
 @main.command("project")
@@ -226,24 +242,14 @@ def _pick_scene(scenes, name):
 @click.option("--scene", "scene_name", default=None)
 @click.option("--axis", required=True)
 @click.option("--radius", required=True)
-@click.option("--method", type=click.Choice([m.value for m in CertMethod]),
-              default="exact", show_default=True)
-@click.option("--resolution", default=2001, show_default=True)
-@click.option("--quantile", default=0.995, show_default=True)
-@click.option("--delta", "delta_px", default=None, type=float)
+@_spacing_options
 @click.option("--out", required=True, type=click.Path(path_type=Path))
-def cmd_project(corpus, scene_name, axis, radius, method, resolution, quantile,
-                delta_px, out):
+def cmd_project(corpus, scene_name, axis, radius, out, **spacing):
     """Render the partition frames of one scene to PWSI1 files."""
-    scenes, cam = load_corpus(corpus)
-    scene = _pick_scene(scenes, scene_name)
-    spec = _spec_from(axis, radius)
-    cfg = _interval_config(resolution, quantile, delta_px)
-    delta, _ = compute_delta_alpha(scene.cloud, spec, cam, CertMethod(method), cfg)
-    plan = build_partition(delta, spec, CertMethod(method), quantile)
+    scene, cam, plan = _partition_plan(corpus, scene_name, axis, radius, **spacing)
     out.mkdir(parents=True, exist_ok=True)
-    for i, value in enumerate(plan.values):
-        frame = render(scene.cloud, MotionValue(spec, float(value)), cam)
+    frames = render_sweep(scene.cloud, plan.spec, cam, plan.values)
+    for i, frame in enumerate(frames):
         save_image(out / f"{scene.name}_{i:05d}.pwsi", frame)
     _write_json(out / "partition.json", plan.to_json())
     click.echo(f"wrote {plan.count} frames to {out}")
@@ -257,22 +263,14 @@ def cmd_project(corpus, scene_name, axis, radius, method, resolution, quantile,
 @click.option("--sigma", default=0.5, show_default=True)
 @click.option("--n-samples", default=10000, show_default=True)
 @click.option("--alpha", default=0.001, show_default=True)
-@click.option("--method", type=click.Choice([m.value for m in CertMethod]),
-              default="exact", show_default=True)
-@click.option("--resolution", default=2001, show_default=True)
-@click.option("--quantile", default=0.995, show_default=True)
-@click.option("--delta", "delta_px", default=None, type=float)
+@_spacing_options
 @click.option("--seed", default=0, show_default=True)
 @click.option("--scene", "only", multiple=True, help="restrict to named scenes")
 @click.option("--out", required=True, type=click.Path(path_type=Path))
 def cmd_certify(corpus, model, axis, radius, sigma, n_samples, alpha, method,
                 resolution, quantile, delta_px, seed, only, out):
     """Certify every corpus scene; write per-sample reports and a summary."""
-    scenes, cam = load_corpus(corpus)
-    if only:
-        scenes = [s for s in scenes if s.name in set(only)]
-        if not scenes:
-            raise ConfigError("scene filter matched nothing")
+    scenes, cam = _load_scenes(corpus, only)
     clf = load_model(model)
     spec = _spec_from(axis, radius)
     smoothing = SmoothingConfig(
@@ -353,11 +351,7 @@ def cmd_certify(corpus, model, axis, radius, sigma, n_samples, alpha, method,
 def cmd_attack(corpus, model, axis, radius, sigma, poses, n_samples, alpha, seed,
                only, out):
     """Sweep poses looking for smoothed-prediction label changes."""
-    scenes, cam = load_corpus(corpus)
-    if only:
-        scenes = [s for s in scenes if s.name in set(only)]
-        if not scenes:
-            raise ConfigError("scene filter matched nothing")
+    scenes, cam = _load_scenes(corpus, only)
     clf = load_model(model)
     spec = _spec_from(axis, radius)
     smoothing = SmoothingConfig(

@@ -74,16 +74,6 @@ def build_demo_scene(
     return scene
 
 
-def build_demo_corpus(seeds_per_class: int = 3, variant: str = "trend"):
-    """Scenes for every class crossed with ``seeds_per_class`` seeds."""
-    scenes = [
-        build_demo_scene(cls, seed, variant)
-        for cls in ShapeClass
-        for seed in range(seeds_per_class)
-    ]
-    return scenes, demo_camera()
-
-
 # A larger grid used by the partition-coverage probes: same construction,
 # scaled intrinsics, one motion range per scene.
 def probe_camera() -> CameraModel:

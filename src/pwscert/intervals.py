@@ -9,7 +9,7 @@ partition poses may sit apart before a pixel could take a value not seen
 at either pose.
 
 Three spacing bounds are computed from a discretized sweep at a caller
-chosen resolution:
+chosen resolution.  They differ only in the width they give each run:
 
 * exact    - the interval widths themselves,
 * lipschitz - projection span across each interval divided by the point's
@@ -17,15 +17,17 @@ chosen resolution:
 * one-frame - the Lipschitz form evaluated on a single-frame cloud with a
   convexity slack ``delta``, usable when the full cloud is unknown.
 
-Per-pixel values aggregate across pixels by a lower quantile (1.0 keeps
-the strict minimum) and are then shrunk by one sweep step to absorb the
-discretization of the interval endpoints.
+One core, ``_spacing``, turns run widths into a spacing: each pixel keeps
+its narrowest run, the per-pixel minima aggregate by a lower quantile (1.0
+keeps the strict minimum), and the result is shrunk by one sweep step to
+absorb the discretization of the interval endpoints.
 """
 
 from __future__ import annotations
 
 import enum
 import hashlib
+import itertools
 import json
 import math
 import warnings
@@ -104,36 +106,28 @@ def _sweep_runs(
     )
     prev = next(frames)
     run_start = np.zeros(npix, dtype=np.int64)
-    px_parts, pt_parts, lo_parts, hi_parts = [], [], [], []
+    # empty seeds give typed empty arrays when no run ever ends
+    no_ints, no_floats = np.empty(0, dtype=np.int64), np.empty(0)
+    px_parts, pt_parts = [no_ints], [no_ints]
+    lo_parts, hi_parts = [no_floats], [no_floats]
 
-    for t, cur in enumerate(frames, start=1):
+    # an all-empty frame after the last pose closes every open run
+    closing = np.full(npix, -1, dtype=np.int64)
+    for t, cur in enumerate(itertools.chain(frames, [closing]), start=1):
         changed = np.nonzero(cur != prev)[0]
         if changed.size:
-            owners = prev[changed]
-            keep = owners >= 0
-            if np.any(keep):
-                px_parts.append(changed[keep])
-                pt_parts.append(owners[keep])
-                lo_parts.append(values[run_start[changed[keep]]])
-                hi_parts.append(np.full(int(keep.sum()), values[t - 1]))
+            ended = changed[prev[changed] >= 0]
+            px_parts.append(ended)
+            pt_parts.append(prev[ended])
+            lo_parts.append(values[run_start[ended]])
+            hi_parts.append(np.full(ended.size, values[t - 1]))
             run_start[changed] = t
         prev = cur
-    closing = np.nonzero(prev >= 0)[0]
-    if closing.size:
-        px_parts.append(closing)
-        pt_parts.append(prev[closing])
-        lo_parts.append(values[run_start[closing]])
-        hi_parts.append(np.full(closing.size, values[-1]))
 
-    if px_parts:
-        pixel_flat = np.concatenate(px_parts)
-        point_index = np.concatenate(pt_parts)
-        lo = np.concatenate(lo_parts)
-        hi = np.concatenate(hi_parts)
-    else:
-        pixel_flat = np.empty(0, dtype=np.int64)
-        point_index = np.empty(0, dtype=np.int64)
-        lo = hi = np.empty(0, dtype=np.float64)
+    pixel_flat = np.concatenate(px_parts)
+    point_index = np.concatenate(pt_parts)
+    lo = np.concatenate(lo_parts)
+    hi = np.concatenate(hi_parts)
     return _SweepRuns(point_index, pixel_flat, lo, hi, step, cam.width)
 
 
@@ -164,35 +158,20 @@ def consistent_intervals(
     return out
 
 
-def _per_pixel_min(pixel_flat, values):
-    """Group ``values`` by pixel and keep each pixel's minimum.
-
-    Returns (pixels, minima, argmin_run_index).
-    """
-    order = np.argsort(pixel_flat, kind="stable")
-    pf = pixel_flat[order]
-    vals = values[order]
-    first = np.ones(len(pf), dtype=bool)
-    if len(pf) > 1:
-        first[1:] = pf[1:] != pf[:-1]
-    starts = np.nonzero(first)[0]
-    mins = np.minimum.reduceat(vals, starts)
-    # recover which run attains each pixel minimum (first hit)
-    argmins = np.empty(len(starts), dtype=np.int64)
-    bounds = np.append(starts, len(pf))
-    for i in range(len(starts)):
-        seg = slice(bounds[i], bounds[i + 1])
-        argmins[i] = order[seg][np.argmin(vals[seg])]
-    return pf[starts], mins, argmins
-
-
-def _quantile_pick(per_pixel, quantile):
-    """Value of the (1 - quantile) lower quantile and the index attaining it."""
+def _governing_min(pixel_flat, widths, quantile):
+    """Lower ``1 - quantile`` quantile of the per-pixel minimum widths, and
+    the run that sets it: the pixel is the first (in flat order) whose
+    minimum equals the quantile, and the run is the first at that pixel
+    to reach the minimum.  Returns (value, run_index)."""
     if not 0.0 < quantile <= 1.0:
         raise ValueError("quantile must lie in (0, 1]")
-    val = float(np.quantile(per_pixel, 1.0 - quantile, method="lower"))
-    idx = int(np.nonzero(per_pixel == val)[0][0])
-    return val, idx
+    order = np.lexsort((np.arange(len(widths)), widths, pixel_flat))
+    pixels = pixel_flat[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = pixels[1:] != pixels[:-1]
+    runs = order[first]
+    value = float(np.quantile(widths[runs], 1.0 - quantile, method="lower"))
+    return value, int(runs[np.nonzero(widths[runs] == value)[0][0]])
 
 
 def _check_monotone_span(cloud, spec, cam, point_index, lo, hi):
@@ -214,8 +193,52 @@ def _check_monotone_span(cloud, spec, cam, point_index, lo, hi):
         warnings.warn(
             "projection drift is not monotone across the governing interval; "
             "the Lipschitz-based spacing may not be conservative here",
-            stacklevel=3,
+            stacklevel=4,
         )
+
+
+def _spacing(cloud, spec, cam, resolution, quantile, run_widths,
+             monotone=True):
+    """The rule all three bounds share: sweep, take each pixel's narrowest
+    run width, the lower quantile over pixels, and one sweep step less.
+
+    ``run_widths(runs)`` returns ``(widths, rate)``: the width of every
+    run, in pose units when ``rate`` is None, else as a pixel margin that
+    must be positive and becomes a pose width when divided by ``rate``.
+    With ``monotone`` the governing run's projection drift is checked.
+    """
+    runs = _sweep_runs(cloud, spec, cam, resolution)
+    if len(runs.pixel_flat) == 0:
+        raise DegenerateInterval("no pixel is ever covered over the motion range")
+    widths, rate = run_widths(runs)
+    picked, gov = _governing_min(runs.pixel_flat, widths, quantile)
+    if rate is not None:
+        if picked <= 0:
+            raise NegativeMargin(
+                f"projection span minus 2*delta is {picked:.3g} px at the "
+                "governing pixel; delta is too large for this scene"
+            )
+        picked /= rate
+    if monotone:
+        _check_monotone_span(
+            cloud, spec, cam, int(runs.point_index[gov]),
+            float(runs.lo[gov]), float(runs.hi[gov]),
+        )
+    result = picked - runs.step
+    if result <= runs.step:
+        raise DegenerateInterval(
+            f"spacing {result:.3g} not above one sweep step {runs.step:.3g}; "
+            "raise the resolution or relax the quantile"
+        )
+    return result
+
+
+def _spans(cloud, spec, cam, runs):
+    """Max-norm pixel distance each run's point travels across its run."""
+    pts = cloud.points[runs.point_index]
+    uv_lo, _ = project_points(pts, spec.axis, runs.lo, cam)
+    uv_hi, _ = project_points(pts, spec.axis, runs.hi, cam)
+    return np.max(np.abs(uv_hi - uv_lo), axis=1)
 
 
 def exact_delta(
@@ -226,18 +249,8 @@ def exact_delta(
     quantile: float = DEFAULT_QUANTILE,
 ) -> float:
     """Partition spacing from the interval widths themselves."""
-    runs = _sweep_runs(cloud, spec, cam, resolution)
-    if len(runs.pixel_flat) == 0:
-        raise DegenerateInterval("no pixel is ever covered over the motion range")
-    _, mins, _ = _per_pixel_min(runs.pixel_flat, runs.hi - runs.lo)
-    picked, _ = _quantile_pick(mins, quantile)
-    result = picked - runs.step
-    if result <= runs.step:
-        raise DegenerateInterval(
-            f"spacing {result:.3g} not above one sweep step {runs.step:.3g}; "
-            "raise the resolution or relax the quantile"
-        )
-    return result
+    return _spacing(cloud, spec, cam, resolution, quantile,
+                    lambda runs: (runs.hi - runs.lo, None), monotone=False)
 
 
 def lipschitz_delta(
@@ -248,28 +261,12 @@ def lipschitz_delta(
     quantile: float = DEFAULT_QUANTILE,
 ) -> float:
     """Partition spacing from projection spans over Lipschitz constants."""
-    runs = _sweep_runs(cloud, spec, cam, resolution)
-    if len(runs.pixel_flat) == 0:
-        raise DegenerateInterval("no pixel is ever covered over the motion range")
-    lip = lipschitz_constants(cloud.points, spec, cam)
-    pts = cloud.points[runs.point_index]
-    uv_lo, _ = project_points(pts, spec.axis, runs.lo, cam)
-    uv_hi, _ = project_points(pts, spec.axis, runs.hi, cam)
-    span = np.max(np.abs(uv_hi - uv_lo), axis=1)
-    widths = span / lip[runs.point_index]
-    _, mins, argmins = _per_pixel_min(runs.pixel_flat, widths)
-    picked, pick_idx = _quantile_pick(mins, quantile)
-    gov = int(argmins[pick_idx])
-    _check_monotone_span(
-        cloud, spec, cam, int(runs.point_index[gov]),
-        float(runs.lo[gov]), float(runs.hi[gov]),
-    )
-    result = picked - runs.step
-    if result <= runs.step:
-        raise DegenerateInterval(
-            f"spacing {result:.3g} not above one sweep step {runs.step:.3g}"
-        )
-    return result
+
+    def widths(runs):
+        lip = lipschitz_constants(cloud.points, spec, cam)
+        return _spans(cloud, spec, cam, runs) / lip[runs.point_index], None
+
+    return _spacing(cloud, spec, cam, resolution, quantile, widths)
 
 
 def one_frame_delta(
@@ -288,36 +285,14 @@ def one_frame_delta(
     """
     if convexity is None:
         raise ValueError("one-frame spacing requires a DeltaConvexity prior")
-    runs = _sweep_runs(one_frame, spec, cam, resolution)
-    if len(runs.pixel_flat) == 0:
-        raise DegenerateInterval("no pixel is ever covered over the motion range")
-    lip = lipschitz_constants(one_frame.points, spec, cam)
-    c_delta = delta_constant(spec, cam, one_frame.points, convexity.delta)
-    worst_rate = float(np.max(lip)) + c_delta
 
-    pts = one_frame.points[runs.point_index]
-    uv_lo, _ = project_points(pts, spec.axis, runs.lo, cam)
-    uv_hi, _ = project_points(pts, spec.axis, runs.hi, cam)
-    span = np.max(np.abs(uv_hi - uv_lo), axis=1)
-    margins = span - 2.0 * convexity.delta
-    _, mins, argmins = _per_pixel_min(runs.pixel_flat, margins)
-    picked_margin, pick_idx = _quantile_pick(mins, quantile)
-    if picked_margin <= 0:
-        raise NegativeMargin(
-            f"projection span minus 2*delta is {picked_margin:.3g} px at the "
-            "governing pixel; delta is too large for this scene"
-        )
-    gov = int(argmins[pick_idx])
-    _check_monotone_span(
-        one_frame, spec, cam, int(runs.point_index[gov]),
-        float(runs.lo[gov]), float(runs.hi[gov]),
-    )
-    result = picked_margin / worst_rate - runs.step
-    if result <= runs.step:
-        raise DegenerateInterval(
-            f"spacing {result:.3g} not above one sweep step {runs.step:.3g}"
-        )
-    return result
+    def margins(runs):
+        lip = lipschitz_constants(one_frame.points, spec, cam)
+        c_delta = delta_constant(spec, cam, one_frame.points, convexity.delta)
+        span = _spans(one_frame, spec, cam, runs)
+        return span - 2.0 * convexity.delta, float(np.max(lip)) + c_delta
+
+    return _spacing(one_frame, spec, cam, resolution, quantile, margins)
 
 
 def check_delta_convexity(

@@ -238,7 +238,10 @@ def load_cloud(path) -> ColoredPointCloud:
             if len(header) != 3 or header[0] != "PWSPC1":
                 raise ValueError(f"header {' '.join(header[:3])!r}")
             count, k = int(header[1]), int(header[2])
-            data = np.loadtxt(fh, dtype=np.float64, ndmin=2)
+            body = fh.read()
+            if not body.endswith("\n"):  # save_cloud ends every line
+                raise ValueError("body cut short: no final newline")
+            data = np.loadtxt(body.splitlines(), dtype=np.float64, ndmin=2)
         except ValueError as exc:
             raise FileFormatError(f"not a PWSPC1 file: {exc}") from exc
     if data.shape != (count, 3 + k):

@@ -7,7 +7,9 @@ bound its true probability from below with a one-sided Clopper-Pearson
 interval, reduce the runner-up bound to ``1 - pA`` (two-class reduction),
 and convert the gap into a certified L2 radius
 
-    radius = sigma / 2 * (quantile(pA_lower) - quantile(pB_upper)).
+    radius = sigma / 2 * (quantile(pA_lower) - quantile(pB_upper)),
+
+with the standard normal quantile taken from ``scipy.special.ndtri``.
 
 Noised images are deliberately not clamped to [0, 1]; the radius formula
 is exact only for unclipped additive noise and the classifiers accept
@@ -37,6 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.random import Generator, Philox
+from scipy.special import ndtri
 from scipy.stats import beta as beta_dist
 
 from .errors import DomainError
@@ -93,52 +96,10 @@ class SmoothedEstimate:
 
 
 def gaussian_quantile(p: float) -> float:
-    """Inverse standard normal CDF, accurate to about 1e-9 absolute.
-
-    Rational initial guess refined by one Newton step against an
-    erfc-based CDF.  The upper half reduces to the lower half through
-    symmetry; 1 - p is exact in floating point there, so both tails keep
-    full relative accuracy.
-    """
+    """Inverse standard normal CDF, ``scipy.special.ndtri``."""
     if not 0.0 < p < 1.0 or not math.isfinite(p):
         raise DomainError(f"quantile undefined at p={p!r}")
-    if p > 0.5:
-        return -gaussian_quantile(1.0 - p)
-    x = _rational_quantile_guess(p)
-    cdf = 0.5 * math.erfc(-x / math.sqrt(2.0))
-    pdf = math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-    if pdf > 0.0:
-        x -= (cdf - p) / pdf
-    return x
-
-
-# Rational minimax approximation coefficients (Acklam's algorithm),
-# |error| < 1.2e-9 over (0, 1) before refinement.
-_QA = (-3.969683028665376e01, 2.209460984245205e02, -2.759285104469687e02,
-       1.383577518672690e02, -3.066479806614716e01, 2.506628277459239e00)
-_QB = (-5.447609879822406e01, 1.615858368580409e02, -1.556989798598866e02,
-       6.680131188771972e01, -1.328068155288572e01)
-_QC = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e00,
-       -2.549732539343734e00, 4.374664141464968e00, 2.938163982698783e00)
-_QD = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e00,
-       3.754408661907416e00)
-
-
-def _rational_quantile_guess(p: float) -> float:
-    p_low = 0.02425
-    if p < p_low:
-        q = math.sqrt(-2.0 * math.log(p))
-        return (
-            ((((_QC[0] * q + _QC[1]) * q + _QC[2]) * q + _QC[3]) * q + _QC[4]) * q
-            + _QC[5]
-        ) / ((((_QD[0] * q + _QD[1]) * q + _QD[2]) * q + _QD[3]) * q + 1.0)
-    q = p - 0.5
-    r = q * q
-    return (
-        (((((_QA[0] * r + _QA[1]) * r + _QA[2]) * r + _QA[3]) * r + _QA[4]) * r + _QA[5])
-        * q
-        / (((((_QB[0] * r + _QB[1]) * r + _QB[2]) * r + _QB[3]) * r + _QB[4]) * r + 1.0)
-    )
+    return float(ndtri(p))
 
 
 def clopper_pearson_lower(successes: int, trials: int, alpha: float) -> float:

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from pwscert import (
     Axis,
+    CameraModel,
     ColoredPointCloud,
     DegenerateInterval,
     InvalidDelta,
@@ -13,6 +16,7 @@ from pwscert import (
     consistent_intervals,
     exact_delta,
     extract_one_frame,
+    generate_scene,
     lipschitz_delta,
     one_frame_delta,
     render,
@@ -79,6 +83,82 @@ class TestSweepRuns:
             runs = _sweep_runs(cloud, spec, cam, 301)
             got = list(zip(runs.point_index, runs.pixel_flat, runs.lo, runs.hi))
             assert got and got == oracle_sweep_runs(cloud, spec, cam, 301)
+
+
+def oracle_governing_min(pixel_flat, widths, quantile):
+    """Per-pixel minimum by a plain loop (the first run wins a tie), the
+    lower quantile over pixels, and the run that sets it: the first pixel
+    in flat order whose minimum equals the quantile."""
+    best = {}
+    for i, (px, w) in enumerate(zip(pixel_flat.tolist(), widths.tolist())):
+        if px not in best or w < widths[best[px]]:
+            best[px] = i
+    pixels = sorted(best)
+    minima = sorted(widths[best[px]] for px in pixels)
+    value = minima[math.floor((len(minima) - 1) * (1.0 - quantile))]
+    return value, next(best[px] for px in pixels if widths[best[px]] == value)
+
+
+def tied_row_scene(cam):
+    """Two points one pixel apart in a row, moving one pixel per sweep
+    step under TX: every pixel they pass holds two one-sample runs, so
+    all runs have width 0 and the minima tie within and across pixels."""
+    z = 1.0
+    b = 5.0 * z / cam.fx  # five pixels of drift each way
+    xs = (np.array([2.5, 3.5]) - cam.cx) * z / cam.fx
+    y = (8.5 - cam.cy) * z / cam.fy
+    points = np.column_stack([xs, np.full(2, y), np.full(2, z)])
+    cloud = ColoredPointCloud(points, np.array([[0.2], [0.8]]))
+    return cloud, MotionSpec(Axis.TX, b), 11
+
+
+def exact_widths(runs):
+    return runs.hi - runs.lo, None
+
+
+class TestSpacingCore:
+    def _check(self, cloud, spec, cam, resolution, quantile, monkeypatch):
+        from pwscert import intervals
+
+        runs = _sweep_runs(cloud, spec, cam, resolution)
+        widths = runs.hi - runs.lo
+        value, gov = oracle_governing_min(runs.pixel_flat, widths, quantile)
+        assert intervals._governing_min(runs.pixel_flat, widths, quantile) == (
+            value, gov)
+        # the governing run is what the drift check receives
+        seen = []
+        monkeypatch.setattr(intervals, "_check_monotone_span",
+                            lambda *args: seen.append(args[3:]))
+        if value - runs.step > runs.step:
+            result = intervals._spacing(cloud, spec, cam, resolution, quantile,
+                                        exact_widths)
+            assert result == value - runs.step
+        else:
+            with pytest.raises(DegenerateInterval):
+                intervals._spacing(cloud, spec, cam, resolution, quantile,
+                                   exact_widths)
+        assert seen == [(int(runs.point_index[gov]), float(runs.lo[gov]),
+                         float(runs.hi[gov]))]
+        return runs, widths
+
+    @pytest.mark.parametrize("quantile", [1.0, 0.995])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_loop_oracle_on_random_scenes(self, seed, quantile,
+                                                  monkeypatch):
+        cam = CameraModel(fx=32.0, fy=32.0, cx=16.0, cy=16.0, width=32, height=32)
+        scene = generate_scene(list(ShapeClass)[seed], 1500, (1.6, 2.4), seed,
+                               cam, channels=1, layered=True)
+        self._check(scene.cloud, MotionSpec(Axis.TZ, 0.02), cam, 401, quantile,
+                    monkeypatch)
+
+    @pytest.mark.parametrize("quantile", [1.0, 0.995])
+    def test_first_run_wins_tied_minima(self, small_cam, quantile, monkeypatch):
+        cloud, spec, resolution = tied_row_scene(small_cam)
+        runs, widths = self._check(cloud, spec, small_cam, resolution, quantile,
+                                   monkeypatch)
+        assert np.all(widths == 0.0)
+        pixels, counts = np.unique(runs.pixel_flat, return_counts=True)
+        assert len(pixels) > 1 and np.any(counts > 1)
 
 
 class TestConsistentIntervals:

@@ -303,6 +303,17 @@ class TestFileFormats:
             with pytest.raises(FileFormatError):
                 load_image(cut)
 
+    def test_truncated_cloud_rejected_at_every_offset(self, tmp_path):
+        path = tmp_path / "full.pwspc"
+        save_cloud(path, ColoredPointCloud(np.array([[0.0, 0.0, 1.0]]),
+                                           np.array([[0.123456]])))
+        raw = path.read_bytes()
+        cut = tmp_path / "cut.pwspc"
+        for size in range(len(raw)):
+            cut.write_bytes(raw[:size])
+            with pytest.raises(FileFormatError):
+                load_cloud(cut)
+
 
 class TestCloudValidation:
     def test_color_range_enforced(self):

@@ -46,7 +46,6 @@ from .geometry import (
     lipschitz_constant,
     lipschitz_constants,
     project,
-    project_general,
     project_points,
     projection_derivative,
 )

@@ -55,6 +55,7 @@ from .rasterizer import (
     render,
     render_sweep,
 )
+from .scenes import extract_one_frame
 from .smoothing import (
     STREAM_ATTACK,
     STREAM_FRAME,
@@ -81,7 +82,6 @@ class IntervalConfig:
     resolution: int = DEFAULT_RESOLUTION
     quantile: float = DEFAULT_QUANTILE
     convexity: DeltaConvexity = None
-    one_frame: ColoredPointCloud = None
     background: float = DEFAULT_BACKGROUND
 
 
@@ -202,12 +202,8 @@ def compute_delta_alpha(
     if method is CertMethod.ONE_FRAME:
         if interval_cfg.convexity is None:
             raise ConfigError("one-frame certification requires a convexity delta")
-        one_frame = interval_cfg.one_frame
-        if one_frame is None:
-            from .scenes import extract_one_frame
-
-            one_frame = extract_one_frame(cloud, cam)
-        return one_frame_delta(one_frame, spec, cam, res, interval_cfg.convexity, q)
+        return one_frame_delta(extract_one_frame(cloud, cam), spec, cam, res,
+                               interval_cfg.convexity, q)
     raise ValueError(f"unknown method {method}")  # pragma: no cover
 
 
@@ -222,10 +218,9 @@ def certify(
 ) -> CertificationReport:
     """Certify one scene; ``cloud`` is what the camera images.
 
-    For the one-frame method the spacing bound consumes only
-    ``interval_cfg.one_frame`` (extracted from the reference render when
-    absent), while the frames themselves are still captured from the
-    scene, mirroring a real camera.
+    For the one-frame method the spacing bound consumes only the points
+    recoverable from the reference render, while the frames themselves are
+    still captured from the scene, mirroring a real camera.
     """
     t0 = time.perf_counter()
     interval_cfg = interval_cfg or IntervalConfig()
@@ -298,11 +293,10 @@ def empirical_attack(
     classifier: BaseClassifier,
     smoothing_cfg: SmoothingConfig,
     poses: int = 100,
-    background: float = DEFAULT_BACKGROUND,
 ) -> AttackReport:
     """Probe uniformly spaced poses for a smoothed-prediction label change."""
     if poses < 1:
-        raise ValueError("need at least one pose")
+        raise ConfigError(f"need at least one pose, got {poses}")
     if poses == 1:
         values = np.array([0.0])
     else:
@@ -310,11 +304,11 @@ def empirical_attack(
 
     reference = smoothed_prediction(
         classifier,
-        render(cloud, MotionValue(spec, 0.0), cam, background),
+        render(cloud, MotionValue(spec, 0.0), cam),
         smoothing_cfg,
         stream=stream_id(STREAM_ATTACK_REFERENCE, 0),
     )
-    frames = render_sweep(cloud, spec, cam, values, background)
+    frames = render_sweep(cloud, spec, cam, values)
     estimates = _estimate_distinct(frames, classifier, smoothing_cfg, STREAM_ATTACK)
     labels = [e.top_label for e in estimates]
 
@@ -331,13 +325,10 @@ def empirical_attack(
     )
 
 
-def frame_budget_comparison(
-    report: CertificationReport, baseline_mc_samples: int = 10000
-) -> float:
-    """Partition frames as a fraction of the motion-space sampling budget."""
-    if baseline_mc_samples < 1:
-        raise ValueError("baseline budget must be positive")
-    return report.n_partitions / baseline_mc_samples
+def frame_budget_comparison(report: CertificationReport) -> float:
+    """Partition frames as a fraction of a 10,000-pose motion-space
+    Monte-Carlo sampling budget."""
+    return report.n_partitions / 10000
 
 
 def certified_accuracy(results) -> float:

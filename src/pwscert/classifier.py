@@ -31,6 +31,7 @@ from .rasterizer import save_image
 
 DEFAULT_DOWNSAMPLE = 4
 _KEY_MASK = (1 << 128) - 1
+_L2 = 1e-3  # ridge penalty on the weights
 
 
 class BaseClassifier:
@@ -152,7 +153,6 @@ def builtin_train(
     augment_count: int = 4,
     seed: int = 0,
     downsample: int = DEFAULT_DOWNSAMPLE,
-    l2: float = 1e-3,
 ) -> LinearSoftmaxClassifier:
     """Train the built-in model on (image, label) pairs.
 
@@ -199,9 +199,9 @@ def builtin_train(
         b = wb[f * n_labels :]
         probs = _softmax(x @ w + b)
         loss = -np.sum(onehot * np.log(probs + 1e-300)) / n
-        loss += 0.5 * l2 * np.sum(w * w)
+        loss += 0.5 * _L2 * np.sum(w * w)
         grad_logits = (probs - onehot) / n
-        gw = x.T @ grad_logits + l2 * w
+        gw = x.T @ grad_logits + _L2 * w
         gb = grad_logits.sum(axis=0)
         return loss, np.concatenate([gw.ravel(), gb])
 
@@ -257,8 +257,9 @@ class SubprocessClassifier(BaseClassifier):
     """External model invoked per image: ``command <pwsi-file>``.
 
     The process must print one score per label, newline separated; scores
-    are renormalized to sum to one.  A program that cannot be started or
-    exits with a non-zero status raises ``ClassifierError``.
+    are renormalized to sum to one.  A program that cannot be started,
+    exits with a non-zero status or prints a score that is not a finite
+    number raises ``ClassifierError``.
     """
 
     def __init__(self, command, label_count: int):
@@ -283,7 +284,16 @@ class SubprocessClassifier(BaseClassifier):
             raise ClassifierError(
                 f"{self._command[0]!r} exited with status {proc.returncode}: {first}"
             )
-        scores = np.array([float(line) for line in proc.stdout.split()], dtype=np.float64)
+        scores = []
+        for line in proc.stdout.split():
+            try:
+                scores.append(float(line))
+            except ValueError:
+                scores.append(np.nan)
+            if not np.isfinite(scores[-1]):
+                raise ClassifierError(
+                    f"{self._command[0]!r} printed {line!r}, not a finite score")
+        scores = np.array(scores)
         if scores.size != self._labels:
             raise ShapeMismatch(
                 f"scorer returned {scores.size} values, expected {self._labels}"

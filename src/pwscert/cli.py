@@ -30,6 +30,7 @@ from .certify import (
     frame_budget_comparison,
 )
 from .classifier import builtin_train, load_model, save_model
+from .demo import build_demo_scene, demo_camera
 from .errors import ConfigError, PwsError
 from .geometry import Axis, CameraModel, MotionSpec, MotionValue
 from .intervals import CertMethod, DeltaConvexity, build_partition
@@ -62,10 +63,7 @@ def _spec_from(axis_name: str, radius_text: str) -> MotionSpec:
     axis = _AXES.get(axis_name.lower())
     if axis is None:
         raise ConfigError(f"unknown axis {axis_name!r}")
-    radius = parse_radius(radius_text, axis)
-    if radius <= 0:
-        raise ConfigError("radius must be positive")
-    return MotionSpec(axis, radius)
+    return MotionSpec(axis, parse_radius(radius_text, axis))
 
 
 def _write_json(path: Path, obj) -> None:
@@ -82,35 +80,57 @@ def _interval_config(resolution, quantile, delta_px):
     return IntervalConfig(resolution=resolution, quantile=quantile, convexity=convexity)
 
 
-def _spacing_options(command):
-    """The options that choose and tune the partition-spacing bound."""
-    options = (
-        click.option("--method", type=click.Choice([m.value for m in CertMethod]),
-                     default="exact", show_default=True),
-        click.option("--resolution", default=2001, show_default=True),
-        click.option("--quantile", default=0.995, show_default=True),
-        click.option("--delta", "delta_px", default=None, type=float,
-                     help="convexity slack in pixels (one-frame only)"),
-    )
-    for option in reversed(options):
-        command = option(command)
-    return command
+def _with_options(*options):
+    """A decorator adding ``options`` to a command, in the order given."""
+
+    def decorate(command):
+        for option in reversed(options):
+            command = option(command)
+        return command
+
+    return decorate
 
 
-def _pick_scene(scenes, name):
-    if name is None:
-        return scenes[0]
-    for scene in scenes:
-        if scene.name == name:
-            return scene
-    raise ConfigError(f"scene {name!r} not in corpus")
+# the options that choose and tune the partition-spacing bound
+_spacing_options = _with_options(
+    click.option("--method", type=click.Choice([m.value for m in CertMethod]),
+                 default="exact", show_default=True),
+    click.option("--resolution", default=2001, show_default=True),
+    click.option("--quantile", default=0.995, show_default=True),
+    click.option("--delta", "delta_px", default=None, type=float,
+                 help="convexity slack in pixels (one-frame only)"),
+)
+
+# the inputs, motion, smoothing and output of a certify or attack run
+_run_options = _with_options(
+    click.option("--corpus", required=True,
+                 type=click.Path(exists=True, path_type=Path)),
+    click.option("--model", required=True,
+                 type=click.Path(exists=True, path_type=Path)),
+    click.option("--axis", required=True),
+    click.option("--radius", required=True),
+    click.option("--sigma", default=0.5, show_default=True),
+    click.option("--n-samples", default=10000, show_default=True),
+    click.option("--alpha", default=0.001, show_default=True),
+    click.option("--seed", default=0, show_default=True),
+    click.option("--scene", "only", multiple=True, help="restrict to named scenes"),
+    click.option("--out", required=True, type=click.Path(path_type=Path)),
+)
+
+
+def _select(scenes, names):
+    """The scenes named in ``names``, or all of them when it is empty."""
+    unknown = sorted(set(names) - {s.name for s in scenes})
+    if unknown:
+        raise ConfigError(f"scenes not in corpus: {', '.join(unknown)}")
+    return [s for s in scenes if not names or s.name in names]
 
 
 def _partition_plan(corpus, scene_name, axis, radius, method, resolution,
                     quantile, delta_px):
     """One corpus scene, its camera and its partition plan."""
     scenes, cam = load_corpus(corpus)
-    scene = _pick_scene(scenes, scene_name)
+    scene = _select(scenes, [scene_name] if scene_name else [])[0]
     spec = _spec_from(axis, radius)
     method = CertMethod(method)
     cfg = _interval_config(resolution, quantile, delta_px)
@@ -118,14 +138,25 @@ def _partition_plan(corpus, scene_name, axis, radius, method, resolution,
     return scene, cam, build_partition(delta, spec, method, quantile)
 
 
-def _load_scenes(corpus, only):
-    """Corpus scenes, restricted to the names in ``only`` when given."""
+def _run_setup(corpus, model, axis, radius, sigma, n_samples, alpha, seed, only,
+               out):
+    """The scenes (restricted to ``only`` when given), camera, model, motion
+    and smoothing of a certify or attack run; creates ``out``."""
     scenes, cam = load_corpus(corpus)
-    if only:
-        scenes = [s for s in scenes if s.name in set(only)]
-        if not scenes:
-            raise ConfigError("scene filter matched nothing")
-    return scenes, cam
+    scenes = _select(scenes, only)
+    clf = load_model(model)
+    spec = _spec_from(axis, radius)
+    smoothing = SmoothingConfig(
+        sigma=sigma, n_samples=n_samples, confidence_alpha=alpha, seed=seed
+    )
+    out.mkdir(parents=True, exist_ok=True)
+    return scenes, cam, clf, spec, smoothing
+
+
+def _write_report(path: Path, report, scene) -> None:
+    payload = report.to_json()
+    payload.update(scene=scene.name, true_label=scene.label)
+    _write_json(path, payload)
 
 
 def _fail(err: PwsError):
@@ -166,15 +197,12 @@ def cmd_gen_scenes(out, profile, classes, per_class, points, grid, channels, dep
     """Write a synthetic labeled corpus."""
     if not 2 <= classes <= len(ShapeClass):
         raise ConfigError(f"classes must be 2..{len(ShapeClass)}")
-    scenes = []
     if profile in ("demo", "churn"):
-        from .demo import build_demo_scene, demo_camera
-
         variant = "trend" if profile == "demo" else "churn"
         cam = demo_camera()
-        for cls in list(ShapeClass)[:classes]:
-            for rep in range(per_class):
-                scenes.append(build_demo_scene(cls, seed * 1000 + rep, variant))
+
+        def build(cls, color_seed):
+            return build_demo_scene(cls, color_seed, variant)
     else:
         try:
             lo, hi = (float(part) for part in depth.split(":"))
@@ -184,14 +212,12 @@ def cmd_gen_scenes(out, profile, classes, per_class, points, grid, channels, dep
         cam = CameraModel(
             fx=f, fy=f, cx=grid / 2, cy=grid / 2, width=grid, height=grid
         )
-        for cls in list(ShapeClass)[:classes]:
-            for rep in range(per_class):
-                scenes.append(
-                    generate_scene(
-                        cls, points, (lo, hi), seed * 1000 + rep, cam,
-                        channels=channels, layered=layered,
-                    )
-                )
+
+        def build(cls, color_seed):
+            return generate_scene(cls, points, (lo, hi), color_seed, cam,
+                                  channels=channels, layered=layered)
+    scenes = [build(cls, seed * 1000 + rep)
+              for cls in list(ShapeClass)[:classes] for rep in range(per_class)]
     save_corpus(out, scenes, cam)
     click.echo(f"wrote {len(scenes)} scenes to {out}")
 
@@ -256,28 +282,12 @@ def cmd_project(corpus, scene_name, axis, radius, out, **spacing):
 
 
 @main.command("certify")
-@click.option("--corpus", required=True, type=click.Path(exists=True, path_type=Path))
-@click.option("--model", required=True, type=click.Path(exists=True, path_type=Path))
-@click.option("--axis", required=True)
-@click.option("--radius", required=True)
-@click.option("--sigma", default=0.5, show_default=True)
-@click.option("--n-samples", default=10000, show_default=True)
-@click.option("--alpha", default=0.001, show_default=True)
+@_run_options
 @_spacing_options
-@click.option("--seed", default=0, show_default=True)
-@click.option("--scene", "only", multiple=True, help="restrict to named scenes")
-@click.option("--out", required=True, type=click.Path(path_type=Path))
-def cmd_certify(corpus, model, axis, radius, sigma, n_samples, alpha, method,
-                resolution, quantile, delta_px, seed, only, out):
+def cmd_certify(method, resolution, quantile, delta_px, **run):
     """Certify every corpus scene; write per-sample reports and a summary."""
-    scenes, cam = _load_scenes(corpus, only)
-    clf = load_model(model)
-    spec = _spec_from(axis, radius)
-    smoothing = SmoothingConfig(
-        sigma=sigma, n_samples=n_samples, confidence_alpha=alpha, seed=seed
-    )
+    scenes, cam, clf, spec, smoothing = _run_setup(**run)
     cfg = _interval_config(resolution, quantile, delta_px)
-    out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     samples = {}
     for scene in scenes:
@@ -292,10 +302,7 @@ def cmd_certify(corpus, model, axis, radius, sigma, n_samples, alpha, method,
                 "true_label": scene.label,
             }
             continue
-        payload = report.to_json()
-        payload["scene"] = scene.name
-        payload["true_label"] = scene.label
-        _write_json(out / f"{scene.name}.cert.json", payload)
+        _write_report(run["out"] / f"{scene.name}.cert.json", report, scene)
         samples[scene.name] = {
             "verdict": report.verdict.value,
             "top_label": report.top_label,
@@ -315,58 +322,40 @@ def cmd_certify(corpus, model, axis, radius, sigma, n_samples, alpha, method,
         "config": {
             "axis": spec.axis.value,
             "radius_b": spec.radius_b,
-            "radius_text": radius,
-            "sigma": sigma,
-            "n_samples": n_samples,
-            "confidence_alpha": alpha,
+            "radius_text": run["radius"],
+            "sigma": smoothing.sigma,
+            "n_samples": smoothing.n_samples,
+            "confidence_alpha": smoothing.confidence_alpha,
             "method": method,
             "resolution": resolution,
             "quantile": quantile,
             "convexity_delta": delta_px,
-            "seed": seed,
+            "seed": smoothing.seed,
         },
         "samples": samples,
         "certified_accuracy": certified_ok / len(samples),
         "timing": {"wall_time_s": time.perf_counter() - t0},
     }
-    _write_json(out / "summary.json", summary)
+    _write_json(run["out"] / "summary.json", summary)
     click.echo(
         f"certified accuracy {summary['certified_accuracy']:.3f} "
-        f"over {len(samples)} scenes; reports in {out}"
+        f"over {len(samples)} scenes; reports in {run['out']}"
     )
 
 
 @main.command("attack")
-@click.option("--corpus", required=True, type=click.Path(exists=True, path_type=Path))
-@click.option("--model", required=True, type=click.Path(exists=True, path_type=Path))
-@click.option("--axis", required=True)
-@click.option("--radius", required=True)
-@click.option("--sigma", default=0.5, show_default=True)
+@_run_options
 @click.option("--poses", default=100, show_default=True)
-@click.option("--n-samples", default=10000, show_default=True)
-@click.option("--alpha", default=0.001, show_default=True)
-@click.option("--seed", default=0, show_default=True)
-@click.option("--scene", "only", multiple=True)
-@click.option("--out", required=True, type=click.Path(path_type=Path))
-def cmd_attack(corpus, model, axis, radius, sigma, poses, n_samples, alpha, seed,
-               only, out):
+def cmd_attack(poses, **run):
     """Sweep poses looking for smoothed-prediction label changes."""
-    scenes, cam = _load_scenes(corpus, only)
-    clf = load_model(model)
-    spec = _spec_from(axis, radius)
-    smoothing = SmoothingConfig(
-        sigma=sigma, n_samples=n_samples, confidence_alpha=alpha, seed=seed
-    )
-    out.mkdir(parents=True, exist_ok=True)
+    scenes, cam, clf, spec, smoothing = _run_setup(**run)
     robust = 0
     for scene in scenes:
         report = empirical_attack(scene.cloud, spec, cam, clf, smoothing, poses)
-        payload = report.to_json()
-        payload["scene"] = scene.name
-        payload["true_label"] = scene.label
-        _write_json(out / f"{scene.name}.attack.json", payload)
+        _write_report(run["out"] / f"{scene.name}.attack.json", report, scene)
         robust += int(report.empirically_robust)
-    click.echo(f"{robust}/{len(scenes)} scenes empirically robust; reports in {out}")
+    click.echo(f"{robust}/{len(scenes)} scenes empirically robust; "
+               f"reports in {run['out']}")
 
 
 @main.command("report")
@@ -398,13 +387,7 @@ def cmd_report(runs, out):
         raise ConfigError(f"no certify summaries under {runs}")
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(
-            fh,
-            fieldnames=[
-                "radius", "axis", "method", "sigma",
-                "certified_accuracy", "mean_N", "mean_ratio",
-            ],
-        )
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)
     click.echo(f"wrote {len(rows)} rows to {out}")

@@ -28,7 +28,6 @@ _COMMON = dict(
     channels=1,
     layered=True,
     layer_gap=0.025,
-    exclude_center_px=1.5,
     min_cross_ux=6.0,
     min_cross_leftover=0.04,
     margin_frac=5 / 24,
@@ -60,8 +59,7 @@ def build_demo_scene(
 ) -> Scene:
     cam = demo_camera()
     specs = demo_specs()
-    params = dict(_COMMON)
-    params.update(_VARIANTS[variant])
+    params = dict(_COMMON, **_VARIANTS[variant])
     scene = generate_scene(
         shape,
         color_seed=seed,
@@ -91,23 +89,15 @@ def build_probe_scene(seed: int, axis: Axis) -> Scene:
     cam = probe_camera()
     spec = probe_spec(axis)
     shape = list(ShapeClass)[seed % len(ShapeClass)]
+    params = dict(_COMMON, point_count=4600, min_cross_ux=8.0, margin_frac=13 / 64)
     scene = generate_scene(
         shape,
-        point_count=4600,
-        depth_range=(0.85, 1.1),
         color_seed=seed,
         cam=cam,
-        channels=1,
-        layered=True,
-        layer_gap=0.025,
         harden_for=(spec,),
         crosser_period=16,
-        exclude_center_px=1.5,
         cross_plan=((0, 0.78),),
-        min_cross_ux=8.0,
-        min_cross_leftover=0.04,
-        margin_frac=13 / 64,
-        min_coverage=0.30,
+        **params,
     )
     scene.name = f"{scene.name}_{axis.value}_probe"
     return scene

@@ -65,7 +65,7 @@ class DomainError(PwsError):
     kind = "domain_error"
 
 
-class ConfigError(PwsError):
+class ConfigError(PwsError, ValueError):
     """Bad run configuration (CLI exits with status 2)."""
 
     kind = "config_error"

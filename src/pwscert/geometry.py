@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPositiveDepth
+from .errors import ConfigError, NonPositiveDepth
 
 
 # Depths at or below this are treated as "on or behind the image plane";
@@ -83,8 +83,8 @@ class MotionSpec:
     radius_b: float
 
     def __post_init__(self):
-        if self.radius_b <= 0:
-            raise ValueError("motion radius must be positive")
+        if not 0 < self.radius_b < math.inf:
+            raise ConfigError("motion radius must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -389,45 +389,3 @@ def delta_constant(spec: MotionSpec, cam: CameraModel, one_frame_points, delta_p
         return delta_px**2 / min(cam.fx, cam.fy) + best
     raise ValueError(f"unknown axis {axis}")  # pragma: no cover
 
-
-def motion_rotation_translation(axis: Axis, value: float):
-    """Rotation vector and translation vector of a one-axis motion."""
-    rot = np.zeros(3)
-    t = np.zeros(3)
-    idx = {"x": 0, "y": 1, "z": 2}[axis.value[1]]
-    if axis.is_rotation:
-        rot[idx] = value
-    else:
-        t[idx] = value
-    return rot, t
-
-
-def rotation_matrix(rotvec) -> np.ndarray:
-    """Rodrigues rotation matrix for an axis-angle vector."""
-    rotvec = np.asarray(rotvec, dtype=np.float64)
-    theta = float(np.linalg.norm(rotvec))
-    if theta == 0.0:
-        return np.eye(3)
-    k = rotvec / theta
-    kx = np.array(
-        [[0, -k[2], k[1]], [k[2], 0, -k[0]], [-k[1], k[0], 0]], dtype=np.float64
-    )
-    return np.eye(3) + math.sin(theta) * kx + (1.0 - math.cos(theta)) * (kx @ kx)
-
-
-def project_general(point, rotvec, translation, cam: CameraModel):
-    """General-pose projection used to cross-validate the closed forms.
-
-    Computes [u, v, 1] = (1/depth) * K * R^{-1} (P - t) with R from the
-    full Rodrigues formula, for arbitrary rotation vector and translation.
-    """
-    p = np.asarray(point, dtype=np.float64).reshape(3)
-    t = np.asarray(translation, dtype=np.float64).reshape(3)
-    rot = rotation_matrix(rotvec)
-    q = rot.T @ (p - t)
-    depth = float(q[2])
-    if depth <= DEPTH_EPS:
-        raise NonPositiveDepth(f"depth {depth:.6g} in general projection")
-    u = cam.fx * q[0] / depth + cam.cx
-    v = cam.fy * q[1] / depth + cam.cy
-    return PixelPosition(u, v), depth

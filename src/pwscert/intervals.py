@@ -21,6 +21,11 @@ One core, ``_spacing``, turns run widths into a spacing: each pixel keeps
 its narrowest run, the per-pixel minima aggregate by a lower quantile (1.0
 keeps the strict minimum), and the result is shrunk by one sweep step to
 absorb the discretization of the interval endpoints.
+
+No bound needs monotone projection drift: a point's Lipschitz constant
+``L`` is its largest rate over the whole range, so its Lipschitz width
+``span / L`` never exceeds the run, even where the drift backtracks.  The
+one-frame width trims the span and raises the rate, so it is smaller still.
 """
 
 from __future__ import annotations
@@ -28,15 +33,13 @@ from __future__ import annotations
 import enum
 import hashlib
 import itertools
-import json
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import DegenerateInterval, InvalidDelta, NegativeMargin
+from .errors import ConfigError, DegenerateInterval, InvalidDelta, NegativeMargin
 from .geometry import (
     CameraModel,
     MotionSpec,
@@ -74,8 +77,8 @@ class DeltaConvexity:
     delta: float
 
     def __post_init__(self):
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
+        if not 0 < self.delta < math.inf:
+            raise ConfigError("convexity delta must be positive and finite")
 
 
 @dataclass
@@ -94,7 +97,7 @@ def _sweep_runs(
     cloud: ColoredPointCloud, spec: MotionSpec, cam: CameraModel, resolution: int
 ) -> _SweepRuns:
     if resolution < 2:
-        raise ValueError("analysis resolution must be at least 2")
+        raise ConfigError(f"analysis resolution must be at least 2, got {resolution}")
     values = np.linspace(-spec.radius_b, spec.radius_b, resolution)
     step = float(values[1] - values[0])
     npix = cam.height * cam.width
@@ -163,8 +166,6 @@ def _governing_min(pixel_flat, widths, quantile):
     the run that sets it: the pixel is the first (in flat order) whose
     minimum equals the quantile, and the run is the first at that pixel
     to reach the minimum.  Returns (value, run_index)."""
-    if not 0.0 < quantile <= 1.0:
-        raise ValueError("quantile must lie in (0, 1]")
     order = np.lexsort((np.arange(len(widths)), widths, pixel_flat))
     pixels = pixel_flat[order]
     first = np.ones(len(order), dtype=bool)
@@ -174,44 +175,21 @@ def _governing_min(pixel_flat, widths, quantile):
     return value, int(runs[np.nonzero(widths[runs] == value)[0][0]])
 
 
-def _check_monotone_span(cloud, spec, cam, point_index, lo, hi):
-    """Warn when the governing point's projection drift is not monotone.
-
-    The Lipschitz bounds assume the projection moves monotonically (in the
-    max norm) across a consistent interval; this samples the drift along
-    the governing run and warns without aborting if it backtracks.
-    """
-    if hi <= lo:
-        return
-    alphas = np.linspace(lo, hi, 33)
-    pts = np.repeat(cloud.points[point_index][None, :], len(alphas), axis=0)
-    uv, depth = project_points(pts, spec.axis, alphas, cam)
-    if np.any(depth <= 0):
-        return
-    drift = np.max(np.abs(uv - uv[0]), axis=1)
-    if np.any(np.diff(drift) < -1e-9):
-        warnings.warn(
-            "projection drift is not monotone across the governing interval; "
-            "the Lipschitz-based spacing may not be conservative here",
-            stacklevel=4,
-        )
-
-
-def _spacing(cloud, spec, cam, resolution, quantile, run_widths,
-             monotone=True):
+def _spacing(cloud, spec, cam, resolution, quantile, run_widths):
     """The rule all three bounds share: sweep, take each pixel's narrowest
     run width, the lower quantile over pixels, and one sweep step less.
 
     ``run_widths(runs)`` returns ``(widths, rate)``: the width of every
     run, in pose units when ``rate`` is None, else as a pixel margin that
     must be positive and becomes a pose width when divided by ``rate``.
-    With ``monotone`` the governing run's projection drift is checked.
     """
+    if not 0.0 < quantile <= 1.0:
+        raise ConfigError(f"quantile must lie in (0, 1], got {quantile}")
     runs = _sweep_runs(cloud, spec, cam, resolution)
     if len(runs.pixel_flat) == 0:
         raise DegenerateInterval("no pixel is ever covered over the motion range")
     widths, rate = run_widths(runs)
-    picked, gov = _governing_min(runs.pixel_flat, widths, quantile)
+    picked, _ = _governing_min(runs.pixel_flat, widths, quantile)
     if rate is not None:
         if picked <= 0:
             raise NegativeMargin(
@@ -219,11 +197,6 @@ def _spacing(cloud, spec, cam, resolution, quantile, run_widths,
                 "governing pixel; delta is too large for this scene"
             )
         picked /= rate
-    if monotone:
-        _check_monotone_span(
-            cloud, spec, cam, int(runs.point_index[gov]),
-            float(runs.lo[gov]), float(runs.hi[gov]),
-        )
     result = picked - runs.step
     if result <= runs.step:
         raise DegenerateInterval(
@@ -250,7 +223,7 @@ def exact_delta(
 ) -> float:
     """Partition spacing from the interval widths themselves."""
     return _spacing(cloud, spec, cam, resolution, quantile,
-                    lambda runs: (runs.hi - runs.lo, None), monotone=False)
+                    lambda runs: (runs.hi - runs.lo, None))
 
 
 def lipschitz_delta(
@@ -347,12 +320,6 @@ class PartitionPlan:
     def count(self) -> int:
         return len(self.values)
 
-    @property
-    def spacing(self) -> float:
-        if len(self.values) < 2:
-            return 0.0
-        return float(self.values[1] - self.values[0])
-
     def to_json(self) -> dict:
         return {
             "axis": self.spec.axis.value,
@@ -365,9 +332,6 @@ class PartitionPlan:
                 np.ascontiguousarray(self.values).tobytes()
             ).hexdigest(),
         }
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
 
 
 def build_partition(

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +43,10 @@ from .rasterizer import ColoredPointCloud, load_cloud, save_cloud, zbuffer_winne
 OFFSET_BAND = (0.18, 0.82)
 _SAFE_MARGIN = 0.08
 _SWEEP_PROBES = 9
+# hardened placement: cells this close to the principal point (max norm,
+# pixels) stay empty, and crossers need this much drift under every range
+_EXCLUDE_CENTER_PX = 1.5
+_MIN_CROSS_SPAN = 0.12
 
 
 class ShapeClass(enum.Enum):
@@ -192,9 +196,7 @@ def generate_scene(
     layer_gap: float = 0.4,
     harden_for=None,
     crosser_period: int = 0,
-    exclude_center_px: float = 0.0,
     cross_plan=((0, 0.5),),
-    min_cross_span: float = 0.12,
     min_cross_ux: float = 0.0,
     min_cross_leftover: float = 0.0,
     margin_frac: float = 0.08,
@@ -227,8 +229,7 @@ def generate_scene(
         u, v, crosser = _hardened_placement(
             shape_class, tuple(harden_for), cam, rng, rows_avail, cols_avail,
             point_count if not layered else point_count // 2, z0, lo,
-            crosser_period, exclude_center_px, tuple(cross_plan),
-            min_cross_span, min_cross_ux, min_cross_leftover,
+            crosser_period, tuple(cross_plan), min_cross_ux, min_cross_leftover,
         )
     else:
         band_lo, band_hi = OFFSET_BAND
@@ -281,24 +282,20 @@ def generate_scene(
 
 def _hardened_placement(
     shape, specs, cam, rng, rows_avail, cols_avail, budget, z0, lo,
-    crosser_period, exclude_center_px, cross_plan, min_cross_span,
-    min_cross_ux, min_leftover,
+    crosser_period, cross_plan, min_cross_ux, min_leftover,
 ):
     """One point per pixel, offsets chosen from projected drift spans.
 
-    ``exclude_center_px`` drops cells near the principal point, where
-    radial motions barely move projections; one-frame bounds need every
-    owning point's span to clear twice the convexity slack.
+    Cells near the principal point are dropped: radial motions barely move
+    projections there, and one-frame bounds need every owning point's span
+    to clear twice the convexity slack.
     """
     cells = np.stack(
         np.meshgrid(rows_avail, cols_avail, indexing="ij"), axis=-1
     ).reshape(-1, 2)
-    if exclude_center_px > 0:
-        centers = cells + 0.5
-        dist = np.maximum(
-            np.abs(centers[:, 1] - cam.cx), np.abs(centers[:, 0] - cam.cy)
-        )
-        cells = cells[dist >= exclude_center_px]
+    centers = cells + 0.5
+    dist = np.maximum(np.abs(centers[:, 1] - cam.cx), np.abs(centers[:, 0] - cam.cy))
+    cells = cells[dist >= _EXCLUDE_CENTER_PX]
     if len(cells) > max(budget, 100):
         pick = rng.choice(len(cells), size=max(budget, 100), replace=False)
         pick.sort()
@@ -327,7 +324,7 @@ def _hardened_placement(
     ])
     eligible = np.nonzero(
         (bu - au > 0.02)
-        & (span_floor >= min_cross_span)
+        & (span_floor >= _MIN_CROSS_SPAN)
         & (np.abs(cols + 0.5 - cam.cx) >= min_cross_ux)
     )[0]
     designated = {}
@@ -445,19 +442,7 @@ def save_corpus(root, scenes, cam: CameraModel) -> None:
         json.dumps(labels, sort_keys=True, indent=2), encoding="utf-8"
     )
     (root / "camera.json").write_text(
-        json.dumps(
-            {
-                "fx": cam.fx,
-                "fy": cam.fy,
-                "cx": cam.cx,
-                "cy": cam.cy,
-                "width": cam.width,
-                "height": cam.height,
-            },
-            sort_keys=True,
-            indent=2,
-        ),
-        encoding="utf-8",
+        json.dumps(asdict(cam), sort_keys=True, indent=2), encoding="utf-8"
     )
 
 
@@ -476,6 +461,8 @@ def _read_corpus(root):
         if not isinstance(labels, dict):
             raise TypeError("labels.json must map scene names to labels")
         labels = {name: int(label) for name, label in labels.items()}
+        if not labels:
+            raise ValueError("labels.json names no scene")
         cam = CameraModel(**json.loads((root / "camera.json").read_text(encoding="utf-8")))
     except (ValueError, TypeError) as exc:
         raise FileFormatError(f"bad corpus metadata in {root}: {exc}") from exc

@@ -42,7 +42,7 @@ from numpy.random import Generator, Philox
 from scipy.special import ndtri
 from scipy.stats import beta as beta_dist
 
-from .errors import DomainError
+from .errors import ConfigError, DomainError
 from .classifier import BaseClassifier
 
 _KEY_MASK = (1 << 128) - 1
@@ -52,6 +52,8 @@ STREAM_FRAME = 1
 STREAM_ATTACK = 2
 STREAM_GENERIC = 0
 
+# noise draws per logit-path batch, and the row cap of a pixel-path batch
+BATCH_SIZE = 8192
 _NOISE_ENTRIES = 1 << 16
 
 
@@ -72,22 +74,20 @@ class SmoothingConfig:
     n_samples: int = 10000
     confidence_alpha: float = 0.001
     seed: int = 0
-    batch_size: int = 8192
     force_pixel_noise: bool = False
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        if not 0 < self.sigma < math.inf:
+            raise ConfigError(f"sigma must be positive and finite, got {self.sigma}")
         if self.n_samples < 100:
-            raise ValueError("need at least 100 Monte-Carlo samples")
+            raise ConfigError("need at least 100 Monte-Carlo samples")
         if not 0.0 < self.confidence_alpha < 1.0:
-            raise ValueError("confidence_alpha must lie in (0, 1)")
+            raise ConfigError("confidence_alpha must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
 class SmoothedEstimate:
     top_label: int
-    runner_up: int
     p_a_lower: float
     p_b_upper: float
     counts: np.ndarray = field(repr=False)
@@ -115,7 +115,7 @@ def clopper_pearson_lower(successes: int, trials: int, alpha: float) -> float:
 
 def _tally_pixel_noise(classifier, image, cfg, rng) -> np.ndarray:
     flat = image.reshape(-1)
-    rows = max(1, min(cfg.batch_size, _NOISE_ENTRIES // flat.size))
+    rows = max(1, min(BATCH_SIZE, _NOISE_ENTRIES // flat.size))
     counts = np.zeros(classifier.label_count, dtype=np.int64)
     done = 0
     while done < cfg.n_samples:
@@ -143,7 +143,7 @@ def _tally_logit_noise(logit_map, image, cfg, rng, label_count) -> np.ndarray:
     counts = np.zeros(label_count, dtype=np.int64)
     done = 0
     while done < cfg.n_samples:
-        nb = min(cfg.batch_size, cfg.n_samples - done)
+        nb = min(BATCH_SIZE, cfg.n_samples - done)
         g = rng.standard_normal((nb, label_count))
         logits = base[None, :] + g @ factor.T
         counts += np.bincount(np.argmax(logits, axis=1), minlength=label_count)
@@ -169,15 +169,12 @@ def smoothed_estimate(
         counts = _tally_pixel_noise(classifier, image, cfg, rng)
 
     top = int(np.argmax(counts))
-    rest = counts.copy()
-    rest[top] = -1
-    runner = int(np.argmax(rest))
     p_a = clopper_pearson_lower(int(counts[top]), cfg.n_samples, cfg.confidence_alpha)
     p_b = 1.0 - p_a
     if p_a <= 0.5:
-        return SmoothedEstimate(top, runner, p_a, p_b, counts, 0.0, True)
+        return SmoothedEstimate(top, p_a, p_b, counts, 0.0, True)
     radius = 0.5 * cfg.sigma * (gaussian_quantile(p_a) - gaussian_quantile(p_b))
-    return SmoothedEstimate(top, runner, p_a, p_b, counts, radius, False)
+    return SmoothedEstimate(top, p_a, p_b, counts, radius, False)
 
 
 def smoothed_prediction(

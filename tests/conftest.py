@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,8 @@ from pwscert import (
     render,
 )
 from pwscert.demo import build_demo_scene, demo_camera, demo_specs
-from pwscert.geometry import DEPTH_EPS, MotionValue, project_points
+from pwscert.errors import NonPositiveDepth
+from pwscert.geometry import DEPTH_EPS, MotionValue, PixelPosition, project_points
 from pwscert.scenes import ShapeClass
 
 
@@ -18,6 +21,49 @@ def random_visible_points(rng, n, z_lo=1.2, z_hi=3.0, spread=0.9):
     x = rng.uniform(-spread, spread, n) * z * 0.45
     y = rng.uniform(-spread, spread, n) * z * 0.45
     return np.column_stack([x, y, z])
+
+
+def motion_rotation_translation(axis, value):
+    """Rotation vector and translation vector of a one-axis motion."""
+    rot = np.zeros(3)
+    t = np.zeros(3)
+    idx = {"x": 0, "y": 1, "z": 2}[axis.value[1]]
+    if axis.is_rotation:
+        rot[idx] = value
+    else:
+        t[idx] = value
+    return rot, t
+
+
+def rotation_matrix(rotvec) -> np.ndarray:
+    """Rodrigues rotation matrix for an axis-angle vector."""
+    rotvec = np.asarray(rotvec, dtype=np.float64)
+    theta = float(np.linalg.norm(rotvec))
+    if theta == 0.0:
+        return np.eye(3)
+    k = rotvec / theta
+    kx = np.array(
+        [[0, -k[2], k[1]], [k[2], 0, -k[0]], [-k[1], k[0], 0]], dtype=np.float64
+    )
+    return np.eye(3) + math.sin(theta) * kx + (1.0 - math.cos(theta)) * (kx @ kx)
+
+
+def project_general(point, rotvec, translation, cam):
+    """General-pose projection used to cross-validate the closed forms.
+
+    Computes [u, v, 1] = (1/depth) * K * R^{-1} (P - t) with R from the
+    full Rodrigues formula, for arbitrary rotation vector and translation.
+    """
+    p = np.asarray(point, dtype=np.float64).reshape(3)
+    t = np.asarray(translation, dtype=np.float64).reshape(3)
+    rot = rotation_matrix(rotvec)
+    q = rot.T @ (p - t)
+    depth = float(q[2])
+    if depth <= DEPTH_EPS:
+        raise NonPositiveDepth(f"depth {depth:.6g} in general projection")
+    u = cam.fx * q[0] / depth + cam.cx
+    v = cam.fy * q[1] / depth + cam.cy
+    return PixelPosition(u, v), depth
 
 
 def lexsort_winners(cloud, axis, value, cam):

@@ -347,10 +347,9 @@ class TestMetrics:
         cloud, spec = static_scene(cam)
         report = certify(cloud, spec, cam, ConfidentClassifier(), SMOOTH,
                          CertMethod.EXACT, IVCFG)
-        ratio = frame_budget_comparison(report, 10000)
+        ratio = frame_budget_comparison(report)
         assert ratio == report.n_partitions / 10000
         assert ratio * 10000 == pytest.approx(report.n_partitions, rel=1e-15)
-        assert frame_budget_comparison(report, report.n_partitions) == 1.0
 
     def test_certified_accuracy_hand_count(self, cam):
         cloud, spec = static_scene(cam)

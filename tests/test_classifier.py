@@ -217,6 +217,14 @@ class TestSubprocessClassifier:
         assert str(info.value).endswith("exited with status 3: model broke")
         assert info.value.kind == "classifier_error"
 
+    @pytest.mark.parametrize("bad", ["nan", "abc"])
+    def test_non_finite_score_is_classifier_error(self, tmp_path, dataset, bad):
+        script = tmp_path / "scorer.sh"
+        script.write_text(f"echo 0.4\necho {bad}\n")
+        clf = SubprocessClassifier(["sh", str(script)], label_count=2)
+        with pytest.raises(ClassifierError, match=f"printed '{bad}', not a finite score"):
+            clf.predict(dataset[0][0])
+
     def test_missing_program_is_classifier_error(self, tmp_path, dataset):
         clf = SubprocessClassifier([str(tmp_path / "no-such-scorer")], label_count=2)
         with pytest.raises(ClassifierError, match="cannot run"):

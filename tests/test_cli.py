@@ -214,6 +214,58 @@ class TestErrorHandling:
             "config_error: one-frame certification requires a convexity delta"
         ]
 
+    @pytest.mark.parametrize("command, option, value, message", [
+        ("certify", "--quantile", "0", "quantile must lie in (0, 1], got 0.0"),
+        ("partition", "--quantile", "0", "quantile must lie in (0, 1], got 0.0"),
+        ("certify", "--sigma", "0", "sigma must be positive and finite, got 0.0"),
+        ("certify", "--radius", "nanmm", "motion radius must be positive and finite"),
+        ("attack", "--poses", "0", "need at least one pose, got 0"),
+        ("partition", "--resolution", "1", "analysis resolution must be at least 2, got 1"),
+        ("partition", "--delta", "-1", "convexity delta must be positive and finite"),
+    ])
+    def test_bad_numeric_option_exits_2(self, runner, workspace, tmp_path, command,
+                                        option, value, message):
+        _, corpus, model = workspace
+        args = {"--axis": "tz", "--radius": "36mm", option: value}
+        if command != "partition":
+            args.update({"--model": str(model), "--out": str(tmp_path / "out"),
+                         "--n-samples": "500"})
+        if command != "attack":
+            args.setdefault("--resolution", "201")
+            args["--method"] = "one-frame" if option == "--delta" else "exact"
+        argv = [command, "--corpus", str(corpus)]
+        for key, val in args.items():
+            argv += [key, val]
+        res = runner.invoke(main, argv)
+        assert res.exit_code == 2
+        assert res.output.splitlines() == [f"config_error: {message}"]
+
+    @pytest.mark.parametrize("command", ["partition", "certify"])
+    def test_corpus_without_scenes_exits_1(self, runner, workspace, tmp_path, command):
+        _, corpus, model = workspace
+        copy = tmp_path / "corpus"
+        shutil.copytree(corpus, copy)
+        (copy / "labels.json").write_text("{}")
+        args = [command, "--corpus", str(copy), "--axis", "tz", "--radius", "36mm"]
+        if command == "certify":
+            args += ["--model", str(model), "--out", str(tmp_path / "out")]
+        res = runner.invoke(main, args)
+        assert res.exit_code == 1
+        assert res.output.splitlines() == [
+            f"file_format: bad corpus metadata in {copy}: labels.json names no scene"
+        ]
+
+    def test_unknown_scene_exits_2(self, runner, workspace, tmp_path):
+        _, corpus, model = workspace
+        known = sorted(p.stem for p in (corpus / "scenes").iterdir())[0]
+        res = runner.invoke(main, [
+            "certify", "--corpus", str(corpus), "--model", str(model),
+            "--axis", "tz", "--radius", "36mm", "--scene", "nosuch", "--scene", known,
+            "--out", str(tmp_path / "out"),
+        ])
+        assert res.exit_code == 2
+        assert res.output.splitlines() == ["config_error: scenes not in corpus: nosuch"]
+
     def test_module_error_exits_1(self, runner, workspace, tmp_path):
         _, corpus, _ = workspace
         # a huge translation radius puts scene points behind the camera

@@ -12,18 +12,21 @@ from pwscert import (
     lipschitz_constant,
     lipschitz_constants,
     project,
-    project_general,
     project_points,
     projection_derivative,
 )
 from pwscert.geometry import (
     MotionValue,
-    motion_rotation_translation,
     projection_derivative_points,
     min_depth_over_range,
 )
 
-from conftest import axis_radius, random_visible_points
+from conftest import (
+    axis_radius,
+    motion_rotation_translation,
+    project_general,
+    random_visible_points,
+)
 
 ALL_AXES = list(Axis)
 

@@ -7,6 +7,7 @@ from pwscert import (
     Axis,
     CameraModel,
     ColoredPointCloud,
+    ConfigError,
     DegenerateInterval,
     InvalidDelta,
     MotionSpec,
@@ -27,7 +28,8 @@ from pwscert.demo import (
     demo_specs,
 )
 from pwscert.geometry import MotionValue
-from pwscert.intervals import CertMethod, DeltaConvexity, _sweep_runs
+from pwscert.geometry import delta_constant, lipschitz_constants
+from pwscert.intervals import CertMethod, DeltaConvexity, _spans, _sweep_runs
 from pwscert.scenes import ShapeClass
 
 from conftest import axis_radius, lexsort_winners, random_visible_points
@@ -117,7 +119,7 @@ def exact_widths(runs):
 
 
 class TestSpacingCore:
-    def _check(self, cloud, spec, cam, resolution, quantile, monkeypatch):
+    def _check(self, cloud, spec, cam, resolution, quantile):
         from pwscert import intervals
 
         runs = _sweep_runs(cloud, spec, cam, resolution)
@@ -125,10 +127,6 @@ class TestSpacingCore:
         value, gov = oracle_governing_min(runs.pixel_flat, widths, quantile)
         assert intervals._governing_min(runs.pixel_flat, widths, quantile) == (
             value, gov)
-        # the governing run is what the drift check receives
-        seen = []
-        monkeypatch.setattr(intervals, "_check_monotone_span",
-                            lambda *args: seen.append(args[3:]))
         if value - runs.step > runs.step:
             result = intervals._spacing(cloud, spec, cam, resolution, quantile,
                                         exact_widths)
@@ -137,25 +135,20 @@ class TestSpacingCore:
             with pytest.raises(DegenerateInterval):
                 intervals._spacing(cloud, spec, cam, resolution, quantile,
                                    exact_widths)
-        assert seen == [(int(runs.point_index[gov]), float(runs.lo[gov]),
-                         float(runs.hi[gov]))]
         return runs, widths
 
     @pytest.mark.parametrize("quantile", [1.0, 0.995])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_matches_loop_oracle_on_random_scenes(self, seed, quantile,
-                                                  monkeypatch):
+    def test_matches_loop_oracle_on_random_scenes(self, seed, quantile):
         cam = CameraModel(fx=32.0, fy=32.0, cx=16.0, cy=16.0, width=32, height=32)
         scene = generate_scene(list(ShapeClass)[seed], 1500, (1.6, 2.4), seed,
                                cam, channels=1, layered=True)
-        self._check(scene.cloud, MotionSpec(Axis.TZ, 0.02), cam, 401, quantile,
-                    monkeypatch)
+        self._check(scene.cloud, MotionSpec(Axis.TZ, 0.02), cam, 401, quantile)
 
     @pytest.mark.parametrize("quantile", [1.0, 0.995])
-    def test_first_run_wins_tied_minima(self, small_cam, quantile, monkeypatch):
+    def test_first_run_wins_tied_minima(self, small_cam, quantile):
         cloud, spec, resolution = tied_row_scene(small_cam)
-        runs, widths = self._check(cloud, spec, small_cam, resolution, quantile,
-                                   monkeypatch)
+        runs, widths = self._check(cloud, spec, small_cam, resolution, quantile)
         assert np.all(widths == 0.0)
         pixels, counts = np.unique(runs.pixel_flat, return_counts=True)
         assert len(pixels) > 1 and np.any(counts > 1)
@@ -200,6 +193,15 @@ class TestExactDelta:
         delta = exact_delta(cloud, spec, cam, resolution=res, quantile=1.0)
         third = 2 * spec.radius_b / 3
         assert third * 0.98 - 3 * step <= delta < third
+
+    @pytest.mark.parametrize("quantile", [0.0, 1.5])
+    def test_bad_quantile_rejected_before_sweep(self, cam, monkeypatch, quantile):
+        from pwscert import intervals
+
+        cloud, spec = single_point_scene(cam)
+        monkeypatch.setattr(intervals, "_sweep_runs", None)  # a sweep would fail
+        with pytest.raises(ConfigError, match="quantile must lie in"):
+            exact_delta(cloud, spec, cam, 101, quantile)
 
     def test_quantile_monotone(self, demo_cam):
         scene = build_demo_scene(ShapeClass.STRIPED_WALL, 0)
@@ -255,27 +257,29 @@ class TestLipschitzDelta:
         dl = lipschitz_delta(cloud, spec, cam, 1501, quantile=1.0)
         assert dl == pytest.approx(de, rel=1e-9)
 
-    def test_warns_on_nonmonotone_drift(self, cam):
-        # RZ drift of a diagonal point peaks mid-range and backtracks,
-        # violating the monotonicity premise of the Lipschitz bounds
-        from pwscert.intervals import _check_monotone_span
-
-        cloud = ColoredPointCloud(
-            np.array([[0.02, 0.02, 2.0]]), np.array([[0.5]])
-        )
-        spec = MotionSpec(Axis.RZ, 1.2)
-        with pytest.warns(UserWarning):
-            _check_monotone_span(cloud, spec, cam, 0, -1.2, 1.2)
-
-    def test_monotone_drift_stays_silent(self, cam):
-        import warnings
-
-        from pwscert.intervals import _check_monotone_span
-
-        cloud, spec = single_point_scene(cam)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            _check_monotone_span(cloud, spec, cam, 0, -0.03, 0.03)
+    @pytest.mark.parametrize("case", [a.value for a in Axis] + ["rz-backtrack"])
+    def test_run_widths_never_exceed_runs(self, cam, case):
+        # a run's Lipschitz width is at most the run, and its one-frame
+        # width at most the Lipschitz width, whether or not the drift is
+        # monotone: the RZ case's diagonal point drifts out and back
+        if case == "rz-backtrack":
+            cloud = ColoredPointCloud(np.array([[0.02, 0.02, 2.0]]), np.array([[0.5]]))
+            spec = MotionSpec(Axis.RZ, 1.2)
+        else:
+            axis = Axis(case)
+            pts = random_visible_points(np.random.default_rng(5), 300)
+            cloud = ColoredPointCloud(pts, np.full((300, 1), 0.5))
+            spec = MotionSpec(axis, axis_radius(axis))
+        runs = _sweep_runs(cloud, spec, cam, 801)
+        assert len(runs.lo) > 0
+        span = _spans(cloud, spec, cam, runs)
+        lip = lipschitz_constants(cloud.points, spec, cam)
+        lip_width = span / lip[runs.point_index]
+        delta = 0.05
+        rate = lip.max() + delta_constant(spec, cam, cloud.points, delta)
+        one_frame_width = (span - 2 * delta) / rate
+        assert np.all(lip_width <= (runs.hi - runs.lo) * (1 + 1e-12))
+        assert np.all(one_frame_width <= lip_width * (1 + 1e-12))
 
 
 class TestOneFrameDelta:
@@ -389,7 +393,7 @@ class TestBuildPartition:
         for _ in range(200):
             delta = rng.uniform(1e-5, 0.04)
             plan = build_partition(delta, spec)
-            assert plan.spacing <= delta + 1e-15
+            assert np.diff(plan.values).max() <= delta + 1e-15
             assert plan.values[0] == -spec.radius_b
             assert plan.values[-1] == spec.radius_b
 
@@ -414,4 +418,4 @@ class TestBuildPartition:
         assert payload["method"] == "lipschitz"
         assert len(payload["values_digest"]) == 64
         again = build_partition(0.5, MotionSpec(Axis.RX, 1.0), CertMethod.LIPSCHITZ)
-        assert again.dumps() == plan.dumps()
+        assert again.to_json() == plan.to_json()

@@ -139,6 +139,7 @@ class TestCorpusIO:
         ("camera.json", "{"),
         ("labels.json", '["a", "b"]'),
         ("labels.json", '{"a": "first"}'),
+        ("labels.json", "{}"),
     ])
     def test_bad_metadata_rejected(self, tmp_path, demo_cam, name, text):
         scene = generate_scene(ShapeClass.BOX_FACE, 700, (1.5, 2.5), 5, demo_cam)

@@ -190,14 +190,16 @@ class TestSmoothedEstimate:
         c = smoothed_estimate(CoinClassifier(), img, cfg, stream=10)
         assert not np.array_equal(a.counts, c.counts)
 
-    def test_batch_split_invariant(self):
+    def test_batch_split_invariant(self, monkeypatch):
+        from pwscert import smoothing
+
         img = np.full((1, 3, 3), 0.1)
-        base = dict(sigma=0.6, n_samples=1000, confidence_alpha=0.01, seed=3,
-                    force_pixel_noise=True)
-        small = SmoothingConfig(batch_size=64, **base)
-        big = SmoothingConfig(batch_size=100000, **base)
-        a = smoothed_estimate(CoinClassifier(), img, small)
-        b = smoothed_estimate(CoinClassifier(), img, big)
+        cfg = SmoothingConfig(sigma=0.6, n_samples=1000, confidence_alpha=0.01,
+                              seed=3, force_pixel_noise=True)
+        monkeypatch.setattr(smoothing, "BATCH_SIZE", 64)
+        a = smoothed_estimate(CoinClassifier(), img, cfg)
+        monkeypatch.setattr(smoothing, "BATCH_SIZE", 100000)
+        b = smoothed_estimate(CoinClassifier(), img, cfg)
         np.testing.assert_array_equal(a.counts, b.counts)
 
     def test_pixel_blocks_match_one_batch_oracle(self):

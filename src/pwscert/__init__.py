@@ -4,7 +4,6 @@ Gaussian smoothing over uniformly partitioned projected frames."""
 from .certify import (
     AttackReport,
     CertificationReport,
-    IntervalConfig,
     Verdict,
     certified_accuracy,
     certify,
@@ -41,18 +40,15 @@ from .geometry import (
     CameraModel,
     MotionSpec,
     MotionValue,
-    PixelPosition,
     delta_constant,
-    lipschitz_constant,
     lipschitz_constants,
-    project,
     project_points,
-    projection_derivative,
 )
 from .intervals import (
     CertMethod,
     ConsistentInterval,
     DeltaConvexity,
+    IntervalConfig,
     PartitionPlan,
     build_partition,
     check_delta_convexity,
@@ -60,10 +56,12 @@ from .intervals import (
     exact_delta,
     lipschitz_delta,
     one_frame_delta,
+    plan_partition,
 )
 from .rasterizer import (
     ColoredPointCloud,
     adjacent_frame_error,
+    extract_one_frame,
     load_cloud,
     load_image,
     render,
@@ -75,7 +73,6 @@ from .scenes import (
     Scene,
     ShapeClass,
     coverage_fraction,
-    extract_one_frame,
     generate_scene,
     load_corpus,
     save_corpus,

@@ -38,24 +38,8 @@ import numpy as np
 from .classifier import BaseClassifier
 from .errors import ConfigError
 from .geometry import CameraModel, MotionSpec, MotionValue
-from .intervals import (
-    CertMethod,
-    DeltaConvexity,
-    DEFAULT_QUANTILE,
-    DEFAULT_RESOLUTION,
-    build_partition,
-    exact_delta,
-    lipschitz_delta,
-    one_frame_delta,
-)
-from .rasterizer import (
-    ColoredPointCloud,
-    DEFAULT_BACKGROUND,
-    adjacent_frame_error,
-    render,
-    render_sweep,
-)
-from .scenes import extract_one_frame
+from .intervals import CertMethod, IntervalConfig, plan_partition
+from .rasterizer import ColoredPointCloud, adjacent_frame_error, render, render_sweep
 from .smoothing import (
     STREAM_ATTACK,
     STREAM_FRAME,
@@ -73,16 +57,6 @@ class Verdict(str, enum.Enum):
     CERTIFIED = "certified"
     NOT_CERTIFIED = "not_certified"
     ABSTAIN = "abstain"
-
-
-@dataclass(frozen=True)
-class IntervalConfig:
-    """How partition spacing is derived from the scene."""
-
-    resolution: int = DEFAULT_RESOLUTION
-    quantile: float = DEFAULT_QUANTILE
-    convexity: DeltaConvexity = None
-    background: float = DEFAULT_BACKGROUND
 
 
 @dataclass(frozen=True)
@@ -186,27 +160,6 @@ def _estimate_distinct(frames, classifier, cfg, context):
     return [by_index[i] for i in owners]
 
 
-def compute_delta_alpha(
-    cloud: ColoredPointCloud,
-    spec: MotionSpec,
-    cam: CameraModel,
-    method: CertMethod,
-    interval_cfg: IntervalConfig,
-) -> float:
-    """Partition spacing for the requested method."""
-    res, q = interval_cfg.resolution, interval_cfg.quantile
-    if method is CertMethod.EXACT:
-        return exact_delta(cloud, spec, cam, res, q)
-    if method is CertMethod.LIPSCHITZ:
-        return lipschitz_delta(cloud, spec, cam, res, q)
-    if method is CertMethod.ONE_FRAME:
-        if interval_cfg.convexity is None:
-            raise ConfigError("one-frame certification requires a convexity delta")
-        return one_frame_delta(extract_one_frame(cloud, cam), spec, cam, res,
-                               interval_cfg.convexity, q)
-    raise ValueError(f"unknown method {method}")  # pragma: no cover
-
-
 def certify(
     cloud: ColoredPointCloud,
     spec: MotionSpec,
@@ -224,8 +177,7 @@ def certify(
     """
     t0 = time.perf_counter()
     interval_cfg = interval_cfg or IntervalConfig()
-    delta_alpha = compute_delta_alpha(cloud, spec, cam, method, interval_cfg)
-    plan = build_partition(delta_alpha, spec, method, interval_cfg.quantile)
+    plan = plan_partition(cloud, spec, cam, method, interval_cfg)
     frames = render_sweep(cloud, spec, cam, plan.values, interval_cfg.background)
 
     estimates = _estimate_distinct(frames, classifier, smoothing_cfg, STREAM_FRAME)
@@ -265,7 +217,7 @@ def certify(
         radius_b=spec.radius_b,
         sigma=smoothing_cfg.sigma,
         n_partitions=plan.count,
-        delta_alpha=delta_alpha,
+        delta_alpha=plan.delta_alpha,
         max_adjacent_error=max_err,
         min_radius=min_radius,
         margin=min_radius - max_err,

@@ -26,7 +26,8 @@ import numpy as np
 from numpy.random import Generator, Philox
 from scipy.optimize import minimize
 
-from .errors import ClassifierError, DegenerateDataset, FileFormatError, ShapeMismatch
+from .errors import (ClassifierError, ConfigError, DegenerateDataset, FileFormatError,
+                     ShapeMismatch)
 from .rasterizer import save_image
 
 DEFAULT_DOWNSAMPLE = 4
@@ -161,6 +162,8 @@ def builtin_train(
     derived from the seed and the example content, so shuffling the input
     list does not change the model.
     """
+    if downsample < 1:
+        raise ConfigError(f"downsample factor must be at least 1, got {downsample}")
     if not dataset:
         raise DegenerateDataset("empty dataset")
     images = [np.asarray(img, dtype=np.float64) for img, _ in dataset]

@@ -21,19 +21,13 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .certify import (
-    IntervalConfig,
-    Verdict,
-    certify,
-    compute_delta_alpha,
-    empirical_attack,
-    frame_budget_comparison,
-)
+from .certify import Verdict, certify, empirical_attack, frame_budget_comparison
 from .classifier import builtin_train, load_model, save_model
 from .demo import build_demo_scene, demo_camera
 from .errors import ConfigError, PwsError
 from .geometry import Axis, CameraModel, MotionSpec, MotionValue
-from .intervals import CertMethod, DeltaConvexity, build_partition
+from .intervals import (CertMethod, DEFAULT_QUANTILE, DEFAULT_RESOLUTION,
+                        DeltaConvexity, IntervalConfig, plan_partition)
 from .rasterizer import render, render_sweep, save_image
 from .scenes import ShapeClass, generate_scene, load_corpus, save_corpus
 from .smoothing import SmoothingConfig
@@ -95,8 +89,8 @@ def _with_options(*options):
 _spacing_options = _with_options(
     click.option("--method", type=click.Choice([m.value for m in CertMethod]),
                  default="exact", show_default=True),
-    click.option("--resolution", default=2001, show_default=True),
-    click.option("--quantile", default=0.995, show_default=True),
+    click.option("--resolution", default=DEFAULT_RESOLUTION, show_default=True),
+    click.option("--quantile", default=DEFAULT_QUANTILE, show_default=True),
     click.option("--delta", "delta_px", default=None, type=float,
                  help="convexity slack in pixels (one-frame only)"),
 )
@@ -132,10 +126,8 @@ def _partition_plan(corpus, scene_name, axis, radius, method, resolution,
     scenes, cam = load_corpus(corpus)
     scene = _select(scenes, [scene_name] if scene_name else [])[0]
     spec = _spec_from(axis, radius)
-    method = CertMethod(method)
     cfg = _interval_config(resolution, quantile, delta_px)
-    delta = compute_delta_alpha(scene.cloud, spec, cam, method, cfg)
-    return scene, cam, build_partition(delta, spec, method, quantile)
+    return scene, cam, plan_partition(scene.cloud, spec, cam, CertMethod(method), cfg)
 
 
 def _run_setup(corpus, model, axis, radius, sigma, n_samples, alpha, seed, only,
@@ -197,6 +189,9 @@ def cmd_gen_scenes(out, profile, classes, per_class, points, grid, channels, dep
     """Write a synthetic labeled corpus."""
     if not 2 <= classes <= len(ShapeClass):
         raise ConfigError(f"classes must be 2..{len(ShapeClass)}")
+    if per_class < 1 or channels < 1:
+        raise ConfigError(f"per-class and channels must be at least 1, got "
+                          f"{per_class} and {channels}")
     if profile in ("demo", "churn"):
         variant = "trend" if profile == "demo" else "churn"
         cam = demo_camera()

@@ -67,12 +67,12 @@ class CameraModel:
     height: int
 
     def __post_init__(self):
-        if not (0 < self.fx < math.inf and 0 < self.fy < math.inf):
-            raise ValueError("focal lengths must be positive and finite")
-        if not (0 <= self.cx < self.width) or not (0 <= self.cy < self.height):
-            raise ValueError("principal point must lie inside the grid")
         if self.width < 1 or self.height < 1:
-            raise ValueError("grid size must be positive")
+            raise ConfigError("grid size must be positive")
+        if not (0 < self.fx < math.inf and 0 < self.fy < math.inf):
+            raise ConfigError("focal lengths must be positive and finite")
+        if not (0 <= self.cx < self.width) or not (0 <= self.cy < self.height):
+            raise ConfigError("principal point must lie inside the grid")
 
 
 @dataclass(frozen=True)
@@ -100,14 +100,6 @@ class MotionValue:
                 f"motion value {self.value} outside [-{self.spec.radius_b}, "
                 f"{self.spec.radius_b}]"
             )
-
-
-@dataclass(frozen=True)
-class PixelPosition:
-    """Continuous pixel coordinates; may lie outside the grid."""
-
-    u: float
-    v: float
 
 
 def _as_points(points) -> np.ndarray:
@@ -171,17 +163,6 @@ def project_points(points, axis: Axis, value, cam: CameraModel):
     return uv, depth
 
 
-def project(point, motion: MotionValue, cam: CameraModel):
-    """Project a single point; raises NonPositiveDepth behind the camera."""
-    uv, depth = project_points(point, motion.spec.axis, motion.value, cam)
-    d = float(depth[0])
-    if d <= DEPTH_EPS:
-        raise NonPositiveDepth(
-            f"depth {d:.6g} at {motion.spec.axis.value}={motion.value:.6g}"
-        )
-    return PixelPosition(float(uv[0, 0]), float(uv[0, 1])), d
-
-
 def projection_derivative_points(points, axis: Axis, value, cam: CameraModel):
     """Exact d(u, v)/d(alpha) for an (N, 3) array of points.
 
@@ -220,18 +201,6 @@ def projection_derivative_points(points, axis: Axis, value, cam: CameraModel):
     else:  # pragma: no cover
         raise ValueError(f"unknown axis {axis}")
     return np.stack([du, dv], axis=1)
-
-
-def projection_derivative(point, motion: MotionValue, cam: CameraModel):
-    """Derivative of a single point's pixel position w.r.t. the motion scalar."""
-    _, depth = project_points(point, motion.spec.axis, motion.value, cam)
-    if float(depth[0]) <= DEPTH_EPS:
-        raise NonPositiveDepth(
-            f"depth {float(depth[0]):.6g} at {motion.spec.axis.value}="
-            f"{motion.value:.6g}"
-        )
-    duv = projection_derivative_points(point, motion.spec.axis, motion.value, cam)
-    return float(duv[0, 0]), float(duv[0, 1])
 
 
 def _max_abs_sinusoid(a_cos, b_sin, b: float):
@@ -334,10 +303,6 @@ def lipschitz_constants(points, spec: MotionSpec, cam: CameraModel):
             best = np.maximum(best, np.abs(duv).max(axis=1))
         return best
     raise ValueError(f"unknown axis {axis}")  # pragma: no cover
-
-
-def lipschitz_constant(point, spec: MotionSpec, cam: CameraModel) -> float:
-    return float(lipschitz_constants(point, spec, cam)[0])
 
 
 def delta_constant(spec: MotionSpec, cam: CameraModel, one_frame_points, delta_px: float) -> float:

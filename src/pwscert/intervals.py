@@ -20,7 +20,8 @@ chosen resolution.  They differ only in the width they give each run:
 One core, ``_spacing``, turns run widths into a spacing: each pixel keeps
 its narrowest run, the per-pixel minima aggregate by a lower quantile (1.0
 keeps the strict minimum), and the result is shrunk by one sweep step to
-absorb the discretization of the interval endpoints.
+absorb the discretization of the interval endpoints.  ``plan_partition``
+picks a method's bound and builds the uniform partition from it.
 
 No bound needs monotone projection drift: a point's Lipschitz constant
 ``L`` is its largest rate over the whole range, so its Lipschitz width
@@ -47,7 +48,8 @@ from .geometry import (
     delta_constant,
     project_points,
 )
-from .rasterizer import ColoredPointCloud, zbuffer_blocks
+from .rasterizer import (ColoredPointCloud, DEFAULT_BACKGROUND, extract_one_frame,
+                         zbuffer_blocks)
 
 DEFAULT_RESOLUTION = 2001
 DEFAULT_QUANTILE = 0.995
@@ -79,6 +81,16 @@ class DeltaConvexity:
     def __post_init__(self):
         if not 0 < self.delta < math.inf:
             raise ConfigError("convexity delta must be positive and finite")
+
+
+@dataclass(frozen=True)
+class IntervalConfig:
+    """How partition spacing is derived from the scene."""
+
+    resolution: int = DEFAULT_RESOLUTION
+    quantile: float = DEFAULT_QUANTILE
+    convexity: DeltaConvexity = None
+    background: float = DEFAULT_BACKGROUND
 
 
 @dataclass
@@ -257,7 +269,7 @@ def one_frame_delta(
     by two deltas, so the bound never exceeds the full cloud's exact one.
     """
     if convexity is None:
-        raise ValueError("one-frame spacing requires a DeltaConvexity prior")
+        raise ConfigError("one-frame certification requires a convexity delta")
 
     def margins(runs):
         lip = lipschitz_constants(one_frame.points, spec, cam)
@@ -355,3 +367,26 @@ def build_partition(
         quantile=quantile,
         values=values,
     )
+
+
+def plan_partition(
+    cloud: ColoredPointCloud,
+    spec: MotionSpec,
+    cam: CameraModel,
+    method: CertMethod,
+    cfg: IntervalConfig,
+) -> PartitionPlan:
+    """The partition ``method`` admits for ``cloud``, the scene the camera
+    images; the one-frame bound sees only the points recoverable from the
+    reference render (``extract_one_frame``), as a real camera would."""
+    res, q = cfg.resolution, cfg.quantile
+    if method is CertMethod.EXACT:
+        delta = exact_delta(cloud, spec, cam, res, q)
+    elif method is CertMethod.LIPSCHITZ:
+        delta = lipschitz_delta(cloud, spec, cam, res, q)
+    elif method is CertMethod.ONE_FRAME:
+        delta = one_frame_delta(extract_one_frame(cloud, cam), spec, cam, res,
+                                cfg.convexity, q)
+    else:  # pragma: no cover
+        raise ValueError(f"unknown method {method}")
+    return build_partition(delta, spec, method, q)

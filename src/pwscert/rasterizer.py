@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FileFormatError, InvalidCloud, ShapeMismatch
+from .errors import EmptyFrame, FileFormatError, InvalidCloud, ShapeMismatch
 from .geometry import (
     Axis,
     CameraModel,
@@ -135,6 +135,19 @@ def zbuffer_winners(
 ) -> np.ndarray:
     """Flat (H*W,) array of winning point indices per pixel, -1 where empty."""
     return zbuffer_winners_batch(cloud, axis, [value], cam)[0]
+
+
+def extract_one_frame(cloud: ColoredPointCloud, cam: CameraModel) -> ColoredPointCloud:
+    """Points recoverable from a single depth frame at the reference pose.
+
+    Keeps, per covered pixel, the z-buffer winner; the result is a subset
+    of the input with at most one point per pixel.
+    """
+    winners = zbuffer_winners(cloud, Axis.TX, 0.0, cam)
+    idx = np.unique(winners[winners >= 0])
+    if idx.size == 0:
+        raise EmptyFrame("reference render covers no pixel")
+    return cloud.subset(idx)
 
 
 def render(

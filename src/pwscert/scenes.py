@@ -36,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyFrame, FileFormatError, InvalidRange, MissingFile
+from .errors import FileFormatError, InvalidRange, MissingFile
 from .geometry import Axis, CameraModel, project_points
 from .rasterizer import ColoredPointCloud, load_cloud, save_cloud, zbuffer_winners
 
@@ -105,33 +105,23 @@ def coverage_fraction(cloud: ColoredPointCloud, cam: CameraModel) -> float:
 
 
 def _drift_spans(points, specs, cam):
-    """Per-point, per-spec projected drift relative to the reference pose.
+    """Per-spec, per-point projected drift relative to the reference pose.
 
-    Returns a list with one (au, bu, av, bv) tuple per spec: the lowest
-    and highest u and v offsets reached over that motion range, relative
-    to the pose-zero projection (au <= 0 <= bu and likewise for v).
+    Returns ``(lo, hi)``, each of shape (specs, points, 2): the lowest and
+    highest (u, v) offsets reached over each motion range, relative to the
+    pose-zero projection, so ``lo <= 0 <= hi``.
     """
     uv0, _ = project_points(points, Axis.TX, 0.0, cam)
-    spans = []
+    lo, hi = [], []
     for spec in specs:
-        au = np.zeros(len(points))
-        bu = np.zeros(len(points))
-        av = np.zeros(len(points))
-        bv = np.zeros(len(points))
-        for alpha in np.linspace(-spec.radius_b, spec.radius_b, _SWEEP_PROBES):
-            uv, depth = project_points(points, spec.axis, float(alpha), cam)
-            if np.any(depth <= 0):
-                raise InvalidRange(
-                    "scene depth too shallow for the requested motion range"
-                )
-            du = uv[:, 0] - uv0[:, 0]
-            dv = uv[:, 1] - uv0[:, 1]
-            au = np.minimum(au, du)
-            bu = np.maximum(bu, du)
-            av = np.minimum(av, dv)
-            bv = np.maximum(bv, dv)
-        spans.append((au, bu, av, bv))
-    return spans
+        poses = np.linspace(-spec.radius_b, spec.radius_b, _SWEEP_PROBES)
+        uv, depth = project_points(points, spec.axis, poses[:, None], cam)
+        if np.any(depth <= 0):
+            raise InvalidRange("scene depth too shallow for the requested motion range")
+        drift = uv - uv0
+        lo.append(np.minimum(drift.min(axis=0), 0.0))
+        hi.append(np.maximum(drift.max(axis=0), 0.0))
+    return np.array(lo), np.array(hi)
 
 
 def _place_safe(cell, lo_off, hi_off, rng):
@@ -143,46 +133,40 @@ def _place_safe(cell, lo_off, hi_off, rng):
     return cell + lo + rng.uniform(0.0, 1.0) * (hi - lo)
 
 
-def _crossing_offset(per_spec_u, side, t, anchor_idx, min_leftover=0.0):
+def _crossing_offset(per_spec_u, side, candidates, min_leftover=0.0):
     """Sub-cell offset putting one cell border inside the drift spans.
 
-    The border is placed at displacement ``t`` times the anchor range's
-    drift reach on the chosen side, so that range's crossing pose sits at
-    roughly fraction ``t`` of the half-range.  The candidate is accepted
-    only if every range either crosses comfortably inside its reach (with
-    at least ``min_leftover`` pixels of drift left beyond the border,
-    keeping the truncated run's projection span healthy) or does not
-    reach the border at all.  Borders grazing a reach endpoint would
-    truncate an ownership run to almost nothing and are rejected.
+    ``candidates`` yields (anchor range index, ``t``) pairs, tried in
+    order; the first accepted offset is returned, or None.  The border is
+    placed at displacement ``t`` times the anchor range's drift reach on
+    the chosen side, so that range's crossing pose sits at roughly
+    fraction ``t`` of the half-range.  A candidate is accepted only if
+    every range either crosses comfortably inside its reach (with at
+    least ``min_leftover`` pixels of drift left beyond the border, keeping
+    the truncated run's projection span healthy) or does not reach the
+    border at all.  Borders grazing a reach endpoint would truncate an
+    ownership run to almost nothing and are rejected.
     """
     reaches = [max(hi, 0.0) if side > 0 else max(-lo, 0.0) for lo, hi in per_spec_u]
     opposite = max(
         (max(-lo, 0.0) if side > 0 else max(hi, 0.0)) for lo, hi in per_spec_u
     )
-    anchor = reaches[anchor_idx]
-    if anchor < 1e-9:
-        return None
-    d = t * anchor
-    if not 0.02 <= d <= 0.9:
-        return None
-    for reach in reaches:
-        if reach < 1e-12:
+    for anchor_idx, t in candidates:
+        d = t * reaches[anchor_idx]
+        if not 0.02 <= d <= 0.9:
             continue
-        t_s = d / reach
-        if t_s >= 1.15:
-            continue  # clearly beyond this range's reach: no crossing
-        if t_s > 0.88:
-            return None  # grazes this range's reach endpoint
-        if reach - d < min_leftover:
-            return None  # truncated run's span would be too small
-    off = 1.0 - d if side > 0 else d
-    if not 0.02 < off < 0.98:
-        return None
-    # the opposite-side reach must stay inside the cell
-    room = off if side > 0 else 1.0 - off
-    if opposite > room - _SAFE_MARGIN:
-        return None
-    return off
+        # a range whose reach stops short of the border (d / reach >= 1.15)
+        # never crosses; any other must not graze it (d / reach > 0.88)
+        # and must keep min_leftover of drift beyond it
+        if any(reach >= 1e-12 and d / reach < 1.15
+               and (d / reach > 0.88 or reach - d < min_leftover) for reach in reaches):
+            continue
+        off = 1.0 - d if side > 0 else d
+        # the opposite-side reach must stay inside the cell
+        room = off if side > 0 else 1.0 - off
+        if 0.02 < off < 0.98 and opposite <= room - _SAFE_MARGIN:
+            return off
+    return None
 
 
 def generate_scene(
@@ -225,25 +209,22 @@ def generate_scene(
     cols_avail = np.arange(mx, cam.width - mx)
     rows_avail = np.arange(my, cam.height - my)
 
+    budget = point_count // 2 if layered else point_count
     if harden_for is not None:
+        # cells near the principal point stay empty: radial motions barely
+        # move projections there, and one-frame bounds need every owning
+        # point's span to clear twice the convexity slack
+        rows, cols = _grid_cells(rows_avail, cols_avail, cam, budget, rng,
+                                 _EXCLUDE_CENTER_PX)
         u, v, crosser = _hardened_placement(
-            shape_class, tuple(harden_for), cam, rng, rows_avail, cols_avail,
-            point_count if not layered else point_count // 2, z0, lo,
-            crosser_period, tuple(cross_plan), min_cross_ux, min_cross_leftover,
+            shape_class, tuple(harden_for), cam, rng, rows, cols, cols_avail,
+            z0, lo, crosser_period, tuple(cross_plan), min_cross_ux,
+            min_cross_leftover,
         )
     else:
         band_lo, band_hi = OFFSET_BAND
         if layered:
-            cells = np.stack(
-                np.meshgrid(rows_avail, cols_avail, indexing="ij"), axis=-1
-            ).reshape(-1, 2)
-            budget = max(point_count // 2, 100)
-            if len(cells) > budget:
-                pick = rng.choice(len(cells), size=budget, replace=False)
-                pick.sort()
-                cells = cells[pick]
-            cols = cells[:, 1].astype(np.float64)
-            rows = cells[:, 0].astype(np.float64)
+            rows, cols = _grid_cells(rows_avail, cols_avail, cam, budget, rng)
         else:
             cols = rng.choice(cols_avail, size=point_count, replace=True).astype(float)
             rows = rng.choice(rows_avail, size=point_count, replace=True).astype(float)
@@ -280,48 +261,41 @@ def generate_scene(
     )
 
 
-def _hardened_placement(
-    shape, specs, cam, rng, rows_avail, cols_avail, budget, z0, lo,
-    crosser_period, cross_plan, min_cross_ux, min_leftover,
-):
-    """One point per pixel, offsets chosen from projected drift spans.
-
-    Cells near the principal point are dropped: radial motions barely move
-    projections there, and one-frame bounds need every owning point's span
-    to clear twice the convexity slack.
-    """
+def _grid_cells(rows_avail, cols_avail, cam, budget, rng, exclude_px=0.0):
+    """Row and column (as floats) of the grid cells at least ``exclude_px``
+    (max norm, pixels) from the principal point, subsampled in grid order
+    to ``max(budget, 100)`` cells when there are more."""
     cells = np.stack(
         np.meshgrid(rows_avail, cols_avail, indexing="ij"), axis=-1
     ).reshape(-1, 2)
     centers = cells + 0.5
     dist = np.maximum(np.abs(centers[:, 1] - cam.cx), np.abs(centers[:, 0] - cam.cy))
-    cells = cells[dist >= _EXCLUDE_CENTER_PX]
-    if len(cells) > max(budget, 100):
-        pick = rng.choice(len(cells), size=max(budget, 100), replace=False)
-        pick.sort()
-        cells = cells[pick]
-    rows = cells[:, 0].astype(np.float64)
-    cols = cells[:, 1].astype(np.float64)
+    cells = cells[dist >= exclude_px]
+    budget = max(budget, 100)
+    if len(cells) > budget:
+        cells = cells[np.sort(rng.choice(len(cells), size=budget, replace=False))]
+    return cells[:, 0].astype(np.float64), cells[:, 1].astype(np.float64)
 
+
+def _hardened_placement(
+    shape, specs, cam, rng, rows, cols, cols_avail, z0, lo,
+    crosser_period, cross_plan, min_cross_ux, min_leftover,
+):
+    """One point per cell, offsets chosen from projected drift spans."""
     # provisional center placement to measure drift
     u = cols + 0.5
     v = rows + 0.5
     z = _surface_depth(shape, u, v, cam, z0, lo)
-    spans = _drift_spans(_back_project(u, v, z, cam), specs, cam)
-    au = np.min([s[0] for s in spans], axis=0)
-    bu = np.max([s[1] for s in spans], axis=0)
-    av = np.min([s[2] for s in spans], axis=0)
-    bv = np.max([s[3] for s in spans], axis=0)
+    lo_uv, hi_uv = _drift_spans(_back_project(u, v, z, cam), specs, cam)
+    au, av = lo_uv.min(axis=0).T
+    bu, bv = hi_uv.max(axis=0).T
 
     region_cols = set(int(c) for c in cols_avail)
     # pick crossing candidates up front, spread over the eligible cells;
     # only points with healthy drift under every range may cross, since
     # the crossing splits each span and one-frame margins need the pieces
     # to stay above twice the convexity slack
-    span_floor = np.array([
-        min(max(s[1][i] - s[0][i], s[3][i] - s[2][i]) for s in spans)
-        for i in range(len(u))
-    ])
+    span_floor = (hi_uv - lo_uv).max(axis=2).min(axis=0)
     eligible = np.nonzero(
         (bu - au > 0.02)
         & (span_floor >= _MIN_CROSS_SPAN)
@@ -352,6 +326,9 @@ def _hardened_placement(
                 for k, idx in enumerate(spaced)
             }
 
+    # crossings for points too fast to stay in a cell, mid-range first
+    fallback = [(anchor, t) for t in (0.5, 0.45, 0.55, 0.4, 0.6, 0.35, 0.65, 0.3, 0.7)
+                for anchor in range(len(specs))]
     crosser = np.zeros(len(u), dtype=bool)
     for i in range(len(u)):
         v_new = _place_safe(rows[i], av[i], bv[i], rng)
@@ -361,42 +338,30 @@ def _hardened_placement(
             )
         v[i] = v_new
 
-        per_spec_u = [(s[0][i], s[1][i]) for s in spans]
-        u_new = None
+        per_spec_u = list(zip(lo_uv[:, i, 0], hi_uv[:, i, 0]))
+        off = None
         if i in designated:
             # cross toward the principal point: for radial motions that
             # puts the truncated ownership run at the slow end of the
             # range, where the Lipschitz bound is genuinely conservative
             side = -1 if cols[i] + 0.5 > cam.cx else 1
-            anchor_idx, t0 = designated[i]
             if int(cols[i]) + side in region_cols:
-                for anchor, t in _plan_candidates(anchor_idx, t0, len(per_spec_u)):
-                    off = _crossing_offset(per_spec_u, side, t, anchor, min_leftover)
-                    if off is not None:
-                        u_new = cols[i] + off
-                        crosser[i] = True
-                        break
-        if u_new is None:
+                plan = _plan_candidates(*designated[i], len(specs))
+                off = _crossing_offset(per_spec_u, side, plan, min_leftover)
+        if off is None:
             u_new = _place_safe(cols[i], au[i], bu[i], rng)
-            if u_new is None:
-                # too fast to fit inside one cell: must cross somewhere
-                side = 1 if bu[i] >= -au[i] else -1
-                for t in (0.5, 0.45, 0.55, 0.4, 0.6, 0.35, 0.65, 0.3, 0.7):
-                    for anchor in range(len(per_spec_u)):
-                        off = _crossing_offset(
-                            per_spec_u, side, t, anchor, min_leftover
-                        )
-                        if off is not None:
-                            u_new = cols[i] + off
-                            crosser[i] = True
-                            break
-                    if u_new is not None:
-                        break
-                if u_new is None:
-                    raise InvalidRange(
-                        "horizontal drift exceeds one pixel; shrink the radius"
-                    )
-        u[i] = u_new
+            if u_new is not None:
+                u[i] = u_new
+                continue
+            # too fast to fit inside one cell: must cross somewhere
+            side = 1 if bu[i] >= -au[i] else -1
+            off = _crossing_offset(per_spec_u, side, fallback, min_leftover)
+            if off is None:
+                raise InvalidRange(
+                    "horizontal drift exceeds one pixel; shrink the radius"
+                )
+        u[i] = cols[i] + off
+        crosser[i] = True
     return u, v, crosser
 
 
@@ -410,19 +375,6 @@ def _plan_candidates(anchor_idx, t0, n_specs):
             continue
         for dt in (0.0, -0.05, 0.03):
             yield other, t0 + dt
-
-
-def extract_one_frame(cloud: ColoredPointCloud, cam: CameraModel) -> ColoredPointCloud:
-    """Points recoverable from a single depth frame at the reference pose.
-
-    Keeps, per covered pixel, the z-buffer winner; the result is a subset
-    of the input with at most one point per pixel.
-    """
-    winners = zbuffer_winners(cloud, Axis.TX, 0.0, cam)
-    idx = np.unique(winners[winners >= 0])
-    if idx.size == 0:
-        raise EmptyFrame("reference render covers no pixel")
-    return cloud.subset(idx)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pwscert import (
+    Axis,
     CameraModel,
     ColoredPointCloud,
     builtin_train,
@@ -11,7 +12,7 @@ from pwscert import (
 )
 from pwscert.demo import build_demo_scene, demo_camera, demo_specs
 from pwscert.errors import NonPositiveDepth
-from pwscert.geometry import DEPTH_EPS, MotionValue, PixelPosition, project_points
+from pwscert.geometry import DEPTH_EPS, MotionValue, project_points
 from pwscert.scenes import ShapeClass
 
 
@@ -63,7 +64,26 @@ def project_general(point, rotvec, translation, cam):
         raise NonPositiveDepth(f"depth {depth:.6g} in general projection")
     u = cam.fx * q[0] / depth + cam.cx
     v = cam.fy * q[1] / depth + cam.cy
-    return PixelPosition(u, v), depth
+    return (u, v), depth
+
+
+def drift_spans_loop(points, specs, cam, probes=9):
+    """Reference drift spans: one projection per probe pose, folded into
+    running per-point minima and maxima of the u and v offsets from the
+    pose-zero projection.  One (au, bu, av, bv) tuple per spec."""
+    uv0, _ = project_points(points, Axis.TX, 0.0, cam)
+    spans = []
+    for spec in specs:
+        au, bu, av, bv = (np.zeros(len(points)) for _ in range(4))
+        for alpha in np.linspace(-spec.radius_b, spec.radius_b, probes):
+            uv, depth = project_points(points, spec.axis, float(alpha), cam)
+            assert np.all(depth > 0)
+            du = uv[:, 0] - uv0[:, 0]
+            dv = uv[:, 1] - uv0[:, 1]
+            au, bu = np.minimum(au, du), np.maximum(bu, du)
+            av, bv = np.minimum(av, dv), np.maximum(bv, dv)
+        spans.append((au, bu, av, bv))
+    return spans
 
 
 def lexsort_winners(cloud, axis, value, cam):

@@ -240,6 +240,36 @@ class TestErrorHandling:
         assert res.exit_code == 2
         assert res.output.splitlines() == [f"config_error: {message}"]
 
+    @pytest.mark.parametrize("option, value, message", [
+        ("--focal", "-1", "focal lengths must be positive and finite"),
+        ("--focal", "nan", "focal lengths must be positive and finite"),
+        ("--focal", "inf", "focal lengths must be positive and finite"),
+        ("--grid", "0", "grid size must be positive"),
+        ("--channels", "-1", "per-class and channels must be at least 1, got 1 and -1"),
+        ("--per-class", "0", "per-class and channels must be at least 1, got 0 and 1"),
+        ("--per-class", "-1", "per-class and channels must be at least 1, got -1 and 1"),
+    ])
+    def test_bad_gen_scenes_number_exits_2(self, runner, tmp_path, option, value, message):
+        out = tmp_path / "corpus"
+        args = {"--profile": "random", "--per-class": "1", "--grid": "16", option: value}
+        argv = ["gen-scenes", "--out", str(out)]
+        for key, val in args.items():
+            argv += [key, val]
+        res = runner.invoke(main, argv)
+        assert res.exit_code == 2
+        assert res.output.splitlines() == [f"config_error: {message}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("factor", ["0", "-2"])
+    def test_bad_downsample_exits_2(self, runner, workspace, tmp_path, factor):
+        _, corpus, _ = workspace
+        res = runner.invoke(main, ["train", "--corpus", str(corpus), "--out",
+                                   str(tmp_path / "model.pws"), "--downsample", factor])
+        assert res.exit_code == 2
+        assert res.output.splitlines() == [
+            f"config_error: downsample factor must be at least 1, got {factor}"
+        ]
+
     @pytest.mark.parametrize("command", ["partition", "certify"])
     def test_corpus_without_scenes_exits_1(self, runner, workspace, tmp_path, command):
         _, corpus, model = workspace

@@ -9,11 +9,8 @@ from pwscert import (
     MotionSpec,
     NonPositiveDepth,
     delta_constant,
-    lipschitz_constant,
     lipschitz_constants,
-    project,
     project_points,
-    projection_derivative,
 )
 from pwscert.geometry import (
     MotionValue,
@@ -31,34 +28,26 @@ from conftest import (
 ALL_AXES = list(Axis)
 
 
-def mv(axis, b, value):
-    return MotionValue(MotionSpec(axis, b), value)
-
-
 class TestProject:
     def test_identity_on_axis_point(self, cam):
-        pos, depth = project((0, 0, 2), mv(Axis.TZ, 1.5, 0.0), cam)
-        assert (pos.u, pos.v) == (50.0, 50.0)
-        assert depth == 2.0
+        uv, depth = project_points((0, 0, 2), Axis.TZ, 0.0, cam)
+        assert tuple(uv[0]) == (50.0, 50.0)
+        assert depth[0] == 2.0
 
     def test_tz_closed_form(self, cam):
         # u = fx*X/(Z-tz) + cx = 100*0.1/1 + 50
-        pos, depth = project((0.1, 0, 2), mv(Axis.TZ, 1.5, 1.0), cam)
-        assert pos.u == pytest.approx(60.0, abs=1e-12)
-        assert pos.v == pytest.approx(50.0, abs=1e-12)
-        assert depth == pytest.approx(1.0, abs=1e-15)
-
-    def test_ry_quarter_turn_hits_image_plane(self, cam):
-        with pytest.raises(NonPositiveDepth):
-            project((0, 0, 2), mv(Axis.RY, 2.0, math.pi / 2), cam)
+        uv, depth = project_points((0.1, 0, 2), Axis.TZ, 1.0, cam)
+        assert uv[0, 0] == pytest.approx(60.0, abs=1e-12)
+        assert uv[0, 1] == pytest.approx(50.0, abs=1e-12)
+        assert depth[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_all_axes_agree_at_zero(self, cam):
         p = (0.3, -0.2, 2.5)
-        results = [project(p, mv(axis, 0.5, 0.0), cam) for axis in ALL_AXES]
-        for pos, depth in results[1:]:
-            assert pos.u == results[0][0].u
-            assert pos.v == results[0][0].v
-            assert depth == results[0][1]
+        results = [project_points(p, axis, 0.0, cam) for axis in ALL_AXES]
+        for uv, depth in results[1:]:
+            assert uv[0, 0] == results[0][0][0, 0]
+            assert uv[0, 1] == results[0][0][0, 1]
+            assert depth[0] == results[0][1][0]
 
     def test_matches_general_rodrigues_projection(self, cam):
         rng = np.random.default_rng(7)
@@ -67,12 +56,12 @@ class TestProject:
             for _ in range(40):
                 p = random_visible_points(rng, 1)[0]
                 a = rng.uniform(-b, b)
-                pos, depth = project(p, mv(axis, b, a), cam)
+                uv, depth = project_points(p, axis, a, cam)
                 rot, t = motion_rotation_translation(axis, a)
-                pos2, depth2 = project_general(p, rot, t, cam)
-                assert pos.u == pytest.approx(pos2.u, abs=1e-9)
-                assert pos.v == pytest.approx(pos2.v, abs=1e-9)
-                assert depth == pytest.approx(depth2, abs=1e-12)
+                (u2, v2), depth2 = project_general(p, rot, t, cam)
+                assert uv[0, 0] == pytest.approx(u2, abs=1e-9)
+                assert uv[0, 1] == pytest.approx(v2, abs=1e-9)
+                assert depth[0] == pytest.approx(depth2, abs=1e-12)
 
     def test_per_point_pose_vector(self, cam):
         rng = np.random.default_rng(3)
@@ -87,7 +76,7 @@ class TestProject:
 
 class TestDerivative:
     def test_tz_on_axis(self, cam):
-        du, dv = projection_derivative((0.1, 0, 2), mv(Axis.TZ, 0.5, 0.0), cam)
+        du, dv = projection_derivative_points((0.1, 0, 2), Axis.TZ, 0.0, cam)[0]
         assert du == pytest.approx(2.5, abs=1e-12)  # fx*X/Z^2
         assert dv == pytest.approx(0.0, abs=1e-15)
 
@@ -96,7 +85,7 @@ class TestDerivative:
         for _ in range(20):
             p = random_visible_points(rng, 1)[0]
             a = rng.uniform(-0.2, 0.2)
-            _, dv = projection_derivative(p, mv(Axis.TX, 0.25, a), cam)
+            _, dv = projection_derivative_points(p, Axis.TX, a, cam)[0]
             assert dv == 0.0
 
     @pytest.mark.parametrize("axis", ALL_AXES)
@@ -113,27 +102,23 @@ class TestDerivative:
         scale = np.maximum(np.abs(analytic), 1.0)
         assert np.max(np.abs(analytic - fd) / scale) < 1e-5
 
-    def test_behind_camera_raises(self, cam):
-        with pytest.raises(NonPositiveDepth):
-            projection_derivative((0, 0, 0.1), mv(Axis.TZ, 0.5, 0.4), cam)
-
 
 class TestLipschitz:
     def test_tz_closed_form(self, cam):
         # max(fx|X|, fy|Y|) / (Z-b)^2 = 100*0.1 / 1.5^2
-        val = lipschitz_constant((0.1, 0, 2), MotionSpec(Axis.TZ, 0.5), cam)
+        val = lipschitz_constants((0.1, 0, 2), MotionSpec(Axis.TZ, 0.5), cam)[0]
         assert val == pytest.approx(100 * 0.1 / 1.5**2, rel=1e-12)
 
     def test_tx_is_fx_over_z(self, cam):
         rng = np.random.default_rng(5)
         for _ in range(10):
             p = random_visible_points(rng, 1)[0]
-            val = lipschitz_constant(p, MotionSpec(Axis.TX, 0.5), cam)
+            val = lipschitz_constants(p, MotionSpec(Axis.TX, 0.5), cam)[0]
             assert val == pytest.approx(cam.fx / p[2], rel=1e-12)
 
     def test_ty_is_fy_over_z(self, cam):
         p = (0.4, -0.3, 2.0)
-        val = lipschitz_constant(p, MotionSpec(Axis.TY, 0.7), cam)
+        val = lipschitz_constants(p, MotionSpec(Axis.TY, 0.7), cam)[0]
         assert val == pytest.approx(cam.fy / 2.0, rel=1e-12)
 
     @pytest.mark.parametrize("axis", ALL_AXES)
@@ -163,16 +148,16 @@ class TestLipschitz:
 
     def test_point_leaving_view_raises(self, cam):
         with pytest.raises(NonPositiveDepth):
-            lipschitz_constant((0, 0, 0.3), MotionSpec(Axis.TZ, 0.5), cam)
+            lipschitz_constants((0, 0, 0.3), MotionSpec(Axis.TZ, 0.5), cam)
         with pytest.raises(NonPositiveDepth):
-            lipschitz_constant((0, 0, 1.0), MotionSpec(Axis.RY, 1.8), cam)
+            lipschitz_constants((0, 0, 1.0), MotionSpec(Axis.RY, 1.8), cam)
 
     def test_rz_interior_peak_is_caught(self, cam):
         # the sinusoid |Y cos a - X sin a| peaks inside a wide range; a
         # max over endpoints alone would undershoot sqrt(X^2+Y^2)
         p = (0.5, 0.5, 2.0)
         spec = MotionSpec(Axis.RZ, 1.5)
-        val = lipschitz_constant(p, spec, cam)
+        val = lipschitz_constants(p, spec, cam)[0]
         amp = math.hypot(0.5, 0.5)
         assert val == pytest.approx(cam.fx * amp / 2.0, rel=1e-12)
 
@@ -209,7 +194,7 @@ class TestDeltaConstant:
         from pwscert import check_delta_convexity
         from pwscert.demo import build_probe_scene, demo_specs, probe_camera
         from pwscert.intervals import DeltaConvexity
-        from pwscert.scenes import extract_one_frame
+        from pwscert.rasterizer import extract_one_frame
 
         cam = probe_camera()
         scene = build_probe_scene(0, Axis.TZ)

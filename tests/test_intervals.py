@@ -9,6 +9,7 @@ from pwscert import (
     ColoredPointCloud,
     ConfigError,
     DegenerateInterval,
+    IntervalConfig,
     InvalidDelta,
     MotionSpec,
     NegativeMargin,
@@ -20,6 +21,7 @@ from pwscert import (
     generate_scene,
     lipschitz_delta,
     one_frame_delta,
+    plan_partition,
     render,
 )
 from pwscert.demo import (
@@ -327,7 +329,7 @@ class TestOneFrameDelta:
 
     def test_requires_convexity_prior(self, cam):
         cloud, spec = single_point_scene(cam)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="requires a convexity delta"):
             one_frame_delta(cloud, spec, cam, 1501, None, 1.0)
 
 
@@ -419,3 +421,24 @@ class TestBuildPartition:
         assert len(payload["values_digest"]) == 64
         again = build_partition(0.5, MotionSpec(Axis.RX, 1.0), CertMethod.LIPSCHITZ)
         assert again.to_json() == plan.to_json()
+
+
+class TestPlanPartition:
+    @pytest.mark.parametrize("method", list(CertMethod))
+    def test_equals_bound_then_build_partition(self, demo_cam, method):
+        scene = build_demo_scene(ShapeClass.SPHERE_CAP, 0)
+        spec = demo_specs()[1]
+        cfg = IntervalConfig(resolution=1201, quantile=1.0,
+                             convexity=DeltaConvexity(DEMO_CONVEXITY_DELTA))
+        plan = plan_partition(scene.cloud, spec, demo_cam, method, cfg)
+        if method is CertMethod.EXACT:
+            delta = exact_delta(scene.cloud, spec, demo_cam, 1201, 1.0)
+        elif method is CertMethod.LIPSCHITZ:
+            delta = lipschitz_delta(scene.cloud, spec, demo_cam, 1201, 1.0)
+        else:
+            delta = one_frame_delta(extract_one_frame(scene.cloud, demo_cam), spec,
+                                    demo_cam, 1201, cfg.convexity, 1.0)
+        expect = build_partition(delta, spec, method, 1.0)
+        assert plan.delta_alpha == delta
+        assert plan.to_json() == expect.to_json()
+        np.testing.assert_array_equal(plan.values, expect.values)

@@ -19,7 +19,9 @@ from pwscert import (
 )
 from pwscert.demo import build_demo_scene
 from pwscert.geometry import MotionValue
-from pwscert.scenes import ShapeClass
+from pwscert.scenes import _SWEEP_PROBES, ShapeClass, _drift_spans
+
+from conftest import axis_radius, drift_spans_loop, random_visible_points
 
 
 class TestGenerateScene:
@@ -77,6 +79,23 @@ class TestGenerateScene:
                                  demo_cam, layered=True)
         assert len(layered.cloud) > len(extract_one_frame(layered.cloud, demo_cam))
         assert coverage_fraction(plain.cloud, demo_cam) >= 0.5
+
+
+class TestDriftSpans:
+    @pytest.mark.parametrize("axis", list(Axis))
+    def test_matches_per_probe_loop(self, cam, axis):
+        pts = random_visible_points(np.random.default_rng(17), 300)
+        specs = (MotionSpec(axis, axis_radius(axis)), MotionSpec(Axis.TZ, 0.1))
+        lo, hi = _drift_spans(pts, specs, cam)
+        assert lo.shape == hi.shape == (2, 300, 2)
+        for k, (au, bu, av, bv) in enumerate(drift_spans_loop(pts, specs, cam,
+                                                              _SWEEP_PROBES)):
+            np.testing.assert_array_equal(lo[k], np.column_stack([au, av]))
+            np.testing.assert_array_equal(hi[k], np.column_stack([bu, bv]))
+
+    def test_point_behind_camera_rejected(self, cam):
+        with pytest.raises(InvalidRange, match="too shallow"):
+            _drift_spans(np.array([[0.0, 0.0, 0.1]]), (MotionSpec(Axis.TZ, 0.2),), cam)
 
 
 class TestExtractOneFrame:

@@ -50,7 +50,7 @@ from .smoothing import (
 )
 
 STREAM_ATTACK_REFERENCE = 3
-REPORT_VERSION = 2
+REPORT_VERSION = 3
 
 
 class Verdict(str, enum.Enum):
@@ -80,6 +80,7 @@ class CertificationReport:
     radius_b: float
     sigma: float
     n_partitions: int
+    n_distinct_frames: int  # distinct images among the partition frames
     delta_alpha: float
     max_adjacent_error: float
     min_radius: float
@@ -147,7 +148,8 @@ def _run_tasks(tasks, classifier, cfg, context):
 
 
 def _estimate_distinct(frames, classifier, cfg, context):
-    """One smoothed estimate per frame, tallied once per distinct image.
+    """One smoothed estimate per frame, tallied once per distinct image,
+    and the number of distinct images.
 
     The first occurrence of each image is estimated on the stream
     ``stream_id(context, first_index)``; every repeat reuses that result.
@@ -157,7 +159,7 @@ def _estimate_distinct(frames, classifier, cfg, context):
     tasks = [(i, frames[i]) for i in first.values()]
     results = _run_tasks(tasks, classifier, cfg, context)
     by_index = dict(zip(first.values(), results))
-    return [by_index[i] for i in owners]
+    return [by_index[i] for i in owners], len(tasks)
 
 
 def certify(
@@ -180,7 +182,8 @@ def certify(
     plan = plan_partition(cloud, spec, cam, method, interval_cfg)
     frames = render_sweep(cloud, spec, cam, plan.values, interval_cfg.background)
 
-    estimates = _estimate_distinct(frames, classifier, smoothing_cfg, STREAM_FRAME)
+    estimates, n_distinct = _estimate_distinct(frames, classifier, smoothing_cfg,
+                                               STREAM_FRAME)
 
     max_err = 0.0
     for a, b in zip(frames, frames[1:]):
@@ -217,6 +220,7 @@ def certify(
         radius_b=spec.radius_b,
         sigma=smoothing_cfg.sigma,
         n_partitions=plan.count,
+        n_distinct_frames=n_distinct,
         delta_alpha=plan.delta_alpha,
         max_adjacent_error=max_err,
         min_radius=min_radius,
@@ -261,7 +265,7 @@ def empirical_attack(
         stream=stream_id(STREAM_ATTACK_REFERENCE, 0),
     )
     frames = render_sweep(cloud, spec, cam, values)
-    estimates = _estimate_distinct(frames, classifier, smoothing_cfg, STREAM_ATTACK)
+    estimates, _ = _estimate_distinct(frames, classifier, smoothing_cfg, STREAM_ATTACK)
     labels = [e.top_label for e in estimates]
 
     first_failure = None

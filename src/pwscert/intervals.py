@@ -9,7 +9,11 @@ partition poses may sit apart before a pixel could take a value not seen
 at either pose.
 
 Three spacing bounds are computed from a discretized sweep at a caller
-chosen resolution.  They differ only in the width they give each run:
+chosen resolution.  Ownership changes only where the rasterizer's
+``zbuffer_changes`` z-buffers a pose: under translations that is pose 0
+and the poses where some point changes cell, under rotations every pose,
+so the runs are those of a z-buffer at every pose.  The bounds differ
+only in the width they give each run:
 
 * exact    - the interval widths themselves,
 * lipschitz - projection span across each interval divided by the point's
@@ -49,7 +53,7 @@ from .geometry import (
     project_points,
 )
 from .rasterizer import (ColoredPointCloud, DEFAULT_BACKGROUND, extract_one_frame,
-                         zbuffer_blocks)
+                         zbuffer_changes)
 
 DEFAULT_RESOLUTION = 2001
 DEFAULT_QUANTILE = 0.995
@@ -114,12 +118,9 @@ def _sweep_runs(
     step = float(values[1] - values[0])
     npix = cam.height * cam.width
 
-    frames = (
-        winners
-        for block in zbuffer_blocks(cloud, spec.axis, values, cam)
-        for winners in block
-    )
-    prev = next(frames)
+    # runs change only at the poses zbuffer_changes yields
+    frames = zbuffer_changes(cloud, spec.axis, values, cam)
+    _, prev = next(frames)
     run_start = np.zeros(npix, dtype=np.int64)
     # empty seeds give typed empty arrays when no run ever ends
     no_ints, no_floats = np.empty(0, dtype=np.int64), np.empty(0)
@@ -127,8 +128,8 @@ def _sweep_runs(
     lo_parts, hi_parts = [no_floats], [no_floats]
 
     # an all-empty frame after the last pose closes every open run
-    closing = np.full(npix, -1, dtype=np.int64)
-    for t, cur in enumerate(itertools.chain(frames, [closing]), start=1):
+    closing = (resolution, np.full(npix, -1, dtype=np.int64))
+    for t, cur in itertools.chain(frames, [closing]):
         changed = np.nonzero(cur != prev)[0]
         if changed.size:
             ended = changed[prev[changed] >= 0]

@@ -14,8 +14,13 @@ winner with two unbuffered minimum passes, first over depths, then over
 the indices of the points at the winning depth.  There is no sort and no
 rounding, so the winners are those of ordering each cell's points by
 (depth, index).  ``zbuffer_blocks`` feeds long pose sequences through the
-kernel in blocks of bounded size; every render and ownership sweep goes
-through it.
+kernel in blocks of bounded size.
+
+A sweep (``render_sweep``, and the ownership sweep behind every spacing
+bound) goes through ``zbuffer_changes``: under TX, TY and TZ with sorted
+poses it z-buffers only pose 0 and the poses where some point changes
+cell, and every other pose repeats the winners of the pose before it;
+rotations and unsorted pose lists z-buffer every pose.
 
 Points are pure one-pixel splats: no footprint, no interpolation, no
 anti-aliasing.  File formats: ``PWSI1`` for images (binary) and ``PWSPC1``
@@ -24,6 +29,7 @@ for point clouds (ASCII), documented in ``save_image`` / ``save_cloud``.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -130,6 +136,80 @@ def zbuffer_blocks(cloud: ColoredPointCloud, axis: Axis, values, cam: CameraMode
         yield zbuffer_winners_batch(cloud, axis, values[start : start + size], cam)
 
 
+# Share of the cloud above which a coarse window's movers are not traced
+# pose by pose: so many moving points change some cell at nearly every
+# pose, and tracing them would only add to the z-buffer passes.
+_DENSE_SHARE = 0.125
+
+
+def _cell_codes(points, axis: Axis, values, cam: CameraModel) -> np.ndarray:
+    """(T, N) code of the cell each point lands in at each pose: floor(u)
+    and floor(v), each clamped to one step beyond the grid, or -inf behind
+    the camera.  The kernel's spare cell and pixel follow from the code."""
+    uv, depth = project_points(points, axis, np.reshape(values, (-1, 1)), cam)
+    col = np.clip(np.floor(uv[..., 0]), -1, cam.width)
+    row = np.clip(np.floor(uv[..., 1]), -1, cam.height)
+    return np.where(depth > DEPTH_EPS, row * (cam.width + 2) + col, -np.inf)
+
+
+def _change_poses(cloud: ColoredPointCloud, axis: Axis, values, cam: CameraModel):
+    """Indices of the poses whose winners may differ from the pose before,
+    pose 0 first; every other pose renders the winners of the pose before.
+
+    Under TX, TY and TZ with non-decreasing poses, depth, u and v are each
+    a chain of correctly rounded operations monotone in the pose, so a
+    point's cell code is a monotone step function of it: a point with one
+    code at two poses keeps it at every pose between.  TX and TY depths
+    are the points' z; the TZ depth fl(z - a) keeps the order of two
+    distinct z further apart than 2^-52 max|z - a|, and every pose is
+    z-buffered when some pair is closer.  Codes are taken at about sqrt(T)
+    coarse poses, and only the points whose code differs between a coarse
+    window's ends are traced through the window.  Rotations, unsorted
+    pose lists and lists of fewer than 3 poses select every pose.
+    """
+    count = len(values)
+    every = np.arange(count)
+    if axis.is_rotation or count < 3 or not np.all(values[1:] >= values[:-1]):
+        return every
+    points = cloud.points
+    if axis is Axis.TZ:
+        z = np.unique(points[:, 2])
+        # 2^-51: one more bit covers the rounding of the gaps and the bound
+        reach = 2.0**-51 * (np.max(np.abs(z)) + np.max(np.abs(values)))
+        if z.size > 1 and np.min(np.diff(z)) <= reach:
+            return every
+    keep = np.zeros(count, dtype=bool)
+    keep[0] = True
+    ends = np.unique(np.r_[0 : count : math.isqrt(count - 1) + 1, count - 1])
+    start = _cell_codes(points, axis, values[:1], cam)[0]
+    for lo, hi in zip(ends[:-1], ends[1:]):
+        end = _cell_codes(points, axis, values[hi : hi + 1], cam)[0]
+        movers = np.flatnonzero(start != end)
+        if movers.size > _DENSE_SHARE * len(points):
+            keep[lo + 1 : hi + 1] = True
+        elif movers.size:
+            prev = start[movers]
+            size = max(1, _BLOCK_ENTRIES // movers.size)
+            for first in range(lo + 1, hi + 1, size):
+                rows = _cell_codes(points[movers], axis,
+                                   values[first : min(first + size, hi + 1)], cam)
+                keep[first : first + len(rows)] = np.any(
+                    rows != np.vstack([prev, rows[:-1]]), axis=1)
+                prev = rows[-1]
+        start = end
+    return np.flatnonzero(keep)
+
+
+def zbuffer_changes(cloud: ColoredPointCloud, axis: Axis, values, cam: CameraModel):
+    """Iterator of ``(index, winners)`` for pose 0 of ``values`` and each later
+    pose whose winners may differ from the pose before; every pose not
+    yielded has the winners of the last one yielded before it."""
+    values = np.asarray(values, dtype=np.float64).reshape(-1)
+    poses = _change_poses(cloud, axis, values, cam)
+    blocks = zbuffer_blocks(cloud, axis, values[poses], cam)
+    return zip(poses.tolist(), (winners for block in blocks for winners in block))
+
+
 def zbuffer_winners(
     cloud: ColoredPointCloud, axis: Axis, value: float, cam: CameraModel
 ) -> np.ndarray:
@@ -182,11 +262,12 @@ def render_sweep(
     values = np.asarray(values, dtype=np.float64).reshape(-1)
     for value in values:
         MotionValue(spec, float(value))  # range check
-    return [
-        _paint(cloud, winners, cam, background)
-        for block in zbuffer_blocks(cloud, spec.axis, values, cam)
-        for winners in block
-    ]
+    frames = []
+    for index, winners in zbuffer_changes(cloud, spec.axis, values, cam):
+        frames += [frames[-1].copy() for _ in range(index - len(frames))]
+        frames.append(_paint(cloud, winners, cam, background))
+    frames += [frames[-1].copy() for _ in range(len(values) - len(frames))]
+    return frames
 
 
 def adjacent_frame_error(a: np.ndarray, b: np.ndarray) -> float:

@@ -7,6 +7,7 @@ from pwscert import (
     Axis,
     CameraModel,
     ColoredPointCloud,
+    MotionSpec,
     builtin_train,
     render,
 )
@@ -171,3 +172,56 @@ def two_point_cloud():
         points=np.array([[0.0, 0.0, 2.0], [0.0, 0.0, 1.0]]),
         colors=np.array([[0.9], [0.1]]),
     )
+
+
+def sweep_traps(cam):
+    """Translation sweeps built to trip a z-buffer that skips poses: a list
+    of (name, cloud, spec, resolution), each sampled at
+    ``np.linspace(-b, b, resolution)``.
+
+    Every scene but the last adds a far backdrop of 120 points that barely
+    moves, so the fast movers stay a small share of the cloud.
+    """
+    rng = np.random.default_rng(41)
+    z = rng.uniform(40.0, 50.0, 120)
+    backdrop = np.column_stack([
+        (rng.uniform(0, cam.width, 120) - cam.cx) * z / cam.fx,
+        (rng.uniform(0, cam.height, 120) - cam.cy) * z / cam.fy,
+        z,
+    ])
+
+    def scene(near):
+        points = np.vstack([near, backdrop])
+        colors = np.linspace(0.05, 0.95, len(points))[rng.permutation(len(points))]
+        return ColoredPointCloud(points, colors[:, None])
+
+    traps = []
+    # TX: a point 5 cm away crosses the whole grid (32 px) within one coarse
+    # window of sqrt(T) poses, entering and leaving it off the grid
+    values = np.linspace(-1.0, 1.0, 401)
+    mid = 0.5 * (values[105] + values[126])
+    traps.append(("crosses the grid in one window",
+                  scene([[mid, 0.0, 0.05], [mid + 0.01, 0.02, 0.05]]),
+                  MotionSpec(Axis.TX, 1.0), 401))
+    # TZ: depths that pass through (0, DEPTH_EPS] inside the range, on the
+    # principal ray (at pose 200, where nothing else changes cell) and just
+    # off it (at pose 150), with a far point behind them
+    values = np.linspace(-0.3, 0.3, 301)
+    a = values[200]
+    near = [[0.0, 0.0, a + 0.5 * DEPTH_EPS], [0.0, 0.0, a + 2 * DEPTH_EPS],
+            [1e-3, 0.0, values[150] + 0.5 * DEPTH_EPS], [0.0, 0.0, 10.0]]
+    traps.append(("depth crosses DEPTH_EPS", scene(near), MotionSpec(Axis.TZ, 0.3), 301))
+    # TX and TZ: points at one exact depth meet in shared cells, where the
+    # smaller index wins the tie
+    xs = np.linspace(-0.3, 0.3, 12) * 0.7
+    near = np.column_stack([xs, np.full(12, 0.01), np.ones(12)])
+    traps.append(("equal depths tie on index", scene(near), MotionSpec(Axis.TZ, 0.3), 301))
+    traps.append(("equal depths under TX", scene(near), MotionSpec(Axis.TX, 0.05), 301))
+    # TZ: two depths one ulp apart round to one value at pose -2, so the
+    # owner changes with no point changing cell
+    z1 = 3.0
+    z0 = float(np.nextafter(z1, 4.0))
+    traps.append(("depths inside the rounding bound",
+                  ColoredPointCloud([[0.0, 0.0, z0], [0.0, 0.0, z1]], [[0.2], [0.8]]),
+                  MotionSpec(Axis.TZ, 2.0), 401))
+    return traps

@@ -194,8 +194,9 @@ class TestCertify:
         report = certify(cloud, spec, cam, ConfidentClassifier(), SMOOTH,
                          CertMethod.EXACT, IVCFG)
         payload = report.to_json()
-        assert payload["pws_report_version"] == 2
+        assert payload["pws_report_version"] == 3
         assert payload["verdict"] == "certified"
+        assert payload["n_distinct_frames"] == 1  # the point never leaves its cell
         assert "noise_clamped" not in payload
         assert "frames_rendered" not in payload
         assert "wall_time_s" in payload["timing"]
@@ -275,6 +276,7 @@ class TestSharedTallies:
                               [p.alpha for p in report.per_partition])
         owners = first_indices(frames)
         assert 1 < len(set(owners)) < len(frames)
+        assert report.n_distinct_frames == len(set(owners))
         for i, (owner, entry) in enumerate(zip(owners, report.per_partition)):
             got = entry.to_json()
             got.pop("alpha")

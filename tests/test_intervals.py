@@ -34,7 +34,7 @@ from pwscert.geometry import delta_constant, lipschitz_constants
 from pwscert.intervals import CertMethod, DeltaConvexity, _spans, _sweep_runs
 from pwscert.scenes import ShapeClass
 
-from conftest import axis_radius, lexsort_winners, random_visible_points
+from conftest import axis_radius, lexsort_winners, random_visible_points, sweep_traps
 
 
 def single_point_scene(cam):
@@ -87,6 +87,13 @@ class TestSweepRuns:
             runs = _sweep_runs(cloud, spec, cam, 301)
             got = list(zip(runs.point_index, runs.pixel_flat, runs.lo, runs.hi))
             assert got and got == oracle_sweep_runs(cloud, spec, cam, 301)
+
+    def test_traps_match_per_pose_oracle(self, small_cam):
+        for name, cloud, spec, resolution in sweep_traps(small_cam):
+            runs = _sweep_runs(cloud, spec, small_cam, resolution)
+            got = list(zip(runs.point_index, runs.pixel_flat, runs.lo, runs.hi))
+            want = oracle_sweep_runs(cloud, spec, small_cam, resolution)
+            assert got and got == want, name
 
 
 def oracle_governing_min(pixel_flat, widths, quantile):

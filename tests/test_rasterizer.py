@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -18,15 +19,18 @@ from pwscert import (
     save_cloud,
     save_image,
 )
-from pwscert.geometry import MotionValue
+from pwscert.geometry import DEPTH_EPS, MotionValue
 from pwscert.rasterizer import (
     _BLOCK_ENTRIES,
+    _cell_codes,
+    _change_poses,
     zbuffer_blocks,
+    zbuffer_changes,
     zbuffer_winners,
     zbuffer_winners_batch,
 )
 
-from conftest import axis_radius, lexsort_winners, random_visible_points
+from conftest import axis_radius, lexsort_winners, random_visible_points, sweep_traps
 
 TX1 = MotionSpec(Axis.TX, 1.0)
 
@@ -203,17 +207,131 @@ class TestRenderSweep:
         rng = np.random.default_rng(24)
         cloud = awkward_cloud(rng, 500)
         for axis in Axis:
-            spec = MotionSpec(axis, axis_radius(axis))
-            values = np.linspace(-spec.radius_b, spec.radius_b, 70)  # > one block
-            frames = render_sweep(cloud, spec, small_cam, values, background=0.3)
-            assert len(frames) == len(values)
-            for frame, value in zip(frames, values):
-                direct = render(cloud, MotionValue(spec, float(value)), small_cam, 0.3)
-                assert frame.tobytes() == direct.tobytes()
+            spec = MotionSpec(axis, axis_radius(axis) / 16)
+            ramp = np.linspace(-spec.radius_b, spec.radius_b, 70)  # > one block
+            lists = {"sorted": ramp, "unsorted": rng.permutation(ramp),
+                     "repeated": np.repeat(ramp[::3], 3)}
+            for kind, values in lists.items():
+                frames = render_sweep(cloud, spec, small_cam, values, background=0.3)
+                assert len(frames) == len(values)
+                for frame, value in zip(frames, values):
+                    direct = render(cloud, MotionValue(spec, float(value)),
+                                    small_cam, 0.3)
+                    assert frame.tobytes() == direct.tobytes(), (axis, kind, value)
+                # owners change inside the range, but not at every pose
+                distinct = {f.tobytes() for f in frames}
+                assert 1 < len(distinct) < len(values), (axis, kind)
+            if not axis.is_rotation:  # sorted translation sweeps skip poses
+                assert len(_change_poses(cloud, axis, ramp, small_cam)) < len(ramp)
+
+    def test_repeated_frames_are_separate_arrays(self, cam):
+        # one near point moves 10 px by pose 3; 15 far points stay in their
+        # cells, so the sweep skips poses 1, 2 and 4
+        far = [[10.0 * k + 5.0, 0.0, 1000.0] for k in range(15)]
+        cloud = ColoredPointCloud([[0.005, 0.0, 1.0]] + far, np.full((16, 1), 0.9))
+        values = [0.0, 0.0, 0.0, 0.1, 0.1]
+        assert list(_change_poses(cloud, Axis.TX, np.array(values), cam)) == [0, 3]
+        frames = render_sweep(cloud, TX1, cam, values)
+        assert frames[0].tobytes() != frames[3].tobytes()
+        for a, b in itertools.combinations(frames, 2):
+            assert not np.shares_memory(a, b)
 
     def test_value_outside_range_rejected(self, cam, two_point_cloud):
         with pytest.raises(ValueError):
             render_sweep(two_point_cloud, MotionSpec(Axis.TZ, 0.2), cam, [0.0, 0.3])
+
+
+def per_pose(changes, count):
+    """Winners of every pose from ``zbuffer_changes`` output: each pose
+    takes the winners of the last change at or before it."""
+    rows, last = [], None
+    changes = dict(changes)
+    for t in range(count):
+        last = changes.get(t, last)
+        rows.append(last)
+    return np.array(rows)
+
+
+class TestChangePoses:
+    def test_traps_match_per_pose_kernel(self, small_cam):
+        for name, cloud, spec, resolution in sweep_traps(small_cam):
+            values = np.linspace(-spec.radius_b, spec.radius_b, resolution)
+            want = np.concatenate(list(zbuffer_blocks(cloud, spec.axis, values,
+                                                      small_cam)))
+            got = per_pose(zbuffer_changes(cloud, spec.axis, values, small_cam),
+                           resolution)
+            np.testing.assert_array_equal(got, want, err_msg=name)
+            changed = np.flatnonzero(np.any(want[1:] != want[:-1], axis=1)) + 1
+            assert changed.size, name  # owners do change inside the range
+
+    def test_traps_skip_poses(self, small_cam):
+        traps = sweep_traps(small_cam)[:-1]  # the last forces every pose
+        for name, cloud, spec, resolution in traps:
+            values = np.linspace(-spec.radius_b, spec.radius_b, resolution)
+            assert len(_change_poses(cloud, spec.axis, values, small_cam)) < resolution / 2, name
+
+    def test_grid_crossing_inside_one_coarse_window(self, small_cam):
+        name, cloud, spec, resolution = sweep_traps(small_cam)[0]
+        values = np.linspace(-spec.radius_b, spec.radius_b, resolution)
+        window = math.isqrt(resolution - 1) + 1
+        lo, hi = 5 * window, 6 * window
+        codes = _cell_codes(cloud.points[:1], spec.axis, values[lo : hi + 1], small_cam)[:, 0]
+        cols = (codes + 1) % (small_cam.width + 2) - 1
+        # off the grid on both sides at the window's ends, and on it between
+        assert {cols[0], cols[-1]} == {-1, small_cam.width}
+        owners = per_pose(zbuffer_changes(cloud, spec.axis, values, small_cam),
+                          resolution)
+        shown = np.flatnonzero(np.any(owners == 0, axis=1))
+        assert shown.size and lo < shown.min() and shown.max() < hi
+
+    def test_depth_eps_crossing(self, small_cam):
+        name, cloud, spec, resolution = sweep_traps(small_cam)[1]
+        values = np.linspace(-spec.radius_b, spec.radius_b, resolution)
+        centre = int(small_cam.cy) * small_cam.width + int(small_cam.cx)
+        owners = per_pose(zbuffer_changes(cloud, spec.axis, values, small_cam),
+                          resolution)[:, centre]
+        # point 0 goes behind the camera at pose 200 with depth still above 0
+        assert owners[199] == 0 and owners[200] == 1 and owners[201] == 3
+        assert 0 < cloud.points[0, 2] - values[200] <= DEPTH_EPS
+
+    def test_rounding_bound_forces_every_pose(self, small_cam):
+        name, cloud, spec, resolution = sweep_traps(small_cam)[-1]
+        values = np.linspace(-spec.radius_b, spec.radius_b, resolution)
+        codes = _cell_codes(cloud.points, spec.axis, values, small_cam)
+        centre = int(small_cam.cy) * small_cam.width + int(small_cam.cx)
+        owners = zbuffer_winners_batch(cloud, spec.axis, values, small_cam)[:, centre]
+        # no point changes cell, yet the owner does: where the two depths
+        # round to one value, the smaller index wins the tie
+        assert np.all(codes == codes[0])
+        assert owners[0] == 0 and 1 in owners
+        np.testing.assert_array_equal(
+            _change_poses(cloud, spec.axis, values, small_cam), np.arange(resolution))
+
+    def test_short_and_irregular_lists(self, small_cam):
+        rng = np.random.default_rng(25)
+        for name, cloud, spec, resolution in sweep_traps(small_cam):
+            b = spec.radius_b
+            lists = [[-b, b], [-b, 0.0, b], [b, -b, 0.0], [0.0, 0.0, b],
+                     np.sort(rng.uniform(-b, b, 40))]
+            for values in lists:
+                want = np.concatenate(list(zbuffer_blocks(cloud, spec.axis, values,
+                                                          small_cam)))
+                got = per_pose(zbuffer_changes(cloud, spec.axis, values, small_cam),
+                               len(values))
+                np.testing.assert_array_equal(got, want, err_msg=f"{name} {values}")
+
+    def test_random_translation_clouds(self, small_cam):
+        for seed in range(30):
+            rng = np.random.default_rng(100 + seed)
+            cloud = awkward_cloud(rng, int(rng.integers(8, 300)))
+            axis = (Axis.TX, Axis.TY, Axis.TZ)[seed % 3]
+            b = float(rng.choice([0.01, 0.05, 0.25]))
+            values = np.sort(rng.uniform(-b, b, int(rng.integers(3, 200))))
+            if seed % 2:
+                values = np.repeat(values, 2)
+            want = np.concatenate(list(zbuffer_blocks(cloud, axis, values, small_cam)))
+            got = per_pose(zbuffer_changes(cloud, axis, values, small_cam), len(values))
+            np.testing.assert_array_equal(got, want, err_msg=f"seed {seed}")
 
 
 class TestAdjacentFrameError:

@@ -39,7 +39,8 @@ from .classifier import BaseClassifier
 from .errors import ConfigError
 from .geometry import CameraModel, MotionSpec, MotionValue
 from .intervals import CertMethod, IntervalConfig, plan_partition
-from .rasterizer import ColoredPointCloud, adjacent_frame_error, render, render_sweep
+from .rasterizer import (ColoredPointCloud, DEFAULT_BACKGROUND, adjacent_frame_error,
+                         render, render_sweep)
 from .smoothing import (
     STREAM_ATTACK,
     STREAM_FRAME,
@@ -180,7 +181,7 @@ def certify(
     t0 = time.perf_counter()
     interval_cfg = interval_cfg or IntervalConfig()
     plan = plan_partition(cloud, spec, cam, method, interval_cfg)
-    frames = render_sweep(cloud, spec, cam, plan.values, interval_cfg.background)
+    frames = render_sweep(cloud, spec, cam, plan.values)
 
     estimates, n_distinct = _estimate_distinct(frames, classifier, smoothing_cfg,
                                                STREAM_FRAME)
@@ -229,7 +230,7 @@ def certify(
         per_partition=per_partition,
         quantile=interval_cfg.quantile,
         resolution=interval_cfg.resolution,
-        background=interval_cfg.background,
+        background=DEFAULT_BACKGROUND,
         seed=smoothing_cfg.seed,
         n_samples=smoothing_cfg.n_samples,
         confidence_alpha=smoothing_cfg.confidence_alpha,
@@ -288,13 +289,15 @@ def frame_budget_comparison(report: CertificationReport) -> float:
 
 
 def certified_accuracy(results) -> float:
-    """Fraction of (report, true_label) pairs certified with the right label."""
+    """Fraction of (report, true_label) pairs certified with the right label;
+    a None report (a scene whose certification failed) counts as not
+    certified."""
     results = list(results)
     if not results:
         raise ValueError("empty corpus")
     good = sum(
-        1
+        report is not None and report.verdict is Verdict.CERTIFIED
+        and report.top_label == int(label)
         for report, label in results
-        if report.verdict is Verdict.CERTIFIED and report.top_label == int(label)
     )
     return good / len(results)

@@ -245,7 +245,9 @@ def load_model(path) -> LinearSoftmaxClassifier:
         downsample = int(header["downsample"])
     except (ValueError, KeyError, TypeError) as exc:
         raise FileFormatError(f"not a pws linear model file: {exc!r}") from exc
-    if f < 1 or labels < 1 or len(shape) != 3 or downsample < 1:
+    if (labels < 1 or len(shape) != 3 or min(shape) < 1 or downsample < 1
+            or shape[1] % downsample or shape[2] % downsample
+            or f != shape[0] * (shape[1] // downsample) * (shape[2] // downsample)):
         raise FileFormatError(f"bad model header fields: {header}")
     size = 4 * (f * labels + labels)
     if len(body) != size:

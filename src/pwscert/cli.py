@@ -21,7 +21,8 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .certify import Verdict, certify, empirical_attack, frame_budget_comparison
+from .certify import (certified_accuracy, certify, empirical_attack,
+                      frame_budget_comparison)
 from .classifier import builtin_train, load_model, save_model
 from .demo import build_demo_scene, demo_camera
 from .errors import ConfigError, PwsError
@@ -182,10 +183,9 @@ def main():
 @click.option("--depth", default="1.6:2.4", show_default=True,
               help="LO:HI meters, random profile only")
 @click.option("--focal", default=None, type=float, help="random profile only")
-@click.option("--layered/--no-layered", default=True, show_default=True)
 @click.option("--seed", default=0, show_default=True)
 def cmd_gen_scenes(out, profile, classes, per_class, points, grid, channels, depth,
-                   focal, layered, seed):
+                   focal, seed):
     """Write a synthetic labeled corpus."""
     if not 2 <= classes <= len(ShapeClass):
         raise ConfigError(f"classes must be 2..{len(ShapeClass)}")
@@ -210,7 +210,7 @@ def cmd_gen_scenes(out, profile, classes, per_class, points, grid, channels, dep
 
         def build(cls, color_seed):
             return generate_scene(cls, points, (lo, hi), color_seed, cam,
-                                  channels=channels, layered=layered)
+                                  channels=channels, layered=True)
     scenes = [build(cls, seed * 1000 + rep)
               for cls in list(ShapeClass)[:classes] for rep in range(per_class)]
     save_corpus(out, scenes, cam)
@@ -284,7 +284,7 @@ def cmd_certify(method, resolution, quantile, delta_px, **run):
     scenes, cam, clf, spec, smoothing = _run_setup(**run)
     cfg = _interval_config(resolution, quantile, delta_px)
     t0 = time.perf_counter()
-    samples = {}
+    samples, results = {}, []
     for scene in scenes:
         try:
             report = certify(scene.cloud, spec, cam, clf, smoothing,
@@ -292,27 +292,23 @@ def cmd_certify(method, resolution, quantile, delta_px, **run):
         except ConfigError:
             raise
         except PwsError as err:
+            report = None
             samples[scene.name] = {
                 "error": f"{err.kind}: {err}",
                 "true_label": scene.label,
             }
-            continue
-        _write_report(run["out"] / f"{scene.name}.cert.json", report, scene)
-        samples[scene.name] = {
-            "verdict": report.verdict.value,
-            "top_label": report.top_label,
-            "true_label": scene.label,
-            "n_partitions": report.n_partitions,
-            "ratio_vs_baseline": frame_budget_comparison(report),
-            "min_radius": report.min_radius,
-            "max_adjacent_error": report.max_adjacent_error,
-        }
-    certified_ok = sum(
-        1
-        for s in samples.values()
-        if s.get("verdict") == Verdict.CERTIFIED.value
-        and s.get("top_label") == s.get("true_label")
-    )
+        else:
+            _write_report(run["out"] / f"{scene.name}.cert.json", report, scene)
+            samples[scene.name] = {
+                "verdict": report.verdict.value,
+                "top_label": report.top_label,
+                "true_label": scene.label,
+                "n_partitions": report.n_partitions,
+                "ratio_vs_baseline": frame_budget_comparison(report),
+                "min_radius": report.min_radius,
+                "max_adjacent_error": report.max_adjacent_error,
+            }
+        results.append((report, scene.label))
     summary = {
         "config": {
             "axis": spec.axis.value,
@@ -328,7 +324,7 @@ def cmd_certify(method, resolution, quantile, delta_px, **run):
             "seed": smoothing.seed,
         },
         "samples": samples,
-        "certified_accuracy": certified_ok / len(samples),
+        "certified_accuracy": certified_accuracy(results),
         "timing": {"wall_time_s": time.perf_counter() - t0},
     }
     _write_json(run["out"] / "summary.json", summary)

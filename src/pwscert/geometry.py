@@ -95,16 +95,14 @@ class MotionValue:
     value: float
 
     def __post_init__(self):
-        if abs(self.value) > self.spec.radius_b:
-            raise ValueError(
+        if not abs(self.value) <= self.spec.radius_b:  # NaN fails too
+            raise ConfigError(
                 f"motion value {self.value} outside [-{self.spec.radius_b}, "
                 f"{self.spec.radius_b}]"
             )
 
 
 def _as_points(points) -> np.ndarray:
-    if hasattr(points, "points"):  # accept colored clouds directly
-        points = points.points
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim == 1:
         pts = pts[None, :]
@@ -203,43 +201,23 @@ def projection_derivative_points(points, axis: Axis, value, cam: CameraModel):
     return np.stack([du, dv], axis=1)
 
 
-def _max_abs_sinusoid(a_cos, b_sin, b: float):
-    """max over theta in [-b, b] of |a_cos*cos(theta) + b_sin*sin(theta)|.
-
-    The expression equals amp*cos(theta - phi) with amp = hypot(a, b) and
-    phi = atan2(b, a); |.| attains amp at theta = phi mod pi.  Candidates
-    are the window endpoints plus any such interior peak.
-    """
+def _sinusoid_range(a_cos, b_sin, half: float):
+    """(min, max) over theta in [-half, half] of a_cos*cos(theta) + b_sin*sin(theta),
+    which is amp*cos(theta - phi) with amp = hypot(a, b), phi = atan2(b, a): the
+    max is amp when some phi + 2k*pi lies in the window, the min is -amp when some
+    phi + pi + 2k*pi does, and otherwise each is the matching window end."""
     a_cos = np.asarray(a_cos, dtype=np.float64)
     b_sin = np.asarray(b_sin, dtype=np.float64)
     amp = np.hypot(a_cos, b_sin)
     phi = np.arctan2(b_sin, a_cos)
-    # wrap phi into (-pi/2, pi/2]; peaks of |cos| repeat with period pi
-    peak = phi - np.pi * np.round(phi / np.pi)
-    cb, sb = math.cos(b), math.sin(b)
-    end = np.maximum(
-        np.abs(a_cos * cb + b_sin * sb), np.abs(a_cos * cb - b_sin * sb)
-    )
-    return np.where(np.abs(peak) <= b, amp, end)
 
+    def inside(theta):  # the nearest theta + 2k*pi lies in the window
+        return np.abs(theta - 2.0 * np.pi * np.round(theta / (2.0 * np.pi))) <= half
 
-def _min_depth_window(a_cos, b_sin, b: float):
-    """min over theta in [-b, b] of a_cos*cos(theta) + b_sin*sin(theta).
-
-    Used for rotational depth positivity: the minimum of amp*cos(theta -
-    phi) over the window is -amp when the window reaches an odd multiple
-    of pi away from phi, else the smaller endpoint value.
-    """
-    a_cos = np.asarray(a_cos, dtype=np.float64)
-    b_sin = np.asarray(b_sin, dtype=np.float64)
-    amp = np.hypot(a_cos, b_sin)
-    phi = np.arctan2(b_sin, a_cos)
-    # troughs sit at phi + pi + 2k*pi; wrap the nearest one into [-pi, pi]
-    trough = phi + np.pi
-    trough -= 2.0 * np.pi * np.round(trough / (2.0 * np.pi))
-    cb, sb = math.cos(b), math.sin(b)
-    end = np.minimum(a_cos * cb + b_sin * sb, a_cos * cb - b_sin * sb)
-    return np.where(np.abs(trough) <= b, -amp, end)
+    cb, sb = math.cos(half), math.sin(half)
+    ends = (a_cos * cb + b_sin * sb, a_cos * cb - b_sin * sb)
+    return (np.where(inside(phi + np.pi), -amp, np.minimum(*ends)),
+            np.where(inside(phi), amp, np.maximum(*ends)))
 
 
 def min_depth_over_range(points, spec: MotionSpec, cam: CameraModel):
@@ -253,10 +231,18 @@ def min_depth_over_range(points, spec: MotionSpec, cam: CameraModel):
     if axis is Axis.TZ:
         return z - b
     if axis is Axis.RX:
-        return _min_depth_window(z, -y, b)
+        return _sinusoid_range(z, -y, b)[0]
     if axis is Axis.RY:
-        return _min_depth_window(z, x, b)
+        return _sinusoid_range(z, x, b)[0]
     raise ValueError(f"unknown axis {axis}")  # pragma: no cover
+
+
+def _in_front(points, spec: MotionSpec, cam: CameraModel, message: str):
+    """The (N, 3) points, or NonPositiveDepth(message) if a depth reaches zero."""
+    pts = _as_points(points)
+    if np.any(min_depth_over_range(pts, spec, cam) <= DEPTH_EPS):
+        raise NonPositiveDepth(message)
+    return pts
 
 
 def lipschitz_constants(points, spec: MotionSpec, cam: CameraModel):
@@ -275,13 +261,8 @@ def lipschitz_constants(points, spec: MotionSpec, cam: CameraModel):
       endpoint; the other component's ratio is monotone in alpha, so both
       are extremal at the endpoints.
     """
-    pts = _as_points(points)
-    dmin = min_depth_over_range(pts, spec, cam)
-    if np.any(dmin <= DEPTH_EPS):
-        raise NonPositiveDepth(
-            "point depth reaches zero inside the motion range; "
-            "the sample is not certifiable at this radius"
-        )
+    pts = _in_front(points, spec, cam, "point depth reaches zero inside the motion "
+                    "range; the sample is not certifiable at this radius")
     x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
     b = spec.radius_b
     axis = spec.axis
@@ -293,8 +274,8 @@ def lipschitz_constants(points, spec: MotionSpec, cam: CameraModel):
     if axis is Axis.TZ:
         return np.maximum(cam.fx * np.abs(x), cam.fy * np.abs(y)) / (z - b) ** 2
     if axis is Axis.RZ:
-        m_u = _max_abs_sinusoid(y, -x, b)
-        m_v = _max_abs_sinusoid(x, y, b)
+        m_u = np.max(np.abs(_sinusoid_range(y, -x, b)), axis=0)
+        m_v = np.max(np.abs(_sinusoid_range(x, y, b)), axis=0)
         return np.maximum(cam.fx * m_u, cam.fy * m_v) / z
     if axis in (Axis.RX, Axis.RY):
         best = np.zeros(len(pts))
@@ -317,10 +298,8 @@ def delta_constant(spec: MotionSpec, cam: CameraModel, one_frame_points, delta_p
     """
     if delta_px <= 0:
         raise ValueError("delta must be positive (pixels)")
-    pts = _as_points(one_frame_points)
-    dmin = min_depth_over_range(pts, spec, cam)
-    if np.any(dmin <= DEPTH_EPS):
-        raise NonPositiveDepth("one-frame point behind the camera inside the range")
+    pts = _in_front(one_frame_points, spec, cam,
+                    "one-frame point behind the camera inside the range")
     x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
     b = spec.radius_b
     axis = spec.axis
@@ -331,26 +310,21 @@ def delta_constant(spec: MotionSpec, cam: CameraModel, one_frame_points, delta_p
         return float(delta_px * np.max(1.0 / (z - b)))
     if axis is Axis.RZ:
         return float(max(cam.fx / cam.fy, cam.fy / cam.fx) * delta_px)
-    if axis is Axis.RX:
+    if axis in (Axis.RX, Axis.RY):
+        # RY is RX with passive coordinate y, active coordinate -x and fx, fy
+        # swapped; its curvature term takes min(fx, fy), conservative over both
+        if axis is Axis.RX:
+            p, q, fp, fq, curve = x, y, cam.fx, cam.fy, cam.fy
+        else:
+            p, q, fp, fq, curve = y, -x, cam.fy, cam.fx, min(cam.fx, cam.fy)
         best = 0.0
         for theta in (-b, b):
             c, s = math.cos(theta), math.sin(theta)
-            depth = z * c - y * s
-            num = np.abs(y * c + z * s)
-            t1 = (delta_px / cam.fy) * (cam.fx * np.abs(x) + cam.fy * num) / depth
+            depth = z * c - q * s
+            num = np.abs(q * c + z * s)
+            t1 = (delta_px / fq) * (fp * np.abs(p) + fq * num) / depth
             t2 = 2.0 * delta_px * num / depth
             best = max(best, float(np.max(np.maximum(t1, t2))))
-        return delta_px**2 / cam.fy + best
-    if axis is Axis.RY:
-        best = 0.0
-        for theta in (-b, b):
-            c, s = math.cos(theta), math.sin(theta)
-            depth = x * s + z * c
-            num = np.abs(x * c - z * s)
-            t1 = 2.0 * delta_px * num / depth
-            t2 = (delta_px / cam.fx) * (cam.fy * np.abs(y) + cam.fx * num) / depth
-            best = max(best, float(np.max(np.maximum(t1, t2))))
-        # leading curvature term: conservative over both focal lengths
-        return delta_px**2 / min(cam.fx, cam.fy) + best
+        return delta_px**2 / curve + best
     raise ValueError(f"unknown axis {axis}")  # pragma: no cover
 

@@ -94,7 +94,7 @@ class IntervalConfig:
     resolution: int = DEFAULT_RESOLUTION
     quantile: float = DEFAULT_QUANTILE
     convexity: DeltaConvexity = None
-    background: float = DEFAULT_BACKGROUND
+    background = DEFAULT_BACKGROUND  # not a field: certification always renders on it
 
 
 @dataclass
@@ -106,7 +106,6 @@ class _SweepRuns:
     lo: np.ndarray  # (M,)
     hi: np.ndarray  # (M,)
     step: float
-    width: int
 
 
 def _sweep_runs(
@@ -144,7 +143,7 @@ def _sweep_runs(
     point_index = np.concatenate(pt_parts)
     lo = np.concatenate(lo_parts)
     hi = np.concatenate(hi_parts)
-    return _SweepRuns(point_index, pixel_flat, lo, hi, step, cam.width)
+    return _SweepRuns(point_index, pixel_flat, lo, hi, step)
 
 
 def consistent_intervals(
@@ -166,7 +165,7 @@ def consistent_intervals(
         out.append(
             ConsistentInterval(
                 point_index=int(runs.point_index[i]),
-                pixel=(flat // runs.width, flat % runs.width),
+                pixel=(flat // cam.width, flat % cam.width),
                 lo=float(runs.lo[i]),
                 hi=float(runs.hi[i]),
             )

@@ -237,18 +237,7 @@ def render(
     background=DEFAULT_BACKGROUND,
 ) -> np.ndarray:
     """Render the cloud at one pose into a (K, H, W) float image in [0, 1]."""
-    winners = zbuffer_winners(cloud, motion.spec.axis, motion.value, cam)
-    return _paint(cloud, winners, cam, background)
-
-
-def _paint(cloud, winners, cam, background) -> np.ndarray:
-    k = cloud.channels
-    bg = np.broadcast_to(np.asarray(background, dtype=np.float64).reshape(-1), (k,))
-    image = np.empty((k, cam.height * cam.width), dtype=np.float64)
-    image[:] = bg[:, None]
-    covered = winners >= 0
-    image[:, covered] = cloud.colors[winners[covered]].T
-    return image.reshape(k, cam.height, cam.width)
+    return render_sweep(cloud, motion.spec, cam, [motion.value], background)[0]
 
 
 def render_sweep(
@@ -262,10 +251,16 @@ def render_sweep(
     values = np.asarray(values, dtype=np.float64).reshape(-1)
     for value in values:
         MotionValue(spec, float(value))  # range check
+    k = cloud.channels
+    bg = np.broadcast_to(np.asarray(background, dtype=np.float64).reshape(-1), (k,))
     frames = []
     for index, winners in zbuffer_changes(cloud, spec.axis, values, cam):
         frames += [frames[-1].copy() for _ in range(index - len(frames))]
-        frames.append(_paint(cloud, winners, cam, background))
+        image = np.empty((k, cam.height * cam.width), dtype=np.float64)
+        image[:] = bg[:, None]
+        covered = winners >= 0
+        image[:, covered] = cloud.colors[winners[covered]].T
+        frames.append(image.reshape(k, cam.height, cam.width))
     frames += [frames[-1].copy() for _ in range(len(values) - len(frames))]
     return frames
 

@@ -360,6 +360,14 @@ class TestMetrics:
         pairs = [(good, 1), (good, 1), (good, 0)]  # last has the wrong label
         assert certified_accuracy(pairs) == pytest.approx(2 / 3)
 
+    def test_certified_accuracy_counts_failed_scene(self, cam):
+        cloud, spec = static_scene(cam)
+        good = certify(cloud, spec, cam, ConfidentClassifier(label=1), SMOOTH,
+                       CertMethod.EXACT, IVCFG)
+        # a None report stands for a scene whose certification raised
+        assert certified_accuracy([(good, 1), (None, 1)]) == 0.5
+        assert certified_accuracy([(None, 0)]) == 0.0
+
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
             certified_accuracy([])

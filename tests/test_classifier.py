@@ -1,3 +1,4 @@
+import json
 import sys
 import textwrap
 
@@ -132,8 +133,6 @@ class TestModelFile:
             )
 
     def test_header_is_json_line(self, tmp_path, demo_classifier):
-        import json
-
         path = tmp_path / "model.pws"
         save_model(path, demo_classifier)
         header = json.loads(path.read_bytes().split(b"\n", 1)[0])
@@ -173,6 +172,23 @@ class TestModelFile:
         path = tmp_path / "bad.pws"
         path.write_bytes(header + b"\n" + b"\0" * 32)
         with pytest.raises(FileFormatError):
+            load_model(path)
+
+    @pytest.mark.parametrize("features, labels, shape, downsample", [
+        (73, 2, [1, 24, 24], 4),  # a 36 x 4 body read as 73 x 2
+        (36, 4, [1, 24, 26], 4),  # a width the downsample does not divide
+        (36, 4, [1, 26, 24], 4),
+        (36, 4, [1, -24, -24], 4),  # negative sides pool to 36 features
+        (0, 148, [0, 24, 24], 4),
+    ])
+    def test_header_body_model_mismatch_rejected(self, tmp_path, features, labels,
+                                                 shape, downsample):
+        header = {"downsample": downsample, "features": features,
+                  "format": "pws-linear-1", "image_shape": shape, "labels": labels}
+        path = tmp_path / "bad.pws"
+        # every header above describes 148 floats, the body of a 36 x 4 model
+        path.write_bytes(json.dumps(header).encode() + b"\n" + b"\0" * 592)
+        with pytest.raises(FileFormatError, match="bad model header fields"):
             load_model(path)
 
 
@@ -224,6 +240,17 @@ class TestSubprocessClassifier:
         clf = SubprocessClassifier(["sh", str(script)], label_count=2)
         with pytest.raises(ClassifierError, match=f"printed '{bad}', not a finite score"):
             clf.predict(dataset[0][0])
+
+    @pytest.mark.parametrize("printed, expected", [
+        (("-1", "1"), [0.0, 1.0]),  # shifted up by the smallest score
+        (("0", "0"), [0.5, 0.5]),  # nothing to normalize: uniform
+        (("-2", "-2"), [0.5, 0.5]),
+    ])
+    def test_score_normalization(self, tmp_path, dataset, printed, expected):
+        script = tmp_path / "scorer.sh"
+        script.write_text("".join(f"echo {score}\n" for score in printed))
+        clf = SubprocessClassifier(["sh", str(script)], label_count=2)
+        np.testing.assert_array_equal(clf.predict(dataset[0][0]), expected)
 
     def test_missing_program_is_classifier_error(self, tmp_path, dataset):
         clf = SubprocessClassifier([str(tmp_path / "no-such-scorer")], label_count=2)

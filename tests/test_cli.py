@@ -105,6 +105,19 @@ class TestPartitionAndProject:
         img = load_image(frames[0])
         assert img.shape == (1, 24, 24)
 
+    def test_partition_json_equals_project_plan(self, runner, workspace, tmp_path):
+        _, corpus, _ = workspace
+        options = ["--corpus", str(corpus), "--axis", "ry", "--radius", "0.026rad",
+                   "--method", "one-frame", "--delta", "0.015",
+                   "--resolution", "801", "--quantile", "1.0"]
+        res = runner.invoke(main, ["partition", *options,
+                                   "--json-out", str(tmp_path / "plan.json")])
+        assert res.exit_code == 0, res.output
+        res = runner.invoke(main, ["project", *options, "--out", str(tmp_path / "f")])
+        assert res.exit_code == 0, res.output
+        assert ((tmp_path / "plan.json").read_text()
+                == (tmp_path / "f" / "partition.json").read_text())
+
 
 class TestCertifyAttackReport:
     def test_end_to_end(self, runner, workspace, tmp_path):
@@ -167,6 +180,31 @@ class TestCertifyAttackReport:
                 texts[path.name] = json.dumps(data, sort_keys=True)
             payloads.append(texts)
         assert payloads[0] == payloads[1]
+
+    def test_failed_scenes_recorded_and_skipped_by_report(self, runner, workspace,
+                                                         tmp_path):
+        _, corpus, model = workspace
+        run = tmp_path / "failing"
+        res = runner.invoke(main, [
+            "certify", "--corpus", str(corpus), "--model", str(model),
+            "--axis", "tz", "--radius", "36mm", "--method", "one-frame",
+            "--delta", "0.3", "--n-samples", "200", "--resolution", "801",
+            "--quantile", "1.0", "--out", str(run),
+        ])
+        assert res.exit_code == 0, res.output
+        summary = json.loads((run / "summary.json").read_text())
+        assert len(summary["samples"]) == 3
+        for sample in summary["samples"].values():
+            assert set(sample) == {"error", "true_label"}
+            assert sample["error"].startswith("negative_margin: ")
+        assert summary["certified_accuracy"] == 0.0
+        assert not list(run.glob("*.cert.json"))
+        # a summary whose samples all failed gives report no row
+        res = runner.invoke(main, ["report", "--runs", str(tmp_path),
+                                   "--out", str(tmp_path / "table.csv")])
+        assert res.exit_code == 2
+        assert res.output.splitlines() == [
+            f"config_error: no certify summaries under {tmp_path}"]
 
 
 class TestErrorHandling:
@@ -305,6 +343,24 @@ class TestErrorHandling:
         ])
         assert res.exit_code == 1
         assert "non_positive_depth:" in res.output
+
+    def test_model_header_body_mismatch_exits_1(self, runner, workspace, tmp_path):
+        _, corpus, model = workspace
+        head, body = model.read_bytes().split(b"\n", 1)
+        header = json.loads(head)
+        assert (header["features"], header["labels"]) == (36, 3)
+        # the body's 111 floats also read as 110 features x 1 label, which
+        # a 1 x 24 x 24 image pooled by 4 cannot feed
+        header.update(features=110, labels=1)
+        bad = tmp_path / "bad.pws"
+        bad.write_bytes(json.dumps(header).encode() + b"\n" + body)
+        res = runner.invoke(main, [
+            "certify", "--corpus", str(corpus), "--model", str(bad),
+            "--axis", "tz", "--radius", "36mm", "--out", str(tmp_path / "run"),
+        ])
+        assert res.exit_code == 1
+        [line] = res.output.splitlines()
+        assert line.startswith("file_format: bad model header fields: ")
 
     @pytest.mark.parametrize("missing", ["labels.json", "camera.json", "scene"])
     def test_missing_corpus_file_exits_1(self, runner, workspace, tmp_path, missing):

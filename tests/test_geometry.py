@@ -6,6 +6,8 @@ import pytest
 from pwscert import (
     Axis,
     CameraModel,
+    ColoredPointCloud,
+    ConfigError,
     MotionSpec,
     NonPositiveDepth,
     delta_constant,
@@ -14,9 +16,11 @@ from pwscert import (
 )
 from pwscert.geometry import (
     MotionValue,
+    _sinusoid_range,
     projection_derivative_points,
     min_depth_over_range,
 )
+from pwscert.rasterizer import render_sweep
 
 from conftest import (
     axis_radius,
@@ -172,6 +176,23 @@ class TestLipschitz:
                 assert np.all(d >= dmin - 1e-12)
 
 
+class TestSinusoidRange:
+    @pytest.mark.parametrize("half", [0.01, 0.5, 1.6, 2.5, 3.1])
+    def test_brackets_and_attains_sampled_extremes(self, half):
+        rng = np.random.default_rng(int(half * 100))
+        a = np.r_[rng.normal(0, 1, 300), 0.0, 1.0, -1.0, 0.0]
+        b = np.r_[rng.normal(0, 1, 300), 1.0, 0.0, 0.0, -2.0]
+        theta = np.linspace(-half, half, 20001)
+        wave = a[:, None] * np.cos(theta) + b[:, None] * np.sin(theta)
+        lo, hi = _sinusoid_range(a, b, half)
+        # the sampled extremes miss the true ones by at most amp * step^2 / 8
+        slack = np.hypot(a, b) * (theta[1] - theta[0]) ** 2 / 8 + 1e-12
+        assert np.all(lo <= wave.min(axis=1) + 1e-12)
+        assert np.all(hi >= wave.max(axis=1) - 1e-12)
+        assert np.all(lo >= wave.min(axis=1) - slack)
+        assert np.all(hi <= wave.max(axis=1) + slack)
+
+
 class TestDeltaConstant:
     def test_translations_are_zero(self, cam):
         pts = [(0.3, 0.1, 2.0), (-0.4, 0.2, 2.5)]
@@ -226,6 +247,15 @@ class TestValidation:
         spec = MotionSpec(Axis.TX, 0.1)
         with pytest.raises(ValueError):
             MotionValue(spec, 0.2)
+
+    def test_nan_pose_rejected(self):
+        spec = MotionSpec(Axis.TX, 0.1)
+        with pytest.raises(ConfigError, match="outside"):
+            MotionValue(spec, math.nan)
+        cloud = ColoredPointCloud([[0.0, 0.0, 1.0]], [[0.7]])
+        cam = CameraModel(fx=4.0, fy=4.0, cx=2.0, cy=2.0, width=4, height=4)
+        with pytest.raises(ConfigError):
+            render_sweep(cloud, spec, cam, [0.0, math.nan])
 
     def test_radius_must_be_positive(self):
         with pytest.raises(ValueError):

@@ -224,6 +224,12 @@ class TestExactDelta:
         with pytest.raises(DegenerateInterval):
             exact_delta(cloud, spec, cam, resolution=3, quantile=1.0)
 
+    def test_cloud_never_on_the_grid_raises(self, cam):
+        # far to the right of the view at every pose of the range
+        cloud = ColoredPointCloud([[10.0, 0.0, 1.0]], [[0.5]])
+        with pytest.raises(DegenerateInterval, match="no pixel is ever covered"):
+            exact_delta(cloud, MotionSpec(Axis.TX, 0.1), cam, 101, quantile=1.0)
+
     def test_refinement_stability(self, demo_cam):
         scene = build_demo_scene(ShapeClass.SPHERE_CAP, 1)
         spec = demo_specs()[0]

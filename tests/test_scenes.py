@@ -3,6 +3,7 @@ import pytest
 
 from pwscert import (
     Axis,
+    CameraModel,
     ColoredPointCloud,
     EmptyFrame,
     FileFormatError,
@@ -79,6 +80,18 @@ class TestGenerateScene:
                                  demo_cam, layered=True)
         assert len(layered.cloud) > len(extract_one_frame(layered.cloud, demo_cam))
         assert coverage_fraction(plain.cloud, demo_cam) >= 0.5
+
+    def test_layered_random_scene_subsamples_grid_cells(self):
+        # 64 px with an 8 % margin leaves 54 x 54 = 2,916 cells; a layered
+        # scene of 5,000 points has a budget of 2,500 of them
+        cam = CameraModel(fx=64.0, fy=64.0, cx=32.0, cy=32.0, width=64, height=64)
+        scenes = [generate_scene(ShapeClass.SPHERE_CAP, 5000, (1.6, 2.4), 3, cam,
+                                 channels=1, layered=True) for _ in range(2)]
+        np.testing.assert_array_equal(scenes[0].cloud.points, scenes[1].cloud.points)
+        np.testing.assert_array_equal(scenes[0].cloud.colors, scenes[1].cloud.colors)
+        cloud = scenes[0].cloud
+        assert len(cloud) == 5000  # 2,500 front points and their back copies
+        assert len(extract_one_frame(cloud, cam)) == 2500
 
 
 class TestDriftSpans:

@@ -1,0 +1,152 @@
+"""Digests of every CLI output file and of the geometry bounds.
+
+Run it once per checkout, each time with that checkout's ``src`` on the
+path, and diff the two listings; a change that must leave the program's
+outputs alone leaves them equal:
+
+    PYTHONPATH=src python tools/output_digests.py WORKDIR > digests.txt
+
+The CLI part runs, inside the empty directory WORKDIR: a 4 x 2 demo
+corpus and its model; certify with all three methods on TZ 36 mm and
+RY 0.026 rad (quantile 1.0, delta 0.015 px) plus ``partition --json-out``
+for each; ``project``; a 300-pose attack; a 32 px random-profile corpus
+certified at quantile 0.995 and 1.0; a one-frame run at delta 0.3 px in
+which every scene fails; and ``report``.  Every file is listed with its
+SHA-256; JSON files are hashed with their ``timing`` entries dropped, and
+each command's exit status, stdout and stderr are kept as files too.
+
+The geometry part hashes, bit for bit, ``min_depth_over_range``,
+``lipschitz_constants`` and ``delta_constant`` (or the exception each
+raises) on 1,500 seeded random 400-point clouds for all six axes, with
+fx != fy, radii 0.001-0.3 and delta 0.01, 0.5 and 2 px, plus the RZ rate
+and RX/RY depth floor at radii up to 2 rad.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+import pwscert as pc
+from pwscert.geometry import delta_constant, min_depth_over_range
+
+DEMO_RUNS = [(axis, radius, method)
+             for axis, radius in (("tz", "36mm"), ("ry", "0.026rad"))
+             for method in ("exact", "lipschitz", "one-frame")]
+
+
+def _pws(workdir: Path, log: str, *args) -> None:
+    proc = subprocess.run([sys.executable, "-m", "pwscert.cli", *args], cwd=workdir,
+                          capture_output=True, text=True)
+    (workdir / "logs").mkdir(exist_ok=True)
+    (workdir / "logs" / f"{log}.txt").write_text(
+        f"exit {proc.returncode}\n--- stdout\n{proc.stdout}--- stderr\n{proc.stderr}")
+
+
+def run_cli(workdir: Path) -> None:
+    _pws(workdir, "gen-demo", "gen-scenes", "--out", "demo", "--classes", "4",
+         "--per-class", "2", "--seed", "0")
+    _pws(workdir, "train-demo", "train", "--corpus", "demo", "--out", "demo.pws")
+    for axis, radius, method in DEMO_RUNS:
+        spacing = ["--axis", axis, "--radius", radius, "--method", method,
+                   "--quantile", "1.0"]
+        if method == "one-frame":
+            spacing += ["--delta", "0.015"]
+        name = f"{axis}-{method}"
+        _pws(workdir, f"certify-{name}", "certify", "--corpus", "demo",
+             "--model", "demo.pws", "--n-samples", "4000", "--out", f"runs/{name}",
+             *spacing)
+        _pws(workdir, f"partition-{name}", "partition", "--corpus", "demo",
+             "--json-out", f"partitions/{name}.json", *spacing)
+    _pws(workdir, "project", "project", "--corpus", "demo", "--axis", "tz",
+         "--radius", "36mm", "--quantile", "1.0", "--out", "frames")
+    _pws(workdir, "attack", "attack", "--corpus", "demo", "--model", "demo.pws",
+         "--axis", "tz", "--radius", "36mm", "--poses", "300", "--n-samples", "4000",
+         "--out", "attack")
+    _pws(workdir, "gen-wild", "gen-scenes", "--out", "wild", "--profile", "random",
+         "--classes", "2", "--per-class", "2", "--points", "1500", "--grid", "32")
+    _pws(workdir, "train-wild", "train", "--corpus", "wild", "--out", "wild.pws")
+    for q in ("0.995", "1.0"):
+        _pws(workdir, f"certify-wild-{q}", "certify", "--corpus", "wild",
+             "--model", "wild.pws", "--axis", "tz", "--radius", "20mm",
+             "--quantile", q, "--n-samples", "2000", "--out", f"runs/wild-{q}")
+    _pws(workdir, "certify-failing", "certify", "--corpus", "demo", "--model",
+         "demo.pws", "--axis", "tz", "--radius", "36mm", "--method", "one-frame",
+         "--delta", "0.3", "--quantile", "1.0", "--out", "runs/failing")
+    _pws(workdir, "report", "report", "--runs", "runs", "--out", "table.csv")
+
+
+def _drop_timing(obj):
+    if isinstance(obj, dict):
+        return {k: _drop_timing(v) for k, v in obj.items() if k != "timing"}
+    if isinstance(obj, list):
+        return [_drop_timing(v) for v in obj]
+    return obj
+
+
+def file_digests(workdir: Path):
+    for path in sorted(p for p in workdir.rglob("*") if p.is_file()):
+        data = path.read_bytes()
+        if path.suffix == ".json":
+            data = json.dumps(_drop_timing(json.loads(data)), sort_keys=True).encode()
+        yield f"{path.relative_to(workdir)} {hashlib.sha256(data).hexdigest()}"
+
+
+def _outcome(fn):
+    try:
+        return np.asarray(fn(), dtype=np.float64).tobytes()
+    except pc.PwsError as err:
+        return f"{type(err).__name__}: {err}".encode()
+
+
+def geometry_digests():
+    rng = np.random.default_rng(20261018)
+    hashes = {}
+
+    def feed(key, fn):
+        hashes.setdefault(key, hashlib.sha256()).update(_outcome(fn))
+
+    for index in range(1500):
+        fx, fy = rng.uniform(5, 80, 2)
+        cam = pc.CameraModel(fx=fx, fy=fy, cx=12.0, cy=12.0, width=24, height=24)
+        pts = rng.uniform(-1, 1, (400, 3)) * rng.uniform(0.05, 2.0)
+        pts[:, 2] = rng.uniform(0.3, 3.0, 400)
+        if index % 5 == 0:  # some points near or behind the camera
+            pts[:, 2] -= rng.uniform(0.0, 1.0)
+        for axis in pc.Axis:
+            spec = pc.MotionSpec(axis, float(rng.uniform(0.001, 0.3)))
+            feed(("min_depth", axis), lambda: min_depth_over_range(pts, spec, cam))
+            feed(("lipschitz", axis), lambda: pc.lipschitz_constants(pts, spec, cam))
+            for delta in (0.01, 0.5, 2.0):
+                feed(("delta_constant", axis),
+                     lambda: delta_constant(spec, cam, pts, delta))
+    for _ in range(2000):  # wide windows: the sinusoid extremes
+        cam = pc.CameraModel(fx=30.0, fy=20.0, cx=12.0, cy=12.0, width=24, height=24)
+        pts = rng.normal(0, 1, (500, 3))
+        pts[:, 2] = np.abs(pts[:, 2]) + 0.01
+        radius = float(rng.uniform(0.01, 2.0))
+        feed("rz_rate", lambda: pc.lipschitz_constants(
+            pts, pc.MotionSpec(pc.Axis.RZ, radius), cam))
+        for axis in (pc.Axis.RX, pc.Axis.RY):
+            feed(("floor", axis), lambda: min_depth_over_range(
+                pts, pc.MotionSpec(axis, radius), cam))
+    for key, digest in hashes.items():
+        name = key if isinstance(key, str) else f"{key[0]} {key[1].value}"
+        yield f"geometry {name} {digest.hexdigest()}"
+
+
+def main(argv) -> None:
+    workdir = Path(argv[1])
+    workdir.mkdir(parents=True, exist_ok=False)
+    run_cli(workdir)
+    for line in [*file_digests(workdir), *geometry_digests()]:
+        print(line)
+
+
+if __name__ == "__main__":
+    main(sys.argv)

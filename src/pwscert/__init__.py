@@ -13,13 +13,11 @@ from .certify import (
 from .classifier import (
     BaseClassifier,
     LinearSoftmaxClassifier,
-    SubprocessClassifier,
     builtin_train,
     load_model,
     save_model,
 )
 from .errors import (
-    ClassifierError,
     ConfigError,
     DegenerateDataset,
     DegenerateInterval,

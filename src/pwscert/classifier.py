@@ -9,26 +9,21 @@ here:
   linear, it also exposes its exact pixel-to-logit matrix, which the
   smoothing module uses to push Gaussian pixel noise forward in closed
   form.
-* ``SubprocessClassifier`` - adapter for external models: the image is
-  handed over as a PWSI1 file path and the process prints one score per
-  line.
+
+An external model plugs in by implementing ``BaseClassifier.predict_batch``
+in process.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import subprocess
-import tempfile
-from pathlib import Path
 
 import numpy as np
 from numpy.random import Generator, Philox
 from scipy.optimize import minimize
 
-from .errors import (ClassifierError, ConfigError, DegenerateDataset, FileFormatError,
-                     ShapeMismatch)
-from .rasterizer import save_image
+from .errors import ConfigError, DegenerateDataset, FileFormatError, ShapeMismatch
 
 DEFAULT_DOWNSAMPLE = 4
 _KEY_MASK = (1 << 128) - 1
@@ -257,55 +252,3 @@ def load_model(path) -> LinearSoftmaxClassifier:
         params[: f * labels].reshape(f, labels), params[f * labels :], shape, downsample
     )
 
-
-class SubprocessClassifier(BaseClassifier):
-    """External model invoked per image: ``command <pwsi-file>``.
-
-    The process must print one score per label, newline separated; scores
-    are renormalized to sum to one.  A program that cannot be started,
-    exits with a non-zero status or prints a score that is not a finite
-    number raises ``ClassifierError``.
-    """
-
-    def __init__(self, command, label_count: int):
-        self._command = list(command)
-        self._labels = int(label_count)
-
-    @property
-    def label_count(self) -> int:
-        return self._labels
-
-    def predict(self, image: np.ndarray) -> np.ndarray:
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "frame.pwsi"
-            save_image(path, image)
-            try:
-                proc = subprocess.run(self._command + [str(path)], capture_output=True,
-                                      text=True)
-            except OSError as exc:  # missing or non-executable program
-                raise ClassifierError(f"cannot run {self._command[0]!r}: {exc}") from exc
-        if proc.returncode != 0:
-            first = (proc.stderr.strip().splitlines() or ["no output on stderr"])[0]
-            raise ClassifierError(
-                f"{self._command[0]!r} exited with status {proc.returncode}: {first}"
-            )
-        scores = []
-        for line in proc.stdout.split():
-            try:
-                scores.append(float(line))
-            except ValueError:
-                scores.append(np.nan)
-            if not np.isfinite(scores[-1]):
-                raise ClassifierError(
-                    f"{self._command[0]!r} printed {line!r}, not a finite score")
-        scores = np.array(scores)
-        if scores.size != self._labels:
-            raise ShapeMismatch(
-                f"scorer returned {scores.size} values, expected {self._labels}"
-            )
-        if np.any(scores < 0):
-            scores = scores - scores.min()
-        total = scores.sum()
-        if total <= 0:
-            return np.full(self._labels, 1.0 / self._labels)
-        return scores / total

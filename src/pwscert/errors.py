@@ -87,9 +87,3 @@ class MissingFile(PwsError, FileNotFoundError):
     """A file that an input directory must hold is not there."""
 
     kind = "missing_file"
-
-
-class ClassifierError(PwsError):
-    """An external classifier could not be run or exited with a failure."""
-
-    kind = "classifier_error"

@@ -11,8 +11,10 @@ at either pose.
 Three spacing bounds are computed from a discretized sweep at a caller
 chosen resolution.  Ownership changes only where the rasterizer's
 ``zbuffer_changes`` z-buffers a pose: under translations that is pose 0
-and the poses where some point changes cell, under rotations every pose,
-so the runs are those of a z-buffer at every pose.  The bounds differ
+and the poses where some point changes cell, under rotations pose 0 and
+each pose at the horizon of the last one (38-68 of 2001 poses on the
+seed-0 demo scenes at RY 0.026 rad), so the runs are those of a z-buffer
+at every pose.  The bounds differ
 only in the width they give each run:
 
 * exact    - the interval widths themselves,

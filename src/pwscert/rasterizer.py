@@ -17,10 +17,16 @@ rounding, so the winners are those of ordering each cell's points by
 kernel in blocks of bounded size.
 
 A sweep (``render_sweep``, and the ownership sweep behind every spacing
-bound) goes through ``zbuffer_changes``: under TX, TY and TZ with sorted
-poses it z-buffers only pose 0 and the poses where some point changes
-cell, and every other pose repeats the winners of the pose before it;
-rotations and unsorted pose lists z-buffer every pose.
+bound) goes through ``zbuffer_changes``, which z-buffers pose 0 and only
+the later poses where a winner may change; every other pose repeats the
+winners of the pose before it.  Under TX, TY and TZ with sorted poses
+those are the poses where some point changes cell (124-234 of 2,001 on
+the 64 px wild-certify scenes at TZ 20 mm).  Under RX, RY and RZ with
+sorted poses, each pose z-buffered bounds how far the pose may move
+before a point can reach a cell border or pass its cell's winner, and
+the sweep skips to the first pose beyond (38-68 of 2,001 on the seed-0
+demo scenes at RY 0.026 rad, where 4-7 poses change a winner).
+Unsorted pose lists z-buffer every pose.
 
 Points are pure one-pixel splats: no footprint, no interpolation, no
 anti-aliasing.  File formats: ``PWSI1`` for images (binary) and ``PWSPC1``
@@ -42,6 +48,8 @@ from .geometry import (
     DEPTH_EPS,
     MotionSpec,
     MotionValue,
+    lipschitz_constants,
+    min_depth_over_range,
     project_points,
 )
 
@@ -89,11 +97,11 @@ class ColoredPointCloud:
 _BLOCK_ENTRIES = 1 << 14
 
 
-def zbuffer_winners_batch(
-    cloud: ColoredPointCloud, axis: Axis, values, cam: CameraModel
-) -> np.ndarray:
-    """(T, H*W) array of winning point indices per pose and pixel, -1 where
-    empty, for the T poses in ``values``."""
+def _zbuffer(cloud: ColoredPointCloud, axis: Axis, values, cam: CameraModel):
+    """The z-buffer kernel with the projection it rests on: ``(uv, depth,
+    cell, winners)`` for the T poses in ``values``, where ``cell`` (T, N) is
+    each point's flat pixel, or H*W (the spare cell) for a point off the
+    grid or behind the camera."""
     values = np.asarray(values, dtype=np.float64).reshape(-1, 1)
     poses, n = len(values), len(cloud)
     npix = cam.height * cam.width
@@ -115,15 +123,23 @@ def zbuffer_winners_batch(
     )
     # pose t owns slots t*(npix+1) .. t*(npix+1) + npix
     slot = (cell + np.arange(poses)[:, None] * (npix + 1)).ravel()
-    depth = depth.ravel()
+    flat = depth.ravel()
     nearest = np.full(poses * (npix + 1), np.inf)
-    np.minimum.at(nearest, slot, depth)
-    front = np.flatnonzero(depth == nearest[slot])
+    np.minimum.at(nearest, slot, flat)
+    front = np.flatnonzero(flat == nearest[slot])
     winners = np.full(poses * (npix + 1), n, dtype=np.int64)
     np.minimum.at(winners, slot[front], front % n)
     winners = winners.reshape(poses, npix + 1)[:, :npix]
     winners[winners == n] = -1
-    return winners
+    return uv, depth, cell, winners
+
+
+def zbuffer_winners_batch(
+    cloud: ColoredPointCloud, axis: Axis, values, cam: CameraModel
+) -> np.ndarray:
+    """(T, H*W) array of winning point indices per pose and pixel, -1 where
+    empty, for the T poses in ``values``."""
+    return _zbuffer(cloud, axis, values, cam)[3]
 
 
 def zbuffer_blocks(cloud: ColoredPointCloud, axis: Axis, values, cam: CameraModel):
@@ -153,31 +169,30 @@ def _cell_codes(points, axis: Axis, values, cam: CameraModel) -> np.ndarray:
 
 
 def _change_poses(cloud: ColoredPointCloud, axis: Axis, values, cam: CameraModel):
-    """Indices of the poses whose winners may differ from the pose before,
-    pose 0 first; every other pose renders the winners of the pose before.
+    """Indices of the poses of a sorted TX, TY or TZ sweep of at least 3
+    poses whose winners may differ from the pose before, pose 0 first;
+    every other pose renders the winners of the pose before.  (Rotations
+    have no such monotone codes and go through ``_horizon_changes``.)
 
-    Under TX, TY and TZ with non-decreasing poses, depth, u and v are each
-    a chain of correctly rounded operations monotone in the pose, so a
-    point's cell code is a monotone step function of it: a point with one
-    code at two poses keeps it at every pose between.  TX and TY depths
-    are the points' z; the TZ depth fl(z - a) keeps the order of two
-    distinct z further apart than 2^-52 max|z - a|, and every pose is
-    z-buffered when some pair is closer.  Codes are taken at about sqrt(T)
-    coarse poses, and only the points whose code differs between a coarse
-    window's ends are traced through the window.  Rotations, unsorted
-    pose lists and lists of fewer than 3 poses select every pose.
+    Depth, u and v are each a chain of correctly rounded operations
+    monotone in the pose, so a point's cell code is a monotone step
+    function of it: a point with one code at two poses keeps it at every
+    pose between.  TX and TY depths are the points' z; the TZ depth
+    fl(z - a) keeps the order of two distinct z further apart than
+    2^-52 max|z - a|, and every pose is z-buffered when some pair is
+    closer.  Codes are taken at about sqrt(T) coarse poses, and only the
+    points whose code differs between a coarse window's ends are traced
+    through the window.  On the four 64 px wild-certify scenes this keeps
+    124-234 of 2,001 TZ poses.
     """
     count = len(values)
-    every = np.arange(count)
-    if axis.is_rotation or count < 3 or not np.all(values[1:] >= values[:-1]):
-        return every
     points = cloud.points
     if axis is Axis.TZ:
         z = np.unique(points[:, 2])
         # 2^-51: one more bit covers the rounding of the gaps and the bound
         reach = 2.0**-51 * (np.max(np.abs(z)) + np.max(np.abs(values)))
         if z.size > 1 and np.min(np.diff(z)) <= reach:
-            return every
+            return np.arange(count)
     keep = np.zeros(count, dtype=bool)
     keep[0] = True
     ends = np.unique(np.r_[0 : count : math.isqrt(count - 1) + 1, count - 1])
@@ -200,12 +215,119 @@ def _change_poses(cloud: ColoredPointCloud, axis: Axis, values, cam: CameraModel
     return np.flatnonzero(keep)
 
 
+# Rounding pad of the horizon rule, relative to the magnitudes involved:
+# 2^9 units of rounding (2^-53).  With A = |x| + |y| + |z|, D the depth, f
+# the focal length and c the principal point, project_points computes a
+# rotation's depth to within 8 units of A, and its u (likewise v) to
+# within 16 units of A (f + |u - c|) / D + |u| + c: one cos and one sin,
+# which numpy keeps within a few ulp, then a dozen correctly rounded
+# operations.  The pads below take 2^9 units of magnitudes that bound
+# these errors at both poses compared and the rounding of the horizon
+# arithmetic, several times over.
+_PAD = 2.0**-44
+
+# The coordinates whose differences bound how fast two points' depths
+# drift apart: depth = x sin a + z cos a under RY and z cos a - y sin a
+# under RX, so the rate is at most hypot(dx, dz), resp. hypot(dy, dz).
+# RZ keeps each depth at z exactly, so no depth order ever changes.
+_DEPTH_PAIR = {Axis.RX: [1, 2], Axis.RY: [0, 2], Axis.RZ: None}
+
+
+def _border_distance(coord, size: int):
+    """Distance from each coordinate to the nearest integer border at which
+    its cell code, floor(coord) clamped to [-1, size], changes."""
+    low = np.floor(coord)
+    return np.minimum(np.abs(coord - np.clip(low, 0, size)),
+                      np.abs(np.clip(low + 1, 0, size) - coord))
+
+
+def _horizon_changes(cloud: ColoredPointCloud, axis: Axis, values, cam: CameraModel):
+    """``zbuffer_changes`` for a sorted rotation sweep of at least 3 poses,
+    or None where the rule does not apply and every pose is z-buffered:
+    some depth comes within DEPTH_EPS plus the pad of zero on [-b, b],
+    b = max(|values[0]|, |values[-1]|).
+
+    The last pose k z-buffered sets a horizon H, the smallest of
+    * each point's distance to the border that changes its cell code,
+      less the pad, over its Lipschitz rate on [-b, b];
+    * for each point in a cell another point wins, its depth gap to the
+      winner, less the pad, over the rate at which the two depths drift
+      apart; a rate of 0 means bit-identical depths, whose order never
+      changes.
+    No point changes cell and no winner loses its place while the pose
+    moves less than H, so every pose j with values[j] - values[k] < H
+    repeats pose k's winners, and the next pose z-buffered is the first
+    beyond.  Where H keeps falling short of the next pose, the poses ahead
+    are z-buffered in blocks that double up to ``zbuffer_blocks``' size,
+    so dense sweeps cost little more than z-buffering every pose.
+    """
+    b = max(abs(values[0]), abs(values[-1]))
+    if not 0 < b < math.inf:
+        return None
+    spec = MotionSpec(axis, b)
+    points = cloud.points
+    extent = np.sum(np.abs(points), axis=1)
+    floor = min_depth_over_range(points, spec, cam)
+    if np.any(floor <= DEPTH_EPS + _PAD * extent):
+        return None
+    rate = lipschitz_constants(points, spec, cam)
+    pad_px = _PAD * (1 + extent / floor)
+    span_px = max(cam.fx, cam.fy) + cam.width + cam.height
+    pair = _DEPTH_PAIR[axis]
+    index = np.arange(len(points))
+    most = max(1, _BLOCK_ENTRIES // max(len(points), cam.height * cam.width))
+
+    def horizon(uv, depth, cell, winners):
+        u, v = uv[:, 0], uv[:, 1]
+        margin = (np.minimum(_border_distance(u, cam.width),
+                             _border_distance(v, cam.height))
+                  - pad_px * (span_px + np.abs(u) + np.abs(v)))
+        reach = np.divide(margin, rate, out=np.full(len(points), np.inf),
+                          where=rate > 0).min()
+        if pair is not None:
+            owner = np.append(winners, -1)[cell]
+            rival = np.flatnonzero((owner >= 0) & (owner != index))
+            won = owner[rival]
+            gap = depth[rival] - depth[won] - _PAD * (extent[rival] + extent[won])
+            drift = np.hypot(*(points[rival][:, pair] - points[won][:, pair]).T)
+            reach = np.minimum(reach, np.divide(
+                gap, drift, out=np.full(len(rival), np.inf), where=drift > 0
+            ).min(initial=np.inf))
+        return reach
+
+    def sweep():
+        k, ahead = 0, 1
+        while k < len(values):
+            uv, depth, cell, winners = _zbuffer(cloud, axis, values[k : k + ahead], cam)
+            yield from zip(range(k, k + len(winners)), winners)
+            k += len(winners) - 1
+            with np.errstate(over="ignore"):  # an infinite reach is sound
+                reach = horizon(uv[-1], depth[-1], cell[-1], winners[-1])
+            # NaN, from a coordinate that overflowed, keeps the next pose
+            skip = 0 if np.isnan(reach) else int(
+                np.searchsorted(values[k + 1 :] - values[k], reach))
+            ahead = 1 if skip >= ahead else min(2 * ahead, most)
+            k += 1 + skip
+
+    return sweep()
+
+
 def zbuffer_changes(cloud: ColoredPointCloud, axis: Axis, values, cam: CameraModel):
     """Iterator of ``(index, winners)`` for pose 0 of ``values`` and each later
     pose whose winners may differ from the pose before; every pose not
-    yielded has the winners of the last one yielded before it."""
+    yielded has the winners of the last one yielded before it.
+
+    Sorted sweeps of at least 3 poses skip poses: translations by
+    ``_change_poses``, rotations by ``_horizon_changes``.  Every other
+    list z-buffers every pose.
+    """
     values = np.asarray(values, dtype=np.float64).reshape(-1)
-    poses = _change_poses(cloud, axis, values, cam)
+    poses = np.arange(len(values))
+    if len(values) >= 3 and np.all(values[1:] >= values[:-1]):
+        if not axis.is_rotation:
+            poses = _change_poses(cloud, axis, values, cam)
+        elif (changes := _horizon_changes(cloud, axis, values, cam)) is not None:
+            return changes
     blocks = zbuffer_blocks(cloud, axis, values[poses], cam)
     return zip(poses.tolist(), (winners for block in blocks for winners in block))
 

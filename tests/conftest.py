@@ -111,6 +111,25 @@ def lexsort_winners(cloud, axis, value, cam):
     return winners
 
 
+def oracle_sweep_runs(cloud, spec, cam, resolution):
+    """Per-pose reference sweep: (point, pixel, lo, hi) of every ownership
+    run, closed runs in sweep order, then the runs open at the last pose."""
+    values = np.linspace(-spec.radius_b, spec.radius_b, resolution)
+    prev = lexsort_winners(cloud, spec.axis, float(values[0]), cam)
+    start = np.zeros(len(prev), dtype=np.int64)
+    runs = []
+    for t in range(1, resolution):
+        cur = lexsort_winners(cloud, spec.axis, float(values[t]), cam)
+        for px in np.nonzero(cur != prev)[0]:
+            if prev[px] >= 0:
+                runs.append((prev[px], px, values[start[px]], values[t - 1]))
+            start[px] = t
+        prev = cur
+    for px in np.nonzero(prev >= 0)[0]:
+        runs.append((prev[px], px, values[start[px]], values[-1]))
+    return runs
+
+
 def dense_logit_map(clf):
     """Reference pixel-to-logit matrix of a LinearSoftmaxClassifier: the
     weights times a dense (features x pixels) mean-pooling matrix."""
@@ -140,6 +159,13 @@ def cam():
 @pytest.fixture(scope="session")
 def small_cam():
     return CameraModel(fx=16.0, fy=16.0, cx=8.0, cy=8.0, width=16, height=16)
+
+
+@pytest.fixture(scope="session")
+def trap_cam():
+    """A 16 px grid whose principal point sits mid-cell, so a point at the
+    extreme of a rotation's sinusoidal coordinate is not on a border."""
+    return CameraModel(fx=16.0, fy=14.0, cx=7.5, cy=7.5, width=16, height=16)
 
 
 @pytest.fixture(scope="session")
@@ -224,4 +250,100 @@ def sweep_traps(cam):
     traps.append(("depths inside the rounding bound",
                   ColoredPointCloud([[0.0, 0.0, z0], [0.0, 0.0, z1]], [[0.2], [0.8]]),
                   MotionSpec(Axis.TZ, 2.0), 401))
+    return traps
+
+
+def _nudged(point, coord, holds, steps=10_000):
+    """``point`` with ``point[coord]`` moved the fewest ulps, up or down,
+    that make ``holds(point)`` true."""
+    up, down = list(point), list(point)
+    for _ in range(steps):
+        for trial, way in ((up, np.inf), (down, -np.inf)):
+            if holds(trial):
+                return trial
+            trial[coord] = float(np.nextafter(trial[coord], way))
+    raise AssertionError(f"no value of coordinate {coord} within {steps} ulps")
+
+
+def rotation_traps(cam):
+    """Rotation sweeps built to trip a z-buffer that skips poses: a list of
+    (name, cloud, spec, resolution), each sampled at
+    ``np.linspace(-b, b, resolution)`` with b = 0.3 rad, 301 poses.
+
+    Built for a camera whose principal point sits mid-cell (``trap_cam``):
+    where a sinusoidal coordinate peaks, the other one is at the principal
+    point.
+    """
+    resolution = 301
+    values = np.linspace(-0.3, 0.3, resolution)
+    step = float(values[1] - values[0])
+    # a peak this far past a border stays beyond it for |a - peak| < 1.5 steps
+    poke = 1.0 + (1.5 * step) ** 2 / 2
+
+    def cloud(points):
+        return ColoredPointCloud(points, np.linspace(0.1, 0.9, len(points))[:, None])
+
+    def ry_pair(swap, z=2.0, shift_px=0.1):
+        """Under RY, a point on the principal ray and one ``shift_px``
+        pixels to its right, sharing its cell near pose ``swap``, whose
+        depths cross between poses ``swap`` and ``swap + 1``."""
+        a = values[swap] + 0.3 * step
+        beta = shift_px / cam.fx
+        rho = z * math.cos(a) / math.cos(beta - a)
+        return [[0.0, 0.0, z], [rho * math.sin(beta), 0.0, rho * math.cos(beta)]]
+
+    traps = []
+    # RZ: v = fy rho cos(a - peak) / z pokes past a row border for the 3
+    # poses around pose 120, and comes back
+    peak = values[120]
+    rho = (math.floor(cam.cy) + 4 - cam.cy) * poke / cam.fy
+    traps.append(("RZ v crosses a border and returns",
+                  cloud([[-rho * math.sin(peak), rho * math.cos(peak), 1.0]]),
+                  MotionSpec(Axis.RZ, 0.3), resolution))
+    # RX: u = cx + fx x / depth dips below a column border for the 3 poses
+    # around pose 180, where the depth peaks, and comes back
+    peak = values[180]
+    x = (math.floor(cam.cx) + 3 - cam.cx) * (2.0 - poke) / cam.fx
+    traps.append(("RX u crosses a border and returns",
+                  cloud([[x, -math.sin(peak), math.cos(peak)]]),
+                  MotionSpec(Axis.RX, 0.3), resolution))
+    traps.append(("RY depth swap in a shared cell", cloud(ry_pair(150)),
+                  MotionSpec(Axis.RY, 0.3), resolution))
+    # RY: points 0 and 1 share x and z, so their depths are equal at every
+    # pose and point 0 wins their cell until point 2 passes in front
+    (x0, _, z0), (x2, _, z2) = ry_pair(160)
+    traps.append(("RY bit-identical (x, z) tie on index",
+                  cloud([[x0, 0.002, z0], [x0, 0.001, z0], [x2, 0.0, z2]]),
+                  MotionSpec(Axis.RY, 0.3), resolution))
+    # RY: two depths one ulp apart round to one value at some poses, where
+    # the farther point 0 wins on index, and stay apart at others
+    z1 = 3.0
+    traps.append(("RY depths one ulp apart",
+                  cloud([[0.0, 0.0, float(np.nextafter(z1, 4.0))], [0.0, 0.0, z1]]),
+                  MotionSpec(Axis.RY, 0.3), resolution))
+
+    # RY: u is exactly a column border at pose 100
+    def u_at(point, pose):
+        uv, _ = project_points(np.array([point]), Axis.RY, values[pose], cam)
+        return uv[0, 0]
+
+    border = math.floor(cam.cx) + 3
+    guess = [2.0 * math.tan(values[100] + math.atan((border - cam.cx) / cam.fx)),
+             0.0, 2.0]
+    on_border = _nudged(guess, 0, lambda p: u_at(p, 100) == border)
+    traps.append(("RY point on a border at a sweep pose",
+                  cloud([on_border, [0.0, 0.0, 3.0]]), MotionSpec(Axis.RY, 0.3),
+                  resolution))
+
+    # RX: a point whose depth z cos a - y sin a passes through (0, DEPTH_EPS]
+    # at pose 200, next to the returning point of the RX trap above
+    def depth_at(point, pose):
+        return project_points(np.array([point]), Axis.RX, values[pose], cam)[1][0]
+
+    a = values[200]
+    guess = [0.0, math.cos(a) / math.sin(a), 1.0]
+    grazing = _nudged(guess, 1, lambda p: 0 < depth_at(p, 200) <= DEPTH_EPS)
+    traps.append(("RX depth passes through (0, DEPTH_EPS]",
+                  cloud([traps[1][1].points[0], grazing]),
+                  MotionSpec(Axis.RX, 0.3), resolution))
     return traps

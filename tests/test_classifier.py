@@ -1,17 +1,13 @@
 import json
-import sys
-import textwrap
 
 import numpy as np
 import pytest
 
 from pwscert import (
-    ClassifierError,
     DegenerateDataset,
     FileFormatError,
     LinearSoftmaxClassifier,
     ShapeMismatch,
-    SubprocessClassifier,
     builtin_train,
     load_model,
     render,
@@ -190,69 +186,3 @@ class TestModelFile:
         path.write_bytes(json.dumps(header).encode() + b"\n" + b"\0" * 592)
         with pytest.raises(FileFormatError, match="bad model header fields"):
             load_model(path)
-
-
-SCORER = textwrap.dedent(
-    """
-    import sys
-    import numpy as np
-    from pwscert.rasterizer import load_image
-
-    img = load_image(sys.argv[1])
-    bright = float(img.mean())
-    print(1.0 - bright)
-    print(bright)
-    """
-)
-
-
-class TestSubprocessClassifier:
-    def test_external_scorer(self, tmp_path, dataset):
-        script = tmp_path / "scorer.py"
-        script.write_text(SCORER)
-        clf = SubprocessClassifier([sys.executable, str(script)], label_count=2)
-        bright_img = dataset[0][0]  # billboard scenes are bright
-        scores = clf.predict(bright_img)
-        assert scores.shape == (2,)
-        assert scores.sum() == pytest.approx(1.0, abs=1e-9)
-        assert scores[1] > scores[0]
-        assert clf.logit_map() is None
-
-    def test_wrong_score_count(self, tmp_path, dataset):
-        script = tmp_path / "bad.py"
-        script.write_text("print(0.5)")
-        clf = SubprocessClassifier([sys.executable, str(script)], label_count=3)
-        with pytest.raises(ShapeMismatch):
-            clf.predict(dataset[0][0])
-
-    def test_nonzero_exit_is_classifier_error(self, dataset):
-        code = "import sys; sys.stderr.write('model broke\\nsecond line\\n'); sys.exit(3)"
-        clf = SubprocessClassifier([sys.executable, "-c", code], label_count=2)
-        with pytest.raises(ClassifierError) as info:
-            clf.predict(dataset[0][0])
-        assert str(info.value).endswith("exited with status 3: model broke")
-        assert info.value.kind == "classifier_error"
-
-    @pytest.mark.parametrize("bad", ["nan", "abc"])
-    def test_non_finite_score_is_classifier_error(self, tmp_path, dataset, bad):
-        script = tmp_path / "scorer.sh"
-        script.write_text(f"echo 0.4\necho {bad}\n")
-        clf = SubprocessClassifier(["sh", str(script)], label_count=2)
-        with pytest.raises(ClassifierError, match=f"printed '{bad}', not a finite score"):
-            clf.predict(dataset[0][0])
-
-    @pytest.mark.parametrize("printed, expected", [
-        (("-1", "1"), [0.0, 1.0]),  # shifted up by the smallest score
-        (("0", "0"), [0.5, 0.5]),  # nothing to normalize: uniform
-        (("-2", "-2"), [0.5, 0.5]),
-    ])
-    def test_score_normalization(self, tmp_path, dataset, printed, expected):
-        script = tmp_path / "scorer.sh"
-        script.write_text("".join(f"echo {score}\n" for score in printed))
-        clf = SubprocessClassifier(["sh", str(script)], label_count=2)
-        np.testing.assert_array_equal(clf.predict(dataset[0][0]), expected)
-
-    def test_missing_program_is_classifier_error(self, tmp_path, dataset):
-        clf = SubprocessClassifier([str(tmp_path / "no-such-scorer")], label_count=2)
-        with pytest.raises(ClassifierError, match="cannot run"):
-            clf.predict(dataset[0][0])

@@ -34,7 +34,8 @@ from pwscert.geometry import delta_constant, lipschitz_constants
 from pwscert.intervals import CertMethod, DeltaConvexity, _spans, _sweep_runs
 from pwscert.scenes import ShapeClass
 
-from conftest import axis_radius, lexsort_winners, random_visible_points, sweep_traps
+from conftest import (axis_radius, oracle_sweep_runs,
+                      random_visible_points, sweep_traps)
 
 
 def single_point_scene(cam):
@@ -52,25 +53,6 @@ def single_point_scene(cam):
     x = (u0 - cam.cx) * z / cam.fx
     cloud = ColoredPointCloud(np.array([[x, 0.0, z]]), np.array([[0.9]]))
     return cloud, MotionSpec(Axis.TX, b)
-
-
-def oracle_sweep_runs(cloud, spec, cam, resolution):
-    """Per-pose reference sweep: (point, pixel, lo, hi) of every ownership
-    run, closed runs in sweep order, then the runs open at the last pose."""
-    values = np.linspace(-spec.radius_b, spec.radius_b, resolution)
-    prev = lexsort_winners(cloud, spec.axis, float(values[0]), cam)
-    start = np.zeros(len(prev), dtype=np.int64)
-    runs = []
-    for t in range(1, resolution):
-        cur = lexsort_winners(cloud, spec.axis, float(values[t]), cam)
-        for px in np.nonzero(cur != prev)[0]:
-            if prev[px] >= 0:
-                runs.append((prev[px], px, values[start[px]], values[t - 1]))
-            start[px] = t
-        prev = cur
-    for px in np.nonzero(prev >= 0)[0]:
-        runs.append((prev[px], px, values[start[px]], values[-1]))
-    return runs
 
 
 class TestSweepRuns:

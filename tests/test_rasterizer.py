@@ -19,18 +19,24 @@ from pwscert import (
     save_cloud,
     save_image,
 )
-from pwscert.geometry import DEPTH_EPS, MotionValue
+from pwscert import rasterizer
+from pwscert.demo import build_demo_scene, demo_specs
+from pwscert.geometry import DEPTH_EPS, MotionValue, project_points
+from pwscert.intervals import _sweep_runs
 from pwscert.rasterizer import (
     _BLOCK_ENTRIES,
     _cell_codes,
     _change_poses,
+    _horizon_changes,
     zbuffer_blocks,
     zbuffer_changes,
     zbuffer_winners,
     zbuffer_winners_batch,
 )
+from pwscert.scenes import ShapeClass
 
-from conftest import axis_radius, lexsort_winners, random_visible_points, sweep_traps
+from conftest import (axis_radius, lexsort_winners, oracle_sweep_runs,
+                      random_visible_points, rotation_traps, sweep_traps)
 
 TX1 = MotionSpec(Axis.TX, 1.0)
 
@@ -332,6 +338,110 @@ class TestChangePoses:
             want = np.concatenate(list(zbuffer_blocks(cloud, axis, values, small_cam)))
             got = per_pose(zbuffer_changes(cloud, axis, values, small_cam), len(values))
             np.testing.assert_array_equal(got, want, err_msg=f"seed {seed}")
+
+    def test_rotation_traps_are_what_they_say(self, trap_cam):
+        traps = {name: (cloud, spec, res)
+                 for name, cloud, spec, res in rotation_traps(trap_cam)}
+
+        def project(name):
+            cloud, spec, res = traps[name]
+            values = np.linspace(-spec.radius_b, spec.radius_b, res)
+            uv, depth = project_points(cloud.points, spec.axis, values[:, None], trap_cam)
+            cells = _cell_codes(cloud.points, spec.axis, values, trap_cam)
+            owners = zbuffer_winners_batch(cloud, spec.axis, values, trap_cam)
+            return uv, depth, cells, owners
+
+        uv, _, _, _ = project("RZ v crosses a border and returns")
+        rows = np.floor(uv[117:124, 0, 1])
+        assert rows[0] == rows[1] == rows[-1] and set(rows[2:5]) == {rows[0] + 1}
+        uv, _, _, _ = project("RX u crosses a border and returns")
+        cols = np.floor(uv[177:184, 0, 0])
+        assert cols[0] == cols[1] == cols[-1] and set(cols[2:5]) == {cols[0] - 1}
+        for name, swap in (("RY depth swap in a shared cell", 150),
+                           ("RY bit-identical (x, z) tie on index", 160)):
+            _, depth, cells, owners = project(name)
+            before, after = np.argmin(depth[swap : swap + 2], axis=1)
+            assert before != after  # the nearest point changes, in one cell
+            assert len({*cells[swap : swap + 2, [before, after]].ravel()}) == 1
+            assert set(owners[swap]) != set(owners[swap + 1])
+        _, depth, cells, owners = project("RY bit-identical (x, z) tie on index")
+        assert np.array_equal(depth[:, 0], depth[:, 1])
+        assert np.array_equal(cells[:, 0], cells[:, 1]) and 1 not in owners
+        _, depth, _, _ = project("RY depths one ulp apart")
+        tied = depth[:, 0] == depth[:, 1]
+        assert tied.any() and not tied.all()
+        uv, _, _, _ = project("RY point on a border at a sweep pose")
+        assert uv[100, 0, 0] == math.floor(trap_cam.cx) + 3
+        name = "RX depth passes through (0, DEPTH_EPS]"
+        _, depth, _, _ = project(name)
+        cloud, spec, res = traps[name]
+        assert 0 < depth[200, 1] <= DEPTH_EPS
+        assert _horizon_changes(cloud, spec.axis, np.linspace(-0.3, 0.3, res),
+                                trap_cam) is None
+
+    def test_rotation_traps_match_per_pose_kernel(self, trap_cam):
+        for name, cloud, spec, resolution in rotation_traps(trap_cam):
+            values = np.linspace(-spec.radius_b, spec.radius_b, resolution)
+            for axis in (Axis.RX, Axis.RY, Axis.RZ):
+                want = np.concatenate(list(zbuffer_blocks(cloud, axis, values, trap_cam)))
+                changes = list(zbuffer_changes(cloud, axis, values, trap_cam))
+                got = per_pose(changes, resolution)
+                np.testing.assert_array_equal(got, want, err_msg=f"{name} {axis}")
+                if axis is spec.axis:
+                    assert np.any(want[1:] != want[:-1]), name
+                if name.startswith("RY depth swap") and axis is Axis.RY:
+                    assert len(changes) < resolution  # some poses are skipped
+
+    def test_rotation_traps_sweep_runs_match_oracle(self, trap_cam):
+        for name, cloud, spec, resolution in rotation_traps(trap_cam):
+            runs = _sweep_runs(cloud, spec, trap_cam, resolution)
+            got = list(zip(runs.point_index, runs.pixel_flat, runs.lo, runs.hi))
+            assert got == oracle_sweep_runs(cloud, spec, trap_cam, resolution), name
+
+    def test_random_rotation_clouds(self, small_cam):
+        skipped = 0
+        for seed in range(30):
+            rng = np.random.default_rng(300 + seed)
+            n = int(rng.integers(8, 300))
+            pts = random_visible_points(rng, n)
+            pts[: n // 8] = pts[n // 8 : 2 * (n // 8)]  # duplicates: ties on every axis
+            group = slice(2 * (n // 8), 3 * (n // 8))
+            pts[group, 1:] = pts[3 * (n // 8), 1:]  # one (y, z): RX depth ties
+            group = slice(3 * (n // 8), 4 * (n // 8))
+            pts[group, ::2] = pts[4 * (n // 8), ::2]  # one (x, z): RY depth ties
+            pts[4 * (n // 8) : 5 * (n // 8), 0] += 3.0  # right of the grid
+            if seed % 5 == 0:
+                pts[-1, 2] *= -1.0  # behind the camera: every pose
+            cloud = ColoredPointCloud(pts[rng.permutation(n)], rng.uniform(0, 1, (n, 2)))
+            axis = (Axis.RX, Axis.RY, Axis.RZ)[seed % 3]
+            b = float(rng.choice([0.01, 0.05, 0.12]))
+            values = np.sort(rng.uniform(-b, b, int(rng.integers(3, 200))))
+            if seed % 4 == 1:
+                values = np.repeat(values, 2)
+            elif seed % 4 == 2:
+                values = rng.permutation(values)
+            want = np.concatenate(list(zbuffer_blocks(cloud, axis, values, small_cam)))
+            changes = list(zbuffer_changes(cloud, axis, values, small_cam))
+            np.testing.assert_array_equal(per_pose(changes, len(values)), want,
+                                          err_msg=f"seed {seed}")
+            skipped += len(changes) < len(values)
+        assert skipped >= 8  # the horizon rule, not only its fall-backs
+
+    def test_demo_ry_sweeps_zbuffer_few_poses(self, demo_cam, monkeypatch):
+        # every z-buffered pose, in or out of a block, goes through the kernel
+        kernel, poses = rasterizer._zbuffer, []
+
+        def counting(cloud, axis, values, cam):
+            poses.append(np.size(values))
+            return kernel(cloud, axis, values, cam)
+
+        monkeypatch.setattr(rasterizer, "_zbuffer", counting)
+        spec = demo_specs()[1]
+        assert spec == MotionSpec(Axis.RY, 0.026)
+        for shape in ShapeClass:
+            poses.clear()
+            _sweep_runs(build_demo_scene(shape, 0).cloud, spec, demo_cam, 2001)
+            assert 0 < sum(poses) <= 100, (shape, sum(poses))  # not all 2,001
 
 
 class TestAdjacentFrameError:

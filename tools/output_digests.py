@@ -1,4 +1,5 @@
-"""Digests of every CLI output file and of the geometry bounds.
+"""Digests of every CLI output file, of the ownership sweeps and of the
+geometry bounds.
 
 Run it once per checkout, each time with that checkout's ``src`` on the
 path, and diff the two listings; a change that must leave the program's
@@ -9,11 +10,22 @@ outputs alone leaves them equal:
 The CLI part runs, inside the empty directory WORKDIR: a 4 x 2 demo
 corpus and its model; certify with all three methods on TZ 36 mm and
 RY 0.026 rad (quantile 1.0, delta 0.015 px) plus ``partition --json-out``
-for each; ``project``; a 300-pose attack; a 32 px random-profile corpus
-certified at quantile 0.995 and 1.0; a one-frame run at delta 0.3 px in
-which every scene fails; and ``report``.  Every file is listed with its
+for each; ``project`` on TZ 36 mm and on RY 0.026 rad; a 300-pose
+attack; a 32 px random-profile corpus certified at quantile 0.995 and
+1.0; a one-frame run at delta 0.3 px in which every scene fails; and
+``report``.  Every file is listed with its
 SHA-256; JSON files are hashed with their ``timing`` entries dropped, and
 each command's exit status, stdout and stderr are kept as files too.
+
+The sweep part hashes, bit for bit, the ``_sweep_runs`` arrays (2,001
+poses) and the ``render_sweep`` frames (2,001 sorted poses, plus a sorted
+list of 300 random poses with repeats and the same list shuffled) of the
+8 demo scenes on all six axes (36 mm, 0.026 rad), and of 20 seeded random
+24-392-point clouds on RX, RY and RZ at radii 0.01-0.2 rad, with
+duplicates, one shared depth, pairs that swap depth order inside the
+range and points off the grid, every fifth with a point behind the camera.
+Together with ``pws project --axis ry`` above, they cover every path of
+``zbuffer_changes`` under rotation.
 
 The geometry part hashes, bit for bit, ``min_depth_over_range``,
 ``lipschitz_constants`` and ``delta_constant`` (or the exception each
@@ -26,6 +38,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -33,7 +46,9 @@ from pathlib import Path
 import numpy as np
 
 import pwscert as pc
+from pwscert.demo import build_demo_scene, demo_camera
 from pwscert.geometry import delta_constant, min_depth_over_range
+from pwscert.intervals import _sweep_runs
 
 DEMO_RUNS = [(axis, radius, method)
              for axis, radius in (("tz", "36mm"), ("ry", "0.026rad"))
@@ -41,8 +56,10 @@ DEMO_RUNS = [(axis, radius, method)
 
 
 def _pws(workdir: Path, log: str, *args) -> None:
+    # the commands run the pwscert this script imported, whatever the cwd
+    env = {**os.environ, "PYTHONPATH": str(Path(pc.__file__).resolve().parents[1])}
     proc = subprocess.run([sys.executable, "-m", "pwscert.cli", *args], cwd=workdir,
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     (workdir / "logs").mkdir(exist_ok=True)
     (workdir / "logs" / f"{log}.txt").write_text(
         f"exit {proc.returncode}\n--- stdout\n{proc.stdout}--- stderr\n{proc.stderr}")
@@ -65,6 +82,8 @@ def run_cli(workdir: Path) -> None:
              "--json-out", f"partitions/{name}.json", *spacing)
     _pws(workdir, "project", "project", "--corpus", "demo", "--axis", "tz",
          "--radius", "36mm", "--quantile", "1.0", "--out", "frames")
+    _pws(workdir, "project-ry", "project", "--corpus", "demo", "--axis", "ry",
+         "--radius", "0.026rad", "--quantile", "1.0", "--out", "frames-ry")
     _pws(workdir, "attack", "attack", "--corpus", "demo", "--model", "demo.pws",
          "--axis", "tz", "--radius", "36mm", "--poses", "300", "--n-samples", "4000",
          "--out", "attack")
@@ -140,11 +159,62 @@ def geometry_digests():
         yield f"geometry {name} {digest.hexdigest()}"
 
 
+def sweep_digests():
+    hashes = {}
+
+    def feed(key, cloud, spec, cam, lists):
+        digest = hashes.setdefault(key, hashlib.sha256())
+        runs = _sweep_runs(cloud, spec, cam, 2001)
+        for array in (runs.point_index, runs.pixel_flat, runs.lo, runs.hi):
+            digest.update(array.tobytes())
+        for poses in lists:
+            for frame in pc.render_sweep(cloud, spec, cam, poses):
+                digest.update(frame.tobytes())
+
+    def pose_lists(rng, b):
+        ramp = np.linspace(-b, b, 2001)
+        ragged = np.repeat(np.sort(rng.uniform(-b, b, 100)), 3)
+        return ramp, ragged, rng.permutation(ragged)
+
+    rng = np.random.default_rng(20261019)
+    cam = demo_camera()
+    for shape in pc.ShapeClass:
+        for seed in (0, 1):
+            cloud = build_demo_scene(shape, seed).cloud
+            for axis in pc.Axis:
+                b = 0.026 if axis.is_rotation else 0.036
+                feed(("demo", axis), cloud, pc.MotionSpec(axis, b), cam,
+                     pose_lists(rng, b))
+    cam = pc.CameraModel(fx=20.0, fy=16.0, cx=8.0, cy=8.0, width=16, height=16)
+    for index in range(20):
+        n = 8 * int(rng.integers(3, 50))
+        pts = rng.uniform(-0.4, 0.4, (n, 3))
+        pts[:, 2] = rng.uniform(1.0, 3.0, n)
+        eighth = n // 8
+        pts[:eighth] = pts[eighth : 2 * eighth]  # duplicates
+        # partners 0.01 m aside in x or y, whose depth order flips in range
+        aside = np.zeros((2 * eighth, 3))
+        aside[:eighth, 0] = aside[eighth:, 1] = 0.01
+        aside[:, 2] = rng.uniform(-0.002, 0.002, 2 * eighth)
+        pts[2 * eighth : 4 * eighth] = pts[4 * eighth : 6 * eighth] + aside
+        pts[6 * eighth : 7 * eighth, 2] = pts[0, 2]  # one shared depth
+        pts[7 * eighth :, 0] += 2.0  # off the grid
+        if index % 5 == 0:
+            pts[-1, 2] = -1.0  # behind the camera
+        cloud = pc.ColoredPointCloud(pts, rng.uniform(0, 1, (n, 3)))
+        b = float(rng.uniform(0.01, 0.2))
+        for axis in (pc.Axis.RX, pc.Axis.RY, pc.Axis.RZ):
+            feed(("random", axis), cloud, pc.MotionSpec(axis, b), cam,
+                 pose_lists(rng, b))
+    for (kind, axis), digest in hashes.items():
+        yield f"sweep {kind} {axis.value} {digest.hexdigest()}"
+
+
 def main(argv) -> None:
     workdir = Path(argv[1])
     workdir.mkdir(parents=True, exist_ok=False)
     run_cli(workdir)
-    for line in [*file_digests(workdir), *geometry_digests()]:
+    for line in [*file_digests(workdir), *sweep_digests(), *geometry_digests()]:
         print(line)
 
 

@@ -25,7 +25,7 @@ from .certify import (certified_accuracy, certify, empirical_attack,
                       frame_budget_comparison)
 from .classifier import builtin_train, load_model, save_model
 from .demo import build_demo_scene, demo_camera
-from .errors import ConfigError, PwsError
+from .errors import ConfigError, FileFormatError, PwsError
 from .geometry import Axis, CameraModel, MotionSpec, MotionValue
 from .intervals import (CertMethod, DEFAULT_QUANTILE, DEFAULT_RESOLUTION,
                         DeltaConvexity, IntervalConfig, plan_partition)
@@ -356,24 +356,28 @@ def cmd_report(runs, out):
     """Aggregate certify summaries under a directory into one CSV."""
     rows = []
     for summary_path in sorted(Path(runs).rglob("summary.json")):
-        summary = json.loads(summary_path.read_text(encoding="utf-8"))
-        cfg = summary["config"]
-        samples = [s for s in summary["samples"].values() if "verdict" in s]
-        if not samples:
-            continue
-        rows.append(
-            {
-                "radius": cfg["radius_text"],
-                "axis": cfg["axis"],
-                "method": cfg["method"],
-                "sigma": cfg["sigma"],
-                "certified_accuracy": summary["certified_accuracy"],
-                "mean_N": float(np.mean([s["n_partitions"] for s in samples])),
-                "mean_ratio": float(
-                    np.mean([s["ratio_vs_baseline"] for s in samples])
-                ),
-            }
-        )
+        try:  # cut short, not JSON, or missing a field the table needs
+            summary = json.loads(summary_path.read_text(encoding="utf-8"))
+            cfg = summary["config"]
+            samples = [s for s in summary["samples"].values() if "verdict" in s]
+            if not samples:
+                continue
+            rows.append(
+                {
+                    "radius": cfg["radius_text"],
+                    "axis": cfg["axis"],
+                    "method": cfg["method"],
+                    "sigma": cfg["sigma"],
+                    "certified_accuracy": summary["certified_accuracy"],
+                    "mean_N": float(np.mean([s["n_partitions"] for s in samples])),
+                    "mean_ratio": float(
+                        np.mean([s["ratio_vs_baseline"] for s in samples])
+                    ),
+                }
+            )
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise FileFormatError(
+                f"bad certify summary {summary_path}: {exc!r}") from exc
     if not rows:
         raise ConfigError(f"no certify summaries under {runs}")
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -17,16 +17,19 @@ rounding, so the winners are those of ordering each cell's points by
 kernel in blocks of bounded size.
 
 A sweep (``render_sweep``, and the ownership sweep behind every spacing
-bound) goes through ``zbuffer_changes``, which z-buffers pose 0 and only
-the later poses where a winner may change; every other pose repeats the
-winners of the pose before it.  Under TX, TY and TZ with sorted poses
-those are the poses where some point changes cell (124-234 of 2,001 on
-the 64 px wild-certify scenes at TZ 20 mm).  Under RX, RY and RZ with
-sorted poses, each pose z-buffered bounds how far the pose may move
-before a point can reach a cell border or pass its cell's winner, and
-the sweep skips to the first pose beyond (38-68 of 2,001 on the seed-0
-demo scenes at RY 0.026 rad, where 4-7 poses change a winner).
-Unsorted pose lists z-buffer every pose.
+bound) goes through ``zbuffer_changes``, which yields the winners of pose
+0 and of the later poses where a winner may change; every other pose
+repeats the winners of the pose before it.  Under TX, TY and TZ with
+sorted poses those are the poses where some point changes cell (124-234
+of 2,001 on the 64 px wild-certify scenes at TZ 20 mm), and the kernel
+runs at pose 0 only: the points keep one (depth, index) order, so each
+later change moves its points between cells and re-picks the winners of
+just those cells.  Under RX, RY and RZ with sorted poses, each pose
+z-buffered bounds how far the pose may move before a point can reach a
+cell border or pass its cell's winner, and the sweep skips to the first
+pose beyond (38-68 of 2,001 on the seed-0 demo scenes at RY 0.026 rad,
+where 4-7 poses change a winner).  Unsorted pose lists z-buffer every
+pose.
 
 Points are pure one-pixel splats: no footprint, no interpolation, no
 anti-aliasing.  File formats: ``PWSI1`` for images (binary) and ``PWSPC1``
@@ -168,51 +171,110 @@ def _cell_codes(points, axis: Axis, values, cam: CameraModel) -> np.ndarray:
     return np.where(depth > DEPTH_EPS, row * (cam.width + 2) + col, -np.inf)
 
 
-def _change_poses(cloud: ColoredPointCloud, axis: Axis, values, cam: CameraModel):
-    """Indices of the poses of a sorted TX, TY or TZ sweep of at least 3
-    poses whose winners may differ from the pose before, pose 0 first;
-    every other pose renders the winners of the pose before.  (Rotations
-    have no such monotone codes and go through ``_horizon_changes``.)
+def _code_blocks(points, axis: Axis, values, cam: CameraModel):
+    """Yield ``_cell_codes`` over consecutive blocks of ``values``, each of
+    at most ``_BLOCK_ENTRIES`` poses x points entries (at least one pose)."""
+    size = max(1, _BLOCK_ENTRIES // len(points))
+    for start in range(0, len(values), size):
+        yield _cell_codes(points, axis, values[start : start + size], cam)
+
+
+def _code_cells(codes, cam: CameraModel) -> np.ndarray:
+    """The kernel's cell for each ``_cell_codes`` code: row * W + col on the
+    grid, H*W (the spare cell) off it or behind the camera."""
+    width = cam.width + 2
+    # (row + 1) * (W + 2) + col + 1, both terms >= 0; behind the camera: 0
+    shifted = np.where(codes > -np.inf, codes + width + 1, 0).astype(np.int64)
+    row, col = np.divmod(shifted, width)
+    on = (row >= 1) & (row <= cam.height) & (col >= 1) & (col <= cam.width)
+    return np.where(on, (row - 1) * cam.width + col - 1, cam.height * cam.width)
+
+
+def _traced_changes(cloud: ColoredPointCloud, axis: Axis, values, cam: CameraModel):
+    """``zbuffer_changes`` for a sorted TX, TY or TZ sweep of at least 3
+    poses, or None where the rule does not apply and every pose is
+    z-buffered: under TZ, two distinct z closer than the rounding of z - a.
 
     Depth, u and v are each a chain of correctly rounded operations
     monotone in the pose, so a point's cell code is a monotone step
     function of it: a point with one code at two poses keeps it at every
     pose between.  TX and TY depths are the points' z; the TZ depth
     fl(z - a) keeps the order of two distinct z further apart than
-    2^-52 max|z - a|, and every pose is z-buffered when some pair is
-    closer.  Codes are taken at about sqrt(T) coarse poses, and only the
-    points whose code differs between a coarse window's ends are traced
-    through the window.  On the four 64 px wild-certify scenes this keeps
-    124-234 of 2,001 TZ poses.
+    2^-52 max|z - a|.  So ordering the points by (z, index) gives the
+    kernel's (depth, index) order at every pose, and each cell's winner is
+    its point of least rank in that order.
+
+    The kernel z-buffers pose 0.  Codes are then taken at about sqrt(T)
+    coarse poses, and only the points whose code differs between a coarse
+    window's ends are traced through the window.  At each pose where one
+    of them changes code, the sweep moves the changed points to their new
+    cells and re-picks the winners of the cells they left and entered.  A
+    window with more movers than ``_DENSE_SHARE`` of the cloud goes
+    through the kernel pose by pose, and its last pose resets the cells.
+    On the four 64 px wild-certify scenes at TZ 20 mm this yields 124-234
+    of 2,001 poses and runs the kernel at pose 0 only.
     """
-    count = len(values)
     points = cloud.points
+    n, npix = len(points), cam.height * cam.width
     if axis is Axis.TZ:
         z = np.unique(points[:, 2])
         # 2^-51: one more bit covers the rounding of the gaps and the bound
         reach = 2.0**-51 * (np.max(np.abs(z)) + np.max(np.abs(values)))
         if z.size > 1 and np.min(np.diff(z)) <= reach:
-            return np.arange(count)
-    keep = np.zeros(count, dtype=bool)
-    keep[0] = True
-    ends = np.unique(np.r_[0 : count : math.isqrt(count - 1) + 1, count - 1])
-    start = _cell_codes(points, axis, values[:1], cam)[0]
-    for lo, hi in zip(ends[:-1], ends[1:]):
-        end = _cell_codes(points, axis, values[hi : hi + 1], cam)[0]
-        movers = np.flatnonzero(start != end)
-        if movers.size > _DENSE_SHARE * len(points):
-            keep[lo + 1 : hi + 1] = True
-        elif movers.size:
-            prev = start[movers]
-            size = max(1, _BLOCK_ENTRIES // movers.size)
-            for first in range(lo + 1, hi + 1, size):
-                rows = _cell_codes(points[movers], axis,
-                                   values[first : min(first + size, hi + 1)], cam)
-                keep[first : first + len(rows)] = np.any(
-                    rows != np.vstack([prev, rows[:-1]]), axis=1)
-                prev = rows[-1]
-        start = end
-    return np.flatnonzero(keep)
+            return None
+    order = np.lexsort((np.arange(n), points[:, 2]))
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    owner = np.append(order, -1)  # the point of each rank; rank n: none
+    cell = np.empty(n, dtype=np.int64)  # each point's cell at the last pose
+    best = np.full(npix + 1, n)  # each cell's least rank, n where empty
+    ends = np.unique(np.r_[0 : len(values) : math.isqrt(len(values) - 1) + 1,
+                           len(values) - 1])
+    most = max(1, _BLOCK_ENTRIES // max(n, npix))
+
+    def reset(cells, winners):
+        cell[:] = cells
+        best[:npix] = np.where(winners >= 0, rank[winners], n)
+
+    def move(moved, targets):
+        """Winners after the points ``moved`` go to the cells ``targets``."""
+        touched = np.concatenate([cell[moved], targets])
+        cell[moved] = targets
+        hit = np.zeros(npix + 1, dtype=bool)
+        hit[touched] = True
+        hit[npix] = False  # the spare cell has no winner
+        rival = np.flatnonzero(hit[cell])
+        best[touched] = n
+        np.minimum.at(best, cell[rival], rank[rival])
+        return owner[best[:npix]]
+
+    def sweep():
+        _, _, cells, winners = _zbuffer(cloud, axis, values[:1], cam)
+        yield 0, winners[0]
+        reset(cells[0], winners[0])
+        coarse = (row for block in _code_blocks(points, axis, values[ends], cam)
+                  for row in block)
+        start = next(coarse)
+        for lo, hi, end in zip(ends[:-1], ends[1:], coarse):
+            movers = np.flatnonzero(start != end)
+            if movers.size > _DENSE_SHARE * n:
+                for first in range(lo + 1, hi + 1, most):
+                    _, _, cells, winners = _zbuffer(
+                        cloud, axis, values[first : min(first + most, hi + 1)], cam)
+                    yield from zip(range(first, first + len(winners)), winners)
+                reset(cells[-1], winners[-1])
+            elif movers.size:
+                prev, first = start[movers], lo + 1
+                for rows in _code_blocks(points[movers], axis, values[lo + 1 : hi + 1], cam):
+                    moving = rows != np.vstack([prev, rows[:-1]])
+                    targets = _code_cells(rows, cam)
+                    for t in np.flatnonzero(np.any(moving, axis=1)).tolist():
+                        moved = np.flatnonzero(moving[t])
+                        yield first + t, move(movers[moved], targets[t, moved])
+                    prev, first = rows[-1], first + len(rows)
+            start = end
+
+    return sweep()
 
 
 # Rounding pad of the horizon rule, relative to the magnitudes involved:
@@ -233,12 +295,14 @@ _PAD = 2.0**-44
 _DEPTH_PAIR = {Axis.RX: [1, 2], Axis.RY: [0, 2], Axis.RZ: None}
 
 
-def _border_distance(coord, size: int):
+def _border_distance(coord, size):
     """Distance from each coordinate to the nearest integer border at which
-    its cell code, floor(coord) clamped to [-1, size], changes."""
+    its cell code, floor(coord) clamped to [-1, size], changes; ``size``
+    broadcasts against ``coord``."""
     low = np.floor(coord)
-    return np.minimum(np.abs(coord - np.clip(low, 0, size)),
-                      np.abs(np.clip(low + 1, 0, size) - coord))
+    # np.minimum(np.maximum(..)) clamps as np.clip does, at a fraction of its call cost
+    return np.minimum(np.abs(coord - np.minimum(np.maximum(low, 0), size)),
+                      np.abs(np.minimum(np.maximum(low + 1, 0), size) - coord))
 
 
 def _horizon_changes(cloud: ColoredPointCloud, axis: Axis, values, cam: CameraModel):
@@ -257,9 +321,12 @@ def _horizon_changes(cloud: ColoredPointCloud, axis: Axis, values, cam: CameraMo
     No point changes cell and no winner loses its place while the pose
     moves less than H, so every pose j with values[j] - values[k] < H
     repeats pose k's winners, and the next pose z-buffered is the first
-    beyond.  Where H keeps falling short of the next pose, the poses ahead
-    are z-buffered in blocks that double up to ``zbuffer_blocks``' size,
-    so dense sweeps cost little more than z-buffering every pose.
+    beyond.  Where H keeps falling short of the block just z-buffered, the
+    poses ahead are z-buffered in blocks that double up to
+    ``zbuffer_blocks``' size, and once they are that size a horizon is
+    computed only every 1, 2, 4, ... blocks, until one reaches past its
+    block.  A dense sweep thus costs 1.04-1.07 times z-buffering every
+    pose (2,001 poses at RY 0.12 rad on 300-point random 16 px clouds).
     """
     b = max(abs(values[0]), abs(values[-1]))
     if not 0 < b < math.inf:
@@ -273,41 +340,53 @@ def _horizon_changes(cloud: ColoredPointCloud, axis: Axis, values, cam: CameraMo
     rate = lipschitz_constants(points, spec, cam)
     pad_px = _PAD * (1 + extent / floor)
     span_px = max(cam.fx, cam.fy) + cam.width + cam.height
+    grid = np.array([cam.width, cam.height], dtype=np.float64)
     pair = _DEPTH_PAIR[axis]
+    lever = None if pair is None else points[:, pair]
     index = np.arange(len(points))
     most = max(1, _BLOCK_ENTRIES // max(len(points), cam.height * cam.width))
 
-    def horizon(uv, depth, cell, winners):
-        u, v = uv[:, 0], uv[:, 1]
-        margin = (np.minimum(_border_distance(u, cam.width),
-                             _border_distance(v, cam.height))
+    def horizon(uv, depth, cell, winners, near):
+        u, v = uv.T
+        margin = (np.minimum(*_border_distance(uv, grid).T)
                   - pad_px * (span_px + np.abs(u) + np.abs(v)))
         reach = np.divide(margin, rate, out=np.full(len(points), np.inf),
                           where=rate > 0).min()
-        if pair is not None:
-            owner = np.append(winners, -1)[cell]
-            rival = np.flatnonzero((owner >= 0) & (owner != index))
-            won = owner[rival]
-            gap = depth[rival] - depth[won] - _PAD * (extent[rival] + extent[won])
-            drift = np.hypot(*(points[rival][:, pair] - points[won][:, pair]).T)
-            reach = np.minimum(reach, np.divide(
-                gap, drift, out=np.full(len(rival), np.inf), where=drift > 0
-            ).min(initial=np.inf))
-        return reach
+        if pair is None or reach <= near:  # the next pose is z-buffered either way
+            return reach
+        owner = np.append(winners, -1)[cell]
+        rival = np.flatnonzero((owner >= 0) & (owner != index))
+        won = owner[rival]
+        gap = depth[rival] - depth[won] - _PAD * (extent[rival] + extent[won])
+        drift = np.hypot(*(lever[rival] - lever[won]).T)
+        return np.minimum(reach, np.divide(
+            gap, drift, out=np.full(len(rival), np.inf), where=drift > 0
+        ).min(initial=np.inf))
 
     def sweep():
-        k, ahead = 0, 1
+        k, ahead, every, wait = 0, 1, 1, 0
         while k < len(values):
             uv, depth, cell, winners = _zbuffer(cloud, axis, values[k : k + ahead], cam)
             yield from zip(range(k, k + len(winners)), winners)
-            k += len(winners) - 1
-            with np.errstate(over="ignore"):  # an infinite reach is sound
-                reach = horizon(uv[-1], depth[-1], cell[-1], winners[-1])
-            # NaN, from a coordinate that overflowed, keeps the next pose
-            skip = 0 if np.isnan(reach) else int(
-                np.searchsorted(values[k + 1 :] - values[k], reach))
-            ahead = 1 if skip >= ahead else min(2 * ahead, most)
-            k += 1 + skip
+            k += len(winners)
+            if k == len(values):
+                return
+            if wait:  # z-buffering a block without a horizon is always sound
+                wait -= 1
+            else:
+                left = values[k:] - values[k - 1]  # distances of the poses left
+                with np.errstate(over="ignore"):  # an infinite reach is sound
+                    reach = horizon(uv[-1], depth[-1], cell[-1], winners[-1], left[0])
+                # NaN, from a coordinate that overflowed, keeps the next pose
+                skip = 0 if np.isnan(reach) else int(np.searchsorted(left, reach))
+                if skip >= ahead:
+                    ahead, every = 1, 1
+                elif ahead < most:
+                    ahead = min(2 * ahead, most)
+                else:  # full blocks, short horizons: horizons 1, 2, 4, ... blocks apart
+                    wait, every = every - 1, 2 * every
+                k += skip
+            del uv, depth, cell  # the next block's projection reuses their memory
 
     return sweep()
 
@@ -318,18 +397,16 @@ def zbuffer_changes(cloud: ColoredPointCloud, axis: Axis, values, cam: CameraMod
     yielded has the winners of the last one yielded before it.
 
     Sorted sweeps of at least 3 poses skip poses: translations by
-    ``_change_poses``, rotations by ``_horizon_changes``.  Every other
+    ``_traced_changes``, rotations by ``_horizon_changes``.  Every other
     list z-buffers every pose.
     """
     values = np.asarray(values, dtype=np.float64).reshape(-1)
-    poses = np.arange(len(values))
     if len(values) >= 3 and np.all(values[1:] >= values[:-1]):
-        if not axis.is_rotation:
-            poses = _change_poses(cloud, axis, values, cam)
-        elif (changes := _horizon_changes(cloud, axis, values, cam)) is not None:
+        rule = _horizon_changes if axis.is_rotation else _traced_changes
+        if (changes := rule(cloud, axis, values, cam)) is not None:
             return changes
-    blocks = zbuffer_blocks(cloud, axis, values[poses], cam)
-    return zip(poses.tolist(), (winners for block in blocks for winners in block))
+    blocks = zbuffer_blocks(cloud, axis, values, cam)
+    return enumerate(winners for block in blocks for winners in block)
 
 
 def zbuffer_winners(

@@ -207,7 +207,36 @@ class TestCertifyAttackReport:
             f"config_error: no certify summaries under {tmp_path}"]
 
 
+# the fields of a certify summary that ``pws report`` reads
+SUMMARY = {
+    "config": {"radius_text": "36mm", "axis": "tz", "method": "exact", "sigma": 0.5},
+    "samples": {"a": {"verdict": "certified", "n_partitions": 4,
+                      "ratio_vs_baseline": 0.25}},
+    "certified_accuracy": 1.0,
+}
+
+
 class TestErrorHandling:
+    @pytest.mark.parametrize("text", [
+        json.dumps(SUMMARY)[:-10],
+        json.dumps([SUMMARY]),
+        json.dumps({k: v for k, v in SUMMARY.items() if k != "config"}),
+        json.dumps({**SUMMARY, "samples": {"a": {"verdict": "certified",
+                                                 "ratio_vs_baseline": 0.25}}}),
+    ], ids=["truncated", "list", "no-config", "sample-without-n-partitions"])
+    def test_bad_summary_exits_1(self, runner, tmp_path, text):
+        path = tmp_path / "runs" / "summary.json"
+        path.parent.mkdir()
+        args = ["report", "--runs", str(path.parent), "--out", str(tmp_path / "t.csv")]
+        path.write_text(json.dumps(SUMMARY))
+        res = runner.invoke(main, args)
+        assert res.exit_code == 0, res.output  # the unbroken summary makes a row
+        path.write_text(text)
+        res = runner.invoke(main, args)
+        assert res.exit_code == 1
+        [line] = res.output.splitlines()
+        assert line.startswith(f"file_format: bad certify summary {path}: ")
+
     def test_report_on_empty_dir_exits_2(self, runner, tmp_path):
         (tmp_path / "empty").mkdir()
         res = runner.invoke(main, [

@@ -21,24 +21,29 @@ from pwscert import (
 )
 from pwscert import rasterizer
 from pwscert.demo import build_demo_scene, demo_specs
-from pwscert.geometry import DEPTH_EPS, MotionValue, project_points
+from pwscert.geometry import CameraModel, DEPTH_EPS, MotionValue, project_points
 from pwscert.intervals import _sweep_runs
 from pwscert.rasterizer import (
     _BLOCK_ENTRIES,
     _cell_codes,
-    _change_poses,
     _horizon_changes,
     zbuffer_blocks,
     zbuffer_changes,
     zbuffer_winners,
     zbuffer_winners_batch,
 )
-from pwscert.scenes import ShapeClass
+from pwscert.scenes import ShapeClass, generate_scene
 
 from conftest import (axis_radius, lexsort_winners, oracle_sweep_runs,
                       random_visible_points, rotation_traps, sweep_traps)
 
 TX1 = MotionSpec(Axis.TX, 1.0)
+
+
+def change_poses(cloud, axis, values, cam):
+    """The poses ``zbuffer_changes`` yields: those whose winners may differ
+    from the pose before."""
+    return [index for index, _ in zbuffer_changes(cloud, axis, values, cam)]
 
 
 def at_rest(spec=TX1):
@@ -228,7 +233,7 @@ class TestRenderSweep:
                 distinct = {f.tobytes() for f in frames}
                 assert 1 < len(distinct) < len(values), (axis, kind)
             if not axis.is_rotation:  # sorted translation sweeps skip poses
-                assert len(_change_poses(cloud, axis, ramp, small_cam)) < len(ramp)
+                assert len(change_poses(cloud, axis, ramp, small_cam)) < len(ramp)
 
     def test_repeated_frames_are_separate_arrays(self, cam):
         # one near point moves 10 px by pose 3; 15 far points stay in their
@@ -236,7 +241,7 @@ class TestRenderSweep:
         far = [[10.0 * k + 5.0, 0.0, 1000.0] for k in range(15)]
         cloud = ColoredPointCloud([[0.005, 0.0, 1.0]] + far, np.full((16, 1), 0.9))
         values = [0.0, 0.0, 0.0, 0.1, 0.1]
-        assert list(_change_poses(cloud, Axis.TX, np.array(values), cam)) == [0, 3]
+        assert change_poses(cloud, Axis.TX, values, cam) == [0, 3]
         frames = render_sweep(cloud, TX1, cam, values)
         assert frames[0].tobytes() != frames[3].tobytes()
         for a, b in itertools.combinations(frames, 2):
@@ -258,6 +263,20 @@ def per_pose(changes, count):
     return np.array(rows)
 
 
+@pytest.fixture
+def kernel_poses(monkeypatch):
+    """The poses of each ``_zbuffer`` call made while the test runs: every
+    z-buffered pose, in or out of a block, goes through the kernel."""
+    kernel, poses = rasterizer._zbuffer, []
+
+    def counting(cloud, axis, values, cam):
+        poses.append(np.size(values))
+        return kernel(cloud, axis, values, cam)
+
+    monkeypatch.setattr(rasterizer, "_zbuffer", counting)
+    return poses
+
+
 class TestChangePoses:
     def test_traps_match_per_pose_kernel(self, small_cam):
         for name, cloud, spec, resolution in sweep_traps(small_cam):
@@ -274,7 +293,7 @@ class TestChangePoses:
         traps = sweep_traps(small_cam)[:-1]  # the last forces every pose
         for name, cloud, spec, resolution in traps:
             values = np.linspace(-spec.radius_b, spec.radius_b, resolution)
-            assert len(_change_poses(cloud, spec.axis, values, small_cam)) < resolution / 2, name
+            assert len(change_poses(cloud, spec.axis, values, small_cam)) < resolution / 2, name
 
     def test_grid_crossing_inside_one_coarse_window(self, small_cam):
         name, cloud, spec, resolution = sweep_traps(small_cam)[0]
@@ -311,7 +330,7 @@ class TestChangePoses:
         assert np.all(codes == codes[0])
         assert owners[0] == 0 and 1 in owners
         np.testing.assert_array_equal(
-            _change_poses(cloud, spec.axis, values, small_cam), np.arange(resolution))
+            change_poses(cloud, spec.axis, values, small_cam), np.arange(resolution))
 
     def test_short_and_irregular_lists(self, small_cam):
         rng = np.random.default_rng(25)
@@ -427,21 +446,38 @@ class TestChangePoses:
             skipped += len(changes) < len(values)
         assert skipped >= 8  # the horizon rule, not only its fall-backs
 
-    def test_demo_ry_sweeps_zbuffer_few_poses(self, demo_cam, monkeypatch):
-        # every z-buffered pose, in or out of a block, goes through the kernel
-        kernel, poses = rasterizer._zbuffer, []
-
-        def counting(cloud, axis, values, cam):
-            poses.append(np.size(values))
-            return kernel(cloud, axis, values, cam)
-
-        monkeypatch.setattr(rasterizer, "_zbuffer", counting)
+    def test_demo_ry_sweeps_zbuffer_few_poses(self, demo_cam, kernel_poses):
         spec = demo_specs()[1]
         assert spec == MotionSpec(Axis.RY, 0.026)
         for shape in ShapeClass:
-            poses.clear()
-            _sweep_runs(build_demo_scene(shape, 0).cloud, spec, demo_cam, 2001)
-            assert 0 < sum(poses) <= 100, (shape, sum(poses))  # not all 2,001
+            cloud = build_demo_scene(shape, 0).cloud  # its build runs the kernel too
+            kernel_poses.clear()
+            _sweep_runs(cloud, spec, demo_cam, 2001)
+            assert 0 < sum(kernel_poses) <= 100, (shape, sum(kernel_poses))  # not all 2,001
+
+    def test_translation_sweeps_zbuffer_pose_0_only(self, demo_cam, kernel_poses):
+        spec = demo_specs()[0]
+        assert spec == MotionSpec(Axis.TZ, 0.036)
+        sweeps = [(build_demo_scene(shape, 0).cloud, spec, demo_cam)
+                  for shape in ShapeClass]
+        # the wild-certify profile: 64 px, layered, 12,000 points asked for
+        wild_cam = CameraModel(fx=64.0, fy=64.0, cx=32.0, cy=32.0, width=64, height=64)
+        wild = generate_scene(ShapeClass.BOX_FACE, 12000, (1.6, 2.4), 0, wild_cam,
+                              channels=1, layered=True).cloud
+        wild_spec = MotionSpec(Axis.TZ, 0.020)
+        sweeps.append((wild, wild_spec, wild_cam))
+        for cloud, spec, cam in sweeps:
+            kernel_poses.clear()
+            _sweep_runs(cloud, spec, cam, 2001)
+            assert 0 < sum(kernel_poses) <= 3, (len(cloud), sum(kernel_poses))  # not 124-234
+        # the wild sweep's winners are the kernel's at every pose
+        values = np.linspace(-wild_spec.radius_b, wild_spec.radius_b, 2001)
+        changes = dict(zbuffer_changes(wild, wild_spec.axis, values, wild_cam))
+        assert 100 < len(changes) < 500  # owners change often, not at every pose
+        blocks, winners = zbuffer_blocks(wild, wild_spec.axis, values, wild_cam), None
+        for pose, want in enumerate(row for block in blocks for row in block):
+            winners = changes.get(pose, winners)
+            np.testing.assert_array_equal(winners, want, err_msg=str(pose))
 
 
 class TestAdjacentFrameError:

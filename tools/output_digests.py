@@ -25,7 +25,13 @@ list of 300 random poses with repeats and the same list shuffled) of the
 duplicates, one shared depth, pairs that swap depth order inside the
 range and points off the grid, every fifth with a point behind the camera.
 Together with ``pws project --axis ry`` above, they cover every path of
-``zbuffer_changes`` under rotation.
+``zbuffer_changes`` under rotation.  Under translation, it hashes 20 more
+seeded random clouds on TX, TY and TZ at radii 0.01-0.25 m, with
+duplicates, one shared depth, points off the grid and a point whose TZ
+depth passes DEPTH_EPS, every fifth with two depths inside the 2^-51
+guard that makes a TZ sweep z-buffer every pose; and one 64 px layered
+random-profile scene (the wild-certify profile) at TZ 20 mm.  Each of
+these sweeps too runs on the three pose lists.
 
 The geometry part hashes, bit for bit, ``min_depth_over_range``,
 ``lipschitz_constants`` and ``delta_constant`` (or the exception each
@@ -206,6 +212,28 @@ def sweep_digests():
         for axis in (pc.Axis.RX, pc.Axis.RY, pc.Axis.RZ):
             feed(("random", axis), cloud, pc.MotionSpec(axis, b), cam,
                  pose_lists(rng, b))
+    rng = np.random.default_rng(20261020)
+    for index in range(20):
+        n = 8 * int(rng.integers(3, 50))
+        pts = rng.uniform(-0.4, 0.4, (n, 3))
+        pts[:, 2] = rng.uniform(1.0, 3.0, n)
+        b = float(rng.uniform(0.01, 0.25))
+        eighth = n // 8
+        pts[:eighth] = pts[eighth : 2 * eighth]  # duplicates
+        pts[2 * eighth : 3 * eighth, 2] = pts[0, 2]  # one shared depth
+        pts[3 * eighth : 4 * eighth, 0] += 2.0  # off the grid
+        pts[-1, 2] = 0.5 * b  # under TZ its depth passes DEPTH_EPS
+        if index % 5 == 0:  # two depths inside the 2^-51 guard: every TZ pose
+            pts[-2, 2] = np.nextafter(pts[-3, 2], np.inf)
+        cloud = pc.ColoredPointCloud(pts, rng.uniform(0, 1, (n, 3)))
+        for axis in (pc.Axis.TX, pc.Axis.TY, pc.Axis.TZ):
+            feed(("random", axis), cloud, pc.MotionSpec(axis, b), cam,
+                 pose_lists(rng, b))
+    cam = pc.CameraModel(fx=64.0, fy=64.0, cx=32.0, cy=32.0, width=64, height=64)
+    wild = pc.generate_scene(pc.ShapeClass.SPHERE_CAP, 12000, (1.6, 2.4), 0, cam,
+                             channels=1, layered=True)
+    feed(("wild", pc.Axis.TZ), wild.cloud, pc.MotionSpec(pc.Axis.TZ, 0.020), cam,
+         pose_lists(rng, 0.020))
     for (kind, axis), digest in hashes.items():
         yield f"sweep {kind} {axis.value} {digest.hexdigest()}"
 

@@ -23,13 +23,13 @@ repeats the winners of the pose before it.  Under TX, TY and TZ with
 sorted poses those are the poses where some point changes cell (124-234
 of 2,001 on the 64 px wild-certify scenes at TZ 20 mm), and the kernel
 runs at pose 0 only: the points keep one (depth, index) order, so each
-later change moves its points between cells and re-picks the winners of
-just those cells.  Under RX, RY and RZ with sorted poses, each pose
-z-buffered bounds how far the pose may move before a point can reach a
-cell border or pass its cell's winner, and the sweep skips to the first
-pose beyond (38-68 of 2,001 on the seed-0 demo scenes at RY 0.026 rad,
-where 4-7 poses change a winner).  Unsorted pose lists z-buffer every
-pose.
+later change moves its points between cells and picks every cell's
+winner again by that order.  Under RX, RY and RZ with sorted poses, each
+pose z-buffered bounds how far the pose may move before a point can
+reach a cell border or pass its cell's winner, and the sweep skips to
+the first pose beyond (38-68 of 2,001 on the seed-0 demo scenes at RY
+0.026 rad, where 4-7 poses change a winner).  Unsorted pose lists
+z-buffer every pose.
 
 Points are pure one-pixel splats: no footprint, no interpolation, no
 anti-aliasing.  File formats: ``PWSI1`` for images (binary) and ``PWSPC1``
@@ -100,6 +100,18 @@ class ColoredPointCloud:
 _BLOCK_ENTRIES = 1 << 14
 
 
+def _block_size(entries: int) -> int:
+    """Poses per block when each pose costs ``entries`` entries: at most
+    ``_BLOCK_ENTRIES`` entries in all, at least one pose."""
+    return max(1, _BLOCK_ENTRIES // entries)
+
+
+def _blocks(values, entries: int):
+    """Consecutive blocks of ``values`` of ``_block_size(entries)`` poses."""
+    size = _block_size(entries)
+    return (values[start : start + size] for start in range(0, len(values), size))
+
+
 def _zbuffer(cloud: ColoredPointCloud, axis: Axis, values, cam: CameraModel):
     """The z-buffer kernel with the projection it rests on: ``(uv, depth,
     cell, winners)`` for the T poses in ``values``, where ``cell`` (T, N) is
@@ -150,15 +162,8 @@ def zbuffer_blocks(cloud: ColoredPointCloud, axis: Axis, values, cam: CameraMode
     each of at most ``_BLOCK_ENTRIES`` poses x max(points, pixels) entries
     (at least one pose)."""
     values = np.asarray(values, dtype=np.float64).reshape(-1)
-    size = max(1, _BLOCK_ENTRIES // max(len(cloud), cam.height * cam.width))
-    for start in range(0, len(values), size):
-        yield zbuffer_winners_batch(cloud, axis, values[start : start + size], cam)
-
-
-# Share of the cloud above which a coarse window's movers are not traced
-# pose by pose: so many moving points change some cell at nearly every
-# pose, and tracing them would only add to the z-buffer passes.
-_DENSE_SHARE = 0.125
+    for block in _blocks(values, max(len(cloud), cam.height * cam.width)):
+        yield zbuffer_winners_batch(cloud, axis, block, cam)
 
 
 def _cell_codes(points, axis: Axis, values, cam: CameraModel) -> np.ndarray:
@@ -169,14 +174,6 @@ def _cell_codes(points, axis: Axis, values, cam: CameraModel) -> np.ndarray:
     col = np.clip(np.floor(uv[..., 0]), -1, cam.width)
     row = np.clip(np.floor(uv[..., 1]), -1, cam.height)
     return np.where(depth > DEPTH_EPS, row * (cam.width + 2) + col, -np.inf)
-
-
-def _code_blocks(points, axis: Axis, values, cam: CameraModel):
-    """Yield ``_cell_codes`` over consecutive blocks of ``values``, each of
-    at most ``_BLOCK_ENTRIES`` poses x points entries (at least one pose)."""
-    size = max(1, _BLOCK_ENTRIES // len(points))
-    for start in range(0, len(values), size):
-        yield _cell_codes(points, axis, values[start : start + size], cam)
 
 
 def _code_cells(codes, cam: CameraModel) -> np.ndarray:
@@ -208,11 +205,10 @@ def _traced_changes(cloud: ColoredPointCloud, axis: Axis, values, cam: CameraMod
     coarse poses, and only the points whose code differs between a coarse
     window's ends are traced through the window.  At each pose where one
     of them changes code, the sweep moves the changed points to their new
-    cells and re-picks the winners of the cells they left and entered.  A
-    window with more movers than ``_DENSE_SHARE`` of the cloud goes
-    through the kernel pose by pose, and its last pose resets the cells.
-    On the four 64 px wild-certify scenes at TZ 20 mm this yields 124-234
-    of 2,001 poses and runs the kernel at pose 0 only.
+    cells and picks each cell's least rank again, with one unbuffered
+    minimum over the points.  On the four 64 px wild-certify scenes at
+    TZ 20 mm this yields 124-234 of 2,001 poses and runs the kernel at
+    pose 0 only.
     """
     points = cloud.points
     n, npix = len(points), cam.height * cam.width
@@ -226,53 +222,35 @@ def _traced_changes(cloud: ColoredPointCloud, axis: Axis, values, cam: CameraMod
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n)
     owner = np.append(order, -1)  # the point of each rank; rank n: none
-    cell = np.empty(n, dtype=np.int64)  # each point's cell at the last pose
-    best = np.full(npix + 1, n)  # each cell's least rank, n where empty
     ends = np.unique(np.r_[0 : len(values) : math.isqrt(len(values) - 1) + 1,
                            len(values) - 1])
-    most = max(1, _BLOCK_ENTRIES // max(n, npix))
 
-    def reset(cells, winners):
-        cell[:] = cells
-        best[:npix] = np.where(winners >= 0, rank[winners], n)
-
-    def move(moved, targets):
-        """Winners after the points ``moved`` go to the cells ``targets``."""
-        touched = np.concatenate([cell[moved], targets])
-        cell[moved] = targets
-        hit = np.zeros(npix + 1, dtype=bool)
-        hit[touched] = True
-        hit[npix] = False  # the spare cell has no winner
-        rival = np.flatnonzero(hit[cell])
-        best[touched] = n
-        np.minimum.at(best, cell[rival], rank[rival])
-        return owner[best[:npix]]
+    def winners(cell):
+        least = np.full(npix + 1, n)  # each cell's least rank, n where empty
+        np.minimum.at(least, cell, rank)
+        return owner[least[:npix]]
 
     def sweep():
-        _, _, cells, winners = _zbuffer(cloud, axis, values[:1], cam)
-        yield 0, winners[0]
-        reset(cells[0], winners[0])
-        coarse = (row for block in _code_blocks(points, axis, values[ends], cam)
-                  for row in block)
+        _, _, cells, first = _zbuffer(cloud, axis, values[:1], cam)
+        yield 0, first[0]
+        cell = cells[0]  # each point's cell at the last pose
+        coarse = (row for block in _blocks(values[ends], n)
+                  for row in _cell_codes(points, axis, block, cam))
         start = next(coarse)
         for lo, hi, end in zip(ends[:-1], ends[1:], coarse):
             movers = np.flatnonzero(start != end)
-            if movers.size > _DENSE_SHARE * n:
-                for first in range(lo + 1, hi + 1, most):
-                    _, _, cells, winners = _zbuffer(
-                        cloud, axis, values[first : min(first + most, hi + 1)], cam)
-                    yield from zip(range(first, first + len(winners)), winners)
-                reset(cells[-1], winners[-1])
-            elif movers.size:
-                prev, first = start[movers], lo + 1
-                for rows in _code_blocks(points[movers], axis, values[lo + 1 : hi + 1], cam):
-                    moving = rows != np.vstack([prev, rows[:-1]])
-                    targets = _code_cells(rows, cam)
-                    for t in np.flatnonzero(np.any(moving, axis=1)).tolist():
-                        moved = np.flatnonzero(moving[t])
-                        yield first + t, move(movers[moved], targets[t, moved])
-                    prev, first = rows[-1], first + len(rows)
-            start = end
+            prev, pose, start = start[movers], lo + 1, end
+            if movers.size == 0:
+                continue
+            for block in _blocks(values[lo + 1 : hi + 1], movers.size):
+                rows = _cell_codes(points[movers], axis, block, cam)
+                moving = rows != np.vstack([prev, rows[:-1]])
+                targets = _code_cells(rows, cam)
+                for t in np.flatnonzero(np.any(moving, axis=1)).tolist():
+                    moved = np.flatnonzero(moving[t])
+                    cell[movers[moved]] = targets[t, moved]
+                    yield pose + t, winners(cell)
+                prev, pose = rows[-1], pose + len(rows)
 
     return sweep()
 
@@ -295,14 +273,12 @@ _PAD = 2.0**-44
 _DEPTH_PAIR = {Axis.RX: [1, 2], Axis.RY: [0, 2], Axis.RZ: None}
 
 
-def _border_distance(coord, size):
+def _border_distance(coord, size: int):
     """Distance from each coordinate to the nearest integer border at which
-    its cell code, floor(coord) clamped to [-1, size], changes; ``size``
-    broadcasts against ``coord``."""
+    its cell code, floor(coord) clamped to [-1, size], changes."""
     low = np.floor(coord)
-    # np.minimum(np.maximum(..)) clamps as np.clip does, at a fraction of its call cost
-    return np.minimum(np.abs(coord - np.minimum(np.maximum(low, 0), size)),
-                      np.abs(np.minimum(np.maximum(low + 1, 0), size) - coord))
+    return np.minimum(np.abs(coord - np.clip(low, 0, size)),
+                      np.abs(np.clip(low + 1, 0, size) - coord))
 
 
 def _horizon_changes(cloud: ColoredPointCloud, axis: Axis, values, cam: CameraModel):
@@ -321,12 +297,9 @@ def _horizon_changes(cloud: ColoredPointCloud, axis: Axis, values, cam: CameraMo
     No point changes cell and no winner loses its place while the pose
     moves less than H, so every pose j with values[j] - values[k] < H
     repeats pose k's winners, and the next pose z-buffered is the first
-    beyond.  Where H keeps falling short of the block just z-buffered, the
-    poses ahead are z-buffered in blocks that double up to
-    ``zbuffer_blocks``' size, and once they are that size a horizon is
-    computed only every 1, 2, 4, ... blocks, until one reaches past its
-    block.  A dense sweep thus costs 1.04-1.07 times z-buffering every
-    pose (2,001 poses at RY 0.12 rad on 300-point random 16 px clouds).
+    beyond.  Where H keeps falling short of the next pose, the poses ahead
+    are z-buffered in blocks that double up to ``zbuffer_blocks``' size,
+    so dense sweeps cost little more than z-buffering every pose.
     """
     b = max(abs(values[0]), abs(values[-1]))
     if not 0 < b < math.inf:
@@ -340,53 +313,41 @@ def _horizon_changes(cloud: ColoredPointCloud, axis: Axis, values, cam: CameraMo
     rate = lipschitz_constants(points, spec, cam)
     pad_px = _PAD * (1 + extent / floor)
     span_px = max(cam.fx, cam.fy) + cam.width + cam.height
-    grid = np.array([cam.width, cam.height], dtype=np.float64)
     pair = _DEPTH_PAIR[axis]
-    lever = None if pair is None else points[:, pair]
     index = np.arange(len(points))
-    most = max(1, _BLOCK_ENTRIES // max(len(points), cam.height * cam.width))
+    most = _block_size(max(len(points), cam.height * cam.width))
 
-    def horizon(uv, depth, cell, winners, near):
-        u, v = uv.T
-        margin = (np.minimum(*_border_distance(uv, grid).T)
+    def horizon(uv, depth, cell, winners):
+        u, v = uv[:, 0], uv[:, 1]
+        margin = (np.minimum(_border_distance(u, cam.width),
+                             _border_distance(v, cam.height))
                   - pad_px * (span_px + np.abs(u) + np.abs(v)))
         reach = np.divide(margin, rate, out=np.full(len(points), np.inf),
                           where=rate > 0).min()
-        if pair is None or reach <= near:  # the next pose is z-buffered either way
-            return reach
-        owner = np.append(winners, -1)[cell]
-        rival = np.flatnonzero((owner >= 0) & (owner != index))
-        won = owner[rival]
-        gap = depth[rival] - depth[won] - _PAD * (extent[rival] + extent[won])
-        drift = np.hypot(*(lever[rival] - lever[won]).T)
-        return np.minimum(reach, np.divide(
-            gap, drift, out=np.full(len(rival), np.inf), where=drift > 0
-        ).min(initial=np.inf))
+        if pair is not None:
+            owner = np.append(winners, -1)[cell]
+            rival = np.flatnonzero((owner >= 0) & (owner != index))
+            won = owner[rival]
+            gap = depth[rival] - depth[won] - _PAD * (extent[rival] + extent[won])
+            drift = np.hypot(*(points[rival][:, pair] - points[won][:, pair]).T)
+            reach = np.minimum(reach, np.divide(
+                gap, drift, out=np.full(len(rival), np.inf), where=drift > 0
+            ).min(initial=np.inf))
+        return reach
 
     def sweep():
-        k, ahead, every, wait = 0, 1, 1, 0
+        k, ahead = 0, 1
         while k < len(values):
             uv, depth, cell, winners = _zbuffer(cloud, axis, values[k : k + ahead], cam)
             yield from zip(range(k, k + len(winners)), winners)
-            k += len(winners)
-            if k == len(values):
-                return
-            if wait:  # z-buffering a block without a horizon is always sound
-                wait -= 1
-            else:
-                left = values[k:] - values[k - 1]  # distances of the poses left
-                with np.errstate(over="ignore"):  # an infinite reach is sound
-                    reach = horizon(uv[-1], depth[-1], cell[-1], winners[-1], left[0])
-                # NaN, from a coordinate that overflowed, keeps the next pose
-                skip = 0 if np.isnan(reach) else int(np.searchsorted(left, reach))
-                if skip >= ahead:
-                    ahead, every = 1, 1
-                elif ahead < most:
-                    ahead = min(2 * ahead, most)
-                else:  # full blocks, short horizons: horizons 1, 2, 4, ... blocks apart
-                    wait, every = every - 1, 2 * every
-                k += skip
-            del uv, depth, cell  # the next block's projection reuses their memory
+            k += len(winners) - 1
+            with np.errstate(over="ignore"):  # an infinite reach is sound
+                reach = horizon(uv[-1], depth[-1], cell[-1], winners[-1])
+            # NaN, from a coordinate that overflowed, keeps the next pose
+            skip = 0 if np.isnan(reach) else int(
+                np.searchsorted(values[k + 1 :] - values[k], reach))
+            ahead = 1 if skip >= ahead else min(2 * ahead, most)
+            k += 1 + skip
 
     return sweep()
 

@@ -464,20 +464,26 @@ class TestChangePoses:
         wild_cam = CameraModel(fx=64.0, fy=64.0, cx=32.0, cy=32.0, width=64, height=64)
         wild = generate_scene(ShapeClass.BOX_FACE, 12000, (1.6, 2.4), 0, wild_cam,
                               channels=1, layered=True).cloud
-        wild_spec = MotionSpec(Axis.TZ, 0.020)
-        sweeps.append((wild, wild_spec, wild_cam))
+        # a random cloud in which some point changes cell at nearly every pose
+        dense_cam = CameraModel(fx=32.0, fy=32.0, cx=16.0, cy=16.0, width=32, height=32)
+        rng = np.random.default_rng(31)
+        dense = ColoredPointCloud(random_visible_points(rng, 2000), rng.uniform(0, 1, (2000, 1)))
+        checked = [(wild, MotionSpec(Axis.TZ, 0.020), wild_cam, (100, 500)),
+                   (dense, MotionSpec(Axis.TY, 0.25), dense_cam, (1500, 2001))]
+        sweeps += [sweep[:3] for sweep in checked]
         for cloud, spec, cam in sweeps:
             kernel_poses.clear()
             _sweep_runs(cloud, spec, cam, 2001)
-            assert 0 < sum(kernel_poses) <= 3, (len(cloud), sum(kernel_poses))  # not 124-234
-        # the wild sweep's winners are the kernel's at every pose
-        values = np.linspace(-wild_spec.radius_b, wild_spec.radius_b, 2001)
-        changes = dict(zbuffer_changes(wild, wild_spec.axis, values, wild_cam))
-        assert 100 < len(changes) < 500  # owners change often, not at every pose
-        blocks, winners = zbuffer_blocks(wild, wild_spec.axis, values, wild_cam), None
-        for pose, want in enumerate(row for block in blocks for row in block):
-            winners = changes.get(pose, winners)
-            np.testing.assert_array_equal(winners, want, err_msg=str(pose))
+            assert 0 < sum(kernel_poses) <= 3, (len(cloud), sum(kernel_poses))
+        # the winners are the kernel's at every pose
+        for cloud, spec, cam, (fewest, most) in checked:
+            values = np.linspace(-spec.radius_b, spec.radius_b, 2001)
+            changes = dict(zbuffer_changes(cloud, spec.axis, values, cam))
+            assert fewest < len(changes) < most, len(changes)  # wild: 234, dense: 2000
+            blocks, winners = zbuffer_blocks(cloud, spec.axis, values, cam), None
+            for pose, want in enumerate(row for block in blocks for row in block):
+                winners = changes.get(pose, winners)
+                np.testing.assert_array_equal(winners, want, err_msg=str(pose))
 
 
 class TestAdjacentFrameError:

@@ -81,6 +81,7 @@ from .smoothing import (
     clopper_pearson_lower,
     gaussian_quantile,
     smoothed_estimate,
+    smoothed_estimates,
     smoothed_prediction,
 )
 

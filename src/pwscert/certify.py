@@ -13,16 +13,20 @@ premise of the guarantee fails, so nothing is proven either way.
 
 Frames that render the same image share one Monte-Carlo estimate: the
 smoothed classifier depends only on the image, so each distinct frame is
-tallied once, on the stream of its first occurrence, and every repeat
-reuses that result.  Each such estimate holds with its own failure
-probability alpha, so a union bound over the distinct estimates gives a
-failure budget of at most ``n_partitions * alpha``; the report carries
-that figure as ``aggregate_alpha``, which over-approximates the bound
-whenever frames repeat.
+tallied once and every repeat reuses that result.  All distinct frames of
+one call are tallied against the same noise draws, those of the stream
+``stream_id(context, 0)``.  Each estimate still holds with its own failure
+probability alpha, and a union bound needs no independence between them,
+so the distinct estimates fail jointly with probability at most
+``n_partitions * alpha``; the report carries that figure as
+``aggregate_alpha``, which over-approximates the bound whenever frames
+repeat.
 
-Distinct frames are tallied on up to ``PWS_THREADS`` threads (default:
-the CPU count) of the calling process; each tally owns its stream, so the
-estimates do not depend on the thread count.
+Pixel-space tallies run on up to ``PWS_THREADS`` threads (default: the
+CPU count) of the calling process: the calling thread draws the noise and
+the others score frames against it.  Logit-space tallies run on the
+calling thread.  Either way the estimates do not depend on the thread
+count.
 """
 
 from __future__ import annotations
@@ -30,8 +34,7 @@ from __future__ import annotations
 import enum
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,13 +48,13 @@ from .smoothing import (
     STREAM_ATTACK,
     STREAM_FRAME,
     SmoothingConfig,
-    smoothed_estimate,
+    smoothed_estimates,
     smoothed_prediction,
     stream_id,
 )
 
 STREAM_ATTACK_REFERENCE = 3
-REPORT_VERSION = 3
+REPORT_VERSION = 4
 
 
 class Verdict(str, enum.Enum):
@@ -70,7 +73,7 @@ class PartitionEstimate:
     abstained: bool
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
 
 @dataclass
@@ -100,11 +103,14 @@ class CertificationReport:
     extra: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        payload = asdict(self)
+        # the fields as ``dataclasses.asdict`` gives them, without its deep copy
+        payload = dict(vars(self))
         payload.update(
             pws_report_version=REPORT_VERSION,
             verdict=self.verdict.value,
             method=self.method.value,
+            per_partition=[p.to_json() for p in self.per_partition],
+            extra=dict(self.extra),
             timing={"wall_time_s": payload.pop("wall_time_s")},
         )
         return payload
@@ -118,7 +124,7 @@ class AttackReport:
     reference_label: int
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
 
 def worker_count() -> int:
@@ -131,36 +137,22 @@ def worker_count() -> int:
     return os.cpu_count() or 1
 
 
-def _run_tasks(tasks, classifier, cfg, context):
-    """Smoothed estimates of ``(index, image)`` tasks, in order, on up to
-    ``worker_count()`` threads: numpy releases the GIL where a tally spends
-    its time (the noise fill, ufuncs, reductions and BLAS)."""
-
-    def estimate(task):
-        index, image = task
-        return smoothed_estimate(classifier, image, cfg,
-                                 stream=stream_id(context, index))
-
-    workers = min(worker_count(), len(tasks))
-    if workers <= 1:
-        return [estimate(t) for t in tasks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(estimate, tasks))
+def _run_tasks(images, classifier, cfg, context):
+    """Smoothed estimates of ``images``, in order, every image tallied
+    against the draws of the one stream ``stream_id(context, 0)``;
+    pixel-path tallies run on up to ``worker_count()`` threads."""
+    return smoothed_estimates(classifier, images, cfg, stream_id(context, 0),
+                              workers=worker_count())
 
 
 def _estimate_distinct(frames, classifier, cfg, context):
     """One smoothed estimate per frame, tallied once per distinct image,
-    and the number of distinct images.
-
-    The first occurrence of each image is estimated on the stream
-    ``stream_id(context, first_index)``; every repeat reuses that result.
-    """
+    and the number of distinct images."""
     first = {}
     owners = [first.setdefault(f.tobytes(), i) for i, f in enumerate(frames)]
-    tasks = [(i, frames[i]) for i in first.values()]
-    results = _run_tasks(tasks, classifier, cfg, context)
+    results = _run_tasks([frames[i] for i in first.values()], classifier, cfg, context)
     by_index = dict(zip(first.values(), results))
-    return [by_index[i] for i in owners], len(tasks)
+    return [by_index[i] for i in owners], len(first)
 
 
 def certify(

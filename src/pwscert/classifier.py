@@ -21,7 +21,6 @@ import json
 
 import numpy as np
 from numpy.random import Generator, Philox
-from scipy.optimize import minimize
 
 from .errors import ConfigError, DegenerateDataset, FileFormatError, ShapeMismatch
 
@@ -202,6 +201,10 @@ def builtin_train(
         gw = x.T @ grad_logits + _L2 * w
         gb = grad_logits.sum(axis=0)
         return loss, np.concatenate([gw.ravel(), gb])
+
+    # imported here: scipy.optimize takes about half a second to import,
+    # which every other command would pay
+    from scipy.optimize import minimize
 
     start = np.zeros(f * n_labels + n_labels)
     res = minimize(objective, start, jac=True, method="L-BFGS-B",

@@ -16,31 +16,35 @@ is exact only for unclipped additive noise and the classifiers accept
 unbounded inputs.
 
 Randomness is organized in named Philox streams keyed by (seed, stream
-id): every evaluation owns one stream and consumes it serially, so results
-do not depend on how evaluations are distributed over workers or how draws
-are batched.  Certification and attack sweeps evaluate each distinct frame
-once, on the stream keyed by the index of its first occurrence in the
-sweep (``stream_id(context, first_index)``); repeated frames reuse it.
-Evaluations may run side by side on threads, so the pixel-space tally
-draws at most ``_NOISE_ENTRIES`` noise entries at a time; a stream is
-consumed in the same order whatever the block size.
+id), and a stream is consumed serially, so results do not depend on how
+draws are batched.  ``smoothed_estimates`` tallies several images against
+the same draws of one stream: certification and attack sweeps tally all
+distinct frames of a call on ``stream_id(context, 0)``, so one draw serves
+every frame, and a one-image call (``smoothed_estimate``) sees exactly the
+draws its image sees in a larger call.  The pixel-space tally draws its
+noise in blocks of at most ``_NOISE_ENTRIES`` entries, and other threads
+may score the images against one block while the next is drawn; each
+image still sees every block in stream order, so the estimates do not
+depend on the thread count.
 
 For classifiers exposing an affine pixel-to-logit map, the argmax under
 pixel noise is sampled exactly in logit space: the noise pushes forward to
 ``N(0, sigma^2 A A^T)`` over the logits, which is cheaper by the ratio of
-pixel count to label count and distributionally identical.  Set
+pixel count to label count and distributionally identical.  That path
+draws each noise block and its pushforward once and scores every image
+against it.  Set
 ``SmoothingConfig.force_pixel_noise`` to bypass it.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.random import Generator, Philox
-from scipy.special import ndtri
-from scipy.stats import beta as beta_dist
+from scipy.special import betaincinv, ndtri
 
 from .errors import ConfigError, DomainError
 from .classifier import BaseClassifier
@@ -103,52 +107,115 @@ def gaussian_quantile(p: float) -> float:
 
 
 def clopper_pearson_lower(successes: int, trials: int, alpha: float) -> float:
-    """Exact one-sided lower confidence bound for a binomial proportion."""
+    """Exact one-sided lower confidence bound for a binomial proportion:
+    the ``alpha`` quantile of Beta(k, n - k + 1), ``scipy.special.betaincinv``."""
     if trials < 1 or not 0 <= successes <= trials:
         raise ValueError(f"bad binomial tally {successes}/{trials}")
     if successes == 0:
         return 0.0
     if successes == trials:
         return float(alpha ** (1.0 / trials))
-    return float(beta_dist.ppf(alpha, successes, trials - successes + 1))
+    return float(betaincinv(successes, trials - successes + 1, alpha))
 
 
-def _tally_pixel_noise(classifier, image, cfg, rng) -> np.ndarray:
-    flat = image.reshape(-1)
-    rows = max(1, min(BATCH_SIZE, _NOISE_ENTRIES // flat.size))
-    counts = np.zeros(classifier.label_count, dtype=np.int64)
-    done = 0
-    while done < cfg.n_samples:
-        nb = min(rows, cfg.n_samples - done)
-        batch = rng.standard_normal((nb, flat.size))
-        batch *= cfg.sigma
-        batch += flat
-        scores = classifier.predict_batch(batch.reshape(nb, *image.shape))
-        counts += np.bincount(
-            np.argmax(scores, axis=1), minlength=classifier.label_count
-        )
-        done += nb
+def _tally_pixel_noise(classifier, images, cfg, stream, workers) -> np.ndarray:
+    rng = noise_generator(cfg.seed, stream)
+    flat = images.reshape(len(images), -1)
+    rows = max(1, min(BATCH_SIZE, _NOISE_ENTRIES // flat.shape[1]))
+    counts = np.zeros((len(images), classifier.label_count), dtype=np.int64)
+
+    def blocks():
+        done = 0
+        while done < cfg.n_samples:
+            nb = min(rows, cfg.n_samples - done)
+            noise = rng.standard_normal((nb, flat.shape[1]))
+            noise *= cfg.sigma
+            yield noise
+            done += nb
+
+    def score(share, noise):
+        for image, row in zip(flat[share], counts[share]):
+            batch = (noise + image).reshape(len(noise), *images.shape[1:])
+            row += np.bincount(np.argmax(classifier.predict_batch(batch), axis=1),
+                               minlength=classifier.label_count)
+
+    scorers = min(workers - 1, len(images))
+    if scorers < 1:
+        for noise in blocks():
+            score(slice(None), noise)
+        return counts
+    # this thread draws the next block while the scorers score the last one,
+    # and waits for them before handing it out, so at most two blocks live;
+    # each scorer owns every scorers-th image, so no two touch one row
+    shares = [slice(first, None, scorers) for first in range(scorers)]
+    scoring = []
+    with ThreadPoolExecutor(max_workers=scorers) as pool:
+        for noise in blocks():
+            for future in scoring:
+                future.result()
+            scoring = [pool.submit(score, share, noise) for share in shares]
+        for future in scoring:
+            future.result()
     return counts
 
 
-def _tally_logit_noise(logit_map, image, cfg, rng, label_count) -> np.ndarray:
+def _tally_logit_noise(logit_map, images, cfg, stream, label_count) -> np.ndarray:
+    rng = noise_generator(cfg.seed, stream)
     a_mat, bias = logit_map
-    base = a_mat @ image.reshape(-1) + bias
+    # one product per image, the arithmetic of a one-image call
+    bases = [a_mat @ image.reshape(-1) + bias for image in images]
     cov = (cfg.sigma**2) * (a_mat @ a_mat.T)
     try:
         factor = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
         vals, vecs = np.linalg.eigh(cov)
         factor = vecs * np.sqrt(np.clip(vals, 0.0, None))
-    counts = np.zeros(label_count, dtype=np.int64)
+    counts = np.zeros((len(images), label_count), dtype=np.int64)
     done = 0
     while done < cfg.n_samples:
         nb = min(BATCH_SIZE, cfg.n_samples - done)
-        g = rng.standard_normal((nb, label_count))
-        logits = base[None, :] + g @ factor.T
-        counts += np.bincount(np.argmax(logits, axis=1), minlength=label_count)
+        noise = rng.standard_normal((nb, label_count)) @ factor.T
+        for base, row in zip(bases, counts):
+            row += np.bincount(np.argmax(base + noise, axis=1), minlength=label_count)
         done += nb
     return counts
+
+
+def _estimate(counts: np.ndarray, cfg: SmoothingConfig) -> SmoothedEstimate:
+    top = int(np.argmax(counts))
+    p_a = clopper_pearson_lower(int(counts[top]), cfg.n_samples, cfg.confidence_alpha)
+    p_b = 1.0 - p_a
+    if p_a <= 0.5:
+        return SmoothedEstimate(top, p_a, p_b, counts, 0.0, True)
+    radius = 0.5 * cfg.sigma * (gaussian_quantile(p_a) - gaussian_quantile(p_b))
+    return SmoothedEstimate(top, p_a, p_b, counts, radius, False)
+
+
+def smoothed_estimates(
+    classifier: BaseClassifier,
+    images,
+    cfg: SmoothingConfig,
+    stream: int = STREAM_GENERIC,
+    workers: int = 1,
+) -> list:
+    """Estimate the smoothed prediction at each image, every image tallied
+    against the same draws of ``stream``.
+
+    On the pixel path this thread draws the noise while up to
+    ``workers - 1`` threads score the images against it; the logit path
+    runs on this thread.  Either way the estimates do not depend on
+    ``workers``.
+    """
+    images = np.asarray(images, dtype=np.float64)
+    if not len(images):
+        return []
+    logit_map = None if cfg.force_pixel_noise else classifier.logit_map()
+    if logit_map is not None:
+        counts = _tally_logit_noise(logit_map, images, cfg, stream,
+                                    classifier.label_count)
+    else:
+        counts = _tally_pixel_noise(classifier, images, cfg, stream, workers)
+    return [_estimate(c, cfg) for c in counts]
 
 
 def smoothed_estimate(
@@ -158,23 +225,7 @@ def smoothed_estimate(
     stream: int = STREAM_GENERIC,
 ) -> SmoothedEstimate:
     """Estimate the smoothed prediction at one image with confidence bounds."""
-    image = np.asarray(image, dtype=np.float64)
-    rng = noise_generator(cfg.seed, stream)
-    logit_map = None if cfg.force_pixel_noise else classifier.logit_map()
-    if logit_map is not None:
-        counts = _tally_logit_noise(
-            logit_map, image, cfg, rng, classifier.label_count
-        )
-    else:
-        counts = _tally_pixel_noise(classifier, image, cfg, rng)
-
-    top = int(np.argmax(counts))
-    p_a = clopper_pearson_lower(int(counts[top]), cfg.n_samples, cfg.confidence_alpha)
-    p_b = 1.0 - p_a
-    if p_a <= 0.5:
-        return SmoothedEstimate(top, p_a, p_b, counts, 0.0, True)
-    radius = 0.5 * cfg.sigma * (gaussian_quantile(p_a) - gaussian_quantile(p_b))
-    return SmoothedEstimate(top, p_a, p_b, counts, radius, False)
+    return smoothed_estimates(classifier, [image], cfg, stream)[0]
 
 
 def smoothed_prediction(

@@ -1,3 +1,5 @@
+import dataclasses
+import importlib
 import multiprocessing.process
 import os
 import threading
@@ -22,7 +24,12 @@ from pwscert import (
 from pwscert.demo import demo_specs
 from pwscert.intervals import CertMethod, DeltaConvexity
 from pwscert.rasterizer import render_sweep
-from pwscert.smoothing import STREAM_FRAME, smoothed_estimate, stream_id
+from pwscert import smoothing as smoothing_module
+from pwscert.smoothing import STREAM_ATTACK, STREAM_FRAME, smoothed_estimate, stream_id
+
+
+# the package exports the function ``certify`` under the module's name
+certify_module = importlib.import_module("pwscert.certify")
 
 
 class ConfidentClassifier(BaseClassifier):
@@ -194,7 +201,7 @@ class TestCertify:
         report = certify(cloud, spec, cam, ConfidentClassifier(), SMOOTH,
                          CertMethod.EXACT, IVCFG)
         payload = report.to_json()
-        assert payload["pws_report_version"] == 3
+        assert payload["pws_report_version"] == 4
         assert payload["verdict"] == "certified"
         assert payload["n_distinct_frames"] == 1  # the point never leaves its cell
         assert "noise_clamped" not in payload
@@ -202,6 +209,24 @@ class TestCertify:
         assert "wall_time_s" in payload["timing"]
         assert len(payload["per_partition"]) == payload["n_partitions"]
         assert payload["extra"]["classifier"]["type"] == "ConfidentClassifier"
+
+    def test_payloads_equal_asdict(self, cam):
+        cloud, spec = flip_scene(cam)
+        clf = PixelSignClassifier(50, 50)
+        report = certify(cloud, spec, cam, clf, SMOOTH, CertMethod.EXACT, IVCFG)
+        payload = report.to_json()
+        want = dataclasses.asdict(report)
+        want.update(pws_report_version=4, verdict=report.verdict.value,
+                    method=report.method.value,
+                    timing={"wall_time_s": want.pop("wall_time_s")})
+        assert payload == want
+        assert len(payload["per_partition"]) > 1
+        # the payload is a copy: editing it leaves the report alone
+        payload["per_partition"][0]["radius"] = -1.0
+        payload["extra"]["classifier"] = None
+        assert report.to_json() == want
+        attack = empirical_attack(cloud, spec, cam, clf, SMOOTH, poses=8)
+        assert attack.to_json() == dataclasses.asdict(attack)
 
     def test_parallel_matches_serial(self, cam, monkeypatch):
         # several distinct frames, so the pooled run really fans out, and a
@@ -234,12 +259,13 @@ class TestCertify:
                 payload.pop("timing")
                 reports[threads].append(payload)
         distinct = {p["p_a_lower"] for r in reports["2"] for p in r["per_partition"]}
-        assert len(distinct) > 2  # several tallies, so two threads share the work
+        assert len(distinct) > 2  # several distinct frames, all on one stream
         assert reports["1"] == reports["2"]
 
 
 class TestSharedTallies:
-    """Repeated frames reuse the tally of their first occurrence."""
+    """Repeated frames reuse the tally of their first occurrence, and every
+    distinct frame of a call is tallied on the call's one stream."""
 
     CFG = SmoothingConfig(sigma=0.02, n_samples=400, confidence_alpha=0.01,
                           seed=4, force_pixel_noise=True)
@@ -268,32 +294,94 @@ class TestSharedTallies:
         assert clf.images == (distinct + 1) * self.CFG.n_samples  # + reference
         assert started == []  # every tally ran in this process
 
-    def test_repeats_equal_first_occurrence(self, cam):
-        cloud, spec = flip_scene(cam)
-        clf = PixelSignClassifier(50, 50)
-        report = certify(cloud, spec, cam, clf, self.CFG, CertMethod.EXACT, IVCFG)
-        frames = render_sweep(cloud, spec, cam,
-                              [p.alpha for p in report.per_partition])
+    @staticmethod
+    def fields(estimate):
+        return {
+            "top_label": estimate.top_label,
+            "p_a_lower": estimate.p_a_lower,
+            "p_b_upper": estimate.p_b_upper,
+            "radius": estimate.radius,
+            "abstained": estimate.abstained,
+        }
+
+    def check_report(self, report, frames, clf, cfg):
+        """Every entry equals a one-image tally of its frame on the call's
+        stream, field for field."""
         owners = first_indices(frames)
-        assert 1 < len(set(owners)) < len(frames)
         assert report.n_distinct_frames == len(set(owners))
+        stream = stream_id(STREAM_FRAME, 0)
         for i, (owner, entry) in enumerate(zip(owners, report.per_partition)):
             got = entry.to_json()
             got.pop("alpha")
-            if owner != i:
-                want = report.per_partition[owner].to_json()
-                want.pop("alpha")
-                assert got == want
-                continue
-            est = smoothed_estimate(clf, frames[i], self.CFG,
-                                    stream=stream_id(STREAM_FRAME, i))
-            assert got == {
-                "top_label": est.top_label,
-                "p_a_lower": est.p_a_lower,
-                "p_b_upper": est.p_b_upper,
-                "radius": est.radius,
-                "abstained": est.abstained,
-            }
+            est = smoothed_estimate(clf, frames[owner], cfg, stream=stream)
+            assert got == self.fields(est), i
+
+    def test_repeats_equal_first_occurrence(self, cam, monkeypatch):
+        cloud, spec = flip_scene(cam)
+        clf = PixelSignClassifier(50, 50)
+        for threads in ("1", "2"):
+            monkeypatch.setenv("PWS_THREADS", threads)
+            report = certify(cloud, spec, cam, clf, self.CFG, CertMethod.EXACT, IVCFG)
+            frames = render_sweep(cloud, spec, cam,
+                                  [p.alpha for p in report.per_partition])
+            assert 1 < report.n_distinct_frames < len(frames)
+            self.check_report(report, frames, clf, self.CFG)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_logit_path_frames_equal_one_image_tallies(
+        self, demo_corpus, demo_classifier, monkeypatch, threads
+    ):
+        monkeypatch.setenv("PWS_THREADS", threads)
+        scenes, cam = demo_corpus
+        cfg = SmoothingConfig(sigma=0.5, n_samples=2000, confidence_alpha=0.01, seed=3)
+        spec = demo_specs()[1]  # RY: several distinct frames
+        report = certify(scenes[0].cloud, spec, cam, demo_classifier, cfg,
+                         CertMethod.EXACT, IVCFG)
+        frames = render_sweep(scenes[0].cloud, spec, cam,
+                              [p.alpha for p in report.per_partition])
+        assert report.n_distinct_frames > 2
+        self.check_report(report, frames, demo_classifier, cfg)
+
+    @pytest.mark.parametrize("pixel", [False, True])
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_attack_frames_equal_one_image_tallies(
+        self, demo_corpus, demo_classifier, monkeypatch, pixel, threads
+    ):
+        monkeypatch.setenv("PWS_THREADS", threads)
+        calls = []
+        run_tasks = certify_module._run_tasks
+
+        def recording(images, *args):
+            results = run_tasks(images, *args)
+            calls.append((images, results))
+            return results
+
+        monkeypatch.setattr(certify_module, "_run_tasks", recording)
+        scenes, cam = demo_corpus
+        cfg = SmoothingConfig(sigma=0.5, n_samples=400, confidence_alpha=0.01, seed=6,
+                              force_pixel_noise=pixel)
+        spec = demo_specs()[1]  # RY: several distinct frames
+        empirical_attack(scenes[1].cloud, spec, cam, demo_classifier, cfg, poses=30)
+        [(images, results)] = calls
+        assert len(images) > 2
+        for image, got in zip(images, results):
+            want = smoothed_estimate(demo_classifier, image, cfg,
+                                     stream=stream_id(STREAM_ATTACK, 0))
+            assert self.fields(got) == self.fields(want)
+            np.testing.assert_array_equal(got.counts, want.counts)
+
+    def test_logit_path_draws_noise_once(self, demo_corpus, demo_classifier,
+                                         monkeypatch):
+        generators = []
+        make = smoothing_module.noise_generator
+        monkeypatch.setattr(smoothing_module, "noise_generator",
+                            lambda *key: generators.append(key) or make(*key))
+        scenes, cam = demo_corpus
+        cfg = SmoothingConfig(sigma=0.5, n_samples=2000, confidence_alpha=0.01, seed=3)
+        report = certify(scenes[0].cloud, demo_specs()[1], cam, demo_classifier, cfg,
+                         CertMethod.EXACT, IVCFG)
+        assert report.n_distinct_frames >= 3
+        assert generators == [(cfg.seed, stream_id(STREAM_FRAME, 0))]
 
 
 class TestEmpiricalAttack:

@@ -1,11 +1,16 @@
 import csv
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import pwscert
 from pwscert.cli import main, parse_radius
 from pwscert.errors import ConfigError
 from pwscert.geometry import Axis
@@ -136,7 +141,7 @@ class TestCertifyAttackReport:
         assert 0.0 <= summary["certified_accuracy"] <= 1.0
         one = next(iter(summary["samples"]))
         payload = json.loads((run / f"{one}.cert.json").read_text())
-        assert payload["pws_report_version"] == 3
+        assert payload["pws_report_version"] == 4
 
         res = runner.invoke(main, [
             "attack", "--corpus", str(corpus), "--model", str(model),
@@ -408,3 +413,18 @@ class TestErrorHandling:
         assert res.output.splitlines() == [
             f"missing_file: corpus {copy} has no {target}"
         ]
+
+
+class TestStartup:
+    def test_import_leaves_out_slow_scipy_modules(self):
+        # scipy.stats and scipy.optimize each take about half a second to
+        # import; every command would pay for them
+        code = ("import sys, pwscert.cli; "
+                "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') "
+                "if m in sys.modules))")
+        src = str(Path(pwscert.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from pwscert import (
     clopper_pearson_lower,
     gaussian_quantile,
     smoothed_estimate,
+    smoothed_estimates,
     smoothed_prediction,
 )
 from pwscert.smoothing import _NOISE_ENTRIES, STREAM_FRAME, noise_generator, stream_id
@@ -259,6 +261,61 @@ class TestSmoothedEstimate:
             SmoothingConfig(sigma=0.5, n_samples=10)
         with pytest.raises(ValueError):
             SmoothingConfig(sigma=0.5, n_samples=1000, confidence_alpha=1.5)
+
+
+class TestSharedDraws:
+    """Every image of one call sees the draws a one-image call would."""
+
+    @pytest.mark.parametrize("pixel", [False, True])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_each_image_equals_its_one_image_tally(self, pixel, workers, monkeypatch):
+        from pwscert import smoothing
+
+        rng = np.random.default_rng(11)
+        shape = (1, 8, 8)
+        clf = LinearSoftmaxClassifier(rng.standard_normal((4, 3)),
+                                      rng.standard_normal(3), shape, 4)
+        images = rng.uniform(0.0, 1.0, (5, *shape))
+        cfg = SmoothingConfig(sigma=0.7, n_samples=3000, confidence_alpha=0.01,
+                              seed=5, force_pixel_noise=pixel)
+        monkeypatch.setattr(smoothing, "BATCH_SIZE", 1000)  # several blocks
+        got = smoothed_estimates(clf, images, cfg, stream=4, workers=workers)
+        assert len(got) == len(images)
+        for image, est in zip(images, got):
+            want = smoothed_estimate(clf, image, cfg, stream=4)
+            np.testing.assert_array_equal(est.counts, want.counts)
+            assert (est.top_label, est.p_a_lower, est.radius, est.abstained) == (
+                want.top_label, want.p_a_lower, want.radius, want.abstained)
+        assert len({est.p_a_lower for est in got}) > 1
+
+    def test_pixel_scorers_under_thread_switching(self, monkeypatch):
+        from pwscert import smoothing
+
+        # more scorer threads than cores, many small blocks, and a thread
+        # switch every microsecond: a block scored twice, skipped or
+        # overwritten while in use changes some image's counts
+        rng = np.random.default_rng(12)
+        shape = (1, 4, 4)
+        clf = LinearSoftmaxClassifier(rng.standard_normal((1, 3)),
+                                      rng.standard_normal(3), shape, 4)
+        images = rng.uniform(0.0, 1.0, (9, *shape))
+        cfg = SmoothingConfig(sigma=4.0, n_samples=2000, confidence_alpha=0.01,
+                              seed=8, force_pixel_noise=True)
+        monkeypatch.setattr(smoothing, "_NOISE_ENTRIES", 16 * 16)  # 16-draw blocks
+        want = [smoothed_estimate(clf, image, cfg, stream=2).counts for image in images]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = smoothed_estimates(clf, images, cfg, stream=2, workers=6)
+        finally:
+            sys.setswitchinterval(interval)
+        for est, counts in zip(got, want):
+            assert est.counts.sum() == cfg.n_samples
+            np.testing.assert_array_equal(est.counts, counts)
+
+    def test_empty_input(self):
+        cfg = SmoothingConfig(sigma=0.5, n_samples=100)
+        assert smoothed_estimates(ConstantClassifier(0), [], cfg) == []
 
 
 class TestNoiseEquivalence:

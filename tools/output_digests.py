@@ -16,6 +16,9 @@ attack; a 32 px random-profile corpus certified at quantile 0.995 and
 ``report``.  Every file is listed with its
 SHA-256; JSON files are hashed with their ``timing`` entries dropped, and
 each command's exit status, stdout and stderr are kept as files too.
+Every CLI run takes the logit-space tally, so the library part hashes,
+the same way, certify reports (TZ and RY) and a 300-pose attack on two of
+the demo scenes with ``force_pixel_noise`` at 2,000 draws.
 
 The sweep part hashes, bit for bit, the ``_sweep_runs`` arrays (2,001
 poses) and the ``render_sweep`` frames (2,001 sorted poses, plus a sorted
@@ -52,7 +55,7 @@ from pathlib import Path
 import numpy as np
 
 import pwscert as pc
-from pwscert.demo import build_demo_scene, demo_camera
+from pwscert.demo import build_demo_scene, demo_camera, demo_specs
 from pwscert.geometry import delta_constant, min_depth_over_range
 from pwscert.intervals import _sweep_runs
 
@@ -106,6 +109,24 @@ def run_cli(workdir: Path) -> None:
     _pws(workdir, "report", "report", "--runs", "runs", "--out", "table.csv")
 
 
+def library_digests(workdir: Path):
+    """Library runs on the pixel-space tally, which no CLI run takes: certify
+    on TZ 36 mm and RY 0.026 rad (quantile 1.0) and a 300-pose attack on TZ,
+    on two scenes of the demo corpus with its model, at 2,000 draws."""
+    scenes, cam = pc.load_corpus(workdir / "demo")
+    clf = pc.load_model(workdir / "demo.pws")
+    cfg = pc.SmoothingConfig(sigma=0.5, n_samples=2000, confidence_alpha=0.001,
+                             seed=0, force_pixel_noise=True)
+    icfg = pc.IntervalConfig(quantile=1.0)
+    for scene in scenes[:2]:
+        for spec in demo_specs():
+            report = pc.certify(scene.cloud, spec, cam, clf, cfg, interval_cfg=icfg)
+            yield f"library certify {scene.name} {spec.axis.value}", report.to_json()
+        attack = pc.empirical_attack(scene.cloud, demo_specs()[0], cam, clf, cfg,
+                                     poses=300)
+        yield f"library attack {scene.name} tz", attack.to_json()
+
+
 def _drop_timing(obj):
     if isinstance(obj, dict):
         return {k: _drop_timing(v) for k, v in obj.items() if k != "timing"}
@@ -114,12 +135,18 @@ def _drop_timing(obj):
     return obj
 
 
+def _json_digest(obj) -> str:
+    data = json.dumps(_drop_timing(obj), sort_keys=True).encode()
+    return hashlib.sha256(data).hexdigest()
+
+
 def file_digests(workdir: Path):
     for path in sorted(p for p in workdir.rglob("*") if p.is_file()):
-        data = path.read_bytes()
         if path.suffix == ".json":
-            data = json.dumps(_drop_timing(json.loads(data)), sort_keys=True).encode()
-        yield f"{path.relative_to(workdir)} {hashlib.sha256(data).hexdigest()}"
+            digest = _json_digest(json.loads(path.read_bytes()))
+        else:
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        yield f"{path.relative_to(workdir)} {digest}"
 
 
 def _outcome(fn):
@@ -242,7 +269,10 @@ def main(argv) -> None:
     workdir = Path(argv[1])
     workdir.mkdir(parents=True, exist_ok=False)
     run_cli(workdir)
-    for line in [*file_digests(workdir), *sweep_digests(), *geometry_digests()]:
+    library = [f"{name} {_json_digest(payload)}"
+               for name, payload in library_digests(workdir)]
+    for line in [*file_digests(workdir), *library, *sweep_digests(),
+                 *geometry_digests()]:
         print(line)
 
 

@@ -12,13 +12,15 @@ Frames that disagree on the top label abstain the whole sample: the
 premise of the guarantee fails, so nothing is proven either way.
 
 Frames that render the same image share one Monte-Carlo estimate: the
-smoothed classifier depends only on the image, so each distinct frame is
-tallied once and every repeat reuses that result.  All distinct frames of
-one call are tallied against the same noise draws, those of the stream
-``stream_id(context, 0)``.  Each estimate still holds with its own failure
-probability alpha, and a union bound needs no independence between them,
-so the distinct estimates fail jointly with probability at most
-``n_partitions * alpha``; the report carries that figure as
+smoothed classifier depends only on the image.  A sweep renders each image
+once (``sweep_images``), each distinct image is tallied once, every pose
+takes its image's estimate, and adjacent errors are taken between
+consecutive images.  All distinct images of one call, the attack's pose-0
+reference among them, are tallied against the same noise draws, those of
+the stream ``stream_id(context, 0)``.  Each estimate still holds with its
+own failure probability alpha, and a union bound needs no independence
+between them, so the distinct estimates fail jointly with probability at
+most ``n_partitions * alpha``; the report carries that figure as
 ``aggregate_alpha``, which over-approximates the bound whenever frames
 repeat.
 
@@ -43,16 +45,12 @@ from .errors import ConfigError
 from .geometry import CameraModel, MotionSpec, MotionValue
 from .intervals import CertMethod, IntervalConfig, plan_partition
 from .rasterizer import (ColoredPointCloud, DEFAULT_BACKGROUND, adjacent_frame_error,
-                         render, render_sweep)
-from .smoothing import (
-    STREAM_ATTACK,
-    STREAM_FRAME,
-    SmoothingConfig,
-    smoothed_estimates,
-    smoothed_prediction,
-    stream_id,
-)
+                         render, sweep_images)
+from .smoothing import (STREAM_ATTACK, STREAM_FRAME, SmoothingConfig, smoothed_estimates,
+                        stream_id)
 
+# not drawn by the program: the benchmark's replay imports it to tally the
+# attack's reference apart from the sweep
 STREAM_ATTACK_REFERENCE = 3
 REPORT_VERSION = 4
 
@@ -173,14 +171,14 @@ def certify(
     t0 = time.perf_counter()
     interval_cfg = interval_cfg or IntervalConfig()
     plan = plan_partition(cloud, spec, cam, method, interval_cfg)
-    frames = render_sweep(cloud, spec, cam, plan.values)
+    images, index = sweep_images(cloud, spec, cam, plan.values)
 
-    estimates, n_distinct = _estimate_distinct(frames, classifier, smoothing_cfg,
-                                               STREAM_FRAME)
-
-    max_err = 0.0
-    for a, b in zip(frames, frames[1:]):
-        max_err = max(max_err, adjacent_frame_error(a, b))
+    by_image, n_distinct = _estimate_distinct(images, classifier, smoothing_cfg,
+                                              STREAM_FRAME)
+    estimates = [by_image[i] for i in index]
+    # two frames rendering one image differ by exactly 0.0
+    max_err = max((adjacent_frame_error(a, b) for a, b in zip(images, images[1:])),
+                  default=0.0)
 
     per_partition = [
         PartitionEstimate(
@@ -243,7 +241,9 @@ def empirical_attack(
     smoothing_cfg: SmoothingConfig,
     poses: int = 100,
 ) -> AttackReport:
-    """Probe uniformly spaced poses for a smoothed-prediction label change."""
+    """Probe uniformly spaced poses for a smoothed-prediction label change
+    from pose 0's, tallied with the sweep's images on the call's stream: a
+    pose that renders the pose-0 image gets its label by construction."""
     if poses < 1:
         raise ConfigError(f"need at least one pose, got {poses}")
     if poses == 1:
@@ -251,21 +251,13 @@ def empirical_attack(
     else:
         values = np.linspace(-spec.radius_b, spec.radius_b, poses)
 
-    reference = smoothed_prediction(
-        classifier,
-        render(cloud, MotionValue(spec, 0.0), cam),
-        smoothing_cfg,
-        stream=stream_id(STREAM_ATTACK_REFERENCE, 0),
-    )
-    frames = render_sweep(cloud, spec, cam, values)
-    estimates, _ = _estimate_distinct(frames, classifier, smoothing_cfg, STREAM_ATTACK)
-    labels = [e.top_label for e in estimates]
-
-    first_failure = None
-    for value, label in zip(values, labels):
-        if label != reference:
-            first_failure = float(value)
-            break
+    images, index = sweep_images(cloud, spec, cam, values)
+    reference_image = render(cloud, MotionValue(spec, 0.0), cam)
+    estimates, _ = _estimate_distinct([reference_image, *images], classifier,
+                                      smoothing_cfg, STREAM_ATTACK)
+    reference = estimates[0].top_label
+    first_failure = next((float(value) for value, i in zip(values, index)
+                          if estimates[1 + i].top_label != reference), None)
     return AttackReport(
         poses_tested=int(poses),
         first_failure_pose=first_failure,

@@ -16,20 +16,20 @@ rounding, so the winners are those of ordering each cell's points by
 (depth, index).  ``zbuffer_blocks`` feeds long pose sequences through the
 kernel in blocks of bounded size.
 
-A sweep (``render_sweep``, and the ownership sweep behind every spacing
-bound) goes through ``zbuffer_changes``, which yields the winners of pose
-0 and of the later poses where a winner may change; every other pose
-repeats the winners of the pose before it.  Under TX, TY and TZ with
-sorted poses those are the poses where some point changes cell (124-234
-of 2,001 on the 64 px wild-certify scenes at TZ 20 mm), and the kernel
-runs at pose 0 only: the points keep one (depth, index) order, so each
-later change moves its points between cells and picks every cell's
-winner again by that order.  Under RX, RY and RZ with sorted poses, each
-pose z-buffered bounds how far the pose may move before a point can
-reach a cell border or pass its cell's winner, and the sweep skips to
-the first pose beyond (38-68 of 2,001 on the seed-0 demo scenes at RY
-0.026 rad, where 4-7 poses change a winner).  Unsorted pose lists
-z-buffer every pose.
+A sweep (``sweep_images``, and the ownership sweep behind every spacing
+bound) goes through ``zbuffer_changes``, which yields the winners of
+pose 0 and of the later poses where a winner may change; every other
+pose repeats the winners of the pose before it; ``sweep_images`` renders
+one image per yielded pose.  Under TX, TY and TZ with sorted poses those
+are the poses where some point changes cell (124-234 of 2,001 on the
+64 px wild-certify scenes at TZ 20 mm), and the kernel runs at pose 0 only:
+the points keep one (depth, index) order, so each later change moves its
+points between cells and picks every cell's winner again by that order.
+Under RX, RY and RZ with sorted poses, each pose z-buffered bounds how
+far the pose may move before a point can reach a cell border or pass its
+cell's winner, and the sweep skips to the first pose beyond (38-68 of
+2,001 on the seed-0 demo scenes at RY 0.026 rad, where 4-7 poses change
+a winner).  Unsorted pose lists z-buffer every pose.
 
 Points are pure one-pixel splats: no footprint, no interpolation, no
 anti-aliasing.  File formats: ``PWSI1`` for images (binary) and ``PWSPC1``
@@ -400,6 +400,35 @@ def render(
     return render_sweep(cloud, motion.spec, cam, [motion.value], background)[0]
 
 
+def sweep_images(
+    cloud: ColoredPointCloud,
+    spec: MotionSpec,
+    cam: CameraModel,
+    values,
+    background=DEFAULT_BACKGROUND,
+):
+    """``(images, index)``: one (K, H, W) image per pose ``zbuffer_changes``
+    yields, in pose order (consecutive ones may be equal), and ``index[i]``,
+    the image pose ``i`` renders.  The first value outside [-b, +b], NaN
+    included, raises ``MotionValue``'s ``ConfigError``."""
+    values = np.asarray(values, dtype=np.float64).reshape(-1)
+    outside = np.flatnonzero(~(np.abs(values) <= spec.radius_b))  # NaN fails too
+    if outside.size:
+        MotionValue(spec, float(values[outside[0]]))  # raises
+    k = cloud.channels
+    bg = np.broadcast_to(np.asarray(background, dtype=np.float64).reshape(-1), (k,))
+    images, starts = [], []
+    for pose, winners in zbuffer_changes(cloud, spec.axis, values, cam):
+        image = np.empty((k, cam.height * cam.width), dtype=np.float64)
+        image[:] = bg[:, None]
+        covered = winners >= 0
+        image[:, covered] = cloud.colors[winners[covered]].T
+        images.append(image.reshape(k, cam.height, cam.width))
+        starts.append(pose)
+    index = np.searchsorted(starts, np.arange(len(values)), side="right") - 1
+    return images, index
+
+
 def render_sweep(
     cloud: ColoredPointCloud,
     spec: MotionSpec,
@@ -407,22 +436,10 @@ def render_sweep(
     values,
     background=DEFAULT_BACKGROUND,
 ):
-    """Render one image per motion value; values must lie inside [-b, +b]."""
-    values = np.asarray(values, dtype=np.float64).reshape(-1)
-    for value in values:
-        MotionValue(spec, float(value))  # range check
-    k = cloud.channels
-    bg = np.broadcast_to(np.asarray(background, dtype=np.float64).reshape(-1), (k,))
-    frames = []
-    for index, winners in zbuffer_changes(cloud, spec.axis, values, cam):
-        frames += [frames[-1].copy() for _ in range(index - len(frames))]
-        image = np.empty((k, cam.height * cam.width), dtype=np.float64)
-        image[:] = bg[:, None]
-        covered = winners >= 0
-        image[:, covered] = cloud.colors[winners[covered]].T
-        frames.append(image.reshape(k, cam.height, cam.width))
-    frames += [frames[-1].copy() for _ in range(len(values) - len(frames))]
-    return frames
+    """Render one image per motion value, each its own array: the per-pose
+    expansion of ``sweep_images``; values must lie inside [-b, +b]."""
+    images, index = sweep_images(cloud, spec, cam, values, background)
+    return [images[i].copy() for i in index]
 
 
 def adjacent_frame_error(a: np.ndarray, b: np.ndarray) -> float:

@@ -10,22 +10,30 @@ import pytest
 from pwscert import (
     Axis,
     BaseClassifier,
+    CameraModel,
     ColoredPointCloud,
     ConfigError,
     IntervalConfig,
+    LinearSoftmaxClassifier,
     MotionSpec,
+    MotionValue,
+    ShapeClass,
     SmoothingConfig,
     Verdict,
+    adjacent_frame_error,
     certified_accuracy,
     certify,
     empirical_attack,
     frame_budget_comparison,
+    generate_scene,
+    render,
 )
 from pwscert.demo import demo_specs
-from pwscert.intervals import CertMethod, DeltaConvexity
+from pwscert.intervals import CertMethod, DeltaConvexity, plan_partition
 from pwscert.rasterizer import render_sweep
 from pwscert import smoothing as smoothing_module
-from pwscert.smoothing import STREAM_ATTACK, STREAM_FRAME, smoothed_estimate, stream_id
+from pwscert.smoothing import (STREAM_ATTACK, STREAM_FRAME, smoothed_estimate,
+                               smoothed_estimates, stream_id)
 
 
 # the package exports the function ``certify`` under the module's name
@@ -287,12 +295,42 @@ class TestSharedTallies:
         cloud, spec = flip_scene(cam)
         frames = render_sweep(cloud, spec, cam,
                               np.linspace(-spec.radius_b, spec.radius_b, 40))
-        distinct = len(set(first_indices(frames)))
+        reference = render(cloud, MotionValue(spec, 0.0), cam)
+        # the pose-0 reference is one of the sweep's images, tallied once
+        assert reference.tobytes() in {f.tobytes() for f in frames}
+        distinct = len(set(first_indices([reference, *frames])))
         assert 1 < distinct < 40
         clf = CountingClassifier(50, 50)
         empirical_attack(cloud, spec, cam, clf, self.CFG, poses=40)
-        assert clf.images == (distinct + 1) * self.CFG.n_samples  # + reference
+        assert clf.images == distinct * self.CFG.n_samples
         assert started == []  # every tally ran in this process
+
+    def test_reference_off_the_sweep_costs_one_tally(self, cam):
+        cloud, spec = flip_scene(cam)
+        frames = render_sweep(cloud, spec, cam, [-spec.radius_b, spec.radius_b])
+        reference = render(cloud, MotionValue(spec, 0.0), cam)
+        assert reference.tobytes() not in {f.tobytes() for f in frames}
+        distinct = len(set(first_indices(frames)))
+        clf = CountingClassifier(50, 50)
+        empirical_attack(cloud, spec, cam, clf, self.CFG, poses=2)
+        assert clf.images == (distinct + 1) * self.CFG.n_samples
+
+    def test_reference_image_never_fails(self, cam):
+        # the decisive pixel sits exactly on the classifier's threshold at
+        # every pose, so each tally's top label is a coin flip of its draws
+        cloud, spec = static_scene(cam)
+        cloud = ColoredPointCloud(cloud.points, np.array([[0.5]]))
+        reference = render(cloud, MotionValue(spec, 0.0), cam)
+        labels = set()
+        for seed in range(12):
+            cfg = dataclasses.replace(self.CFG, seed=seed)
+            report = empirical_attack(cloud, spec, cam, PixelSignClassifier(50, 50),
+                                      cfg, poses=9)
+            labels.add(report.reference_label)
+            if report.first_failure_pose is not None:
+                failing = render(cloud, MotionValue(spec, report.first_failure_pose), cam)
+                assert not np.array_equal(failing, reference), seed
+        assert labels == {0, 1}  # the reference label really is a tie
 
     @staticmethod
     def fields(estimate):
@@ -382,6 +420,95 @@ class TestSharedTallies:
                          CertMethod.EXACT, IVCFG)
         assert report.n_distinct_frames >= 3
         assert generators == [(cfg.seed, stream_id(STREAM_FRAME, 0))]
+
+
+def wild_scene():
+    """One 64 px random-profile scene, as ``pws gen-scenes --profile random
+    --grid 64 --points 12000 --depth 1.6:2.4 --channels 1`` writes it, with a
+    seeded linear model over its frames."""
+    cam = CameraModel(fx=64.0, fy=64.0, cx=32.0, cy=32.0, width=64, height=64)
+    scene = generate_scene(ShapeClass.PLANE_BILLBOARD, 12000, (1.6, 2.4), 0, cam,
+                           channels=1, layered=True)
+    rng = np.random.default_rng(8)
+    clf = LinearSoftmaxClassifier(rng.normal(0, 4, (256, 4)), rng.normal(0, 0.1, 4),
+                                  (1, 64, 64))
+    return scene.cloud, cam, clf
+
+
+class TestSweepOracle:
+    """``certify`` on each sweep image once gives the report of the per-pose
+    frames: the oracle below is certify's loop over every partition frame."""
+
+    @staticmethod
+    def oracle(cloud, spec, cam, clf, cfg, values):
+        frames = render_sweep(cloud, spec, cam, values)
+        owners = first_indices(frames)
+        distinct = sorted(set(owners))
+        tallies = dict(zip(distinct, smoothed_estimates(
+            clf, [frames[i] for i in distinct], cfg, stream_id(STREAM_FRAME, 0))))
+        max_err = 0.0
+        for a, b in zip(frames, frames[1:]):
+            max_err = max(max_err, adjacent_frame_error(a, b))
+        per_partition = [{"alpha": float(v), **TestSharedTallies.fields(tallies[o])}
+                         for v, o in zip(values, owners)]
+        return max_err, len(distinct), per_partition
+
+    def check(self, cloud, spec, cam, clf, cfg, icfg):
+        report = certify(cloud, spec, cam, clf, cfg, CertMethod.EXACT, icfg)
+        values = plan_partition(cloud, spec, cam, CertMethod.EXACT, icfg).values
+        max_err, n_distinct, per_partition = self.oracle(cloud, spec, cam, clf, cfg,
+                                                         values)
+        assert 1 < n_distinct < len(values)
+        assert report.n_distinct_frames == n_distinct
+        assert report.max_adjacent_error == max_err  # bit for bit
+        assert [p.to_json() for p in report.per_partition] == per_partition
+
+    @pytest.mark.parametrize("pixel", [False, True])
+    @pytest.mark.parametrize("axis", ["tz", "ry"])
+    def test_demo_scene(self, demo_corpus, demo_classifier, axis, pixel):
+        scenes, cam = demo_corpus
+        spec = {s.axis.value: s for s in demo_specs()}[axis]
+        cfg = SmoothingConfig(sigma=0.5, n_samples=400, confidence_alpha=0.01, seed=9,
+                              force_pixel_noise=pixel)
+        self.check(scenes[2].cloud, spec, cam, demo_classifier, cfg,
+                   IntervalConfig(quantile=1.0))
+
+    def test_wild_scene(self):
+        cloud, cam, clf = wild_scene()
+        cfg = SmoothingConfig(sigma=0.5, n_samples=1000, confidence_alpha=0.01, seed=9)
+        self.check(cloud, MotionSpec(Axis.TZ, 0.020), cam, clf, cfg,
+                   IntervalConfig(quantile=0.995))
+
+    @staticmethod
+    def attack_oracle(cloud, spec, cam, clf, cfg, poses):
+        """The attack report from per-pose frames, every distinct image of
+        the reference and the frames tallied on the call's stream."""
+        values = np.linspace(-spec.radius_b, spec.radius_b, poses)
+        frames = [render(cloud, MotionValue(spec, 0.0), cam),
+                  *render_sweep(cloud, spec, cam, values)]
+        owners = first_indices(frames)
+        distinct = sorted(set(owners))
+        labels = dict(zip(distinct, (e.top_label for e in smoothed_estimates(
+            clf, [frames[i] for i in distinct], cfg, stream_id(STREAM_ATTACK, 0)))))
+        reference = labels[0]
+        failure = next((float(v) for v, o in zip(values, owners[1:])
+                        if labels[o] != reference), None)
+        return {"poses_tested": poses, "first_failure_pose": failure,
+                "empirically_robust": failure is None, "reference_label": reference}
+
+    def test_attack_reports(self, cam, demo_corpus, demo_classifier):
+        cloud, spec = flip_scene(cam)
+        cfg, flip = TestSharedTallies.CFG, PixelSignClassifier(50, 50)
+        want = self.attack_oracle(cloud, spec, cam, flip, cfg, 40)
+        assert want["first_failure_pose"] is not None
+        assert empirical_attack(cloud, spec, cam, flip, cfg, 40).to_json() == want
+        scenes, demo_cam = demo_corpus
+        cfg = SmoothingConfig(sigma=0.5, n_samples=400, confidence_alpha=0.01, seed=9)
+        ry = demo_specs()[1]
+        for scene in scenes[:4]:
+            want = self.attack_oracle(scene.cloud, ry, demo_cam, demo_classifier, cfg, 30)
+            got = empirical_attack(scene.cloud, ry, demo_cam, demo_classifier, cfg, 30)
+            assert got.to_json() == want, scene.name
 
 
 class TestEmpiricalAttack:

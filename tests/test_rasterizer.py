@@ -20,6 +20,7 @@ from pwscert import (
     save_image,
 )
 from pwscert import rasterizer
+from pwscert.errors import ConfigError
 from pwscert.demo import build_demo_scene, demo_specs
 from pwscert.geometry import CameraModel, DEPTH_EPS, MotionValue, project_points
 from pwscert.intervals import _sweep_runs
@@ -27,6 +28,7 @@ from pwscert.rasterizer import (
     _BLOCK_ENTRIES,
     _cell_codes,
     _horizon_changes,
+    sweep_images,
     zbuffer_blocks,
     zbuffer_changes,
     zbuffer_winners,
@@ -250,6 +252,60 @@ class TestRenderSweep:
     def test_value_outside_range_rejected(self, cam, two_point_cloud):
         with pytest.raises(ValueError):
             render_sweep(two_point_cloud, MotionSpec(Axis.TZ, 0.2), cam, [0.0, 0.3])
+
+
+class TestSweepImages:
+    def test_index_expands_to_per_pose_render(self, small_cam):
+        rng = np.random.default_rng(25)
+        cloud = awkward_cloud(rng, 500)
+        for axis in Axis:
+            spec = MotionSpec(axis, axis_radius(axis) / 16)
+            ramp = np.linspace(-spec.radius_b, spec.radius_b, 70)  # > one block
+            lists = {"sorted": ramp, "unsorted": rng.choice(ramp, 60),
+                     "one": ramp[40:41], "empty": ramp[:0]}
+            assert len(set(lists["unsorted"])) < 60  # repeats
+            for kind, values in lists.items():
+                images, index = sweep_images(cloud, spec, small_cam, values,
+                                             background=0.3)
+                changes = change_poses(cloud, axis, values, small_cam)
+                assert len(images) == len(changes)
+                assert len(index) == len(values)
+                # poses map to images in yield order, from image 0
+                assert set(np.diff(np.r_[0, index])) <= {0, 1}
+                for i, value in zip(index, values):
+                    direct = render(cloud, MotionValue(spec, float(value)),
+                                    small_cam, 0.3)
+                    assert images[i].tobytes() == direct.tobytes(), (axis, kind)
+            if not axis.is_rotation:  # sorted translation sweeps skip poses
+                assert len(sweep_images(cloud, spec, small_cam, ramp)[0]) < len(ramp)
+
+    def test_render_sweep_frames_are_independent(self, cam):
+        far = [[10.0 * k + 5.0, 0.0, 1000.0] for k in range(15)]
+        cloud = ColoredPointCloud([[0.005, 0.0, 1.0]] + far, np.full((16, 1), 0.9))
+        values = [0.0, 0.0, 0.0, 0.1, 0.1]
+        frames = render_sweep(cloud, TX1, cam, values)
+        for j in range(len(frames)):
+            before = [f.copy() for f in frames]
+            frames[j][:] = -1.0
+            for k, (frame, kept) in enumerate(zip(frames, before)):
+                if k != j:
+                    np.testing.assert_array_equal(frame, kept)
+            frames[j][:] = before[j]
+
+    @pytest.mark.parametrize("values, first_bad", [
+        ([0.0, 0.3, -0.25, np.nan], 0.3),
+        ([0.1, np.nan, 0.3], np.nan),
+        ([-0.2000001], -0.2000001),
+    ])
+    def test_first_value_outside_range_named(self, cam, two_point_cloud, values,
+                                             first_bad):
+        spec = MotionSpec(Axis.TZ, 0.2)
+        with pytest.raises(ConfigError) as want:
+            MotionValue(spec, first_bad)
+        for fn in (sweep_images, render_sweep):
+            with pytest.raises(ConfigError) as got:
+                fn(two_point_cloud, spec, cam, values)
+            assert str(got.value) == str(want.value)
 
 
 def per_pose(changes, count):

@@ -10,12 +10,13 @@ outputs alone leaves them equal:
 The CLI part runs, inside the empty directory WORKDIR: a 4 x 2 demo
 corpus and its model; certify with all three methods on TZ 36 mm and
 RY 0.026 rad (quantile 1.0, delta 0.015 px) plus ``partition --json-out``
-for each; ``project`` on TZ 36 mm and on RY 0.026 rad; a 300-pose
-attack; a 32 px random-profile corpus certified at quantile 0.995 and
-1.0; a one-frame run at delta 0.3 px in which every scene fails; and
-``report``.  Every file is listed with its
-SHA-256; JSON files are hashed with their ``timing`` entries dropped, and
-each command's exit status, stdout and stderr are kept as files too.
+for each; ``project`` on TZ 36 mm and on RY 0.026 rad; attacks of 300, 1
+and 2 poses (one pose renders only the pose-0 reference, two poses miss
+it); a 32 px random-profile corpus certified at quantile 0.995 and 1.0; a
+one-frame run at delta 0.3 px in which every scene fails; and ``report``.
+Every file is listed with its SHA-256; JSON files are hashed with their
+``timing`` entries dropped, and each command's exit status, stdout and
+stderr are kept as files too.
 Every CLI run takes the logit-space tally, so the library part hashes,
 the same way, certify reports (TZ and RY) and a 300-pose attack on two of
 the demo scenes with ``force_pixel_noise`` at 2,000 draws.
@@ -96,6 +97,10 @@ def run_cli(workdir: Path) -> None:
     _pws(workdir, "attack", "attack", "--corpus", "demo", "--model", "demo.pws",
          "--axis", "tz", "--radius", "36mm", "--poses", "300", "--n-samples", "4000",
          "--out", "attack")
+    for poses in ("1", "2"):
+        _pws(workdir, f"attack-{poses}", "attack", "--corpus", "demo", "--model",
+             "demo.pws", "--axis", "tz", "--radius", "36mm", "--poses", poses,
+             "--n-samples", "4000", "--out", f"attack-{poses}")
     _pws(workdir, "gen-wild", "gen-scenes", "--out", "wild", "--profile", "random",
          "--classes", "2", "--per-class", "2", "--points", "1500", "--grid", "32")
     _pws(workdir, "train-wild", "train", "--corpus", "wild", "--out", "wild.pws")

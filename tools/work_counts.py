@@ -1,0 +1,77 @@
+"""Machine-independent work counts of one pass of benchmark workloads.
+
+    PYTHONPATH=src python tools/work_counts.py demo-attack wild-certify
+
+For each named workload it sets the corpus and model up as the benchmark
+does (``perfbench/workloads.py``, imported and left unchanged), runs one
+pass at seed 1, and prints one JSON line of what that pass did:
+
+* ``images_rendered``: poses the render path takes from ``zbuffer_changes``;
+* ``frames_hashed``: frames handed to ``certify._estimate_distinct``;
+* ``adjacent_errors``: ``adjacent_frame_error`` calls made by ``certify``;
+* ``noise_generators``: Philox streams opened (``noise_generator``);
+* ``tallied_images``: images handed to ``smoothed_estimates``.
+
+The counts come from wrapping those functions, so they run against any
+checkout whose ``src`` is on the path.
+"""
+
+from __future__ import annotations
+
+import importlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import workloads as W  # noqa: E402
+from pwscert import rasterizer, smoothing  # noqa: E402
+
+# the package exports the function ``certify`` under the module's name
+certify = importlib.import_module("pwscert.certify")
+
+COUNTS = dict.fromkeys(["images_rendered", "frames_hashed", "adjacent_errors",
+                        "noise_generators", "tallied_images"], 0)
+
+
+def count(module, name, key, amount=lambda args: 1):
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        COUNTS[key] += amount(args)
+        return fn(*args, **kwargs)
+
+    setattr(module, name, counted)
+
+
+def count_yields(module, name, key):
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        for item in fn(*args, **kwargs):
+            COUNTS[key] += 1
+            yield item
+
+    setattr(module, name, counted)
+
+
+def main(names) -> None:
+    count_yields(rasterizer, "zbuffer_changes", "images_rendered")
+    count(certify, "_estimate_distinct", "frames_hashed", lambda args: len(args[0]))
+    count(certify, "adjacent_frame_error", "adjacent_errors")
+    count(smoothing, "noise_generator", "noise_generators")
+    for module in (smoothing, certify):  # certify holds its own reference
+        count(module, "smoothed_estimates", "tallied_images", lambda args: len(args[1]))
+    for name in names:
+        workload = W.WORKLOADS[name]
+        with tempfile.TemporaryDirectory() as tmp:
+            env = W.setup(Path(tmp), 1, workload.corpus)
+            COUNTS.update(dict.fromkeys(COUNTS, 0))  # the set-up renders too
+            workload.run(env)
+        print(json.dumps({"workload": name, **COUNTS}), flush=True)
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:] or list(W.WORKLOADS))

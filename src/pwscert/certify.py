@@ -12,13 +12,13 @@ Frames that disagree on the top label abstain the whole sample: the
 premise of the guarantee fails, so nothing is proven either way.
 
 Frames that render the same image share one Monte-Carlo estimate: the
-smoothed classifier depends only on the image.  A sweep renders each image
-once (``sweep_images``), each distinct image is tallied once, every pose
+smoothed classifier depends only on the image.  A sweep returns each
+distinct image once (``sweep_images``), each is tallied once, every pose
 takes its image's estimate, and adjacent errors are taken between
-consecutive images.  All distinct images of one call, the attack's pose-0
-reference among them, are tallied against the same noise draws, those of
-the stream ``stream_id(context, 0)``.  Each estimate still holds with its
-own failure probability alpha, and a union bound needs no independence
+neighbouring poses that render different images.  All distinct images of
+one call are tallied against the same noise draws, those of the stream
+``stream_id(context, 0)``.  Each estimate still holds with its own
+failure probability alpha, and a union bound needs no independence
 between them, so the distinct estimates fail jointly with probability at
 most ``n_partitions * alpha``; the report carries that figure as
 ``aggregate_alpha``, which over-approximates the bound whenever frames
@@ -42,10 +42,10 @@ import numpy as np
 
 from .classifier import BaseClassifier
 from .errors import ConfigError
-from .geometry import CameraModel, MotionSpec, MotionValue
+from .geometry import CameraModel, MotionSpec
 from .intervals import CertMethod, IntervalConfig, plan_partition
 from .rasterizer import (ColoredPointCloud, DEFAULT_BACKGROUND, adjacent_frame_error,
-                         render, sweep_images)
+                         sweep_images)
 from .smoothing import (STREAM_ATTACK, STREAM_FRAME, SmoothingConfig, smoothed_estimates,
                         stream_id)
 
@@ -143,16 +143,6 @@ def _run_tasks(images, classifier, cfg, context):
                               workers=worker_count())
 
 
-def _estimate_distinct(frames, classifier, cfg, context):
-    """One smoothed estimate per frame, tallied once per distinct image,
-    and the number of distinct images."""
-    first = {}
-    owners = [first.setdefault(f.tobytes(), i) for i, f in enumerate(frames)]
-    results = _run_tasks([frames[i] for i in first.values()], classifier, cfg, context)
-    by_index = dict(zip(first.values(), results))
-    return [by_index[i] for i in owners], len(first)
-
-
 def certify(
     cloud: ColoredPointCloud,
     spec: MotionSpec,
@@ -173,11 +163,11 @@ def certify(
     plan = plan_partition(cloud, spec, cam, method, interval_cfg)
     images, index = sweep_images(cloud, spec, cam, plan.values)
 
-    by_image, n_distinct = _estimate_distinct(images, classifier, smoothing_cfg,
-                                              STREAM_FRAME)
+    by_image = _run_tasks(images, classifier, smoothing_cfg, STREAM_FRAME)
     estimates = [by_image[i] for i in index]
-    # two frames rendering one image differ by exactly 0.0
-    max_err = max((adjacent_frame_error(a, b) for a, b in zip(images, images[1:])),
+    # neighbours rendering one image differ by exactly 0.0: skip them
+    pairs = {(a, b) for a, b in zip(index.tolist(), index[1:].tolist()) if a != b}
+    max_err = max((adjacent_frame_error(images[a], images[b]) for a, b in pairs),
                   default=0.0)
 
     per_partition = [
@@ -211,7 +201,7 @@ def certify(
         radius_b=spec.radius_b,
         sigma=smoothing_cfg.sigma,
         n_partitions=plan.count,
-        n_distinct_frames=n_distinct,
+        n_distinct_frames=len(images),
         delta_alpha=plan.delta_alpha,
         max_adjacent_error=max_err,
         min_radius=min_radius,
@@ -242,22 +232,19 @@ def empirical_attack(
     poses: int = 100,
 ) -> AttackReport:
     """Probe uniformly spaced poses for a smoothed-prediction label change
-    from pose 0's, tallied with the sweep's images on the call's stream: a
-    pose that renders the pose-0 image gets its label by construction."""
+    from pose 0's.  Pose 0 is one of the sweep's poses, so a pose that
+    renders the pose-0 image gets its label by construction."""
     if poses < 1:
         raise ConfigError(f"need at least one pose, got {poses}")
-    if poses == 1:
-        values = np.array([0.0])
-    else:
-        values = np.linspace(-spec.radius_b, spec.radius_b, poses)
-
-    images, index = sweep_images(cloud, spec, cam, values)
-    reference_image = render(cloud, MotionValue(spec, 0.0), cam)
-    estimates, _ = _estimate_distinct([reference_image, *images], classifier,
-                                      smoothing_cfg, STREAM_ATTACK)
-    reference = estimates[0].top_label
-    first_failure = next((float(value) for value, i in zip(values, index)
-                          if estimates[1 + i].top_label != reference), None)
+    values = np.linspace(-spec.radius_b, spec.radius_b, poses) if poses > 1 else [0.0]
+    swept = np.union1d(values, [0.0])  # sorted, and holding every value once
+    images, index = sweep_images(cloud, spec, cam, swept)
+    labels = [e.top_label for e in _run_tasks(images, classifier, smoothing_cfg,
+                                              STREAM_ATTACK)]
+    reference = labels[index[np.searchsorted(swept, 0.0)]]
+    first_failure = next((float(value) for value, i in
+                          zip(values, index[np.searchsorted(swept, values)])
+                          if labels[i] != reference), None)
     return AttackReport(
         poses_tested=int(poses),
         first_failure_pose=first_failure,

@@ -26,7 +26,7 @@ from .certify import (certified_accuracy, certify, empirical_attack,
                       frame_budget_comparison)
 from .classifier import builtin_train, load_model, save_model
 from .demo import build_demo_scene, demo_camera
-from .errors import ConfigError, FileFormatError, PwsError
+from .errors import ConfigError, FileFormatError, PathError, PwsError
 from .geometry import Axis, CameraModel, MotionSpec, MotionValue
 from .intervals import (CertMethod, DEFAULT_QUANTILE, DEFAULT_RESOLUTION,
                         DeltaConvexity, IntervalConfig, plan_partition)
@@ -164,6 +164,8 @@ class _Group(click.Group):
             return super().invoke(ctx)
         except PwsError as err:
             _fail(err)
+        except OSError as err:  # an output path of the wrong kind, say
+            _fail(PathError(str(err)))
 
 
 @click.group(cls=_Group)

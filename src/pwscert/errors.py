@@ -87,3 +87,9 @@ class MissingFile(PwsError, FileNotFoundError):
     """A file that an input directory must hold is not there."""
 
     kind = "missing_file"
+
+
+class PathError(PwsError):
+    """The system refused a file operation, as on a path of the wrong kind."""
+
+    kind = "path_error"

@@ -67,6 +67,9 @@ class CameraModel:
     height: int
 
     def __post_init__(self):
+        if not all(isinstance(s, (int, np.integer)) and not isinstance(s, bool)
+                   for s in (self.width, self.height)):  # pixel counts: 24.5 is none
+            raise ConfigError(f"grid size must be integers, got {(self.width, self.height)}")
         if self.width < 1 or self.height < 1:
             raise ConfigError("grid size must be positive")
         if not (0 < self.fx < math.inf and 0 < self.fy < math.inf):

@@ -45,7 +45,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import ConfigError, DegenerateInterval, InvalidDelta, NegativeMargin
 from .geometry import (
@@ -298,6 +297,7 @@ def check_delta_convexity(
     (max norm) at a depth no greater than the absent point's.  Returns
     False at the first counterexample.
     """
+    from scipy.spatial import cKDTree  # here: it slows the start of every command
     of_keys = {p.tobytes() for p in one_frame.points}
     hidden_mask = np.array(
         [p.tobytes() not in of_keys for p in full_cloud.points], dtype=bool

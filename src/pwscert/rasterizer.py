@@ -7,24 +7,26 @@ break toward the smallest point index, so rendering is fully
 deterministic.  Cells no point reaches take a configurable background
 color (default mid-gray), keeping every image inside [0, 1].
 
-One kernel, ``zbuffer_winners_batch``, applies this rule to many poses at
-once: it projects the cloud at every pose in one broadcast, sends points
-off the grid or behind the camera to a spare cell, and picks each cell's
-winner with two unbuffered minimum passes, first over depths, then over
-the indices of the points at the winning depth.  There is no sort and no
-rounding, so the winners are those of ordering each cell's points by
-(depth, index).  ``zbuffer_blocks`` feeds long pose sequences through the
-kernel in blocks of bounded size.
+One kernel, ``_zbuffer``, applies this rule to many poses at once: it
+projects the cloud at every pose in one broadcast, places each point
+with ``_cells`` (off the grid in a ring of cells around it, behind the
+camera in one more cell), and picks each cell's winner with two
+unbuffered minimum passes, first over depths, then over the indices of
+the points at the winning depth.  There is no sort and no rounding, so
+the winners are those of ordering each cell's points by (depth, index).
+``zbuffer_blocks`` feeds long pose sequences through the kernel in blocks
+of bounded size.
 
 A sweep (``sweep_images``, and the ownership sweep behind every spacing
 bound) goes through ``zbuffer_changes``, which yields the winners of
 pose 0 and of the later poses where a winner may change; every other
-pose repeats the winners of the pose before it; ``sweep_images`` renders
-one image per yielded pose.  Under TX, TY and TZ with sorted poses those
-are the poses where some point changes cell (124-234 of 2,001 on the
-64 px wild-certify scenes at TZ 20 mm), and the kernel runs at pose 0 only:
-the points keep one (depth, index) order, so each later change moves its
-points between cells and picks every cell's winner again by that order.
+pose repeats the winners of the pose before it; ``sweep_images`` keeps
+the distinct images of the yielded poses.  Under TX, TY and TZ with sorted
+poses those are the poses where some point changes cell (124-234 of 2,001
+on the 64 px wild-certify scenes at TZ 20 mm), and the kernel runs at pose
+0 only: the points keep one (depth, index) order, so each later change
+moves its points between cells and picks every cell's winner again by
+that order.
 Under RX, RY and RZ with sorted poses, each pose z-buffered bounds how
 far the pose may move before a point can reach a cell border or pass its
 cell's winner, and the sweep skips to the first pose beyond (38-68 of
@@ -112,79 +114,55 @@ def _blocks(values, entries: int):
     return (values[start : start + size] for start in range(0, len(values), size))
 
 
+def _cells(uv, depth, cam: CameraModel) -> np.ndarray:
+    """(T, N) cell of each point on the grid padded by one ring of cells:
+    ``(row + 1) * (W + 2) + col + 1``, where col = floor(u) and row =
+    floor(v), each clamped to one step beyond the grid (NaN to -1), or
+    ``(H + 2) * (W + 2)``, one more cell, for a point behind the camera."""
+    col = np.fmin(np.fmax(np.floor(uv[..., 0]), -1), cam.width) + 1
+    row = np.fmin(np.fmax(np.floor(uv[..., 1]), -1), cam.height) + 1
+    ring = cam.width + 2
+    cell = np.where(depth > DEPTH_EPS, row * ring + col, (cam.height + 2) * ring)
+    return cell.astype(np.int64)
+
+
+def _grid(cam: CameraModel):
+    """The number of ``_cells`` cells, and the cell of each of the H*W
+    pixels in row-major order."""
+    padded = (cam.height + 2) * (cam.width + 2)
+    return padded + 1, np.arange(padded).reshape(cam.height + 2, -1)[1:-1, 1:-1].ravel()
+
+
 def _zbuffer(cloud: ColoredPointCloud, axis: Axis, values, cam: CameraModel):
     """The z-buffer kernel with the projection it rests on: ``(uv, depth,
     cell, winners)`` for the T poses in ``values``, where ``cell`` (T, N) is
-    each point's flat pixel, or H*W (the spare cell) for a point off the
-    grid or behind the camera."""
+    each point's ``_cells`` cell and ``winners`` (T, H*W) each pixel's
+    winning point index, -1 where empty."""
     values = np.asarray(values, dtype=np.float64).reshape(-1, 1)
     poses, n = len(values), len(cloud)
-    npix = cam.height * cam.width
+    size, pixels = _grid(cam)
     uv, depth = project_points(cloud.points, axis, values, cam)
-    u, v = uv[..., 0], uv[..., 1]
-    # compared as floats, before any integer cast: floor(u) lies in
-    # [0, W) exactly when u does, and NaN compares false
-    ok = (
-        (depth > DEPTH_EPS)
-        & (u >= 0)
-        & (u < cam.width)
-        & (v >= 0)
-        & (v < cam.height)
-    )
-    cell = np.full((poses, n), npix, dtype=np.int64)  # npix: the spare cell
-    cell[ok] = (
-        np.floor(v[ok]).astype(np.int64) * cam.width
-        + np.floor(u[ok]).astype(np.int64)
-    )
-    # pose t owns slots t*(npix+1) .. t*(npix+1) + npix
-    slot = (cell + np.arange(poses)[:, None] * (npix + 1)).ravel()
+    cell = _cells(uv, depth, cam)
+    # pose t owns slots t*size .. t*size + size - 1
+    slot = (cell + np.arange(poses)[:, None] * size).ravel()
     flat = depth.ravel()
-    nearest = np.full(poses * (npix + 1), np.inf)
+    nearest = np.full(poses * size, np.inf)
     np.minimum.at(nearest, slot, flat)
     front = np.flatnonzero(flat == nearest[slot])
-    winners = np.full(poses * (npix + 1), n, dtype=np.int64)
+    winners = np.full(poses * size, n, dtype=np.int64)
     np.minimum.at(winners, slot[front], front % n)
-    winners = winners.reshape(poses, npix + 1)[:, :npix]
+    winners = winners.reshape(poses, size)[:, pixels]
     winners[winners == n] = -1
     return uv, depth, cell, winners
 
 
-def zbuffer_winners_batch(
-    cloud: ColoredPointCloud, axis: Axis, values, cam: CameraModel
-) -> np.ndarray:
-    """(T, H*W) array of winning point indices per pose and pixel, -1 where
-    empty, for the T poses in ``values``."""
-    return _zbuffer(cloud, axis, values, cam)[3]
-
-
 def zbuffer_blocks(cloud: ColoredPointCloud, axis: Axis, values, cam: CameraModel):
-    """Yield ``zbuffer_winners_batch`` over consecutive blocks of ``values``,
-    each of at most ``_BLOCK_ENTRIES`` poses x max(points, pixels) entries
-    (at least one pose)."""
+    """Yield the (T, H*W) winners of consecutive blocks of ``values``, each
+    of at most ``_BLOCK_ENTRIES`` poses x max(points, pixels) entries (at
+    least one pose): each pixel's winning point index, -1 where empty."""
     values = np.asarray(values, dtype=np.float64).reshape(-1)
     for block in _blocks(values, max(len(cloud), cam.height * cam.width)):
-        yield zbuffer_winners_batch(cloud, axis, block, cam)
-
-
-def _cell_codes(points, axis: Axis, values, cam: CameraModel) -> np.ndarray:
-    """(T, N) code of the cell each point lands in at each pose: floor(u)
-    and floor(v), each clamped to one step beyond the grid, or -inf behind
-    the camera.  The kernel's spare cell and pixel follow from the code."""
-    uv, depth = project_points(points, axis, np.reshape(values, (-1, 1)), cam)
-    col = np.clip(np.floor(uv[..., 0]), -1, cam.width)
-    row = np.clip(np.floor(uv[..., 1]), -1, cam.height)
-    return np.where(depth > DEPTH_EPS, row * (cam.width + 2) + col, -np.inf)
-
-
-def _code_cells(codes, cam: CameraModel) -> np.ndarray:
-    """The kernel's cell for each ``_cell_codes`` code: row * W + col on the
-    grid, H*W (the spare cell) off it or behind the camera."""
-    width = cam.width + 2
-    # (row + 1) * (W + 2) + col + 1, both terms >= 0; behind the camera: 0
-    shifted = np.where(codes > -np.inf, codes + width + 1, 0).astype(np.int64)
-    row, col = np.divmod(shifted, width)
-    on = (row >= 1) & (row <= cam.height) & (col >= 1) & (col <= cam.width)
-    return np.where(on, (row - 1) * cam.width + col - 1, cam.height * cam.width)
+        yield _zbuffer(cloud, axis, block, cam)[3]
 
 
 def _traced_changes(cloud: ColoredPointCloud, axis: Axis, values, cam: CameraModel):
@@ -193,25 +171,26 @@ def _traced_changes(cloud: ColoredPointCloud, axis: Axis, values, cam: CameraMod
     z-buffered: under TZ, two distinct z closer than the rounding of z - a.
 
     Depth, u and v are each a chain of correctly rounded operations
-    monotone in the pose, so a point's cell code is a monotone step
-    function of it: a point with one code at two poses keeps it at every
+    monotone in the pose, so each term of a point's ``_cells`` cell (behind
+    the camera or not, its clamped row and column) is a monotone step
+    function of it: a point in one cell at two poses stays in it at every
     pose between.  TX and TY depths are the points' z; the TZ depth
     fl(z - a) keeps the order of two distinct z further apart than
     2^-52 max|z - a|.  So ordering the points by (z, index) gives the
     kernel's (depth, index) order at every pose, and each cell's winner is
     its point of least rank in that order.
 
-    The kernel z-buffers pose 0.  Codes are then taken at about sqrt(T)
-    coarse poses, and only the points whose code differs between a coarse
+    The kernel z-buffers pose 0.  Cells are then taken at about sqrt(T)
+    coarse poses, and only the points whose cell differs between a coarse
     window's ends are traced through the window.  At each pose where one
-    of them changes code, the sweep moves the changed points to their new
+    of them changes cell, the sweep moves the changed points to their new
     cells and picks each cell's least rank again, with one unbuffered
     minimum over the points.  On the four 64 px wild-certify scenes at
     TZ 20 mm this yields 124-234 of 2,001 poses and runs the kernel at
     pose 0 only.
     """
     points = cloud.points
-    n, npix = len(points), cam.height * cam.width
+    n, (size, pixels) = len(points), _grid(cam)
     if axis is Axis.TZ:
         z = np.unique(points[:, 2])
         # 2^-51: one more bit covers the rounding of the gaps and the bound
@@ -225,17 +204,20 @@ def _traced_changes(cloud: ColoredPointCloud, axis: Axis, values, cam: CameraMod
     ends = np.unique(np.r_[0 : len(values) : math.isqrt(len(values) - 1) + 1,
                            len(values) - 1])
 
+    def place(pts, block):
+        return _cells(*project_points(pts, axis, block[:, None], cam), cam)
+
     def winners(cell):
-        least = np.full(npix + 1, n)  # each cell's least rank, n where empty
+        least = np.full(size, n)  # each cell's least rank, n where empty
         np.minimum.at(least, cell, rank)
-        return owner[least[:npix]]
+        return owner[least[pixels]]
 
     def sweep():
         _, _, cells, first = _zbuffer(cloud, axis, values[:1], cam)
         yield 0, first[0]
         cell = cells[0]  # each point's cell at the last pose
         coarse = (row for block in _blocks(values[ends], n)
-                  for row in _cell_codes(points, axis, block, cam))
+                  for row in place(points, block))
         start = next(coarse)
         for lo, hi, end in zip(ends[:-1], ends[1:], coarse):
             movers = np.flatnonzero(start != end)
@@ -243,12 +225,11 @@ def _traced_changes(cloud: ColoredPointCloud, axis: Axis, values, cam: CameraMod
             if movers.size == 0:
                 continue
             for block in _blocks(values[lo + 1 : hi + 1], movers.size):
-                rows = _cell_codes(points[movers], axis, block, cam)
+                rows = place(points[movers], block)
                 moving = rows != np.vstack([prev, rows[:-1]])
-                targets = _code_cells(rows, cam)
                 for t in np.flatnonzero(np.any(moving, axis=1)).tolist():
                     moved = np.flatnonzero(moving[t])
-                    cell[movers[moved]] = targets[t, moved]
+                    cell[movers[moved]] = rows[t, moved]
                     yield pose + t, winners(cell)
                 prev, pose = rows[-1], pose + len(rows)
 
@@ -275,7 +256,8 @@ _DEPTH_PAIR = {Axis.RX: [1, 2], Axis.RY: [0, 2], Axis.RZ: None}
 
 def _border_distance(coord, size: int):
     """Distance from each coordinate to the nearest integer border at which
-    its cell code, floor(coord) clamped to [-1, size], changes."""
+    its ``_cells`` column or row, floor(coord) clamped to [-1, size],
+    changes."""
     low = np.floor(coord)
     return np.minimum(np.abs(coord - np.clip(low, 0, size)),
                       np.abs(np.clip(low + 1, 0, size) - coord))
@@ -288,7 +270,7 @@ def _horizon_changes(cloud: ColoredPointCloud, axis: Axis, values, cam: CameraMo
     b = max(|values[0]|, |values[-1]|).
 
     The last pose k z-buffered sets a horizon H, the smallest of
-    * each point's distance to the border that changes its cell code,
+    * each point's distance to the border that changes its ``_cells`` cell,
       less the pad, over its Lipschitz rate on [-b, b];
     * for each point in a cell another point wins, its depth gap to the
       winner, less the pad, over the rate at which the two depths drift
@@ -314,7 +296,7 @@ def _horizon_changes(cloud: ColoredPointCloud, axis: Axis, values, cam: CameraMo
     pad_px = _PAD * (1 + extent / floor)
     span_px = max(cam.fx, cam.fy) + cam.width + cam.height
     pair = _DEPTH_PAIR[axis]
-    index = np.arange(len(points))
+    index, (size, pixels) = np.arange(len(points)), _grid(cam)
     most = _block_size(max(len(points), cam.height * cam.width))
 
     def horizon(uv, depth, cell, winners):
@@ -325,7 +307,9 @@ def _horizon_changes(cloud: ColoredPointCloud, axis: Axis, values, cam: CameraMo
         reach = np.divide(margin, rate, out=np.full(len(points), np.inf),
                           where=rate > 0).min()
         if pair is not None:
-            owner = np.append(winners, -1)[cell]
+            owner = np.full(size, -1)  # the ring and behind the camera: none
+            owner[pixels] = winners
+            owner = owner[cell]
             rival = np.flatnonzero((owner >= 0) & (owner != index))
             won = owner[rival]
             gap = depth[rival] - depth[won] - _PAD * (extent[rival] + extent[won])
@@ -374,7 +358,7 @@ def zbuffer_winners(
     cloud: ColoredPointCloud, axis: Axis, value: float, cam: CameraModel
 ) -> np.ndarray:
     """Flat (H*W,) array of winning point indices per pixel, -1 where empty."""
-    return zbuffer_winners_batch(cloud, axis, [value], cam)[0]
+    return _zbuffer(cloud, axis, [value], cam)[3][0]
 
 
 def extract_one_frame(cloud: ColoredPointCloud, cam: CameraModel) -> ColoredPointCloud:
@@ -407,9 +391,9 @@ def sweep_images(
     values,
     background=DEFAULT_BACKGROUND,
 ):
-    """``(images, index)``: one (K, H, W) image per pose ``zbuffer_changes``
-    yields, in pose order (consecutive ones may be equal), and ``index[i]``,
-    the image pose ``i`` renders.  The first value outside [-b, +b], NaN
+    """``(images, index)``: the distinct read-only (K, H, W) images the
+    poses in ``values`` render, in order of first appearance, and
+    ``index[i]``, the image pose ``i`` renders.  The first value outside [-b, +b], NaN
     included, raises ``MotionValue``'s ``ConfigError``."""
     values = np.asarray(values, dtype=np.float64).reshape(-1)
     outside = np.flatnonzero(~(np.abs(values) <= spec.radius_b))  # NaN fails too
@@ -417,16 +401,17 @@ def sweep_images(
         MotionValue(spec, float(values[outside[0]]))  # raises
     k = cloud.channels
     bg = np.broadcast_to(np.asarray(background, dtype=np.float64).reshape(-1), (k,))
-    images, starts = [], []
+    seen, starts, changes = {}, [], []  # seen: each distinct image's number, by bytes
     for pose, winners in zbuffer_changes(cloud, spec.axis, values, cam):
         image = np.empty((k, cam.height * cam.width), dtype=np.float64)
         image[:] = bg[:, None]
         covered = winners >= 0
         image[:, covered] = cloud.colors[winners[covered]].T
-        images.append(image.reshape(k, cam.height, cam.width))
+        changes.append(seen.setdefault(image.tobytes(), len(seen)))
         starts.append(pose)
-    index = np.searchsorted(starts, np.arange(len(values)), side="right") - 1
-    return images, index
+    images = [np.frombuffer(key).reshape(k, cam.height, cam.width) for key in seen]
+    at = np.searchsorted(starts, np.arange(len(values)), side="right") - 1
+    return images, np.array(changes, dtype=np.int64)[at]
 
 
 def render_sweep(

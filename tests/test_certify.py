@@ -511,6 +511,26 @@ class TestSweepOracle:
             assert got.to_json() == want, scene.name
 
 
+    @pytest.mark.parametrize("poses", [2, 4, 10])
+    def test_attack_with_pose_0_off_the_linspace(self, cam, demo_corpus, demo_classifier,
+                                                 poses):
+        # an even pose count leaves pose 0 out of the linspace poses
+        values = np.linspace(-1.0, 1.0, poses)
+        assert 0.0 not in values
+        cloud, spec = flip_scene(cam)
+        cfg, flip = TestSharedTallies.CFG, PixelSignClassifier(50, 50)
+        want = self.attack_oracle(cloud, spec, cam, flip, cfg, poses)
+        assert empirical_attack(cloud, spec, cam, flip, cfg, poses).to_json() == want
+        scenes, demo_cam = demo_corpus
+        cfg = SmoothingConfig(sigma=0.5, n_samples=400, confidence_alpha=0.01, seed=9)
+        for spec in demo_specs():
+            want = self.attack_oracle(scenes[3].cloud, spec, demo_cam, demo_classifier,
+                                      cfg, poses)
+            got = empirical_attack(scenes[3].cloud, spec, demo_cam, demo_classifier, cfg,
+                                   poses)
+            assert got.to_json() == want, spec
+
+
 class TestEmpiricalAttack:
     def test_single_pose_trivially_robust(self, cam):
         cloud, spec = static_scene(cam)

@@ -396,6 +396,37 @@ class TestErrorHandling:
         [line] = res.output.splitlines()
         assert line.startswith("file_format: bad model header fields: ")
 
+    @pytest.mark.parametrize("command", ["certify", "attack", "project", "report",
+                                         "train", "partition", "gen-scenes"])
+    def test_output_path_of_the_wrong_kind_exits_1(self, runner, workspace, tmp_path,
+                                                   command):
+        _, corpus, model = workspace
+        afile, adir, runs = tmp_path / "afile", tmp_path / "adir", tmp_path / "runs"
+        afile.write_text("")
+        adir.mkdir()
+        runs.mkdir()
+        (runs / "summary.json").write_text(json.dumps(SUMMARY))
+        scene = ["--corpus", str(corpus), "--axis", "tz", "--radius", "36mm"]
+        smoothing = ["--model", str(model), "--n-samples", "100"]
+        argv = {
+            # a regular file where a directory must be
+            "certify": ["certify", *scene, *smoothing, "--out", str(afile)],
+            "attack": ["attack", *scene, *smoothing, "--poses", "2", "--out", str(afile)],
+            "project": ["project", *scene, "--resolution", "201", "--out", str(afile)],
+            "gen-scenes": ["gen-scenes", "--classes", "2", "--per-class", "1",
+                           "--out", str(afile)],
+            # a directory where a file must be
+            "report": ["report", "--runs", str(runs), "--out", str(adir)],
+            "train": ["train", "--corpus", str(corpus), "--out", str(adir)],
+            "partition": ["partition", *scene, "--resolution", "201",
+                          "--json-out", str(adir)],
+        }[command]
+        res = runner.invoke(main, argv)
+        assert res.exit_code == 1
+        *printed, line = res.output.splitlines()
+        assert len(printed) == (command == "partition")  # it prints the spacing first
+        assert line.startswith("path_error: ") and str(tmp_path) in line
+
     @pytest.mark.parametrize("missing", ["labels.json", "camera.json", "scene"])
     def test_missing_corpus_file_exits_1(self, runner, workspace, tmp_path, missing):
         _, corpus, _ = workspace
@@ -418,9 +449,9 @@ class TestErrorHandling:
 class TestStartup:
     def test_import_leaves_out_slow_scipy_modules(self):
         # scipy.stats and scipy.optimize each take about half a second to
-        # import; every command would pay for them
-        code = ("import sys, pwscert.cli; "
-                "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') "
+        # import, scipy.spatial about a tenth; every command would pay for them
+        code = ("import sys, pwscert.cli; print(sorted(m for m in "
+                "('scipy.stats', 'scipy.optimize', 'scipy.spatial') "
                 "if m in sys.modules))")
         src = str(Path(pwscert.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src}

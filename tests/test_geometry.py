@@ -243,6 +243,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             CameraModel(fx=1, fy=1, cx=9, cy=0, width=4, height=4)
 
+    @pytest.mark.parametrize("width, height", [(24.5, 24), (24, 24.0), (True, 24),
+                                               ("24", 24)])
+    def test_camera_rejects_non_integer_grid(self, width, height):
+        with pytest.raises(ConfigError, match="grid size must be integers"):
+            CameraModel(fx=7.5, fy=7.5, cx=0.5, cy=0.5, width=width, height=height)
+        CameraModel(fx=7.5, fy=7.5, cx=0.5, cy=0.5, width=np.int64(24), height=24)
+
     def test_motion_value_respects_radius(self):
         spec = MotionSpec(Axis.TX, 0.1)
         with pytest.raises(ValueError):

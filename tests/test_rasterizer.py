@@ -26,13 +26,12 @@ from pwscert.geometry import CameraModel, DEPTH_EPS, MotionValue, project_points
 from pwscert.intervals import _sweep_runs
 from pwscert.rasterizer import (
     _BLOCK_ENTRIES,
-    _cell_codes,
+    _cells,
     _horizon_changes,
     sweep_images,
     zbuffer_blocks,
     zbuffer_changes,
     zbuffer_winners,
-    zbuffer_winners_batch,
 )
 from pwscert.scenes import ShapeClass, generate_scene
 
@@ -46,6 +45,16 @@ def change_poses(cloud, axis, values, cam):
     """The poses ``zbuffer_changes`` yields: those whose winners may differ
     from the pose before."""
     return [index for index, _ in zbuffer_changes(cloud, axis, values, cam)]
+
+
+def winners_batch(cloud, axis, values, cam):
+    """(T, H*W) winners of the T poses in ``values``, block by block."""
+    return np.concatenate(list(zbuffer_blocks(cloud, axis, values, cam)))
+
+
+def cells_at(points, axis, values, cam):
+    """(T, N) ``_cells`` cell of each point at each pose in ``values``."""
+    return _cells(*project_points(points, axis, np.reshape(values, (-1, 1)), cam), cam)
 
 
 def at_rest(spec=TX1):
@@ -153,7 +162,7 @@ class TestBatchedZBuffer:
         for axis in Axis:
             b = axis_radius(axis)
             values = np.concatenate([[0.0, -b, b], rng.uniform(-b, b, 9)])
-            got = zbuffer_winners_batch(cloud, axis, values, small_cam)
+            got = winners_batch(cloud, axis, values, small_cam)
             assert got.shape == (len(values), small_cam.height * small_cam.width)
             for row, value in zip(got, values):
                 oracle = lexsort_winners(cloud, axis, float(value), small_cam)
@@ -188,6 +197,59 @@ class TestBatchedZBuffer:
         for blk, value in zip(blocks, values):
             oracle = lexsort_winners(cloud, Axis.RX, value, small_cam)
             np.testing.assert_array_equal(blk[0], oracle)
+
+
+class TestCells:
+    # small_cam: 16 x 16 pixels, f = 16, c = 8, so u = 8 x / z + 8 at z = 2
+    POINTS = {"on the grid": ([0.0, 0.0, 2.0], (9, 9)),
+              "left": ([-2.0, 0.0, 2.0], (9, 0)),
+              "right, on the border u = W": ([1.0, 0.0, 2.0], (9, 17)),
+              "far right": ([1e300, 0.0, 2.0], (9, 17)),
+              "above": ([0.0, -2.0, 2.0], (0, 9)),
+              "below": ([0.0, 2.0, 2.0], (17, 9)),
+              "behind the camera": ([0.0, 0.0, -2.0], None)}
+
+    def test_cells_match_the_kernel(self, small_cam):
+        ring = small_cam.width + 2
+        behind = (small_cam.height + 2) * ring
+        for name, (point, padded) in self.POINTS.items():
+            cloud = ColoredPointCloud([point], [[0.7]])
+            uv, depth, cell, winners = rasterizer._zbuffer(cloud, Axis.TX, [0.0], small_cam)
+            want = behind if padded is None else padded[0] * ring + padded[1]
+            assert cell.tolist() == [[want]] == _cells(uv, depth, small_cam).tolist(), name
+            on_grid = name == "on the grid"
+            assert winners[0, 8 * small_cam.width + 8] == (0 if on_grid else -1), name
+            assert np.count_nonzero(winners >= 0) == on_grid, name
+
+    def test_nan_pose_reaches_no_pixel(self, small_cam):
+        cloud = ColoredPointCloud([p for p, _ in self.POINTS.values()],
+                                  np.full((len(self.POINTS), 1), 0.7))
+        ring = small_cam.width + 2
+        behind = (small_cam.height + 2) * ring
+        for axis in Axis:
+            with np.errstate(invalid="ignore"):  # NaN depths under TZ
+                uv, depth, cell, winners = rasterizer._zbuffer(cloud, axis, [math.nan],
+                                                               small_cam)
+            np.testing.assert_array_equal(cell, _cells(uv, depth, small_cam))
+            assert np.all(winners == -1), axis
+            # NaN coordinates clamp to the ring; a NaN depth is behind the camera
+            assert set(cell.ravel()) <= {behind, *range(ring), *range(0, behind, ring)}
+
+    def test_horizon_ignores_rivals_off_the_grid(self, small_cam):
+        # points 1 and 2 share a ring cell left of the grid and swap depth
+        # order at a = 0.002; no pixel shows either, so the swap must not
+        # cut the horizon short, and pose 0 is the only pose z-buffered
+        cloud = ColoredPointCloud(
+            [[0.125, 0.125, 4.0], [-1.0, 0.03125, 1.0], [-1.05, 0.03125, 1.0001]],
+            [[0.2], [0.5], [0.9]])
+        spec = MotionSpec(Axis.RY, 0.005)
+        values = np.linspace(-spec.radius_b, spec.radius_b, 201)
+        cells = cells_at(cloud.points, Axis.RY, values, small_cam)
+        assert np.all(cells[:, 1:] == cells[0, 1]) and cells[0, 1] % 18 == 0
+        assert change_poses(cloud, Axis.RY, values, small_cam) == [0]
+        np.testing.assert_array_equal(
+            per_pose(zbuffer_changes(cloud, Axis.RY, values, small_cam), len(values)),
+            winners_batch(cloud, Axis.RY, values, small_cam))
 
 
 class TestRenderSweep:
@@ -267,11 +329,12 @@ class TestSweepImages:
             for kind, values in lists.items():
                 images, index = sweep_images(cloud, spec, small_cam, values,
                                              background=0.3)
-                changes = change_poses(cloud, axis, values, small_cam)
-                assert len(images) == len(changes)
                 assert len(index) == len(values)
-                # poses map to images in yield order, from image 0
-                assert set(np.diff(np.r_[0, index])) <= {0, 1}
+                # pairwise distinct, and numbered in order of first appearance
+                assert len({image.tobytes() for image in images}) == len(images)
+                assert not any(image.flags.writeable for image in images)
+                first = [index.tolist().index(k) for k in range(len(images))]
+                assert first == sorted(first) and set(index) == set(range(len(images)))
                 for i, value in zip(index, values):
                     direct = render(cloud, MotionValue(spec, float(value)),
                                     small_cam, 0.3)
@@ -356,8 +419,8 @@ class TestChangePoses:
         values = np.linspace(-spec.radius_b, spec.radius_b, resolution)
         window = math.isqrt(resolution - 1) + 1
         lo, hi = 5 * window, 6 * window
-        codes = _cell_codes(cloud.points[:1], spec.axis, values[lo : hi + 1], small_cam)[:, 0]
-        cols = (codes + 1) % (small_cam.width + 2) - 1
+        cells = cells_at(cloud.points[:1], spec.axis, values[lo : hi + 1], small_cam)[:, 0]
+        cols = cells % (small_cam.width + 2) - 1
         # off the grid on both sides at the window's ends, and on it between
         assert {cols[0], cols[-1]} == {-1, small_cam.width}
         owners = per_pose(zbuffer_changes(cloud, spec.axis, values, small_cam),
@@ -378,12 +441,12 @@ class TestChangePoses:
     def test_rounding_bound_forces_every_pose(self, small_cam):
         name, cloud, spec, resolution = sweep_traps(small_cam)[-1]
         values = np.linspace(-spec.radius_b, spec.radius_b, resolution)
-        codes = _cell_codes(cloud.points, spec.axis, values, small_cam)
+        cells = cells_at(cloud.points, spec.axis, values, small_cam)
         centre = int(small_cam.cy) * small_cam.width + int(small_cam.cx)
-        owners = zbuffer_winners_batch(cloud, spec.axis, values, small_cam)[:, centre]
+        owners = winners_batch(cloud, spec.axis, values, small_cam)[:, centre]
         # no point changes cell, yet the owner does: where the two depths
         # round to one value, the smaller index wins the tie
-        assert np.all(codes == codes[0])
+        assert np.all(cells == cells[0])
         assert owners[0] == 0 and 1 in owners
         np.testing.assert_array_equal(
             change_poses(cloud, spec.axis, values, small_cam), np.arange(resolution))
@@ -422,8 +485,8 @@ class TestChangePoses:
             cloud, spec, res = traps[name]
             values = np.linspace(-spec.radius_b, spec.radius_b, res)
             uv, depth = project_points(cloud.points, spec.axis, values[:, None], trap_cam)
-            cells = _cell_codes(cloud.points, spec.axis, values, trap_cam)
-            owners = zbuffer_winners_batch(cloud, spec.axis, values, trap_cam)
+            cells = _cells(uv, depth, trap_cam)
+            owners = winners_batch(cloud, spec.axis, values, trap_cam)
             return uv, depth, cells, owners
 
         uv, _, _, _ = project("RZ v crosses a border and returns")

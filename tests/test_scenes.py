@@ -168,6 +168,8 @@ class TestCorpusIO:
         ("camera.json", '{"fx": NaN, "fy": 7.5, "cx": 12, "cy": 12, "width": 24, "height": 24}'),
         ("camera.json", '{"fx": 7.5, "lens": 1}'),
         ("camera.json", "[7.5]"),
+        ("camera.json", '{"fx": 7.5, "fy": 7.5, "cx": 12, "cy": 12, "width": 24.5, "height": 24}'),
+        ("camera.json", '{"fx": 7.5, "fy": 7.5, "cx": 12, "cy": 12, "width": 24, "height": 24.0}'),
         ("camera.json", "{"),
         ("labels.json", '["a", "b"]'),
         ("labels.json", '{"a": "first"}'),

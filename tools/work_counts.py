@@ -6,8 +6,8 @@ For each named workload it sets the corpus and model up as the benchmark
 does (``perfbench/workloads.py``, imported and left unchanged), runs one
 pass at seed 1, and prints one JSON line of what that pass did:
 
-* ``images_rendered``: poses the render path takes from ``zbuffer_changes``;
-* ``frames_hashed``: frames handed to ``certify._estimate_distinct``;
+* ``images_rendered``: poses the render path takes from ``zbuffer_changes``,
+  each rendered and hashed once;
 * ``adjacent_errors``: ``adjacent_frame_error`` calls made by ``certify``;
 * ``noise_generators``: Philox streams opened (``noise_generator``);
 * ``tallied_images``: images handed to ``smoothed_estimates``.
@@ -32,8 +32,8 @@ from pwscert import rasterizer, smoothing  # noqa: E402
 # the package exports the function ``certify`` under the module's name
 certify = importlib.import_module("pwscert.certify")
 
-COUNTS = dict.fromkeys(["images_rendered", "frames_hashed", "adjacent_errors",
-                        "noise_generators", "tallied_images"], 0)
+COUNTS = dict.fromkeys(["images_rendered", "adjacent_errors", "noise_generators",
+                        "tallied_images"], 0)
 
 
 def count(module, name, key, amount=lambda args: 1):
@@ -59,7 +59,6 @@ def count_yields(module, name, key):
 
 def main(names) -> None:
     count_yields(rasterizer, "zbuffer_changes", "images_rendered")
-    count(certify, "_estimate_distinct", "frames_hashed", lambda args: len(args[0]))
     count(certify, "adjacent_frame_error", "adjacent_errors")
     count(smoothing, "noise_generator", "noise_generators")
     for module in (smoothing, certify):  # certify holds its own reference

@@ -65,10 +65,12 @@ def _spec_from(axis_name: str, radius_text: str) -> MotionSpec:
 def _write_json(path: Path, obj) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(
-        json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
-    os.replace(tmp, path)
+    tmp.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    try:
+        os.replace(tmp, path)
+    except OSError:  # a directory at ``path``, say: leave no temporary file
+        tmp.unlink()
+        raise
 
 
 def _interval_config(resolution, quantile, delta_px):

@@ -15,10 +15,12 @@ point P maps to the pixel position
 ``u`` runs along image columns, ``v`` along rows; the rasterizer puts a
 continuous position into the cell ``(row, col) = (floor(v), floor(u))``.
 
-Each axis reduces to a rational or trigonometric expression in ``alpha``;
-this module evaluates those expressions, their exact derivatives, and the
-per-point Lipschitz constant of the pixel position over a symmetric motion
-range ``[-b, +b]``.  Maxima over the range are taken over the analytic
+In the camera frame, every axis either subtracts ``alpha`` from one
+coordinate (the translations) or turns one coordinate plane by ``alpha``
+(the rotations).  One table, ``_MOTION``, states which for each axis; the
+projection, its exact derivative, the minimum depth and the per-point
+Lipschitz constant of the pixel position over a symmetric motion range
+``[-b, +b]`` all read it.  Maxima over the range are taken over the analytic
 candidate set (range endpoints plus interior critical points of the
 sinusoidal factors), never by grid sampling, so the constants are sound
 upper bounds.
@@ -105,6 +107,13 @@ class MotionValue:
             )
 
 
+# Each axis's camera-frame motion.  An int names the coordinate that loses
+# alpha; a pair (p, q) names the plane that turns to (p cos + q sin,
+# q cos - p sin).  Coordinate 2 is always the depth.
+_MOTION = {Axis.TX: 0, Axis.TY: 1, Axis.TZ: 2,
+           Axis.RZ: (0, 1), Axis.RX: (1, 2), Axis.RY: (2, 0)}
+
+
 def _as_points(points) -> np.ndarray:
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim == 1:
@@ -112,6 +121,21 @@ def _as_points(points) -> np.ndarray:
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError("points must have shape (N, 3)")
     return pts
+
+
+def _moved(pts, axis: Axis, a):
+    """``[x, y, depth]`` of the (N, 3) points in the camera frame at pose
+    ``a``; a coordinate the motion leaves alone is the points' own column,
+    not broadcast against ``a``."""
+    c = [pts[:, 0], pts[:, 1], pts[:, 2]]
+    move = _MOTION[axis]
+    if isinstance(move, int):
+        c[move] = c[move] - a
+    else:
+        p, q = move
+        cos, sin = np.cos(a), np.sin(a)
+        c[p], c[q] = c[p] * cos + c[q] * sin, c[q] * cos - c[p] * sin
+    return c
 
 
 def project_points(points, axis: Axis, value, cam: CameraModel):
@@ -126,41 +150,13 @@ def project_points(points, axis: Axis, value, cam: CameraModel):
     for such points are not meaningful.
     """
     pts = _as_points(points)
-    x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
     a = np.asarray(value, dtype=np.float64)
-
-    if axis is Axis.TX:
-        depth = z + np.zeros_like(a)
-        un = cam.fx * (x - a)
-        vn = cam.fy * y + np.zeros_like(a)
-    elif axis is Axis.TY:
-        depth = z + np.zeros_like(a)
-        un = cam.fx * x + np.zeros_like(a)
-        vn = cam.fy * (y - a)
-    elif axis is Axis.TZ:
-        depth = z - a
-        un = cam.fx * x + np.zeros_like(a)
-        vn = cam.fy * y + np.zeros_like(a)
-    elif axis is Axis.RZ:
-        c, s = np.cos(a), np.sin(a)
-        depth = z + np.zeros_like(a)
-        un = cam.fx * (x * c + y * s)
-        vn = cam.fy * (y * c - x * s)
-    elif axis is Axis.RX:
-        c, s = np.cos(a), np.sin(a)
-        depth = z * c - y * s
-        un = cam.fx * x + np.zeros_like(a)
-        vn = cam.fy * (y * c + z * s)
-    elif axis is Axis.RY:
-        c, s = np.cos(a), np.sin(a)
-        depth = x * s + z * c
-        un = cam.fx * (x * c - z * s)
-        vn = cam.fy * y + np.zeros_like(a)
-    else:  # pragma: no cover
-        raise ValueError(f"unknown axis {axis}")
-
+    x, y, depth = _moved(pts, axis, a)
     with np.errstate(divide="ignore", invalid="ignore"):
-        uv = np.stack([un / depth + cam.cx, vn / depth + cam.cy], axis=-1)
+        uv = np.stack(np.broadcast_arrays(cam.fx * x / depth + cam.cx,
+                                          cam.fy * y / depth + cam.cy), axis=-1)
+    if np.may_share_memory(depth, pts):  # the points' own z: a fresh array
+        depth = depth + np.zeros_like(a)
     return uv, depth
 
 
@@ -170,37 +166,16 @@ def projection_derivative_points(points, axis: Axis, value, cam: CameraModel):
     ``value`` is a single pose or an (N,) array, as in project_points.
     """
     pts = _as_points(points)
-    x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
-    a = np.asarray(value, dtype=np.float64)
-
-    if axis is Axis.TX:
-        du = -cam.fx / z + np.zeros_like(a)
-        dv = np.zeros_like(z) + np.zeros_like(a)
-    elif axis is Axis.TY:
-        du = np.zeros_like(z) + np.zeros_like(a)
-        dv = -cam.fy / z + np.zeros_like(a)
-    elif axis is Axis.TZ:
-        d2 = (z - a) ** 2
-        du = cam.fx * x / d2
-        dv = cam.fy * y / d2
-    elif axis is Axis.RZ:
-        c, s = np.cos(a), np.sin(a)
-        du = cam.fx * (y * c - x * s) / z
-        dv = -cam.fy * (x * c + y * s) / z
-    elif axis is Axis.RX:
-        c, s = np.cos(a), np.sin(a)
-        depth = z * c - y * s
-        num = y * c + z * s
-        du = cam.fx * x * num / depth**2
-        dv = cam.fy * (y**2 + z**2) / depth**2
-    elif axis is Axis.RY:
-        c, s = np.cos(a), np.sin(a)
-        depth = x * s + z * c
-        num = x * c - z * s
-        du = -cam.fx * (x**2 + z**2) / depth**2
-        dv = -cam.fy * y * num / depth**2
-    else:  # pragma: no cover
-        raise ValueError(f"unknown axis {axis}")
+    c = _moved(pts, axis, np.asarray(value, dtype=np.float64))
+    move, dc = _MOTION[axis], [0.0, 0.0, 0.0]  # d/d(alpha) of each coordinate
+    if isinstance(move, int):
+        dc[move] = -1.0
+    else:
+        p, q = move
+        dc[p], dc[q] = c[q], -c[p]
+    x, y, depth = c
+    du = cam.fx * (dc[0] * depth - x * dc[2]) / depth**2
+    dv = cam.fy * (dc[1] * depth - y * dc[2]) / depth**2
     return np.stack([du, dv], axis=1)
 
 
@@ -226,18 +201,12 @@ def _sinusoid_range(a_cos, b_sin, half: float):
 def min_depth_over_range(points, spec: MotionSpec, cam: CameraModel):
     """Per-point minimum depth over the whole motion range [-b, +b]."""
     pts = _as_points(points)
-    x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
-    b = spec.radius_b
-    axis = spec.axis
-    if axis in (Axis.TX, Axis.TY, Axis.RZ):
-        return z.copy()
-    if axis is Axis.TZ:
-        return z - b
-    if axis is Axis.RX:
-        return _sinusoid_range(z, -y, b)[0]
-    if axis is Axis.RY:
-        return _sinusoid_range(z, x, b)[0]
-    raise ValueError(f"unknown axis {axis}")  # pragma: no cover
+    move = _MOTION[spec.axis]
+    if isinstance(move, int) or 2 not in move:  # z - alpha or z: least at +b
+        return np.array(_moved(pts, spec.axis, spec.radius_b)[2])
+    p, q = move  # the depth is z cos + w sin: w = q when p is the depth, else -p
+    return _sinusoid_range(pts[:, 2], pts[:, q] if p == 2 else -pts[:, p],
+                           spec.radius_b)[0]
 
 
 def _in_front(points, spec: MotionSpec, cam: CameraModel, message: str):
@@ -270,10 +239,8 @@ def lipschitz_constants(points, spec: MotionSpec, cam: CameraModel):
     b = spec.radius_b
     axis = spec.axis
 
-    if axis is Axis.TX:
-        return cam.fx / z
-    if axis is Axis.TY:
-        return cam.fy / z
+    if axis in (Axis.TX, Axis.TY):
+        return (cam.fx, cam.fy)[_MOTION[axis]] / z
     if axis is Axis.TZ:
         return np.maximum(cam.fx * np.abs(x), cam.fy * np.abs(y)) / (z - b) ** 2
     if axis is Axis.RZ:
@@ -281,10 +248,16 @@ def lipschitz_constants(points, spec: MotionSpec, cam: CameraModel):
         m_v = np.max(np.abs(_sinusoid_range(x, y, b)), axis=0)
         return np.maximum(cam.fx * m_u, cam.fy * m_v) / z
     if axis in (Axis.RX, Axis.RY):
-        best = np.zeros(len(pts))
+        # the plane (p, q) turns the depth and image coordinate t = p + q - 2,
+        # whose moved value is +-d(depth)/d(alpha); the fixed coordinate r
+        # moves its pixel only through the depth
+        (p, q), f, best = _MOTION[axis], (cam.fx, cam.fy), np.zeros(len(pts))
+        r, t = 3 - p - q, p + q - 2
         for theta in (-b, b):
-            duv = projection_derivative_points(pts, axis, theta, cam)
-            best = np.maximum(best, np.abs(duv).max(axis=1))
+            moved = _moved(pts, axis, theta)
+            best = np.maximum(best, np.maximum(
+                np.abs(f[r] * pts[:, r] * moved[t] / moved[2]**2),
+                f[t] * (pts[:, p]**2 + pts[:, q]**2) / moved[2]**2))
         return best
     raise ValueError(f"unknown axis {axis}")  # pragma: no cover
 

@@ -53,6 +53,7 @@ from .geometry import (
     DEPTH_EPS,
     MotionSpec,
     MotionValue,
+    _MOTION,
     lipschitz_constants,
     min_depth_over_range,
     project_points,
@@ -241,17 +242,12 @@ def _traced_changes(cloud: ColoredPointCloud, axis: Axis, values, cam: CameraMod
 # the focal length and c the principal point, project_points computes a
 # rotation's depth to within 8 units of A, and its u (likewise v) to
 # within 16 units of A (f + |u - c|) / D + |u| + c: one cos and one sin,
-# which numpy keeps within a few ulp, then a dozen correctly rounded
-# operations.  The pads below take 2^9 units of magnitudes that bound
-# these errors at both poses compared and the rounding of the horizon
-# arithmetic, several times over.
+# which numpy keeps within a few ulp, then at most six correctly rounded
+# operations (a turned coordinate p cos + q sin, then f x / D + c).  The
+# pads below take 2^9 units of magnitudes that bound these errors at both
+# poses compared and the rounding of the horizon arithmetic, several times
+# over.
 _PAD = 2.0**-44
-
-# The coordinates whose differences bound how fast two points' depths
-# drift apart: depth = x sin a + z cos a under RY and z cos a - y sin a
-# under RX, so the rate is at most hypot(dx, dz), resp. hypot(dy, dz).
-# RZ keeps each depth at z exactly, so no depth order ever changes.
-_DEPTH_PAIR = {Axis.RX: [1, 2], Axis.RY: [0, 2], Axis.RZ: None}
 
 
 def _border_distance(coord, size: int):
@@ -295,7 +291,9 @@ def _horizon_changes(cloud: ColoredPointCloud, axis: Axis, values, cam: CameraMo
     rate = lipschitz_constants(points, spec, cam)
     pad_px = _PAD * (1 + extent / floor)
     span_px = max(cam.fx, cam.fy) + cam.width + cam.height
-    pair = _DEPTH_PAIR[axis]
+    # the depth turns in the plane (p, q) of _MOTION or stays at z, so two
+    # points' depths drift apart at most at hypot(dp, dq), or never
+    pair = sorted(_MOTION[axis]) if 2 in _MOTION[axis] else None
     index, (size, pixels) = np.arange(len(points)), _grid(cam)
     most = _block_size(max(len(points), cam.height * cam.width))
 

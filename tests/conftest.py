@@ -68,6 +68,58 @@ def project_general(point, rotvec, translation, cam):
     return (u, v), depth
 
 
+def closed_form_projection(points, axis, value, cam):
+    """Reference ``project_points``: one closed form per axis, with the same
+    floating operations in the same order, so equal bit for bit."""
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
+    a = np.asarray(value, dtype=np.float64)
+    zero = np.zeros_like(a)
+    c, s = np.cos(a), np.sin(a)
+    if axis is Axis.TX:
+        depth, un, vn = z + zero, cam.fx * (x - a), cam.fy * y + zero
+    elif axis is Axis.TY:
+        depth, un, vn = z + zero, cam.fx * x + zero, cam.fy * (y - a)
+    elif axis is Axis.TZ:
+        depth, un, vn = z - a, cam.fx * x + zero, cam.fy * y + zero
+    elif axis is Axis.RZ:
+        depth, un, vn = z + zero, cam.fx * (x * c + y * s), cam.fy * (y * c - x * s)
+    elif axis is Axis.RX:
+        depth, un, vn = z * c - y * s, cam.fx * x + zero, cam.fy * (y * c + z * s)
+    else:  # RY
+        depth, un, vn = x * s + z * c, cam.fx * (x * c - z * s), cam.fy * y + zero
+    with np.errstate(divide="ignore", invalid="ignore"):
+        uv = np.stack([un / depth + cam.cx, vn / depth + cam.cy], axis=-1)
+    return uv, depth
+
+
+def closed_form_derivative(points, axis, value, cam):
+    """Reference ``projection_derivative_points``: d(u, v)/d(alpha) in one
+    closed form per axis, for a single pose or an (N,) array of poses."""
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
+    a = np.asarray(value, dtype=np.float64)
+    zero = np.zeros_like(z) + np.zeros_like(a)
+    c, s = np.cos(a), np.sin(a)
+    if axis is Axis.TX:
+        du, dv = -cam.fx / z + zero, zero
+    elif axis is Axis.TY:
+        du, dv = zero, -cam.fy / z + zero
+    elif axis is Axis.TZ:
+        du, dv = cam.fx * x / (z - a) ** 2, cam.fy * y / (z - a) ** 2
+    elif axis is Axis.RZ:
+        du, dv = cam.fx * (y * c - x * s) / z, -cam.fy * (x * c + y * s) / z
+    elif axis is Axis.RX:
+        depth = z * c - y * s
+        du = cam.fx * x * (y * c + z * s) / depth**2
+        dv = cam.fy * (y**2 + z**2) / depth**2
+    else:  # RY
+        depth = x * s + z * c
+        du = -cam.fx * (x**2 + z**2) / depth**2
+        dv = -cam.fy * y * (x * c - z * s) / depth**2
+    return np.stack([du, dv], axis=1)
+
+
 def drift_spans_loop(points, specs, cam, probes=9):
     """Reference drift spans: one projection per probe pose, folded into
     running per-point minima and maxima of the u and v offsets from the

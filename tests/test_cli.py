@@ -426,6 +426,8 @@ class TestErrorHandling:
         *printed, line = res.output.splitlines()
         assert len(printed) == (command == "partition")  # it prints the spacing first
         assert line.startswith("path_error: ") and str(tmp_path) in line
+        # nothing is left behind, not even a temporary file
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "afile", "runs"]
 
     @pytest.mark.parametrize("missing", ["labels.json", "camera.json", "scene"])
     def test_missing_corpus_file_exits_1(self, runner, workspace, tmp_path, missing):

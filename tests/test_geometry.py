@@ -24,12 +24,16 @@ from pwscert.rasterizer import render_sweep
 
 from conftest import (
     axis_radius,
+    closed_form_derivative,
+    closed_form_projection,
     motion_rotation_translation,
     project_general,
     random_visible_points,
 )
 
 ALL_AXES = list(Axis)
+# focal lengths apart and off powers of two, so that every rounding shows
+ODD_CAM = CameraModel(fx=61.7, fy=53.3, cx=31.5, cy=30.25, width=64, height=64)
 
 
 class TestProject:
@@ -77,8 +81,32 @@ class TestProject:
             np.testing.assert_allclose(uv_vec[i], uv_i[0], rtol=0, atol=1e-12)
             assert d_vec[i] == pytest.approx(float(d_i[0]), abs=1e-15)
 
+    @pytest.mark.parametrize("axis", ALL_AXES)
+    def test_bit_identical_to_closed_forms(self, axis):
+        rng = np.random.default_rng(17)
+        b = axis_radius(axis)
+        pts = random_visible_points(rng, 60)
+        pts[:5, 2] *= -1.0  # behind the camera: the raw depth is kept
+        for value in (rng.uniform(-b, b), rng.uniform(-b, b, 60),
+                      rng.uniform(-b, b, (7, 1))):
+            uv, depth = project_points(pts, axis, value, ODD_CAM)
+            want_uv, want_depth = closed_form_projection(pts, axis, value, ODD_CAM)
+            assert uv.shape == want_uv.shape and depth.shape == want_depth.shape
+            assert uv.tobytes() == want_uv.tobytes()
+            assert depth.tobytes() == want_depth.tobytes()
+
 
 class TestDerivative:
+    @pytest.mark.parametrize("axis", ALL_AXES)
+    def test_matches_closed_forms(self, axis):
+        rng = np.random.default_rng(19)
+        b = axis_radius(axis)
+        pts = random_visible_points(rng, 60)
+        for value in (rng.uniform(-b, b), rng.uniform(-b, b, 60)):
+            got = projection_derivative_points(pts, axis, value, ODD_CAM)
+            want = closed_form_derivative(pts, axis, value, ODD_CAM)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
     def test_tz_on_axis(self, cam):
         du, dv = projection_derivative_points((0.1, 0, 2), Axis.TZ, 0.0, cam)[0]
         assert du == pytest.approx(2.5, abs=1e-12)  # fx*X/Z^2

@@ -529,6 +529,12 @@ class TestChangePoses:
                     assert np.any(want[1:] != want[:-1]), name
                 if name.startswith("RY depth swap") and axis is Axis.RY:
                     assert len(changes) < resolution  # some poses are skipped
+                # b = 0: no horizon, so every pose is z-buffered
+                zeros = np.zeros(3)
+                assert _horizon_changes(cloud, axis, zeros, trap_cam) is None
+                np.testing.assert_array_equal(
+                    per_pose(zbuffer_changes(cloud, axis, zeros, trap_cam), 3),
+                    winners_batch(cloud, axis, zeros, trap_cam), err_msg=f"{name} {axis}")
 
     def test_rotation_traps_sweep_runs_match_oracle(self, trap_cam):
         for name, cloud, spec, resolution in rotation_traps(trap_cam):

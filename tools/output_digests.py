@@ -1,5 +1,5 @@
-"""Digests of every CLI output file, of the ownership sweeps and of the
-geometry bounds.
+"""Digests of every CLI output file, of the ownership sweeps, of the
+projection and of the geometry bounds.
 
 Run it once per checkout, each time with that checkout's ``src`` on the
 path, and diff the two listings; a change that must leave the program's
@@ -42,6 +42,13 @@ The geometry part hashes, bit for bit, ``min_depth_over_range``,
 raises) on 1,500 seeded random 400-point clouds for all six axes, with
 fx != fy, radii 0.001-0.3 and delta 0.01, 0.5 and 2 px, plus the RZ rate
 and RX/RY depth floor at radii up to 2 rad.
+
+The projection part hashes, bit for bit, the ``uv`` and ``depth`` arrays
+``project_points`` returns on 200 seeded random 300-point clouds for all
+six axes, with fx != fy, some points behind the camera and poses in
+[-0.3, 0.3], at each pose shape: one pose, one pose per point and a
+column of 16 poses.  It draws from a generator of its own, so the other
+parts' inputs do not depend on it.
 """
 
 from __future__ import annotations
@@ -197,6 +204,26 @@ def geometry_digests():
         yield f"geometry {name} {digest.hexdigest()}"
 
 
+def projection_digests():
+    rng = np.random.default_rng(20261021)
+    hashes = {}
+    for _ in range(200):
+        fx, fy = rng.uniform(5, 80, 2)
+        cam = pc.CameraModel(fx=fx, fy=fy, cx=11.5, cy=12.25, width=24, height=24)
+        pts = rng.uniform(-1, 1, (300, 3)) * rng.uniform(0.05, 2.0)
+        pts[:, 2] = rng.uniform(-0.5, 3.0, 300)
+        for axis in pc.Axis:
+            for shape, value in (("pose", rng.uniform(-0.3, 0.3)),
+                                 ("per-point", rng.uniform(-0.3, 0.3, 300)),
+                                 ("column", rng.uniform(-0.3, 0.3, (16, 1)))):
+                uv, depth = pc.project_points(pts, axis, value, cam)
+                digest = hashes.setdefault((axis, shape), hashlib.sha256())
+                for array in (uv, depth):
+                    digest.update(repr(array.shape).encode() + array.tobytes())
+    for (axis, shape), digest in hashes.items():
+        yield f"project_points {axis.value} {shape} {digest.hexdigest()}"
+
+
 def sweep_digests():
     hashes = {}
 
@@ -277,7 +304,7 @@ def main(argv) -> None:
     library = [f"{name} {_json_digest(payload)}"
                for name, payload in library_digests(workdir)]
     for line in [*file_digests(workdir), *library, *sweep_digests(),
-                 *geometry_digests()]:
+                 *geometry_digests(), *projection_digests()]:
         print(line)
 
 

@@ -25,10 +25,10 @@ most ``n_partitions * alpha``; the report carries that figure as
 repeat.
 
 Pixel-space tallies run on up to ``PWS_THREADS`` threads (default: the
-CPU count) of the calling process: the calling thread draws the noise and
-the others score frames against it.  Logit-space tallies run on the
-calling thread.  Either way the estimates do not depend on the thread
-count.
+CPU count) of the calling process, each drawing and scoring every frame
+against its own blocks of the stream's draws; the estimates depend on the
+seed, the stream, the pixel count and ``n_samples``, not on the thread
+count.  Logit-space tallies run on the calling thread.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from .smoothing import (STREAM_ATTACK, STREAM_FRAME, SmoothingConfig, smoothed_e
 # not drawn by the program: the benchmark's replay imports it to tally the
 # attack's reference apart from the sweep
 STREAM_ATTACK_REFERENCE = 3
-REPORT_VERSION = 4
+REPORT_VERSION = 5
 
 
 class Verdict(str, enum.Enum):

@@ -6,9 +6,9 @@ here:
 
 * ``LinearSoftmaxClassifier`` - multinomial logistic regression on
   mean-pooled pixels, trainable in seconds on synthetic corpora.  Being
-  linear, it also exposes its exact pixel-to-logit matrix, which the
-  smoothing module uses to push Gaussian pixel noise forward in closed
-  form.
+  linear, it scores through its exact pixel-to-logit matrix, which the
+  smoothing module also uses to push Gaussian pixel noise forward in
+  closed form.
 
 An external model plugs in by implementing ``BaseClassifier.predict_batch``
 in process.
@@ -85,25 +85,36 @@ class LinearSoftmaxClassifier(BaseClassifier):
         self.bias = np.asarray(bias, dtype=np.float64)  # (L,)
         self.image_shape = tuple(int(s) for s in image_shape)  # (K, H, W)
         self.downsample = int(downsample)
-        self._pixel_map = None
+        k, h, w = self.image_shape
+        f = self.downsample
+        if h % f or w % f or len(self.weights) != k * (h // f) * (w // f):
+            raise ShapeMismatch(f"{len(self.weights)} features do not pool a "
+                                f"{self.image_shape} image by {f}")
+        # pixel (k, r, c) feeds feature (k, r // f, c // f) with weight 1/f^2
+        feature = (
+            (np.arange(k)[:, None, None] * (h // f) + np.arange(h)[:, None] // f)
+            * (w // f)
+            + np.arange(w) // f
+        )
+        a_mat = self.weights[feature.ravel()].T * (1.0 / (f * f))
+        # row-major, as the dense pooling product was: BLAS then sums alike
+        self._pixel_map = (np.ascontiguousarray(a_mat), self.bias.copy())
 
     @property
     def label_count(self) -> int:
         return int(self.weights.shape[1])
 
-    def _features(self, images: np.ndarray) -> np.ndarray:
-        if images.shape[1:] != self.image_shape:
-            raise ShapeMismatch(
-                f"image shape {images.shape[1:]} != trained {self.image_shape}"
-            )
-        return _pool(images, self.downsample).reshape(len(images), -1)
-
     def predict(self, image: np.ndarray) -> np.ndarray:
         return self.predict_batch(np.asarray(image, dtype=np.float64)[None])[0]
 
     def predict_batch(self, images: np.ndarray) -> np.ndarray:
-        feats = self._features(np.asarray(images, dtype=np.float64))
-        return _softmax(feats @ self.weights + self.bias)
+        images = np.asarray(images, dtype=np.float64)
+        if images.shape[1:] != self.image_shape:
+            raise ShapeMismatch(
+                f"image shape {images.shape[1:]} != trained {self.image_shape}"
+            )
+        a_mat, bias = self._pixel_map
+        return _softmax(images.reshape(len(images), -1) @ a_mat.T + bias)
 
     def describe(self) -> dict:
         return {
@@ -114,18 +125,6 @@ class LinearSoftmaxClassifier(BaseClassifier):
         }
 
     def logit_map(self):
-        if self._pixel_map is None:
-            # pixel (k, r, c) feeds feature (k, r // f, c // f) with weight 1/f^2
-            k, h, w = self.image_shape
-            f = self.downsample
-            feature = (
-                (np.arange(k)[:, None, None] * (h // f) + np.arange(h)[:, None] // f)
-                * (w // f)
-                + np.arange(w) // f
-            )
-            a_mat = self.weights[feature.ravel()].T * (1.0 / (f * f))
-            # row-major, as the dense pooling product was: BLAS then sums alike
-            self._pixel_map = (np.ascontiguousarray(a_mat), self.bias.copy())
         return self._pixel_map
 
 

@@ -16,23 +16,28 @@ is exact only for unclipped additive noise and the classifiers accept
 unbounded inputs.
 
 Randomness is organized in named Philox streams keyed by (seed, stream
-id), and a stream is consumed serially, so results do not depend on how
-draws are batched.  ``smoothed_estimates`` tallies several images against
-the same draws of one stream: certification and attack sweeps tally all
-distinct frames of a call on ``stream_id(context, 0)``, so one draw serves
-every frame, and a one-image call (``smoothed_estimate``) sees exactly the
-draws its image sees in a larger call.  The pixel-space tally draws its
-noise in blocks of at most ``_NOISE_ENTRIES`` entries, and other threads
-may score the images against one block while the next is drawn; each
-image still sees every block in stream order, so the estimates do not
-depend on the thread count.
+id).  ``smoothed_estimates`` tallies several images against the same draws
+of one stream: certification and attack sweeps tally all distinct frames
+of a call on ``stream_id(context, 0)``, so one draw serves every frame,
+and a one-image call (``smoothed_estimate``) sees exactly the draws its
+image sees in a larger call.
+
+The pixel-space tally splits the draws into blocks of
+``max(1, _NOISE_ENTRIES // D)`` noise images, ``D`` the pixel count, the
+last block taking the remainder.  Block ``b`` is drawn from its own region
+of the stream's counter (``advance(b << 128)``), so any thread can draw
+any block.  Each of up to ``workers`` threads draws and scores every image
+against its share of the blocks, and the shares' counts are summed:
+pixel-path estimates depend on the seed, the stream, ``D`` and
+``n_samples`` only, never on the thread count.
 
 For classifiers exposing an affine pixel-to-logit map, the argmax under
 pixel noise is sampled exactly in logit space: the noise pushes forward to
 ``N(0, sigma^2 A A^T)`` over the logits, which is cheaper by the ratio of
 pixel count to label count and distributionally identical.  That path
-draws each noise block and its pushforward once and scores every image
-against it.  Set
+consumes the stream serially in batches of ``BATCH_SIZE`` draws, pushes
+each batch forward once and scores every image against it; the estimates
+do not depend on the batch size.  Set
 ``SmoothingConfig.force_pixel_noise`` to bypass it.
 """
 
@@ -56,7 +61,7 @@ STREAM_FRAME = 1
 STREAM_ATTACK = 2
 STREAM_GENERIC = 0
 
-# noise draws per logit-path batch, and the row cap of a pixel-path batch
+# noise draws per logit-path batch, and float64 entries per pixel-path block
 BATCH_SIZE = 8192
 _NOISE_ENTRIES = 1 << 16
 
@@ -118,45 +123,39 @@ def clopper_pearson_lower(successes: int, trials: int, alpha: float) -> float:
     return float(betaincinv(successes, trials - successes + 1, alpha))
 
 
-def _tally_pixel_noise(classifier, images, cfg, stream, workers) -> np.ndarray:
+def _noise_block(cfg, stream, block, rows, pixels) -> np.ndarray:
+    """Block ``block`` of the pixel-path draws: ``rows`` noise images from
+    its own counter region of the stream, word 2 of the Philox counter."""
     rng = noise_generator(cfg.seed, stream)
+    rng.bit_generator.advance(block << 128)
+    noise = rng.standard_normal((rows, pixels))
+    noise *= cfg.sigma
+    return noise
+
+
+def _tally_pixel_noise(classifier, images, cfg, stream, workers) -> np.ndarray:
     flat = images.reshape(len(images), -1)
-    rows = max(1, min(BATCH_SIZE, _NOISE_ENTRIES // flat.shape[1]))
-    counts = np.zeros((len(images), classifier.label_count), dtype=np.int64)
+    rows = max(1, _NOISE_ENTRIES // flat.shape[1])
+    n_blocks = -(-cfg.n_samples // rows)
 
-    def blocks():
-        done = 0
-        while done < cfg.n_samples:
-            nb = min(rows, cfg.n_samples - done)
-            noise = rng.standard_normal((nb, flat.shape[1]))
-            noise *= cfg.sigma
-            yield noise
-            done += nb
-
-    def score(share, noise):
-        for image, row in zip(flat[share], counts[share]):
-            batch = (noise + image).reshape(len(noise), *images.shape[1:])
-            row += np.bincount(np.argmax(classifier.predict_batch(batch), axis=1),
-                               minlength=classifier.label_count)
-
-    scorers = min(workers - 1, len(images))
-    if scorers < 1:
-        for noise in blocks():
-            score(slice(None), noise)
+    def tally(first, step):
+        counts = np.zeros((len(images), classifier.label_count), dtype=np.int64)
+        for block in range(first, n_blocks, step):
+            noise = _noise_block(cfg, stream, block,
+                                 min(rows, cfg.n_samples - block * rows), flat.shape[1])
+            for image, row in zip(flat, counts):
+                batch = (noise + image).reshape(len(noise), *images.shape[1:])
+                row += np.bincount(np.argmax(classifier.predict_batch(batch), axis=1),
+                                   minlength=classifier.label_count)
         return counts
-    # this thread draws the next block while the scorers score the last one,
-    # and waits for them before handing it out, so at most two blocks live;
-    # each scorer owns every scorers-th image, so no two touch one row
-    shares = [slice(first, None, scorers) for first in range(scorers)]
-    scoring = []
-    with ThreadPoolExecutor(max_workers=scorers) as pool:
-        for noise in blocks():
-            for future in scoring:
-                future.result()
-            scoring = [pool.submit(score, share, noise) for share in shares]
-        for future in scoring:
-            future.result()
-    return counts
+
+    threads = min(workers, n_blocks)
+    if threads < 2:
+        return tally(0, 1)
+    # each thread draws and scores every threads-th block into counts of its own
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        futures = [pool.submit(tally, first, threads) for first in range(threads)]
+        return sum(future.result() for future in futures)
 
 
 def _tally_logit_noise(logit_map, images, cfg, stream, label_count) -> np.ndarray:
@@ -201,10 +200,9 @@ def smoothed_estimates(
     """Estimate the smoothed prediction at each image, every image tallied
     against the same draws of ``stream``.
 
-    On the pixel path this thread draws the noise while up to
-    ``workers - 1`` threads score the images against it; the logit path
-    runs on this thread.  Either way the estimates do not depend on
-    ``workers``.
+    On the pixel path up to ``workers`` threads each draw and score their
+    own noise blocks; the logit path runs on this thread.  Either way the
+    estimates do not depend on ``workers``.
     """
     images = np.asarray(images, dtype=np.float64)
     if not len(images):

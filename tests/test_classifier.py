@@ -87,6 +87,26 @@ class TestPredict:
         with pytest.raises(ShapeMismatch):
             demo_classifier.predict(np.zeros((1, 5, 5)))
 
+    @pytest.mark.parametrize("rows, shape, f", [
+        (35, (1, 24, 24), 4), (37, (1, 24, 24), 4), (4, (1, 10, 8), 4),
+    ])
+    def test_weights_that_do_not_pool_the_shape_rejected(self, rows, shape, f):
+        with pytest.raises(ShapeMismatch):
+            LinearSoftmaxClassifier(np.zeros((rows, 3)), np.zeros(3), shape, f)
+
+    def test_scores_equal_pooled_features_oracle(self, demo_classifier, dataset):
+        # training scores the pooled features; prediction goes through the
+        # logit map, which sums the same terms in another order
+        from pwscert.classifier import _pool, _softmax
+
+        rng = np.random.default_rng(15)
+        images = np.stack([img for img, _ in dataset])
+        images = images + 0.5 * rng.standard_normal(images.shape)
+        feats = _pool(images, demo_classifier.downsample).reshape(len(images), -1)
+        want = _softmax(feats @ demo_classifier.weights + demo_classifier.bias)
+        np.testing.assert_allclose(demo_classifier.predict_batch(images), want,
+                                   rtol=1e-12, atol=1e-15)
+
     def test_logit_map_matches_predict_argmax(self, demo_classifier, dataset):
         a_mat, bias = demo_classifier.logit_map()
         rng = np.random.default_rng(12)

@@ -1,5 +1,6 @@
 import math
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -49,6 +50,30 @@ class CoinClassifier(BaseClassifier):
         flat = images.reshape(len(images), -1)
         hot = (flat[:, 0] > 0).astype(float)
         return np.column_stack([1 - hot, hot])
+
+
+def tied_classifier(shape, image, labels, seed, cls=LinearSoftmaxClassifier):
+    """Random linear model whose logits all tie at ``image``, so the noise
+    splits the tally between the labels and any change of draws shows."""
+    k, h, w = shape
+    rng = np.random.default_rng(seed)
+    weights = rng.standard_normal((k * (h // 4) * (w // 4), labels))
+    untied = cls(weights, np.zeros(labels), shape, 4)
+    a_mat, _ = untied.logit_map()
+    return cls(weights, -(a_mat @ image.reshape(-1)), shape, 4)
+
+
+def block_oracle(clf, image, cfg, stream, rows):
+    """Pixel-path counts of ``image`` in one batch, with block ``b`` of
+    ``rows`` draws taken from counter word 2 = ``b`` of the stream."""
+    blocks = []
+    for b, start in enumerate(range(0, cfg.n_samples, rows)):
+        rng = noise_generator(cfg.seed, stream)
+        rng.bit_generator.advance(b << 128)
+        blocks.append(rng.standard_normal((min(rows, cfg.n_samples - start), image.size)))
+    eps = cfg.sigma * np.concatenate(blocks)
+    scores = clf.predict_batch((image.reshape(-1) + eps).reshape(-1, *image.shape))
+    return np.bincount(np.argmax(scores, axis=1), minlength=clf.label_count)
 
 
 class BatchRecorder(LinearSoftmaxClassifier):
@@ -195,33 +220,32 @@ class TestSmoothedEstimate:
     def test_batch_split_invariant(self, monkeypatch):
         from pwscert import smoothing
 
-        img = np.full((1, 3, 3), 0.1)
-        cfg = SmoothingConfig(sigma=0.6, n_samples=1000, confidence_alpha=0.01,
-                              seed=3, force_pixel_noise=True)
+        # BATCH_SIZE splits only the logit path's serial stream
+        shape = (1, 8, 8)
+        img = np.random.default_rng(3).uniform(0.0, 1.0, shape)
+        clf = tied_classifier(shape, img, 3, seed=3)
+        cfg = SmoothingConfig(sigma=0.6, n_samples=1000, confidence_alpha=0.01, seed=3)
         monkeypatch.setattr(smoothing, "BATCH_SIZE", 64)
-        a = smoothed_estimate(CoinClassifier(), img, cfg)
+        a = smoothed_estimate(clf, img, cfg)
         monkeypatch.setattr(smoothing, "BATCH_SIZE", 100000)
-        b = smoothed_estimate(CoinClassifier(), img, cfg)
+        b = smoothed_estimate(clf, img, cfg)
         np.testing.assert_array_equal(a.counts, b.counts)
+        assert np.count_nonzero(a.counts) == 3
 
     def test_pixel_blocks_match_one_batch_oracle(self):
         shape = (1, 64, 64)
-        rng = np.random.default_rng(6)
-        clf = BatchRecorder(rng.standard_normal((256, 3)), rng.standard_normal(3),
-                            shape, 4)
-        img = rng.uniform(0.0, 1.0, shape)
+        img = np.random.default_rng(6).uniform(0.0, 1.0, shape)
+        clf = tied_classifier(shape, img, 3, seed=6, cls=BatchRecorder)
         cfg = SmoothingConfig(sigma=0.8, n_samples=500, confidence_alpha=0.01,
                               seed=2, force_pixel_noise=True)
         est = smoothed_estimate(clf, img, cfg, stream=7)
-        assert max(clf.batches) == _NOISE_ENTRIES // img.size < cfg.n_samples
-        # the oracle draws every noise image of the stream in one batch
-        eps = cfg.sigma * noise_generator(cfg.seed, 7).standard_normal(
-            (cfg.n_samples, img.size))
-        scores = LinearSoftmaxClassifier.predict_batch(
-            clf, (img.reshape(-1) + eps).reshape(cfg.n_samples, *shape))
-        want = np.bincount(np.argmax(scores, axis=1), minlength=3)
+        rows = _NOISE_ENTRIES // img.size
+        assert max(clf.batches) == rows < cfg.n_samples
+        want = block_oracle(clf, img, cfg, 7, rows)
         np.testing.assert_array_equal(est.counts, want)
-        assert len(np.nonzero(want)[0]) > 1  # the noise moves the argmax
+        assert want.max() < 0.6 * cfg.n_samples  # near a tie: the draws decide
+        # the oracle sees the layout: one row more per block moves the counts
+        assert not np.array_equal(block_oracle(clf, img, cfg, 7, rows + 1), want)
 
     def test_radius_scales_with_sigma(self, demo_classifier, demo_corpus):
         scenes, cam = demo_corpus
@@ -278,7 +302,7 @@ class TestSharedDraws:
         images = rng.uniform(0.0, 1.0, (5, *shape))
         cfg = SmoothingConfig(sigma=0.7, n_samples=3000, confidence_alpha=0.01,
                               seed=5, force_pixel_noise=pixel)
-        monkeypatch.setattr(smoothing, "BATCH_SIZE", 1000)  # several blocks
+        monkeypatch.setattr(smoothing, "BATCH_SIZE", 1000)  # several logit batches
         got = smoothed_estimates(clf, images, cfg, stream=4, workers=workers)
         assert len(got) == len(images)
         for image, est in zip(images, got):
@@ -312,6 +336,55 @@ class TestSharedDraws:
         for est, counts in zip(got, want):
             assert est.counts.sum() == cfg.n_samples
             np.testing.assert_array_equal(est.counts, counts)
+
+    @pytest.mark.parametrize("n_samples, workers, n_blocks", [
+        (2500, 2, 3),  # blocks of 1024, 1024 and 452 draws: the last is partial
+        (700, 3, 1),  # fewer draws than one block's 1024 rows
+        (3000, 7, 3),  # more workers than blocks
+    ])
+    def test_pixel_block_layout(self, n_samples, workers, n_blocks, monkeypatch):
+        from pwscert import smoothing
+
+        shape = (1, 8, 8)  # 64 pixels: 2^16 // 64 = 1024 draws a block
+        images = np.random.default_rng(13).uniform(0.0, 1.0, (2, *shape))
+        clf = tied_classifier(shape, images[0], 3, seed=13)
+        cfg = SmoothingConfig(sigma=0.5, n_samples=n_samples, confidence_alpha=0.01,
+                              seed=4, force_pixel_noise=True)
+        pools, threads = [], set()
+
+        class Recorder(smoothing.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        def predict_batch(batch):
+            threads.add(threading.get_ident())
+            return LinearSoftmaxClassifier.predict_batch(clf, batch)
+
+        monkeypatch.setattr(smoothing, "ThreadPoolExecutor", Recorder)
+        monkeypatch.setattr(clf, "predict_batch", predict_batch)
+        got = smoothed_estimates(clf, images, cfg, stream=3, workers=workers)
+        assert pools == ([min(workers, n_blocks)] if n_blocks > 1 else [])
+        assert len(threads) <= n_blocks
+        for image, est in zip(images, got):
+            np.testing.assert_array_equal(est.counts,
+                                          block_oracle(clf, image, cfg, 3, 1024))
+        assert np.count_nonzero(got[0].counts) > 1
+
+    def test_pixel_counts_equal_for_every_thread_count(self, monkeypatch):
+        from pwscert import smoothing
+
+        shape = (1, 8, 8)
+        images = np.random.default_rng(14).uniform(0.0, 1.0, (3, *shape))
+        clf = tied_classifier(shape, images[1], 3, seed=14)
+        cfg = SmoothingConfig(sigma=0.5, n_samples=700, confidence_alpha=0.01,
+                              seed=6, force_pixel_noise=True)
+        monkeypatch.setattr(smoothing, "_NOISE_ENTRIES", 64 * 32)  # 22 blocks
+        want = [est.counts for est in smoothed_estimates(clf, images, cfg, stream=5)]
+        for workers in range(2, 6):
+            got = smoothed_estimates(clf, images, cfg, stream=5, workers=workers)
+            for est, counts in zip(got, want):
+                np.testing.assert_array_equal(est.counts, counts)
 
     def test_empty_input(self):
         cfg = SmoothingConfig(sigma=0.5, n_samples=100)

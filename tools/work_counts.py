@@ -1,6 +1,6 @@
 """Machine-independent work counts of one pass of benchmark workloads.
 
-    PYTHONPATH=src python tools/work_counts.py demo-attack wild-certify
+    PYTHONPATH=src python tools/work_counts.py demo-attack wild-certify blackbox-certify
 
 For each named workload it sets the corpus and model up as the benchmark
 does (``perfbench/workloads.py``, imported and left unchanged), runs one
@@ -9,7 +9,10 @@ pass at seed 1, and prints one JSON line of what that pass did:
 * ``images_rendered``: poses the render path takes from ``zbuffer_changes``,
   each rendered and hashed once;
 * ``adjacent_errors``: ``adjacent_frame_error`` calls made by ``certify``;
-* ``noise_generators``: Philox streams opened (``noise_generator``);
+* ``noise_generators``: Philox generators made (``noise_generator``); the
+  pixel path makes one per noise block;
+* ``noise_blocks``: pixel-path noise blocks drawn (``_noise_block``), which
+  do not depend on ``PWS_THREADS``;
 * ``tallied_images``: images handed to ``smoothed_estimates``.
 
 The counts come from wrapping those functions, so they run against any
@@ -22,6 +25,7 @@ import importlib
 import json
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -33,14 +37,16 @@ from pwscert import rasterizer, smoothing  # noqa: E402
 certify = importlib.import_module("pwscert.certify")
 
 COUNTS = dict.fromkeys(["images_rendered", "adjacent_errors", "noise_generators",
-                        "tallied_images"], 0)
+                        "noise_blocks", "tallied_images"], 0)
+LOCK = threading.Lock()  # pixel-path tally threads count concurrently
 
 
 def count(module, name, key, amount=lambda args: 1):
     fn = getattr(module, name)
 
     def counted(*args, **kwargs):
-        COUNTS[key] += amount(args)
+        with LOCK:
+            COUNTS[key] += amount(args)
         return fn(*args, **kwargs)
 
     setattr(module, name, counted)
@@ -61,6 +67,7 @@ def main(names) -> None:
     count_yields(rasterizer, "zbuffer_changes", "images_rendered")
     count(certify, "adjacent_frame_error", "adjacent_errors")
     count(smoothing, "noise_generator", "noise_generators")
+    count(smoothing, "_noise_block", "noise_blocks")
     for module in (smoothing, certify):  # certify holds its own reference
         count(module, "smoothed_estimates", "tallied_images", lambda args: len(args[1]))
     for name in names:

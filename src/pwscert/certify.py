@@ -24,17 +24,13 @@ most ``n_partitions * alpha``; the report carries that figure as
 ``aggregate_alpha``, which over-approximates the bound whenever frames
 repeat.
 
-Pixel-space tallies run on up to ``PWS_THREADS`` threads (default: the
-CPU count) of the calling process, each drawing and scoring every frame
-against its own blocks of the stream's draws; the estimates depend on the
-seed, the stream, the pixel count and ``n_samples``, not on the thread
-count.  Logit-space tallies run on the calling thread.
+The tallies take their threads from the thread rule in ``smoothing``, as
+library calls to ``smoothed_estimates`` do.
 """
 
 from __future__ import annotations
 
 import enum
-import os
 import time
 from dataclasses import dataclass, field
 
@@ -125,22 +121,10 @@ class AttackReport:
         return dict(vars(self))
 
 
-def worker_count() -> int:
-    env = os.environ.get("PWS_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigError(f"PWS_THREADS must be an integer, got {env!r}") from exc
-    return os.cpu_count() or 1
-
-
 def _run_tasks(images, classifier, cfg, context):
     """Smoothed estimates of ``images``, in order, every image tallied
-    against the draws of the one stream ``stream_id(context, 0)``;
-    pixel-path tallies run on up to ``worker_count()`` threads."""
-    return smoothed_estimates(classifier, images, cfg, stream_id(context, 0),
-                              workers=worker_count())
+    against the draws of the one stream ``stream_id(context, 0)``."""
+    return smoothed_estimates(classifier, images, cfg, stream_id(context, 0))
 
 
 def certify(

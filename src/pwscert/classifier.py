@@ -78,18 +78,26 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 
 class LinearSoftmaxClassifier(BaseClassifier):
-    """Softmax regression over mean-pooled pixels."""
+    """Softmax regression over mean-pooled pixels; the constructor checks
+    the whole pooling geometry."""
 
     def __init__(self, weights, bias, image_shape, downsample=DEFAULT_DOWNSAMPLE):
         self.weights = np.asarray(weights, dtype=np.float64)  # (F, L)
         self.bias = np.asarray(bias, dtype=np.float64)  # (L,)
         self.image_shape = tuple(int(s) for s in image_shape)  # (K, H, W)
-        self.downsample = int(downsample)
+        f = downsample
+        if not isinstance(f, (int, np.integer)) or isinstance(f, bool) or f < 1:
+            raise ConfigError(f"downsample factor must be an integer of at least 1, got {f!r}")
+        self.downsample = f = int(f)
+        if len(self.image_shape) != 3 or min(self.image_shape) < 1:
+            raise ShapeMismatch(f"image shape {self.image_shape} is not three positive sides")
         k, h, w = self.image_shape
-        f = self.downsample
-        if h % f or w % f or len(self.weights) != k * (h // f) * (w // f):
-            raise ShapeMismatch(f"{len(self.weights)} features do not pool a "
-                                f"{self.image_shape} image by {f}")
+        if h % f or w % f:
+            raise ShapeMismatch(f"grid {h}x{w} not divisible by downsample factor {f}")
+        if (self.weights.ndim != 2 or len(self.weights) != k * (h // f) * (w // f)
+                or self.bias.shape != self.weights.shape[1:] or not len(self.bias)):
+            raise ShapeMismatch(f"weights {self.weights.shape} and bias {self.bias.shape} "
+                                f"do not fit a {self.image_shape} image pooled by {f}")
         # pixel (k, r, c) feeds feature (k, r // f, c // f) with weight 1/f^2
         feature = (
             (np.arange(k)[:, None, None] * (h // f) + np.arange(h)[:, None] // f)
@@ -242,15 +250,15 @@ def load_model(path) -> LinearSoftmaxClassifier:
         downsample = int(header["downsample"])
     except (ValueError, KeyError, TypeError) as exc:
         raise FileFormatError(f"not a pws linear model file: {exc!r}") from exc
-    if (labels < 1 or len(shape) != 3 or min(shape) < 1 or downsample < 1
-            or shape[1] % downsample or shape[2] % downsample
-            or f != shape[0] * (shape[1] // downsample) * (shape[2] // downsample)):
+    if f < 1 or labels < 1:  # the body size below needs both
         raise FileFormatError(f"bad model header fields: {header}")
     size = 4 * (f * labels + labels)
     if len(body) != size:
         raise FileFormatError(f"model body has {len(body)} bytes, expected {size}")
     params = np.frombuffer(body, dtype="<f4").astype(np.float64)
-    return LinearSoftmaxClassifier(
-        params[: f * labels].reshape(f, labels), params[f * labels :], shape, downsample
-    )
+    try:  # the constructor checks the pooling geometry
+        return LinearSoftmaxClassifier(params[: f * labels].reshape(f, labels),
+                                       params[f * labels :], shape, downsample)
+    except (ConfigError, ShapeMismatch) as exc:
+        raise FileFormatError(f"bad model header fields: {header}: {exc}") from exc
 

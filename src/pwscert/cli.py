@@ -4,9 +4,9 @@ Subcommands: gen-scenes, train, project, partition, certify, attack,
 report.  Radii take unit suffixes (mm/m for translations, deg/rad for
 rotations) and convert to SI at the boundary.  Module errors exit with
 status 1 and a single ``kind: message`` line on stderr; configuration
-errors exit with status 2.  ``PWS_THREADS`` caps the threads that draw
-and score the noise blocks of one certification or attack on the pixel
-path; logit-path tallies run on one thread.
+errors exit with status 2.  The noise tallies take their threads from
+the thread rule in ``smoothing``, as library calls do, and a bad thread
+setting is a configuration error.
 """
 
 from __future__ import annotations

@@ -26,10 +26,18 @@ The pixel-space tally splits the draws into blocks of
 ``max(1, _NOISE_ENTRIES // D)`` noise images, ``D`` the pixel count, the
 last block taking the remainder.  Block ``b`` is drawn from its own region
 of the stream's counter (``advance(b << 128)``), so any thread can draw
-any block.  Each of up to ``workers`` threads draws and scores every image
-against its share of the blocks, and the shares' counts are summed:
-pixel-path estimates depend on the seed, the stream, ``D`` and
-``n_samples`` only, never on the thread count.
+any block.  Each thread draws and scores every image against its share of
+the blocks, and the shares' counts are summed: pixel-path estimates depend
+on the seed, the stream, ``D`` and ``n_samples`` only, never on the thread
+count.
+
+The thread rule, for every caller alike (``certify``, ``empirical_attack``,
+the ``pws`` commands and direct library calls): each ``smoothed_estimates``
+call reads ``PWS_THREADS`` once, before it picks a path, so a value that is
+not a positive integer raises ``ConfigError`` on either path; unset or
+empty, it means the CPU count.  A pixel-path tally runs on that many
+threads, at most one per block, and on the calling thread alone when that
+is one; a logit-path tally always runs on the calling thread.
 
 For classifiers exposing an affine pixel-to-logit map, the argmax under
 pixel noise is sampled exactly in logit space: the noise pushes forward to
@@ -44,6 +52,7 @@ do not depend on the batch size.  Set
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -61,9 +70,27 @@ STREAM_FRAME = 1
 STREAM_ATTACK = 2
 STREAM_GENERIC = 0
 
-# noise draws per logit-path batch, and float64 entries per pixel-path block
+# noise draws per logit-path batch, and float64 entries per pixel-path block.
+# Measured apart, so kept apart: logit batches of the 16,384 rows that the
+# pixel rule gives made demo-attack 3.6 % slower (37.5 against 38.9 scenes/s,
+# 6 alternating 8 s pairs), and 2^15-entry pixel blocks made an 8-image 24 px
+# pixel-path tally 11-17 % slower.
 BATCH_SIZE = 8192
 _NOISE_ENTRIES = 1 << 16
+
+
+def worker_count() -> int:
+    """Pixel-path tally threads: ``PWS_THREADS``, else the CPU count."""
+    env = os.environ.get("PWS_THREADS")
+    if not env:
+        return os.cpu_count() or 1
+    try:
+        threads = int(env)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ConfigError(f"PWS_THREADS must be a positive integer, got {env!r}")
+    return threads
 
 
 def stream_id(context: int, index: int) -> int:
@@ -88,6 +115,8 @@ class SmoothingConfig:
     def __post_init__(self):
         if not 0 < self.sigma < math.inf:
             raise ConfigError(f"sigma must be positive and finite, got {self.sigma}")
+        if not isinstance(self.n_samples, (int, np.integer)) or isinstance(self.n_samples, bool):
+            raise ConfigError(f"n_samples must be an integer, got {self.n_samples!r}")
         if self.n_samples < 100:
             raise ConfigError("need at least 100 Monte-Carlo samples")
         if not 0.0 < self.confidence_alpha < 1.0:
@@ -133,7 +162,7 @@ def _noise_block(cfg, stream, block, rows, pixels) -> np.ndarray:
     return noise
 
 
-def _tally_pixel_noise(classifier, images, cfg, stream, workers) -> np.ndarray:
+def _tally_pixel_noise(classifier, images, cfg, stream, threads) -> np.ndarray:
     flat = images.reshape(len(images), -1)
     rows = max(1, _NOISE_ENTRIES // flat.shape[1])
     n_blocks = -(-cfg.n_samples // rows)
@@ -149,7 +178,7 @@ def _tally_pixel_noise(classifier, images, cfg, stream, workers) -> np.ndarray:
                                    minlength=classifier.label_count)
         return counts
 
-    threads = min(workers, n_blocks)
+    threads = min(threads, n_blocks)
     if threads < 2:
         return tally(0, 1)
     # each thread draws and scores every threads-th block into counts of its own
@@ -195,15 +224,12 @@ def smoothed_estimates(
     images,
     cfg: SmoothingConfig,
     stream: int = STREAM_GENERIC,
-    workers: int = 1,
 ) -> list:
     """Estimate the smoothed prediction at each image, every image tallied
-    against the same draws of ``stream``.
-
-    On the pixel path up to ``workers`` threads each draw and score their
-    own noise blocks; the logit path runs on this thread.  Either way the
-    estimates do not depend on ``workers``.
+    against the same draws of ``stream``, on the threads of the module's
+    thread rule.
     """
+    threads = worker_count()
     images = np.asarray(images, dtype=np.float64)
     if not len(images):
         return []
@@ -212,7 +238,7 @@ def smoothed_estimates(
         counts = _tally_logit_noise(logit_map, images, cfg, stream,
                                     classifier.label_count)
     else:
-        counts = _tally_pixel_noise(classifier, images, cfg, stream, workers)
+        counts = _tally_pixel_noise(classifier, images, cfg, stream, threads)
     return [_estimate(c, cfg) for c in counts]
 
 

@@ -28,9 +28,9 @@ from pwscert import (
     generate_scene,
     render,
 )
-from pwscert.demo import demo_specs
+from pwscert.demo import build_probe_scene, demo_specs, probe_camera, probe_spec
 from pwscert.intervals import CertMethod, DeltaConvexity, plan_partition
-from pwscert.rasterizer import render_sweep
+from pwscert.rasterizer import render_sweep, sweep_images
 from pwscert import smoothing as smoothing_module
 from pwscert.smoothing import (STREAM_ATTACK, STREAM_FRAME, smoothed_estimate,
                                smoothed_estimates, stream_id)
@@ -529,6 +529,27 @@ class TestSweepOracle:
             got = empirical_attack(scenes[3].cloud, spec, demo_cam, demo_classifier, cfg,
                                    poses)
             assert got.to_json() == want, spec
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: a pixel's background gap "
+                   "between two owners has no run, so the window error misses it")
+@pytest.mark.parametrize("method", [CertMethod.EXACT, CertMethod.LIPSCHITZ])
+def test_in_window_frames_within_window_error(method):
+    # certify's bound: every frame inside a partition window lies within the
+    # largest adjacent error of the window's nearer end frame
+    cam, spec = probe_camera(), probe_spec(Axis.TX)
+    cloud = build_probe_scene(1, Axis.TX).cloud
+    plan = plan_partition(cloud, spec, cam, method, IntervalConfig(quantile=1.0))
+    assert (plan.count, round(plan.delta_alpha, 6)) == (10, 0.004522)
+    ends, end_index = sweep_images(cloud, spec, cam, plan.values)
+    bound = max(adjacent_frame_error(ends[a], ends[b])
+                for a, b in zip(end_index, end_index[1:]))
+    poses = np.linspace(-spec.radius_b, spec.radius_b, 200_001)
+    images, index = sweep_images(cloud, spec, cam, poses)
+    window = np.searchsorted(plan.values, poses, side="right").clip(1, plan.count - 1) - 1
+    worst = max(min(np.linalg.norm(images[i] - ends[end_index[w + k]]) for k in (0, 1))
+                for i, w in np.unique(np.column_stack([index, window]), axis=0))
+    assert worst <= bound
 
 
 class TestEmpiricalAttack:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pwscert import (
+    ConfigError,
     DegenerateDataset,
     FileFormatError,
     LinearSoftmaxClassifier,
@@ -89,10 +90,27 @@ class TestPredict:
 
     @pytest.mark.parametrize("rows, shape, f", [
         (35, (1, 24, 24), 4), (37, (1, 24, 24), 4), (4, (1, 10, 8), 4),
+        (4, (8, 8), 4),  # two sides
+        (0, (0, 8, 8), 4),  # no channel
+        (4, (1, -8, -8), 4),  # negative sides pool to 4 features
     ])
     def test_weights_that_do_not_pool_the_shape_rejected(self, rows, shape, f):
         with pytest.raises(ShapeMismatch):
             LinearSoftmaxClassifier(np.zeros((rows, 3)), np.zeros(3), shape, f)
+
+    @pytest.mark.parametrize("downsample", [0, -1, 2.0, True])
+    def test_bad_downsample_rejected(self, downsample):
+        with pytest.raises(ConfigError, match="downsample"):
+            LinearSoftmaxClassifier(np.zeros((4, 3)), np.zeros(3), (1, 8, 8), downsample)
+
+    @pytest.mark.parametrize("weights, bias", [
+        (np.zeros((4, 3)), np.zeros(2)),  # one bias short
+        (np.zeros((4, 0)), np.zeros(0)),  # no label
+        (np.zeros(4), np.zeros(1)),  # weights not a matrix
+    ])
+    def test_weights_and_bias_that_do_not_fit_rejected(self, weights, bias):
+        with pytest.raises(ShapeMismatch):
+            LinearSoftmaxClassifier(weights, bias, (1, 8, 8), 4)
 
     def test_scores_equal_pooled_features_oracle(self, demo_classifier, dataset):
         # training scores the pooled features; prediction goes through the
@@ -203,6 +221,15 @@ class TestModelFile:
                   "format": "pws-linear-1", "image_shape": shape, "labels": labels}
         path = tmp_path / "bad.pws"
         # every header above describes 148 floats, the body of a 36 x 4 model
+        path.write_bytes(json.dumps(header).encode() + b"\n" + b"\0" * 592)
+        with pytest.raises(FileFormatError, match="bad model header fields"):
+            load_model(path)
+
+    @pytest.mark.parametrize("downsample", [0, -1])
+    def test_bad_downsample_in_header_rejected(self, tmp_path, downsample):
+        header = {"downsample": downsample, "features": 36, "format": "pws-linear-1",
+                  "image_shape": [1, 24, 24], "labels": 4}
+        path = tmp_path / "bad.pws"
         path.write_bytes(json.dumps(header).encode() + b"\n" + b"\0" * 592)
         with pytest.raises(FileFormatError, match="bad model header fields"):
             load_model(path)

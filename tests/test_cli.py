@@ -261,15 +261,16 @@ class TestErrorHandling:
 
     def test_bad_thread_count_exits_2(self, runner, workspace, tmp_path):
         _, corpus, model = workspace
-        res = runner.invoke(main, [
-            "certify", "--corpus", str(corpus), "--model", str(model),
-            "--axis", "tz", "--radius", "36mm", "--n-samples", "500",
-            "--resolution", "201", "--out", str(tmp_path / "r"),
-        ], env={"PWS_THREADS": "abc"})
-        assert res.exit_code == 2
-        assert res.output.splitlines() == [
-            "config_error: PWS_THREADS must be an integer, got 'abc'"
-        ]
+        for threads in ["abc", "0", "-3"]:
+            res = runner.invoke(main, [
+                "certify", "--corpus", str(corpus), "--model", str(model),
+                "--axis", "tz", "--radius", "36mm", "--n-samples", "500",
+                "--resolution", "201", "--out", str(tmp_path / "r"),
+            ], env={"PWS_THREADS": threads})
+            assert res.exit_code == 2
+            assert res.output.splitlines() == [
+                f"config_error: PWS_THREADS must be a positive integer, got '{threads}'"
+            ]
 
     @pytest.mark.parametrize("command", ["partition", "project", "certify"])
     def test_one_frame_without_delta_exits_2(self, runner, workspace, tmp_path, command):

@@ -7,6 +7,7 @@ import pytest
 
 from pwscert import (
     BaseClassifier,
+    ConfigError,
     DomainError,
     LinearSoftmaxClassifier,
     SmoothingConfig,
@@ -74,6 +75,21 @@ def block_oracle(clf, image, cfg, stream, rows):
     eps = cfg.sigma * np.concatenate(blocks)
     scores = clf.predict_batch((image.reshape(-1) + eps).reshape(-1, *image.shape))
     return np.bincount(np.argmax(scores, axis=1), minlength=clf.label_count)
+
+
+def record_pools(monkeypatch):
+    """The size of every thread pool the tally starts, appended as it starts."""
+    from pwscert import smoothing
+
+    pools = []
+
+    class Recorder(smoothing.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(smoothing, "ThreadPoolExecutor", Recorder)
+    return pools
 
 
 class BatchRecorder(LinearSoftmaxClassifier):
@@ -285,6 +301,9 @@ class TestSmoothedEstimate:
             SmoothingConfig(sigma=0.5, n_samples=10)
         with pytest.raises(ValueError):
             SmoothingConfig(sigma=0.5, n_samples=1000, confidence_alpha=1.5)
+        for n_samples in [1e4, 1000.5, True]:
+            with pytest.raises(ConfigError, match="n_samples must be an integer"):
+                SmoothingConfig(sigma=0.5, n_samples=n_samples)
 
 
 class TestSharedDraws:
@@ -303,8 +322,10 @@ class TestSharedDraws:
         cfg = SmoothingConfig(sigma=0.7, n_samples=3000, confidence_alpha=0.01,
                               seed=5, force_pixel_noise=pixel)
         monkeypatch.setattr(smoothing, "BATCH_SIZE", 1000)  # several logit batches
-        got = smoothed_estimates(clf, images, cfg, stream=4, workers=workers)
+        monkeypatch.setenv("PWS_THREADS", str(workers))
+        got = smoothed_estimates(clf, images, cfg, stream=4)
         assert len(got) == len(images)
+        monkeypatch.setenv("PWS_THREADS", "1")
         for image, est in zip(images, got):
             want = smoothed_estimate(clf, image, cfg, stream=4)
             np.testing.assert_array_equal(est.counts, want.counts)
@@ -326,11 +347,13 @@ class TestSharedDraws:
         cfg = SmoothingConfig(sigma=4.0, n_samples=2000, confidence_alpha=0.01,
                               seed=8, force_pixel_noise=True)
         monkeypatch.setattr(smoothing, "_NOISE_ENTRIES", 16 * 16)  # 16-draw blocks
+        monkeypatch.setenv("PWS_THREADS", "1")
         want = [smoothed_estimate(clf, image, cfg, stream=2).counts for image in images]
+        monkeypatch.setenv("PWS_THREADS", "6")
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            got = smoothed_estimates(clf, images, cfg, stream=2, workers=6)
+            got = smoothed_estimates(clf, images, cfg, stream=2)
         finally:
             sys.setswitchinterval(interval)
         for est, counts in zip(got, want):
@@ -343,27 +366,20 @@ class TestSharedDraws:
         (3000, 7, 3),  # more workers than blocks
     ])
     def test_pixel_block_layout(self, n_samples, workers, n_blocks, monkeypatch):
-        from pwscert import smoothing
-
         shape = (1, 8, 8)  # 64 pixels: 2^16 // 64 = 1024 draws a block
         images = np.random.default_rng(13).uniform(0.0, 1.0, (2, *shape))
         clf = tied_classifier(shape, images[0], 3, seed=13)
         cfg = SmoothingConfig(sigma=0.5, n_samples=n_samples, confidence_alpha=0.01,
                               seed=4, force_pixel_noise=True)
-        pools, threads = [], set()
-
-        class Recorder(smoothing.ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-                super().__init__(max_workers=max_workers)
+        pools, threads = record_pools(monkeypatch), set()
 
         def predict_batch(batch):
             threads.add(threading.get_ident())
             return LinearSoftmaxClassifier.predict_batch(clf, batch)
 
-        monkeypatch.setattr(smoothing, "ThreadPoolExecutor", Recorder)
         monkeypatch.setattr(clf, "predict_batch", predict_batch)
-        got = smoothed_estimates(clf, images, cfg, stream=3, workers=workers)
+        monkeypatch.setenv("PWS_THREADS", str(workers))
+        got = smoothed_estimates(clf, images, cfg, stream=3)
         assert pools == ([min(workers, n_blocks)] if n_blocks > 1 else [])
         assert len(threads) <= n_blocks
         for image, est in zip(images, got):
@@ -380,11 +396,38 @@ class TestSharedDraws:
         cfg = SmoothingConfig(sigma=0.5, n_samples=700, confidence_alpha=0.01,
                               seed=6, force_pixel_noise=True)
         monkeypatch.setattr(smoothing, "_NOISE_ENTRIES", 64 * 32)  # 22 blocks
+        monkeypatch.setenv("PWS_THREADS", "1")
         want = [est.counts for est in smoothed_estimates(clf, images, cfg, stream=5)]
         for workers in range(2, 6):
-            got = smoothed_estimates(clf, images, cfg, stream=5, workers=workers)
+            monkeypatch.setenv("PWS_THREADS", str(workers))
+            got = smoothed_estimates(clf, images, cfg, stream=5)
             for est, counts in zip(got, want):
                 np.testing.assert_array_equal(est.counts, counts)
+
+    def test_one_image_call_takes_the_thread_rule(self, monkeypatch):
+        shape = (1, 8, 8)  # 1024-draw blocks: 2500 draws make 3
+        image = np.random.default_rng(15).uniform(0.0, 1.0, shape)
+        clf = tied_classifier(shape, image, 3, seed=15)
+        cfg = SmoothingConfig(sigma=0.5, n_samples=2500, confidence_alpha=0.01,
+                              seed=7, force_pixel_noise=True)
+        pools = record_pools(monkeypatch)
+        monkeypatch.setenv("PWS_THREADS", "1")
+        want = smoothed_estimate(clf, image, cfg, stream=6).counts
+        assert pools == []
+        monkeypatch.setenv("PWS_THREADS", "3")
+        got = smoothed_estimate(clf, image, cfg, stream=6).counts
+        assert pools == [3]
+        np.testing.assert_array_equal(got, want)
+        assert np.count_nonzero(want) > 1
+
+    @pytest.mark.parametrize("pixel", [False, True])
+    def test_bad_thread_count_rejected_on_either_path(self, pixel, monkeypatch):
+        clf = LinearSoftmaxClassifier(np.ones((4, 3)), np.zeros(3), (1, 8, 8), 4)
+        cfg = SmoothingConfig(sigma=0.5, n_samples=100, force_pixel_noise=pixel)
+        for env in ["abc", "0", "-3"]:
+            monkeypatch.setenv("PWS_THREADS", env)
+            with pytest.raises(ConfigError, match="PWS_THREADS"):
+                smoothed_estimate(clf, np.zeros((1, 8, 8)), cfg)
 
     def test_empty_input(self):
         cfg = SmoothingConfig(sigma=0.5, n_samples=100)

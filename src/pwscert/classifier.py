@@ -59,13 +59,24 @@ class BaseClassifier:
         return {"type": type(self).__name__}
 
 
+def _pooling_geometry(image_shape, downsample):
+    """``(shape, factor)`` of a pooling geometry that holds: an integer
+    factor of at least 1 and a (K, H, W) shape of positive sides, H and W
+    divisible by it."""
+    shape, f = tuple(int(s) for s in image_shape), downsample
+    if not isinstance(f, (int, np.integer)) or isinstance(f, bool) or f < 1:
+        raise ConfigError(f"downsample factor must be an integer of at least 1, got {f!r}")
+    if len(shape) != 3 or min(shape) < 1:
+        raise ShapeMismatch(f"image shape {shape} is not three positive sides")
+    if shape[1] % f or shape[2] % f:
+        raise ShapeMismatch(f"grid {shape[1]}x{shape[2]} not divisible by downsample factor {f}")
+    return shape, int(f)
+
+
 def _pool(images: np.ndarray, factor: int) -> np.ndarray:
-    """Mean-pool (B, K, H, W) over factor x factor spatial blocks."""
+    """Mean-pool (B, K, H, W) over factor x factor spatial blocks; the
+    geometry is one ``_pooling_geometry`` accepts."""
     b, k, h, w = images.shape
-    if h % factor or w % factor:
-        raise ShapeMismatch(
-            f"grid {h}x{w} not divisible by downsample factor {factor}"
-        )
     return images.reshape(b, k, h // factor, factor, w // factor, factor).mean(
         axis=(3, 5)
     )
@@ -84,16 +95,8 @@ class LinearSoftmaxClassifier(BaseClassifier):
     def __init__(self, weights, bias, image_shape, downsample=DEFAULT_DOWNSAMPLE):
         self.weights = np.asarray(weights, dtype=np.float64)  # (F, L)
         self.bias = np.asarray(bias, dtype=np.float64)  # (L,)
-        self.image_shape = tuple(int(s) for s in image_shape)  # (K, H, W)
-        f = downsample
-        if not isinstance(f, (int, np.integer)) or isinstance(f, bool) or f < 1:
-            raise ConfigError(f"downsample factor must be an integer of at least 1, got {f!r}")
-        self.downsample = f = int(f)
-        if len(self.image_shape) != 3 or min(self.image_shape) < 1:
-            raise ShapeMismatch(f"image shape {self.image_shape} is not three positive sides")
-        k, h, w = self.image_shape
-        if h % f or w % f:
-            raise ShapeMismatch(f"grid {h}x{w} not divisible by downsample factor {f}")
+        self.image_shape, self.downsample = _pooling_geometry(image_shape, downsample)
+        (k, h, w), f = self.image_shape, self.downsample
         if (self.weights.ndim != 2 or len(self.weights) != k * (h // f) * (w // f)
                 or self.bias.shape != self.weights.shape[1:] or not len(self.bias)):
             raise ShapeMismatch(f"weights {self.weights.shape} and bias {self.bias.shape} "
@@ -163,8 +166,6 @@ def builtin_train(
     derived from the seed and the example content, so shuffling the input
     list does not change the model.
     """
-    if downsample < 1:
-        raise ConfigError(f"downsample factor must be at least 1, got {downsample}")
     if not dataset:
         raise DegenerateDataset("empty dataset")
     images = [np.asarray(img, dtype=np.float64) for img, _ in dataset]
@@ -172,6 +173,7 @@ def builtin_train(
     shape = images[0].shape
     if any(img.shape != shape for img in images):
         raise ShapeMismatch("training images must share one shape")
+    _pooling_geometry(shape, downsample)  # the constructor's check, before any work
     n_labels = max(labels) + 1
     present = set(labels)
     if n_labels < 2 or any(l not in present for l in range(n_labels)):

@@ -22,14 +22,15 @@ of a call on ``stream_id(context, 0)``, so one draw serves every frame,
 and a one-image call (``smoothed_estimate``) sees exactly the draws its
 image sees in a larger call.
 
-The pixel-space tally splits the draws into blocks of
-``max(1, _NOISE_ENTRIES // D)`` noise images, ``D`` the pixel count, the
-last block taking the remainder.  Block ``b`` is drawn from its own region
+Every tally draws one block layout.  Block ``b`` holds
+``max(1, min(_BLOCK_DRAWS, _NOISE_ENTRIES // W))`` standard-normal draws
+of ``W`` values, the last block taking the remainder, from its own region
 of the stream's counter (``advance(b << 128)``), so any thread can draw
 any block.  Each thread draws and scores every image against its share of
-the blocks, and the shares' counts are summed: pixel-path estimates depend
-on the seed, the stream, ``D`` and ``n_samples`` only, never on the thread
-count.
+the blocks, and the shares' counts are summed: estimates depend on the
+seed, the stream, ``W`` and ``n_samples`` only, never on the thread count.
+On the pixel path ``W`` is the pixel count and a block times sigma is
+pixel noise.
 
 The thread rule, for every caller alike (``certify``, ``empirical_attack``,
 the ``pws`` commands and direct library calls): each ``smoothed_estimates``
@@ -42,11 +43,9 @@ is one; a logit-path tally always runs on the calling thread.
 For classifiers exposing an affine pixel-to-logit map, the argmax under
 pixel noise is sampled exactly in logit space: the noise pushes forward to
 ``N(0, sigma^2 A A^T)`` over the logits, which is cheaper by the ratio of
-pixel count to label count and distributionally identical.  That path
-consumes the stream serially in batches of ``BATCH_SIZE`` draws, pushes
-each batch forward once and scores every image against it; the estimates
-do not depend on the batch size.  Set
-``SmoothingConfig.force_pixel_noise`` to bypass it.
+pixel count to label count and distributionally identical.  There ``W`` is
+the label count and a block times a factor of that covariance is logit
+noise.  Set ``SmoothingConfig.force_pixel_noise`` to bypass it.
 """
 
 from __future__ import annotations
@@ -70,12 +69,11 @@ STREAM_FRAME = 1
 STREAM_ATTACK = 2
 STREAM_GENERIC = 0
 
-# noise draws per logit-path batch, and float64 entries per pixel-path block.
-# Measured apart, so kept apart: logit batches of the 16,384 rows that the
-# pixel rule gives made demo-attack 3.6 % slower (37.5 against 38.9 scenes/s,
-# 6 alternating 8 s pairs), and 2^15-entry pixel blocks made an 8-image 24 px
-# pixel-path tally 11-17 % slower.
-BATCH_SIZE = 8192
+# the most draws, and the most float64 entries, per noise block.  Both were
+# measured: 16,384-draw logit blocks made demo-attack slower in 6 of 8
+# alternating 8 s pairs (36.9 against 37.8 scenes/s), and 2^15-entry pixel
+# blocks made an 8-image 24 px pixel-path tally 11-17 % slower.
+_BLOCK_DRAWS = 8192
 _NOISE_ENTRIES = 1 << 16
 
 
@@ -115,8 +113,10 @@ class SmoothingConfig:
     def __post_init__(self):
         if not 0 < self.sigma < math.inf:
             raise ConfigError(f"sigma must be positive and finite, got {self.sigma}")
-        if not isinstance(self.n_samples, (int, np.integer)) or isinstance(self.n_samples, bool):
-            raise ConfigError(f"n_samples must be an integer, got {self.n_samples!r}")
+        for name in ("n_samples", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.n_samples < 100:
             raise ConfigError("need at least 100 Monte-Carlo samples")
         if not 0.0 < self.confidence_alpha < 1.0:
@@ -152,30 +152,30 @@ def clopper_pearson_lower(successes: int, trials: int, alpha: float) -> float:
     return float(betaincinv(successes, trials - successes + 1, alpha))
 
 
-def _noise_block(cfg, stream, block, rows, pixels) -> np.ndarray:
-    """Block ``block`` of the pixel-path draws: ``rows`` noise images from
-    its own counter region of the stream, word 2 of the Philox counter."""
+def _noise_block(cfg, stream, block, rows, width) -> np.ndarray:
+    """Block ``block`` of the draws: ``rows`` standard-normal rows of
+    ``width`` values from its own counter region of the stream, word 2 of
+    the Philox counter."""
     rng = noise_generator(cfg.seed, stream)
     rng.bit_generator.advance(block << 128)
-    noise = rng.standard_normal((rows, pixels))
-    noise *= cfg.sigma
-    return noise
+    return rng.standard_normal((rows, width))
 
 
-def _tally_pixel_noise(classifier, images, cfg, stream, threads) -> np.ndarray:
-    flat = images.reshape(len(images), -1)
-    rows = max(1, _NOISE_ENTRIES // flat.shape[1])
+def _tally(bases, cfg, stream, threads, push, score, label_count) -> np.ndarray:
+    """Counts of ``argmax score(base + push(block))`` for every row of
+    ``bases`` over every block of the draws."""
+    width = bases.shape[1]
+    rows = max(1, min(_BLOCK_DRAWS, _NOISE_ENTRIES // width))
     n_blocks = -(-cfg.n_samples // rows)
 
     def tally(first, step):
-        counts = np.zeros((len(images), classifier.label_count), dtype=np.int64)
+        counts = np.zeros((len(bases), label_count), dtype=np.int64)
         for block in range(first, n_blocks, step):
-            noise = _noise_block(cfg, stream, block,
-                                 min(rows, cfg.n_samples - block * rows), flat.shape[1])
-            for image, row in zip(flat, counts):
-                batch = (noise + image).reshape(len(noise), *images.shape[1:])
-                row += np.bincount(np.argmax(classifier.predict_batch(batch), axis=1),
-                                   minlength=classifier.label_count)
+            noise = push(_noise_block(cfg, stream, block,
+                                      min(rows, cfg.n_samples - block * rows), width))
+            for base, row in zip(bases, counts):
+                row += np.bincount(np.argmax(score(base + noise), axis=1),
+                                   minlength=label_count)
         return counts
 
     threads = min(threads, n_blocks)
@@ -185,28 +185,6 @@ def _tally_pixel_noise(classifier, images, cfg, stream, threads) -> np.ndarray:
     with ThreadPoolExecutor(max_workers=threads) as pool:
         futures = [pool.submit(tally, first, threads) for first in range(threads)]
         return sum(future.result() for future in futures)
-
-
-def _tally_logit_noise(logit_map, images, cfg, stream, label_count) -> np.ndarray:
-    rng = noise_generator(cfg.seed, stream)
-    a_mat, bias = logit_map
-    # one product per image, the arithmetic of a one-image call
-    bases = [a_mat @ image.reshape(-1) + bias for image in images]
-    cov = (cfg.sigma**2) * (a_mat @ a_mat.T)
-    try:
-        factor = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        vals, vecs = np.linalg.eigh(cov)
-        factor = vecs * np.sqrt(np.clip(vals, 0.0, None))
-    counts = np.zeros((len(images), label_count), dtype=np.int64)
-    done = 0
-    while done < cfg.n_samples:
-        nb = min(BATCH_SIZE, cfg.n_samples - done)
-        noise = rng.standard_normal((nb, label_count)) @ factor.T
-        for base, row in zip(bases, counts):
-            row += np.bincount(np.argmax(base + noise, axis=1), minlength=label_count)
-        done += nb
-    return counts
 
 
 def _estimate(counts: np.ndarray, cfg: SmoothingConfig) -> SmoothedEstimate:
@@ -234,11 +212,26 @@ def smoothed_estimates(
     if not len(images):
         return []
     logit_map = None if cfg.force_pixel_noise else classifier.logit_map()
-    if logit_map is not None:
-        counts = _tally_logit_noise(logit_map, images, cfg, stream,
-                                    classifier.label_count)
+    if logit_map is None:
+        bases = images.reshape(len(images), -1)
+        push = lambda block: np.multiply(block, cfg.sigma, out=block)
+        score = lambda batch: classifier.predict_batch(batch.reshape(-1, *images.shape[1:]))
     else:
-        counts = _tally_pixel_noise(classifier, images, cfg, stream, threads)
+        a_mat, bias = logit_map
+        # one product per image, the arithmetic of a one-image call
+        bases = np.array([a_mat @ image.reshape(-1) + bias for image in images])
+        cov = (cfg.sigma**2) * (a_mat @ a_mat.T)
+        try:
+            factor = np.linalg.cholesky(cov)
+        except np.linalg.LinAlgError:
+            vals, vecs = np.linalg.eigh(cov)
+            factor = vecs * np.sqrt(np.clip(vals, 0.0, None))
+        push = lambda block: block @ factor.T
+        score = lambda logits: logits
+        # one thread: letting the thread rule apply here made demo-attack
+        # slower in 7 of 8 alternating 8 s pairs (35.5 against 38.4 scenes/s)
+        threads = 1
+    counts = _tally(bases, cfg, stream, threads, push, score, classifier.label_count)
     return [_estimate(c, cfg) for c in counts]
 
 

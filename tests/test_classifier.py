@@ -70,6 +70,18 @@ class TestTraining:
         with pytest.raises(ShapeMismatch):
             builtin_train(bad, 0.5, 0, 0)
 
+    @pytest.mark.parametrize("downsample, error", [(2.0, ConfigError), (3, ShapeMismatch)])
+    def test_bad_pooling_rejected_before_pooling(self, downsample, error, monkeypatch):
+        from pwscert import classifier
+
+        def no_pool(*args):
+            raise AssertionError("pooled before the geometry was checked")
+
+        monkeypatch.setattr(classifier, "_pool", no_pool)
+        images = np.random.default_rng(16).uniform(0.0, 1.0, (4, 1, 8, 8))
+        with pytest.raises(error, match="downsample"):
+            builtin_train(list(zip(images, [0, 1, 0, 1])), downsample=downsample)
+
 
 class TestPredict:
     def test_scores_normalized(self, demo_classifier, dataset):

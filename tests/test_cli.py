@@ -141,7 +141,7 @@ class TestCertifyAttackReport:
         assert 0.0 <= summary["certified_accuracy"] <= 1.0
         one = next(iter(summary["samples"]))
         payload = json.loads((run / f"{one}.cert.json").read_text())
-        assert payload["pws_report_version"] == 5
+        assert payload["pws_report_version"] == 6
 
         res = runner.invoke(main, [
             "attack", "--corpus", str(corpus), "--model", str(model),
@@ -340,7 +340,7 @@ class TestErrorHandling:
                                    str(tmp_path / "model.pws"), "--downsample", factor])
         assert res.exit_code == 2
         assert res.output.splitlines() == [
-            f"config_error: downsample factor must be at least 1, got {factor}"
+            f"config_error: downsample factor must be an integer of at least 1, got {factor}"
         ]
 
     @pytest.mark.parametrize("command", ["partition", "certify"])

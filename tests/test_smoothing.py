@@ -64,17 +64,32 @@ def tied_classifier(shape, image, labels, seed, cls=LinearSoftmaxClassifier):
     return cls(weights, -(a_mat @ image.reshape(-1)), shape, 4)
 
 
-def block_oracle(clf, image, cfg, stream, rows):
-    """Pixel-path counts of ``image`` in one batch, with block ``b`` of
-    ``rows`` draws taken from counter word 2 = ``b`` of the stream."""
+def block_draws(cfg, stream, rows, width):
+    """The stream's standard-normal draws of ``width`` values, block ``b``
+    of ``rows`` draws taken from counter word 2 = ``b``."""
     blocks = []
     for b, start in enumerate(range(0, cfg.n_samples, rows)):
         rng = noise_generator(cfg.seed, stream)
         rng.bit_generator.advance(b << 128)
-        blocks.append(rng.standard_normal((min(rows, cfg.n_samples - start), image.size)))
-    eps = cfg.sigma * np.concatenate(blocks)
+        blocks.append(rng.standard_normal((min(rows, cfg.n_samples - start), width)))
+    return np.concatenate(blocks)
+
+
+def block_oracle(clf, image, cfg, stream, rows):
+    """Pixel-path counts of ``image`` in one batch of the block draws."""
+    eps = cfg.sigma * block_draws(cfg, stream, rows, image.size)
     scores = clf.predict_batch((image.reshape(-1) + eps).reshape(-1, *image.shape))
     return np.bincount(np.argmax(scores, axis=1), minlength=clf.label_count)
+
+
+def logit_block_oracle(clf, image, cfg, stream, rows):
+    """Logit-path counts of ``image``: the block draws of one logit vector
+    each, pushed through a Cholesky factor of ``sigma^2 A A^T``."""
+    a_mat, bias = clf.logit_map()
+    factor = np.linalg.cholesky((cfg.sigma**2) * (a_mat @ a_mat.T))
+    noise = block_draws(cfg, stream, rows, len(bias)) @ factor.T
+    logits = a_mat @ image.reshape(-1) + bias + noise
+    return np.bincount(np.argmax(logits, axis=1), minlength=clf.label_count)
 
 
 def record_pools(monkeypatch):
@@ -233,20 +248,18 @@ class TestSmoothedEstimate:
         c = smoothed_estimate(CoinClassifier(), img, cfg, stream=10)
         assert not np.array_equal(a.counts, c.counts)
 
-    def test_batch_split_invariant(self, monkeypatch):
-        from pwscert import smoothing
-
-        # BATCH_SIZE splits only the logit path's serial stream
+    def test_logit_blocks_match_one_batch_oracle(self):
         shape = (1, 8, 8)
         img = np.random.default_rng(3).uniform(0.0, 1.0, shape)
         clf = tied_classifier(shape, img, 3, seed=3)
-        cfg = SmoothingConfig(sigma=0.6, n_samples=1000, confidence_alpha=0.01, seed=3)
-        monkeypatch.setattr(smoothing, "BATCH_SIZE", 64)
-        a = smoothed_estimate(clf, img, cfg)
-        monkeypatch.setattr(smoothing, "BATCH_SIZE", 100000)
-        b = smoothed_estimate(clf, img, cfg)
-        np.testing.assert_array_equal(a.counts, b.counts)
-        assert np.count_nonzero(a.counts) == 3
+        cfg = SmoothingConfig(sigma=0.6, n_samples=20000, confidence_alpha=0.01, seed=3)
+        est = smoothed_estimate(clf, img, cfg, stream=7)
+        rows = 8192  # _BLOCK_DRAWS: 3 blocks, of 8192, 8192 and 3616 draws
+        want = logit_block_oracle(clf, img, cfg, 7, rows)
+        np.testing.assert_array_equal(est.counts, want)
+        assert np.count_nonzero(want) == 3 and want.max() < 0.6 * cfg.n_samples
+        # the oracle sees the layout: one row more per block moves the counts
+        assert not np.array_equal(logit_block_oracle(clf, img, cfg, 7, rows + 1), want)
 
     def test_pixel_blocks_match_one_batch_oracle(self):
         shape = (1, 64, 64)
@@ -304,6 +317,9 @@ class TestSmoothedEstimate:
         for n_samples in [1e4, 1000.5, True]:
             with pytest.raises(ConfigError, match="n_samples must be an integer"):
                 SmoothingConfig(sigma=0.5, n_samples=n_samples)
+        for seed in [1.5, 2.0, True, "1"]:
+            with pytest.raises(ConfigError, match="seed must be an integer"):
+                SmoothingConfig(sigma=0.5, n_samples=100, seed=seed)
 
 
 class TestSharedDraws:
@@ -321,7 +337,7 @@ class TestSharedDraws:
         images = rng.uniform(0.0, 1.0, (5, *shape))
         cfg = SmoothingConfig(sigma=0.7, n_samples=3000, confidence_alpha=0.01,
                               seed=5, force_pixel_noise=pixel)
-        monkeypatch.setattr(smoothing, "BATCH_SIZE", 1000)  # several logit batches
+        monkeypatch.setattr(smoothing, "_BLOCK_DRAWS", 1000)  # 3 blocks on both paths
         monkeypatch.setenv("PWS_THREADS", str(workers))
         got = smoothed_estimates(clf, images, cfg, stream=4)
         assert len(got) == len(images)
@@ -360,17 +376,22 @@ class TestSharedDraws:
             assert est.counts.sum() == cfg.n_samples
             np.testing.assert_array_equal(est.counts, counts)
 
-    @pytest.mark.parametrize("n_samples, workers, n_blocks", [
-        (2500, 2, 3),  # blocks of 1024, 1024 and 452 draws: the last is partial
-        (700, 3, 1),  # fewer draws than one block's 1024 rows
-        (3000, 7, 3),  # more workers than blocks
+    @pytest.mark.parametrize("path, n_samples, workers, n_blocks", [
+        # 64 pixels: 2^16 // 64 = 1024 draws a block
+        ("pixel", 2500, 2, 3),  # blocks of 1024, 1024 and 452 draws: the last is partial
+        ("pixel", 700, 3, 1),  # fewer draws than one block's 1024 rows
+        ("pixel", 3000, 7, 3),  # more workers than blocks
+        # 3 labels: min(8192, 2^16 // 3) = 8192 draws a block
+        ("logit", 20000, 2, 3),  # blocks of 8192, 8192 and 3616 draws
+        ("logit", 700, 3, 1),
     ])
-    def test_pixel_block_layout(self, n_samples, workers, n_blocks, monkeypatch):
-        shape = (1, 8, 8)  # 64 pixels: 2^16 // 64 = 1024 draws a block
+    def test_block_layout(self, path, n_samples, workers, n_blocks, monkeypatch):
+        pixel = path == "pixel"
+        shape = (1, 8, 8)
         images = np.random.default_rng(13).uniform(0.0, 1.0, (2, *shape))
         clf = tied_classifier(shape, images[0], 3, seed=13)
         cfg = SmoothingConfig(sigma=0.5, n_samples=n_samples, confidence_alpha=0.01,
-                              seed=4, force_pixel_noise=True)
+                              seed=4, force_pixel_noise=pixel)
         pools, threads = record_pools(monkeypatch), set()
 
         def predict_batch(batch):
@@ -380,22 +401,32 @@ class TestSharedDraws:
         monkeypatch.setattr(clf, "predict_batch", predict_batch)
         monkeypatch.setenv("PWS_THREADS", str(workers))
         got = smoothed_estimates(clf, images, cfg, stream=3)
-        assert pools == ([min(workers, n_blocks)] if n_blocks > 1 else [])
-        assert len(threads) <= n_blocks
+        if pixel:
+            assert pools == ([min(workers, n_blocks)] if n_blocks > 1 else [])
+            assert len(threads) <= n_blocks
+            oracle, rows = block_oracle, 1024
+        else:  # the logit path scores on the calling thread, never predict_batch
+            assert pools == [] and threads == set()
+            oracle, rows = logit_block_oracle, 8192
         for image, est in zip(images, got):
-            np.testing.assert_array_equal(est.counts,
-                                          block_oracle(clf, image, cfg, 3, 1024))
+            np.testing.assert_array_equal(est.counts, oracle(clf, image, cfg, 3, rows))
         assert np.count_nonzero(got[0].counts) > 1
 
-    def test_pixel_counts_equal_for_every_thread_count(self, monkeypatch):
+    @pytest.mark.parametrize("path", ["pixel", "logit"])
+    def test_counts_equal_for_every_thread_count(self, path, monkeypatch):
         from pwscert import smoothing
+
+        pixel = path == "pixel"
 
         shape = (1, 8, 8)
         images = np.random.default_rng(14).uniform(0.0, 1.0, (3, *shape))
         clf = tied_classifier(shape, images[1], 3, seed=14)
         cfg = SmoothingConfig(sigma=0.5, n_samples=700, confidence_alpha=0.01,
-                              seed=6, force_pixel_noise=True)
-        monkeypatch.setattr(smoothing, "_NOISE_ENTRIES", 64 * 32)  # 22 blocks
+                              seed=6, force_pixel_noise=pixel)
+        # 22 blocks on both paths: 32 pixel draws of 64 values, 32 logit draws
+        monkeypatch.setattr(smoothing, "_NOISE_ENTRIES", 64 * 32)
+        monkeypatch.setattr(smoothing, "_BLOCK_DRAWS", 32)
+        pools = record_pools(monkeypatch)
         monkeypatch.setenv("PWS_THREADS", "1")
         want = [est.counts for est in smoothed_estimates(clf, images, cfg, stream=5)]
         for workers in range(2, 6):
@@ -403,6 +434,7 @@ class TestSharedDraws:
             got = smoothed_estimates(clf, images, cfg, stream=5)
             for est, counts in zip(got, want):
                 np.testing.assert_array_equal(est.counts, counts)
+        assert pools == ([2, 3, 4, 5] if pixel else [])
 
     def test_one_image_call_takes_the_thread_rule(self, monkeypatch):
         shape = (1, 8, 8)  # 1024-draw blocks: 2500 draws make 3

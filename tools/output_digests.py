@@ -19,7 +19,12 @@ Every file is listed with its SHA-256; JSON files are hashed with their
 stderr are kept as files too.
 Every CLI run takes the logit-space tally, so the library part hashes,
 the same way, certify reports (TZ and RY) and a 300-pose attack on two of
-the demo scenes with ``force_pixel_noise`` at 2,000 draws.
+the demo scenes with ``force_pixel_noise`` at 2,000 draws.  Those runs
+tally at most 4,000 draws, inside the first noise block, so it also
+hashes the logit-path ``smoothed_estimates`` of four demo frames, one per
+class, at 20,000 draws, three blocks, with the demo model and with one
+whose logits all tie at the first frame, so that its counts split
+between the labels.
 
 The sweep part hashes, bit for bit, the ``_sweep_runs`` arrays (2,001
 poses) and the ``render_sweep`` frames (2,001 sorted poses, plus a sorted
@@ -124,7 +129,8 @@ def run_cli(workdir: Path) -> None:
 def library_digests(workdir: Path):
     """Library runs on the pixel-space tally, which no CLI run takes: certify
     on TZ 36 mm and RY 0.026 rad (quantile 1.0) and a 300-pose attack on TZ,
-    on two scenes of the demo corpus with its model, at 2,000 draws."""
+    on two scenes of the demo corpus with its model, at 2,000 draws; then
+    logit-path estimates past the first noise block."""
     scenes, cam = pc.load_corpus(workdir / "demo")
     clf = pc.load_model(workdir / "demo.pws")
     cfg = pc.SmoothingConfig(sigma=0.5, n_samples=2000, confidence_alpha=0.001,
@@ -137,6 +143,16 @@ def library_digests(workdir: Path):
         attack = pc.empirical_attack(scene.cloud, demo_specs()[0], cam, clf, cfg,
                                      poses=300)
         yield f"library attack {scene.name} tz", attack.to_json()
+    frames = [pc.render(scene.cloud, pc.MotionValue(demo_specs()[0], 0.0), cam)
+              for scene in scenes[::2]]  # one scene per class
+    a_mat, _ = clf.logit_map()
+    tied = pc.LinearSoftmaxClassifier(clf.weights, -(a_mat @ frames[0].reshape(-1)),
+                                      clf.image_shape, clf.downsample)
+    cfg = pc.SmoothingConfig(sigma=0.5, n_samples=20000, confidence_alpha=0.001, seed=0)
+    for name, model in (("demo", clf), ("tied", tied)):
+        estimates = pc.smoothed_estimates(model, frames, cfg)
+        yield f"library estimates {name} logit", [
+            {**vars(est), "counts": est.counts.tolist()} for est in estimates]
 
 
 def _drop_timing(obj):

@@ -22,7 +22,8 @@ import json
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .errors import ConfigError, DegenerateDataset, FileFormatError, ShapeMismatch
+from .errors import (ConfigError, DegenerateDataset, FileFormatError, ShapeMismatch,
+                     check_integer)
 
 DEFAULT_DOWNSAMPLE = 4
 _KEY_MASK = (1 << 128) - 1
@@ -64,8 +65,8 @@ def _pooling_geometry(image_shape, downsample):
     factor of at least 1 and a (K, H, W) shape of positive sides, H and W
     divisible by it."""
     shape, f = tuple(int(s) for s in image_shape), downsample
-    if not isinstance(f, (int, np.integer)) or isinstance(f, bool) or f < 1:
-        raise ConfigError(f"downsample factor must be an integer of at least 1, got {f!r}")
+    check_integer(f, lambda v: v >= 1,
+                  f"downsample factor must be an integer of at least 1, got {f!r}")
     if len(shape) != 3 or min(shape) < 1:
         raise ShapeMismatch(f"image shape {shape} is not three positive sides")
     if shape[1] % f or shape[2] % f:

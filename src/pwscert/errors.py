@@ -1,8 +1,11 @@
 """Exception hierarchy shared across the package.
 
 Every error carries a machine-readable ``kind`` so the CLI can emit
-single-line ``kind: message`` diagnostics.
+single-line ``kind: message`` diagnostics.  ``check_real`` and
+``check_integer`` are the shared checks of configuration numbers.
 """
+
+import numbers
 
 
 class PwsError(Exception):
@@ -93,3 +96,17 @@ class PathError(PwsError):
     """The system refused a file operation, as on a path of the wrong kind."""
 
     kind = "path_error"
+
+
+def check_real(value, holds, message: str) -> None:
+    """``ConfigError(message)`` unless ``value`` is a real number, not a bool
+    or a string, for which ``holds(value)`` is true; NaN fails every range."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not holds(value):
+        raise ConfigError(message)
+
+
+def check_integer(value, holds, message: str) -> None:
+    """``ConfigError(message)`` unless ``value`` is an integer, not a bool,
+    for which ``holds(value)`` is true: 24.0 is no pixel count."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not holds(value):
+        raise ConfigError(message)

@@ -17,13 +17,13 @@ continuous position into the cell ``(row, col) = (floor(v), floor(u))``.
 
 In the camera frame, every axis either subtracts ``alpha`` from one
 coordinate (the translations) or turns one coordinate plane by ``alpha``
-(the rotations).  One table, ``_MOTION``, states which for each axis; the
-projection, its exact derivative, the minimum depth and the per-point
-Lipschitz constant of the pixel position over a symmetric motion range
-``[-b, +b]`` all read it.  Maxima over the range are taken over the analytic
-candidate set (range endpoints plus interior critical points of the
-sinusoidal factors), never by grid sampling, so the constants are sound
-upper bounds.
+(the rotations).  One table, ``_MOTION``, states which for each axis, and
+every rate reads it: the projection, its exact derivative, the minimum
+depth, the one-frame slack and the per-point Lipschitz constant over a
+symmetric motion range ``[-b, +b]``, which is the derivative's largest value
+over the range.  That maximum is taken analytically (the range ends, plus
+the interior peaks of RZ's sinusoids), never by grid sampling, so the
+constants are sound upper bounds.
 """
 
 from __future__ import annotations
@@ -34,7 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NonPositiveDepth
+from .errors import (ConfigError, NonPositiveDepth, ShapeMismatch, check_integer,
+                     check_real)
 
 
 # Depths at or below this are treated as "on or behind the image plane";
@@ -69,15 +70,16 @@ class CameraModel:
     height: int
 
     def __post_init__(self):
-        if not all(isinstance(s, (int, np.integer)) and not isinstance(s, bool)
-                   for s in (self.width, self.height)):  # pixel counts: 24.5 is none
-            raise ConfigError(f"grid size must be integers, got {(self.width, self.height)}")
+        size = (self.width, self.height)
+        for side in size:
+            check_integer(side, lambda s: True, f"grid size must be integers, got {size}")
         if self.width < 1 or self.height < 1:
             raise ConfigError("grid size must be positive")
-        if not (0 < self.fx < math.inf and 0 < self.fy < math.inf):
-            raise ConfigError("focal lengths must be positive and finite")
-        if not (0 <= self.cx < self.width) or not (0 <= self.cy < self.height):
-            raise ConfigError("principal point must lie inside the grid")
+        for f in (self.fx, self.fy):
+            check_real(f, lambda v: 0 < v < math.inf,
+                       "focal lengths must be positive and finite")
+        for c, side in ((self.cx, self.width), (self.cy, self.height)):
+            check_real(c, lambda v: 0 <= v < side, "principal point must lie inside the grid")
 
 
 @dataclass(frozen=True)
@@ -88,8 +90,8 @@ class MotionSpec:
     radius_b: float
 
     def __post_init__(self):
-        if not 0 < self.radius_b < math.inf:
-            raise ConfigError("motion radius must be positive and finite")
+        check_real(self.radius_b, lambda b: 0 < b < math.inf,
+                   "motion radius must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -100,11 +102,9 @@ class MotionValue:
     value: float
 
     def __post_init__(self):
-        if not abs(self.value) <= self.spec.radius_b:  # NaN fails too
-            raise ConfigError(
-                f"motion value {self.value} outside [-{self.spec.radius_b}, "
-                f"{self.spec.radius_b}]"
-            )
+        b = self.spec.radius_b
+        check_real(self.value, lambda v: abs(v) <= b,
+                   f"motion value {self.value} outside [-{b}, {b}]")
 
 
 # Each axis's camera-frame motion.  An int names the coordinate that loses
@@ -119,7 +119,7 @@ def _as_points(points) -> np.ndarray:
     if pts.ndim == 1:
         pts = pts[None, :]
     if pts.ndim != 2 or pts.shape[1] != 3:
-        raise ValueError("points must have shape (N, 3)")
+        raise ShapeMismatch(f"points must have shape (N, 3), got {pts.shape}")
     return pts
 
 
@@ -218,48 +218,34 @@ def _in_front(points, spec: MotionSpec, cam: CameraModel, message: str):
 
 
 def lipschitz_constants(points, spec: MotionSpec, cam: CameraModel):
-    """Per-point Lipschitz constants of the pixel position over [-b, +b].
+    """Per-point Lipschitz constants of the pixel position over [-b, +b]:
+    the largest ``max(|du/dalpha|, |dv/dalpha|)`` over the range.
 
-    L = max over the range of max(|du/dalpha|, |dv/dalpha|), evaluated on
-    the analytic candidate set per axis:
+    On every axis but RZ that is the larger of the derivative's values at
+    the range ends, ``projection_derivative_points`` at -b and +b:
 
-    * TX / TY: the derivative is constant, fx/Z resp. fy/Z.
-    * TZ: both derivative magnitudes grow monotonically toward alpha = +b,
-      giving max(fx|X|, fy|Y|) / (Z - b)^2.
-    * RZ: each component is a pure sinusoid in alpha over constant depth;
-      the candidate set is the endpoints plus the sinusoid peak.
-    * RX / RY: |dv| (resp. |du|) is amp^2 * f / depth^2 and maximal where
-      the depth is minimal, which on a positive-depth window is at an
-      endpoint; the other component's ratio is monotone in alpha, so both
-      are extremal at the endpoints.
+    * TX / TY: the rates are constant.
+    * TZ: both rates grow toward +b, where the depth is least.
+    * RX / RY: let theta be the pose shifted by the point's angle in the
+      turning plane and rho the point's radius there.  The turning
+      coordinate's rate is f / cos^2(theta); the fixed coordinate r's is
+      f |r| |sin(theta)| / (rho cos^2(theta)).  Both are least at
+      theta = 0 and grow away from it, and a positive depth keeps theta
+      inside (-pi/2, pi/2).
+
+    RZ keeps the depth z, and each rate is a sinusoid in alpha whose peak
+    may lie inside the range (``_sinusoid_range``).
     """
     pts = _in_front(points, spec, cam, "point depth reaches zero inside the motion "
                     "range; the sample is not certifiable at this radius")
-    x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
     b = spec.radius_b
-    axis = spec.axis
-
-    if axis in (Axis.TX, Axis.TY):
-        return (cam.fx, cam.fy)[_MOTION[axis]] / z
-    if axis is Axis.TZ:
-        return np.maximum(cam.fx * np.abs(x), cam.fy * np.abs(y)) / (z - b) ** 2
-    if axis is Axis.RZ:
+    if spec.axis is Axis.RZ:
+        x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
         m_u = np.max(np.abs(_sinusoid_range(y, -x, b)), axis=0)
         m_v = np.max(np.abs(_sinusoid_range(x, y, b)), axis=0)
         return np.maximum(cam.fx * m_u, cam.fy * m_v) / z
-    if axis in (Axis.RX, Axis.RY):
-        # the plane (p, q) turns the depth and image coordinate t = p + q - 2,
-        # whose moved value is +-d(depth)/d(alpha); the fixed coordinate r
-        # moves its pixel only through the depth
-        (p, q), f, best = _MOTION[axis], (cam.fx, cam.fy), np.zeros(len(pts))
-        r, t = 3 - p - q, p + q - 2
-        for theta in (-b, b):
-            moved = _moved(pts, axis, theta)
-            best = np.maximum(best, np.maximum(
-                np.abs(f[r] * pts[:, r] * moved[t] / moved[2]**2),
-                f[t] * (pts[:, p]**2 + pts[:, q]**2) / moved[2]**2))
-        return best
-    raise ValueError(f"unknown axis {axis}")  # pragma: no cover
+    rates = [projection_derivative_points(pts, spec.axis, a, cam) for a in (-b, b)]
+    return np.abs(rates).max(axis=(0, 2))
 
 
 def delta_constant(spec: MotionSpec, cam: CameraModel, one_frame_points, delta_px: float) -> float:
@@ -272,35 +258,27 @@ def delta_constant(spec: MotionSpec, cam: CameraModel, one_frame_points, delta_p
     closed-form expression over the one-frame points and the range
     endpoints.
     """
-    if delta_px <= 0:
-        raise ValueError("delta must be positive (pixels)")
+    check_real(delta_px, lambda d: 0 < d < math.inf,
+               "convexity delta must be positive and finite (pixels)")
     pts = _in_front(one_frame_points, spec, cam,
                     "one-frame point behind the camera inside the range")
-    x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
-    b = spec.radius_b
-    axis = spec.axis
-
+    b, axis = spec.radius_b, spec.axis
     if axis in (Axis.TX, Axis.TY):
         return 0.0
     if axis is Axis.TZ:
-        return float(delta_px * np.max(1.0 / (z - b)))
+        return float(delta_px * np.max(1.0 / (pts[:, 2] - b)))
     if axis is Axis.RZ:
         return float(max(cam.fx / cam.fy, cam.fy / cam.fx) * delta_px)
-    if axis in (Axis.RX, Axis.RY):
-        # RY is RX with passive coordinate y, active coordinate -x and fx, fy
-        # swapped; its curvature term takes min(fx, fy), conservative over both
-        if axis is Axis.RX:
-            p, q, fp, fq, curve = x, y, cam.fx, cam.fy, cam.fy
-        else:
-            p, q, fp, fq, curve = y, -x, cam.fy, cam.fx, min(cam.fx, cam.fy)
-        best = 0.0
-        for theta in (-b, b):
-            c, s = math.cos(theta), math.sin(theta)
-            depth = z * c - q * s
-            num = np.abs(q * c + z * s)
-            t1 = (delta_px / fq) * (fp * np.abs(p) + fq * num) / depth
-            t2 = 2.0 * delta_px * num / depth
-            best = max(best, float(np.max(np.maximum(t1, t2))))
-        return delta_px**2 / curve + best
-    raise ValueError(f"unknown axis {axis}")  # pragma: no cover
-
+    # RX / RY: the plane (p, q) turns the depth and image coordinate t; r is
+    # fixed.  RY is RX with fixed coordinate y, turning coordinate -x and fx, fy
+    # swapped; its curvature term takes min(fx, fy), conservative over both
+    (p, q), f, best = _MOTION[axis], (cam.fx, cam.fy), 0.0
+    r, t = 3 - p - q, p + q - 2
+    curve = cam.fy if axis is Axis.RX else min(cam.fx, cam.fy)
+    for theta in (-b, b):
+        moved = _moved(pts, axis, theta)
+        num = np.abs(moved[t])
+        t1 = (delta_px / f[t]) * (f[r] * np.abs(pts[:, r]) + f[t] * num) / moved[2]
+        t2 = 2.0 * delta_px * num / moved[2]
+        best = max(best, float(np.max(np.maximum(t1, t2))))
+    return delta_px**2 / curve + best

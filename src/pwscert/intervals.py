@@ -46,7 +46,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateInterval, InvalidDelta, NegativeMargin
+from .errors import (ConfigError, DegenerateInterval, InvalidDelta, NegativeMargin,
+                     check_integer, check_real)
 from .geometry import (
     CameraModel,
     MotionSpec,
@@ -85,8 +86,8 @@ class DeltaConvexity:
     delta: float
 
     def __post_init__(self):
-        if not 0 < self.delta < math.inf:
-            raise ConfigError("convexity delta must be positive and finite")
+        check_real(self.delta, lambda d: 0 < d < math.inf,
+                   "convexity delta must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -113,8 +114,8 @@ class _SweepRuns:
 def _sweep_runs(
     cloud: ColoredPointCloud, spec: MotionSpec, cam: CameraModel, resolution: int
 ) -> _SweepRuns:
-    if resolution < 2:
-        raise ConfigError(f"analysis resolution must be at least 2, got {resolution}")
+    check_integer(resolution, lambda r: r >= 2,
+                  f"analysis resolution must be at least 2, got {resolution}")
     values = np.linspace(-spec.radius_b, spec.radius_b, resolution)
     step = float(values[1] - values[0])
     npix = cam.height * cam.width
@@ -197,8 +198,8 @@ def _spacing(cloud, spec, cam, resolution, quantile, run_widths):
     run, in pose units when ``rate`` is None, else as a pixel margin that
     must be positive and becomes a pose width when divided by ``rate``.
     """
-    if not 0.0 < quantile <= 1.0:
-        raise ConfigError(f"quantile must lie in (0, 1], got {quantile}")
+    check_real(quantile, lambda q: 0.0 < q <= 1.0,
+               f"quantile must lie in (0, 1], got {quantile}")
     runs = _sweep_runs(cloud, spec, cam, resolution)
     if len(runs.pixel_flat) == 0:
         raise DegenerateInterval("no pixel is ever covered over the motion range")

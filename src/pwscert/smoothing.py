@@ -25,10 +25,11 @@ image sees in a larger call.
 Every tally draws one block layout.  Block ``b`` holds
 ``max(1, min(_BLOCK_DRAWS, _NOISE_ENTRIES // W))`` standard-normal draws
 of ``W`` values, the last block taking the remainder, from its own region
-of the stream's counter (``advance(b << 128)``), so any thread can draw
-any block.  Each thread draws and scores every image against its share of
-the blocks, and the shares' counts are summed: estimates depend on the
-seed, the stream, ``W`` and ``n_samples`` only, never on the thread count.
+of the stream's counter (word 2 of the Philox counter is ``b``), so any
+thread can draw any block.  Each thread draws and scores every image
+against its share of the blocks, and the shares' counts are summed:
+estimates depend on the seed, the stream, ``W`` and ``n_samples`` only,
+never on the thread count.
 On the pixel path ``W`` is the pixel count and a block times sigma is
 pixel noise.
 
@@ -59,7 +60,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 from scipy.special import betaincinv, ndtri
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, check_integer, check_real
 from .classifier import BaseClassifier
 
 _KEY_MASK = (1 << 128) - 1
@@ -96,10 +97,11 @@ def stream_id(context: int, index: int) -> int:
     return ((context & 0xFFFF) << 48) | (index & 0xFFFFFFFFFFFF)
 
 
-def noise_generator(seed: int, stream: int) -> Generator:
-    """Philox generator owned by one evaluation stream."""
+def noise_generator(seed: int, stream: int, block: int = 0) -> Generator:
+    """Philox generator owned by one evaluation stream, at the start of
+    block ``block``'s counter region: word 2 of the Philox counter."""
     key = ((stream & 0xFFFFFFFFFFFFFFFF) << 64) | (seed & 0xFFFFFFFFFFFFFFFF)
-    return Generator(Philox(key=key & _KEY_MASK))
+    return Generator(Philox(counter=[0, 0, block, 0], key=key & _KEY_MASK))
 
 
 @dataclass(frozen=True)
@@ -111,16 +113,15 @@ class SmoothingConfig:
     force_pixel_noise: bool = False
 
     def __post_init__(self):
-        if not 0 < self.sigma < math.inf:
-            raise ConfigError(f"sigma must be positive and finite, got {self.sigma}")
+        check_real(self.sigma, lambda s: 0 < s < math.inf,
+                   f"sigma must be positive and finite, got {self.sigma}")
         for name in ("n_samples", "seed"):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            check_integer(value, lambda v: True, f"{name} must be an integer, got {value!r}")
         if self.n_samples < 100:
             raise ConfigError("need at least 100 Monte-Carlo samples")
-        if not 0.0 < self.confidence_alpha < 1.0:
-            raise ConfigError("confidence_alpha must lie in (0, 1)")
+        check_real(self.confidence_alpha, lambda a: 0.0 < a < 1.0,
+                   "confidence_alpha must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -154,11 +155,8 @@ def clopper_pearson_lower(successes: int, trials: int, alpha: float) -> float:
 
 def _noise_block(cfg, stream, block, rows, width) -> np.ndarray:
     """Block ``block`` of the draws: ``rows`` standard-normal rows of
-    ``width`` values from its own counter region of the stream, word 2 of
-    the Philox counter."""
-    rng = noise_generator(cfg.seed, stream)
-    rng.bit_generator.advance(block << 128)
-    return rng.standard_normal((rows, width))
+    ``width`` values from its own counter region of the stream."""
+    return noise_generator(cfg.seed, stream, block).standard_normal((rows, width))
 
 
 def _tally(bases, cfg, stream, threads, push, score, label_count) -> np.ndarray:

@@ -13,7 +13,7 @@ from pwscert import (
 )
 from pwscert.demo import build_demo_scene, demo_camera, demo_specs
 from pwscert.errors import NonPositiveDepth
-from pwscert.geometry import DEPTH_EPS, MotionValue, project_points
+from pwscert.geometry import DEPTH_EPS, MotionValue, _sinusoid_range, project_points
 from pwscert.scenes import ShapeClass
 
 
@@ -118,6 +118,37 @@ def closed_form_derivative(points, axis, value, cam):
         du = -cam.fx * (x**2 + z**2) / depth**2
         dv = -cam.fy * y * (x * c - z * s) / depth**2
     return np.stack([du, dv], axis=1)
+
+
+def closed_form_lipschitz(points, spec, cam):
+    """Reference ``lipschitz_constants``: each axis's largest rate over
+    [-b, +b] in closed form.  TX and TY rates are constant, TZ rates peak at
+    +b, RX and RY rates at a range end, and RZ rates are sinusoids whose
+    peak may lie inside the range."""
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
+    axis, b = spec.axis, spec.radius_b
+    if axis is Axis.TX:
+        return cam.fx / z
+    if axis is Axis.TY:
+        return cam.fy / z
+    if axis is Axis.TZ:
+        return np.maximum(cam.fx * np.abs(x), cam.fy * np.abs(y)) / (z - b) ** 2
+    if axis is Axis.RZ:
+        m_u = np.max(np.abs(_sinusoid_range(y, -x, b)), axis=0)
+        m_v = np.max(np.abs(_sinusoid_range(x, y, b)), axis=0)
+        return np.maximum(cam.fx * m_u, cam.fy * m_v) / z
+    best = np.zeros(len(pts))
+    for a in (-b, b):
+        c, s = math.cos(a), math.sin(a)
+        if axis is Axis.RX:  # y turns with the depth, x is fixed
+            depth = z * c - y * s
+            rates = (cam.fx * np.abs(x * (y * c + z * s)), cam.fy * (y**2 + z**2))
+        else:  # RY: x turns with the depth, y is fixed
+            depth = x * s + z * c
+            rates = (cam.fx * (x**2 + z**2), cam.fy * np.abs(y * (x * c - z * s)))
+        best = np.maximum(best, np.maximum(*rates) / depth**2)
+    return best
 
 
 def drift_spans_loop(points, specs, cam, probes=9):

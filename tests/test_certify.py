@@ -419,7 +419,7 @@ class TestSharedTallies:
         report = certify(scenes[0].cloud, demo_specs()[1], cam, demo_classifier, cfg,
                          CertMethod.EXACT, IVCFG)
         assert report.n_distinct_frames >= 3
-        assert generators == [(cfg.seed, stream_id(STREAM_FRAME, 0))]
+        assert generators == [(cfg.seed, stream_id(STREAM_FRAME, 0), 0)]  # block 0 only
 
 
 def wild_scene():

@@ -10,6 +10,7 @@ from pwscert import (
     ConfigError,
     MotionSpec,
     NonPositiveDepth,
+    ShapeMismatch,
     delta_constant,
     lipschitz_constants,
     project_points,
@@ -25,6 +26,7 @@ from pwscert.rasterizer import render_sweep
 from conftest import (
     axis_radius,
     closed_form_derivative,
+    closed_form_lipschitz,
     closed_form_projection,
     motion_rotation_translation,
     project_general,
@@ -154,6 +156,16 @@ class TestLipschitz:
         assert val == pytest.approx(cam.fy / 2.0, rel=1e-12)
 
     @pytest.mark.parametrize("axis", ALL_AXES)
+    def test_equals_closed_form_rates(self, axis):
+        # fx != fy, at the usual radii and, for rotations, at +-0.8 rad too
+        pts = random_visible_points(np.random.default_rng(17), 200)
+        for b in [axis_radius(axis)] + ([0.8] if axis.is_rotation else []):
+            spec = MotionSpec(axis, b)
+            np.testing.assert_allclose(lipschitz_constants(pts, spec, ODD_CAM),
+                                       closed_form_lipschitz(pts, spec, ODD_CAM),
+                                       rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("axis", ALL_AXES)
     def test_dominates_sampled_derivatives(self, cam, axis):
         rng = np.random.default_rng(9)
         b = axis_radius(axis)
@@ -237,6 +249,12 @@ class TestDeltaConstant:
         val = delta_constant(MotionSpec(Axis.TZ, 0.5), cam, pts, 0.5)
         assert val == pytest.approx(0.5 / (1.5 - 0.5), rel=1e-12)
 
+    @pytest.mark.parametrize("delta", [0.0, -1.0, math.nan, math.inf, "2", True])
+    def test_delta_must_be_positive_and_finite(self, cam, delta):
+        for axis in (Axis.TX, Axis.RY):
+            with pytest.raises(ConfigError, match="convexity delta must be positive"):
+                delta_constant(MotionSpec(axis, 0.1), cam, [(0.1, 0.1, 2.0)], delta)
+
     def test_lipschitz_relaxation_bounds_hidden_points(self):
         # hidden back layer of a layered scene: every hidden point's own
         # Lipschitz constant is covered by the one-frame max plus the slack
@@ -270,6 +288,11 @@ class TestValidation:
             CameraModel(fx=-1, fy=1, cx=0, cy=0, width=4, height=4)
         with pytest.raises(ValueError):
             CameraModel(fx=1, fy=1, cx=9, cy=0, width=4, height=4)
+        for fx in ("7.5", True):
+            with pytest.raises(ConfigError, match="focal lengths must be positive"):
+                CameraModel(fx=fx, fy=7.5, cx=0.5, cy=0.5, width=4, height=4)
+        with pytest.raises(ConfigError, match="principal point"):
+            CameraModel(fx=7.5, fy=7.5, cx="0.5", cy=0.5, width=4, height=4)
 
     @pytest.mark.parametrize("width, height", [(24.5, 24), (24, 24.0), (True, 24),
                                                ("24", 24)])
@@ -295,3 +318,18 @@ class TestValidation:
     def test_radius_must_be_positive(self):
         with pytest.raises(ValueError):
             MotionSpec(Axis.TX, 0.0)
+        for radius in ("0.1", True):
+            with pytest.raises(ConfigError, match="motion radius must be positive"):
+                MotionSpec(Axis.TX, radius)
+        with pytest.raises(ConfigError, match="outside"):
+            MotionValue(MotionSpec(Axis.TX, 0.1), "0.05")
+
+    @pytest.mark.parametrize("points", [[(1.0, 2.0)], np.zeros((2, 3, 1)), [[]]])
+    def test_points_of_wrong_shape_raise_shape_mismatch(self, cam, points):
+        spec = MotionSpec(Axis.RY, 0.1)
+        with pytest.raises(ShapeMismatch, match=r"points must have shape \(N, 3\)"):
+            project_points(points, spec.axis, 0.0, cam)
+        with pytest.raises(ShapeMismatch):
+            lipschitz_constants(points, spec, cam)
+        with pytest.raises(ShapeMismatch):
+            delta_constant(spec, cam, points, 2.0)

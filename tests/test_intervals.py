@@ -185,7 +185,7 @@ class TestExactDelta:
         third = 2 * spec.radius_b / 3
         assert third * 0.98 - 3 * step <= delta < third
 
-    @pytest.mark.parametrize("quantile", [0.0, 1.5])
+    @pytest.mark.parametrize("quantile", [0.0, 1.5, math.nan, "1", True])
     def test_bad_quantile_rejected_before_sweep(self, cam, monkeypatch, quantile):
         from pwscert import intervals
 
@@ -200,6 +200,12 @@ class TestExactDelta:
         strict = exact_delta(scene.cloud, spec, demo_cam, 1201, quantile=1.0)
         lax = exact_delta(scene.cloud, spec, demo_cam, 1201, quantile=0.995)
         assert strict <= lax
+
+    @pytest.mark.parametrize("resolution", [1, 2001.0, "2001", True])
+    def test_bad_resolution_rejected(self, cam, resolution):
+        cloud, spec = single_point_scene(cam)
+        with pytest.raises(ConfigError, match="analysis resolution must be at least 2"):
+            exact_delta(cloud, spec, cam, resolution, quantile=1.0)
 
     def test_degenerate_resolution_raises(self, cam):
         cloud, spec = single_point_scene(cam)
@@ -322,6 +328,11 @@ class TestOneFrameDelta:
         with pytest.raises(NegativeMargin):
             one_frame_delta(cloud, spec, cam, 1501, DeltaConvexity(5.0), 1.0)
 
+    @pytest.mark.parametrize("delta", [0.0, -1.0, math.nan, math.inf, "0.1", True])
+    def test_convexity_delta_must_be_positive_and_finite(self, delta):
+        with pytest.raises(ConfigError, match="convexity delta must be positive and finite"):
+            DeltaConvexity(delta)
+
     def test_requires_convexity_prior(self, cam):
         cloud, spec = single_point_scene(cam)
         with pytest.raises(ConfigError, match="requires a convexity delta"):
@@ -437,3 +448,16 @@ class TestPlanPartition:
         assert plan.delta_alpha == delta
         assert plan.to_json() == expect.to_json()
         np.testing.assert_array_equal(plan.values, expect.values)
+
+    @pytest.mark.parametrize("method", list(CertMethod))
+    @pytest.mark.parametrize("field, value, message", [
+        ("resolution", 2001.0, "analysis resolution must be at least 2"),
+        ("quantile", "1", "quantile must lie in"),
+    ])
+    def test_non_number_config_raises_config_error(self, demo_cam, method, field,
+                                                   value, message):
+        scene = build_demo_scene(ShapeClass.SPHERE_CAP, 0)
+        cfg = IntervalConfig(convexity=DeltaConvexity(DEMO_CONVEXITY_DELTA),
+                             **{field: value})
+        with pytest.raises(ConfigError, match=message):
+            plan_partition(scene.cloud, demo_specs()[1], demo_cam, method, cfg)

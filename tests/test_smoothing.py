@@ -320,6 +320,12 @@ class TestSmoothedEstimate:
         for seed in [1.5, 2.0, True, "1"]:
             with pytest.raises(ConfigError, match="seed must be an integer"):
                 SmoothingConfig(sigma=0.5, n_samples=100, seed=seed)
+        for sigma in ["0.5", True]:
+            with pytest.raises(ConfigError, match="sigma must be positive and finite"):
+                SmoothingConfig(sigma=sigma, n_samples=100)
+        for alpha in ["0.01", True]:
+            with pytest.raises(ConfigError, match="confidence_alpha must lie in"):
+                SmoothingConfig(sigma=0.5, n_samples=100, confidence_alpha=alpha)
 
 
 class TestSharedDraws:

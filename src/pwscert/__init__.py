@@ -8,7 +8,6 @@ from .certify import (
     certified_accuracy,
     certify,
     empirical_attack,
-    frame_budget_comparison,
 )
 from .classifier import (
     BaseClassifier,

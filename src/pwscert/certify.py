@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classifier import BaseClassifier
-from .errors import ConfigError
+from .errors import ConfigError, check_integer
 from .geometry import CameraModel, MotionSpec
 from .intervals import CertMethod, IntervalConfig, plan_partition
 from .rasterizer import (ColoredPointCloud, DEFAULT_BACKGROUND, adjacent_frame_error,
@@ -180,7 +180,7 @@ def certify(
 
     return CertificationReport(
         verdict=verdict,
-        method=method,
+        method=plan.method,
         axis=spec.axis.value,
         radius_b=spec.radius_b,
         sigma=smoothing_cfg.sigma,
@@ -218,8 +218,7 @@ def empirical_attack(
     """Probe uniformly spaced poses for a smoothed-prediction label change
     from pose 0's.  Pose 0 is one of the sweep's poses, so a pose that
     renders the pose-0 image gets its label by construction."""
-    if poses < 1:
-        raise ConfigError(f"need at least one pose, got {poses}")
+    check_integer(poses, lambda p: p >= 1, f"need at least one pose, got {poses}")
     values = np.linspace(-spec.radius_b, spec.radius_b, poses) if poses > 1 else [0.0]
     swept = np.union1d(values, [0.0])  # sorted, and holding every value once
     images, index = sweep_images(cloud, spec, cam, swept)
@@ -237,19 +236,13 @@ def empirical_attack(
     )
 
 
-def frame_budget_comparison(report: CertificationReport) -> float:
-    """Partition frames as a fraction of a 10,000-pose motion-space
-    Monte-Carlo sampling budget."""
-    return report.n_partitions / 10000
-
-
 def certified_accuracy(results) -> float:
     """Fraction of (report, true_label) pairs certified with the right label;
     a None report (a scene whose certification failed) counts as not
     certified."""
     results = list(results)
     if not results:
-        raise ValueError("empty corpus")
+        raise ConfigError("empty corpus")
     good = sum(
         report is not None and report.verdict is Verdict.CERTIFIED
         and report.top_label == int(label)

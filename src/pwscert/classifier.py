@@ -10,8 +10,8 @@ here:
   smoothing module also uses to push Gaussian pixel noise forward in
   closed form.
 
-An external model plugs in by implementing ``BaseClassifier.predict_batch``
-in process.
+A model, built in or external, implements ``label_count`` and
+``predict_batch`` in process; ``predict`` is the one-image call.
 """
 
 from __future__ import annotations
@@ -38,13 +38,13 @@ class BaseClassifier:
     def label_count(self) -> int:
         raise NotImplementedError
 
-    def predict(self, image: np.ndarray) -> np.ndarray:
-        """Normalized score vector over the label set."""
+    def predict_batch(self, images: np.ndarray) -> np.ndarray:
+        """(B, L) normalized scores for a (B, K, H, W) batch."""
         raise NotImplementedError
 
-    def predict_batch(self, images: np.ndarray) -> np.ndarray:
-        """(B, L) scores for a (B, K, H, W) batch; default loops."""
-        return np.stack([self.predict(img) for img in images])
+    def predict(self, image: np.ndarray) -> np.ndarray:
+        """Normalized score vector of one (K, H, W) image."""
+        return self.predict_batch(np.asarray(image, dtype=np.float64)[None])[0]
 
     def logit_map(self):
         """(A, b) with argmax scores == argmax (A @ image.ravel() + b).
@@ -115,9 +115,6 @@ class LinearSoftmaxClassifier(BaseClassifier):
     @property
     def label_count(self) -> int:
         return int(self.weights.shape[1])
-
-    def predict(self, image: np.ndarray) -> np.ndarray:
-        return self.predict_batch(np.asarray(image, dtype=np.float64)[None])[0]
 
     def predict_batch(self, images: np.ndarray) -> np.ndarray:
         images = np.asarray(images, dtype=np.float64)

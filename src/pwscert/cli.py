@@ -22,8 +22,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .certify import (certified_accuracy, certify, empirical_attack,
-                      frame_budget_comparison)
+from .certify import certified_accuracy, certify, empirical_attack
 from .classifier import builtin_train, load_model, save_model
 from .demo import build_demo_scene, demo_camera
 from .errors import ConfigError, FileFormatError, PathError, PwsError
@@ -131,7 +130,7 @@ def _partition_plan(corpus, scene_name, axis, radius, method, resolution,
     scene = _select(scenes, [scene_name] if scene_name else [])[0]
     spec = _spec_from(axis, radius)
     cfg = _interval_config(resolution, quantile, delta_px)
-    return scene, cam, plan_partition(scene.cloud, spec, cam, CertMethod(method), cfg)
+    return scene, cam, plan_partition(scene.cloud, spec, cam, method, cfg)
 
 
 def _run_setup(corpus, model, axis, radius, sigma, n_samples, alpha, seed, only,
@@ -292,8 +291,7 @@ def cmd_certify(method, resolution, quantile, delta_px, **run):
     samples, results = {}, []
     for scene in scenes:
         try:
-            report = certify(scene.cloud, spec, cam, clf, smoothing,
-                             CertMethod(method), cfg)
+            report = certify(scene.cloud, spec, cam, clf, smoothing, method, cfg)
         except ConfigError:
             raise
         except PwsError as err:
@@ -309,7 +307,6 @@ def cmd_certify(method, resolution, quantile, delta_px, **run):
                 "top_label": report.top_label,
                 "true_label": scene.label,
                 "n_partitions": report.n_partitions,
-                "ratio_vs_baseline": frame_budget_comparison(report),
                 "min_radius": report.min_radius,
                 "max_adjacent_error": report.max_adjacent_error,
             }
@@ -375,9 +372,6 @@ def cmd_report(runs, out):
                     "sigma": cfg["sigma"],
                     "certified_accuracy": summary["certified_accuracy"],
                     "mean_N": float(np.mean([s["n_partitions"] for s in samples])),
-                    "mean_ratio": float(
-                        np.mean([s["ratio_vs_baseline"] for s in samples])
-                    ),
                 }
             )
         except (ValueError, KeyError, TypeError, AttributeError) as exc:

@@ -163,10 +163,12 @@ def project_points(points, axis: Axis, value, cam: CameraModel):
 def projection_derivative_points(points, axis: Axis, value, cam: CameraModel):
     """Exact d(u, v)/d(alpha) for an (N, 3) array of points.
 
-    ``value`` is a single pose or an (N,) array, as in project_points.
+    ``value`` is a single pose, an (N,) array or a (T, 1) column, and the
+    result has the shape of ``project_points``'s ``uv``.
     """
     pts = _as_points(points)
-    c = _moved(pts, axis, np.asarray(value, dtype=np.float64))
+    a = np.asarray(value, dtype=np.float64)
+    c = _moved(pts, axis, a)
     move, dc = _MOTION[axis], [0.0, 0.0, 0.0]  # d/d(alpha) of each coordinate
     if isinstance(move, int):
         dc[move] = -1.0
@@ -176,7 +178,7 @@ def projection_derivative_points(points, axis: Axis, value, cam: CameraModel):
     x, y, depth = c
     du = cam.fx * (dc[0] * depth - x * dc[2]) / depth**2
     dv = cam.fy * (dc[1] * depth - y * dc[2]) / depth**2
-    return np.stack([du, dv], axis=1)
+    return np.stack(np.broadcast_arrays(du, dv, a)[:2], axis=-1)
 
 
 def _sinusoid_range(a_cos, b_sin, half: float):
@@ -244,7 +246,7 @@ def lipschitz_constants(points, spec: MotionSpec, cam: CameraModel):
         m_u = np.max(np.abs(_sinusoid_range(y, -x, b)), axis=0)
         m_v = np.max(np.abs(_sinusoid_range(x, y, b)), axis=0)
         return np.maximum(cam.fx * m_u, cam.fy * m_v) / z
-    rates = [projection_derivative_points(pts, spec.axis, a, cam) for a in (-b, b)]
+    rates = projection_derivative_points(pts, spec.axis, np.array([[-b], [b]]), cam)
     return np.abs(rates).max(axis=(0, 2))
 
 

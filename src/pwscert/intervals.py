@@ -358,6 +358,8 @@ def build_partition(
 ) -> PartitionPlan:
     """Uniform partition with spacing at most ``delta_alpha``."""
     b = spec.radius_b
+    check_real(delta_alpha, lambda d: True,
+               f"spacing must be a real number, got {delta_alpha!r}")
     if not (0.0 < delta_alpha <= 2.0 * b) or not math.isfinite(delta_alpha):
         raise InvalidDelta(
             f"spacing must lie in (0, {2 * b:.6g}], got {delta_alpha:.6g}"
@@ -380,17 +382,20 @@ def plan_partition(
     method: CertMethod,
     cfg: IntervalConfig,
 ) -> PartitionPlan:
-    """The partition ``method`` admits for ``cloud``, the scene the camera
-    images; the one-frame bound sees only the points recoverable from the
-    reference render (``extract_one_frame``), as a real camera would."""
+    """The partition ``method`` (a ``CertMethod`` or its value) admits for
+    ``cloud``, the scene the camera images; the one-frame bound sees only
+    the points recoverable from the reference render (``extract_one_frame``),
+    as a real camera would."""
+    try:
+        method = CertMethod(method)
+    except ValueError:
+        raise ConfigError(f"unknown method {method!r}") from None
     res, q = cfg.resolution, cfg.quantile
     if method is CertMethod.EXACT:
         delta = exact_delta(cloud, spec, cam, res, q)
     elif method is CertMethod.LIPSCHITZ:
         delta = lipschitz_delta(cloud, spec, cam, res, q)
-    elif method is CertMethod.ONE_FRAME:
+    else:
         delta = one_frame_delta(extract_one_frame(cloud, cam), spec, cam, res,
                                 cfg.convexity, q)
-    else:  # pragma: no cover
-        raise ValueError(f"unknown method {method}")
     return build_partition(delta, spec, method, q)

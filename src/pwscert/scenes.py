@@ -36,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FileFormatError, InvalidRange, MissingFile
+from .errors import ConfigError, FileFormatError, InvalidRange, MissingFile
 from .geometry import Axis, CameraModel, project_points
 from .rasterizer import ColoredPointCloud, load_cloud, save_cloud, zbuffer_winners
 
@@ -387,7 +387,7 @@ def save_corpus(root, scenes, cam: CameraModel) -> None:
     labels = {}
     for scene in scenes:
         if scene.name in labels:
-            raise ValueError(f"duplicate scene name {scene.name}")
+            raise ConfigError(f"duplicate scene name {scene.name}")
         labels[scene.name] = scene.label
         save_cloud(root / "scenes" / f"{scene.name}.pwspc", scene.cloud)
     (root / "labels.json").write_text(

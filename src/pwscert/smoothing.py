@@ -145,7 +145,7 @@ def clopper_pearson_lower(successes: int, trials: int, alpha: float) -> float:
     """Exact one-sided lower confidence bound for a binomial proportion:
     the ``alpha`` quantile of Beta(k, n - k + 1), ``scipy.special.betaincinv``."""
     if trials < 1 or not 0 <= successes <= trials:
-        raise ValueError(f"bad binomial tally {successes}/{trials}")
+        raise ConfigError(f"bad binomial tally {successes}/{trials}")
     if successes == 0:
         return 0.0
     if successes == trials:

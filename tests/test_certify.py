@@ -24,7 +24,6 @@ from pwscert import (
     certified_accuracy,
     certify,
     empirical_attack,
-    frame_budget_comparison,
     generate_scene,
     render,
 )
@@ -48,9 +47,9 @@ class ConfidentClassifier(BaseClassifier):
     def label_count(self):
         return self._labels
 
-    def predict(self, image):
-        s = np.zeros(self._labels)
-        s[self._label] = 1.0
+    def predict_batch(self, images):
+        s = np.zeros((len(images), self._labels))
+        s[:, self._label] = 1.0
         return s
 
 
@@ -63,9 +62,6 @@ class PixelSignClassifier(BaseClassifier):
     @property
     def label_count(self):
         return 2
-
-    def predict(self, image):
-        return self.predict_batch(image[None])[0]
 
     def predict_batch(self, images):
         hot = (images[:, 0, self.row, self.col] > 0.5).astype(float)
@@ -127,9 +123,6 @@ class TestCertify:
         class Coin(BaseClassifier):
             label_count = 2
 
-            def predict(self, image):
-                return self.predict_batch(image[None])[0]
-
             def predict_batch(self, images):
                 flat = images.reshape(len(images), -1)
                 hot = (flat.sum(axis=1) % 2 > 1).astype(float)  # noise parity
@@ -176,6 +169,16 @@ class TestCertify:
         assert report.aggregate_alpha == pytest.approx(
             report.n_partitions * report.confidence_alpha
         )
+
+    def test_method_by_value_reports_as_its_member(self, cam):
+        cloud, spec = static_scene(cam)
+        reports = [certify(cloud, spec, cam, ConfidentClassifier(), SMOOTH, method,
+                           IVCFG).to_json()
+                   for method in (CertMethod.LIPSCHITZ, "lipschitz")]
+        for report in reports:
+            report.pop("timing")
+        assert reports[0] == reports[1]
+        assert reports[1]["method"] == "lipschitz"
 
     def test_one_frame_method_requires_delta(self, demo_corpus, demo_classifier):
         scenes, cam = demo_corpus
@@ -553,6 +556,13 @@ def test_in_window_frames_within_window_error(method):
 
 
 class TestEmpiricalAttack:
+    @pytest.mark.parametrize("poses", [0, -3, 2.5, 1.0, True, "10"])
+    def test_pose_count_must_be_a_positive_integer(self, cam, poses):
+        cloud, spec = static_scene(cam)
+        with pytest.raises(ConfigError, match="need at least one pose, got") as err:
+            empirical_attack(cloud, spec, cam, ConfidentClassifier(), SMOOTH, poses)
+        assert err.value.kind == "config_error"
+
     def test_single_pose_trivially_robust(self, cam):
         cloud, spec = static_scene(cam)
         report = empirical_attack(cloud, spec, cam, ConfidentClassifier(), SMOOTH,
@@ -601,14 +611,6 @@ class TestEmpiricalAttack:
 
 
 class TestMetrics:
-    def test_frame_budget_examples(self, cam):
-        cloud, spec = static_scene(cam)
-        report = certify(cloud, spec, cam, ConfidentClassifier(), SMOOTH,
-                         CertMethod.EXACT, IVCFG)
-        ratio = frame_budget_comparison(report)
-        assert ratio == report.n_partitions / 10000
-        assert ratio * 10000 == pytest.approx(report.n_partitions, rel=1e-15)
-
     def test_certified_accuracy_hand_count(self, cam):
         cloud, spec = static_scene(cam)
         good = certify(cloud, spec, cam, ConfidentClassifier(label=1), SMOOTH,
@@ -625,5 +627,6 @@ class TestMetrics:
         assert certified_accuracy([(None, 0)]) == 0.0
 
     def test_empty_corpus_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="empty corpus") as err:
             certified_accuracy([])
+        assert err.value.kind == "config_error"

@@ -4,15 +4,22 @@ import numpy as np
 import pytest
 
 from pwscert import (
+    BaseClassifier,
+    CertMethod,
     ConfigError,
     DegenerateDataset,
     FileFormatError,
+    IntervalConfig,
     LinearSoftmaxClassifier,
     ShapeMismatch,
+    SmoothingConfig,
+    Verdict,
     builtin_train,
+    certify,
     load_model,
     render,
     save_model,
+    smoothed_estimate,
 )
 from pwscert.demo import demo_specs
 from pwscert.geometry import MotionValue
@@ -160,6 +167,57 @@ class TestPredict:
         assert a_mat.shape == want_a.shape
         assert a_mat.tobytes() == want_a.tobytes()
         assert bias.tobytes() == want_bias.tobytes()
+
+
+class BatchOnly(BaseClassifier):
+    """A model written to the contract alone: ``label_count`` and
+    ``predict_batch``, here wrapping the built-in model, with no logit map."""
+
+    def __init__(self, inner):
+        self._inner = inner
+
+    @property
+    def label_count(self):
+        return self._inner.label_count
+
+    def predict_batch(self, images):
+        return self._inner.predict_batch(images)
+
+
+class TestContract:
+    def test_batch_only_model_certifies_on_the_pixel_path(self, demo_corpus,
+                                                           demo_classifier):
+        scenes, cam = demo_corpus
+        args = (scenes[0].cloud, demo_specs()[0], cam)
+        cfg = SmoothingConfig(sigma=0.5, n_samples=2000, confidence_alpha=0.001, seed=5)
+        ivcfg = IntervalConfig(resolution=1201, quantile=1.0)
+        model = BatchOnly(demo_classifier)
+        assert model.logit_map() is None
+        report = certify(*args, model, cfg, CertMethod.EXACT, ivcfg)
+        assert report.verdict is Verdict.CERTIFIED
+        assert report.top_label == scenes[0].label
+        # the built-in model forced onto the pixel path tallies the same draws
+        forced = certify(*args, demo_classifier,
+                         SmoothingConfig(**{**vars(cfg), "force_pixel_noise": True}),
+                         CertMethod.EXACT, ivcfg)
+        assert report.per_partition == forced.per_partition
+
+    def test_predict_is_the_one_image_batch(self, demo_classifier, dataset):
+        model = BatchOnly(demo_classifier)
+        for image, _ in dataset:
+            one = model.predict(image)
+            assert one.tobytes() == model.predict_batch(image[None])[0].tobytes()
+            assert one.tobytes() == demo_classifier.predict(image).tobytes()
+
+    @pytest.mark.parametrize("labels", [None, 2])
+    def test_model_without_the_contract_fails_at_its_first_tally(self, labels):
+        namespace = {} if labels is None else {"label_count": labels}
+        model = type("Partial", (BaseClassifier,), namespace)()
+        cfg = SmoothingConfig(sigma=0.5, n_samples=100, confidence_alpha=0.01)
+        with pytest.raises(NotImplementedError):
+            smoothed_estimate(model, np.zeros((1, 4, 4)), cfg)
+        with pytest.raises(NotImplementedError):
+            model.predict(np.zeros((1, 4, 4)))
 
 
 class TestModelFile:

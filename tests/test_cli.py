@@ -163,7 +163,7 @@ class TestCertifyAttackReport:
         assert len(rows) == 1
         assert set(rows[0]) == {
             "radius", "axis", "method", "sigma",
-            "certified_accuracy", "mean_N", "mean_ratio",
+            "certified_accuracy", "mean_N",
         }
 
     def test_reports_byte_identical_across_runs(self, runner, workspace, tmp_path):
@@ -215,8 +215,7 @@ class TestCertifyAttackReport:
 # the fields of a certify summary that ``pws report`` reads
 SUMMARY = {
     "config": {"radius_text": "36mm", "axis": "tz", "method": "exact", "sigma": 0.5},
-    "samples": {"a": {"verdict": "certified", "n_partitions": 4,
-                      "ratio_vs_baseline": 0.25}},
+    "samples": {"a": {"verdict": "certified", "n_partitions": 4}},
     "certified_accuracy": 1.0,
 }
 
@@ -227,7 +226,7 @@ class TestErrorHandling:
         json.dumps([SUMMARY]),
         json.dumps({k: v for k, v in SUMMARY.items() if k != "config"}),
         json.dumps({**SUMMARY, "samples": {"a": {"verdict": "certified",
-                                                 "ratio_vs_baseline": 0.25}}}),
+                                                 "min_radius": 0.5}}}),
     ], ids=["truncated", "list", "no-config", "sample-without-n-partitions"])
     def test_bad_summary_exits_1(self, runner, tmp_path, text):
         path = tmp_path / "runs" / "summary.json"
@@ -241,6 +240,19 @@ class TestErrorHandling:
         assert res.exit_code == 1
         [line] = res.output.splitlines()
         assert line.startswith(f"file_format: bad certify summary {path}: ")
+
+    def test_report_reads_summaries_with_fields_it_drops(self, runner, tmp_path):
+        # older summaries carry per-sample fields the table no longer has
+        runs, out = tmp_path / "runs", tmp_path / "t.csv"
+        runs.mkdir()
+        sample = {"verdict": "certified", "n_partitions": 4, "retired_field": 4e-4}
+        (runs / "summary.json").write_text(json.dumps({**SUMMARY,
+                                                       "samples": {"a": sample}}))
+        res = runner.invoke(main, ["report", "--runs", str(runs), "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        assert out.read_text().splitlines() == [
+            "radius,axis,method,sigma,certified_accuracy,mean_N",
+            "36mm,tz,exact,0.5,1.0,4.0"]
 
     def test_report_on_empty_dir_exits_2(self, runner, tmp_path):
         (tmp_path / "empty").mkdir()

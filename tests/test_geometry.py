@@ -109,6 +109,18 @@ class TestDerivative:
             want = closed_form_derivative(pts, axis, value, ODD_CAM)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("axis", ALL_AXES)
+    def test_pose_column_stacks_the_pose_calls(self, axis):
+        rng = np.random.default_rng(23)
+        b = axis_radius(axis)
+        pts = random_visible_points(rng, 50)
+        poses = np.concatenate([[-b, 0.0, b], rng.uniform(-b, b, 5)])
+        got = projection_derivative_points(pts, axis, poses[:, None], ODD_CAM)
+        want = np.stack([projection_derivative_points(pts, axis, a, ODD_CAM)
+                         for a in poses])
+        assert got.shape == want.shape == (len(poses), 50, 2)
+        assert got.tobytes() == want.tobytes()
+
     def test_tz_on_axis(self, cam):
         du, dv = projection_derivative_points((0.1, 0, 2), Axis.TZ, 0.0, cam)[0]
         assert du == pytest.approx(2.5, abs=1e-12)  # fx*X/Z^2

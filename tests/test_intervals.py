@@ -418,6 +418,12 @@ class TestBuildPartition:
             with pytest.raises(InvalidDelta):
                 build_partition(bad, spec)
 
+    @pytest.mark.parametrize("bad", ["0.1", True, None])
+    def test_non_number_spacing_raises_config_error(self, bad):
+        with pytest.raises(ConfigError, match="spacing must be a real number") as err:
+            build_partition(bad, MotionSpec(Axis.TX, 1.0))
+        assert err.value.kind == "config_error"
+
     def test_json_payload(self):
         plan = build_partition(0.5, MotionSpec(Axis.RX, 1.0), CertMethod.LIPSCHITZ)
         payload = plan.to_json()
@@ -461,3 +467,22 @@ class TestPlanPartition:
                              **{field: value})
         with pytest.raises(ConfigError, match=message):
             plan_partition(scene.cloud, demo_specs()[1], demo_cam, method, cfg)
+
+    @pytest.mark.parametrize("method", list(CertMethod))
+    def test_method_by_value_plans_as_its_member(self, demo_cam, method):
+        scene = build_demo_scene(ShapeClass.SPHERE_CAP, 0)
+        cfg = IntervalConfig(resolution=1201, quantile=1.0,
+                             convexity=DeltaConvexity(DEMO_CONVEXITY_DELTA))
+        by_member = plan_partition(scene.cloud, demo_specs()[1], demo_cam, method, cfg)
+        by_value = plan_partition(scene.cloud, demo_specs()[1], demo_cam, method.value,
+                                  cfg)
+        assert by_value.method is method
+        assert by_value.to_json() == by_member.to_json()
+        assert by_value.values.tobytes() == by_member.values.tobytes()
+
+    @pytest.mark.parametrize("bad", ["bogus", "EXACT", None])
+    def test_unknown_method_raises_config_error(self, demo_cam, bad):
+        scene = build_demo_scene(ShapeClass.SPHERE_CAP, 0)
+        with pytest.raises(ConfigError, match="unknown method") as err:
+            plan_partition(scene.cloud, demo_specs()[1], demo_cam, bad, IntervalConfig())
+        assert err.value.kind == "config_error"

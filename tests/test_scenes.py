@@ -160,8 +160,9 @@ class TestCorpusIO:
 
     def test_duplicate_names_rejected(self, tmp_path, demo_cam):
         scene = generate_scene(ShapeClass.BOX_FACE, 700, (1.5, 2.5), 5, demo_cam)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="duplicate scene name") as err:
             save_corpus(tmp_path / "c", [scene, scene], demo_cam)
+        assert err.value.kind == "config_error"
 
     @pytest.mark.parametrize("name, text", [
         ("camera.json", '{"fx": 0, "fy": 7.5, "cx": 12, "cy": 12, "width": 24, "height": 24}'),

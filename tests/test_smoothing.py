@@ -31,9 +31,9 @@ class ConstantClassifier(BaseClassifier):
     def label_count(self):
         return self._labels
 
-    def predict(self, image):
-        scores = np.zeros(self._labels)
-        scores[self._label] = 1.0
+    def predict_batch(self, images):
+        scores = np.zeros((len(images), self._labels))
+        scores[:, self._label] = 1.0
         return scores
 
 
@@ -43,9 +43,6 @@ class CoinClassifier(BaseClassifier):
     @property
     def label_count(self):
         return 2
-
-    def predict(self, image):
-        return self.predict_batch(image[None])[0]
 
     def predict_batch(self, images):
         flat = images.reshape(len(images), -1)
@@ -206,8 +203,10 @@ class TestClopperPearson:
         assert violations <= binom.ppf(0.99, experiments, alpha)
 
     def test_bad_tally(self):
-        with pytest.raises(ValueError):
-            clopper_pearson_lower(5, 4, 0.05)
+        for successes, trials in [(5, 4), (5, 3), (-1, 4), (0, 0)]:
+            with pytest.raises(ValueError, match="bad binomial tally") as err:
+                clopper_pearson_lower(successes, trials, 0.05)
+            assert err.value.kind == "config_error"
 
 
 class TestSmoothedEstimate:

@@ -48,7 +48,7 @@ from .smoothing import (STREAM_ATTACK, STREAM_FRAME, SmoothingConfig, smoothed_e
 # not drawn by the program: the benchmark's replay imports it to tally the
 # attack's reference apart from the sweep
 STREAM_ATTACK_REFERENCE = 3
-REPORT_VERSION = 6
+REPORT_VERSION = 7
 
 
 class Verdict(str, enum.Enum):

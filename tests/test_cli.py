@@ -141,7 +141,7 @@ class TestCertifyAttackReport:
         assert 0.0 <= summary["certified_accuracy"] <= 1.0
         one = next(iter(summary["samples"]))
         payload = json.loads((run / f"{one}.cert.json").read_text())
-        assert payload["pws_report_version"] == 6
+        assert payload["pws_report_version"] == 7
 
         res = runner.invoke(main, [
             "attack", "--corpus", str(corpus), "--model", str(model),

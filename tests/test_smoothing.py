@@ -63,11 +63,13 @@ def tied_classifier(shape, image, labels, seed, cls=LinearSoftmaxClassifier):
 
 def block_draws(cfg, stream, rows, width):
     """The stream's standard-normal draws of ``width`` values, block ``b``
-    of ``rows`` draws taken from counter word 2 = ``b``."""
+    of ``rows`` draws from numpy's SFC64 seeded by the packed integer
+    ``b << 128 | stream << 64 | seed``."""
+    word = (1 << 64) - 1
     blocks = []
     for b, start in enumerate(range(0, cfg.n_samples, rows)):
-        rng = noise_generator(cfg.seed, stream)
-        rng.bit_generator.advance(b << 128)
+        key = b << 128 | (stream & word) << 64 | (cfg.seed & word)
+        rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(key)))
         blocks.append(rng.standard_normal((min(rows, cfg.n_samples - start), width)))
     return np.concatenate(blocks)
 
@@ -207,6 +209,13 @@ class TestClopperPearson:
             with pytest.raises(ValueError, match="bad binomial tally") as err:
                 clopper_pearson_lower(successes, trials, 0.05)
             assert err.value.kind == "config_error"
+
+    @pytest.mark.parametrize("successes, trials, alpha", [
+        (5, 10, 2.0), (5, 10, "0.1"), (2.5, 10, 0.05), (True, 10, 0.05),
+    ])
+    def test_bad_numbers(self, successes, trials, alpha):
+        with pytest.raises(ConfigError):
+            clopper_pearson_lower(successes, trials, alpha)
 
 
 class TestSmoothedEstimate:
@@ -545,3 +554,10 @@ class TestNoiseStreams:
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
         assert not np.array_equal(a, d)
+
+    def test_key_words_do_not_alias(self):
+        # a list key [seed, stream, block] is padded with zero words, so
+        # SeedSequence([2**32, 5, 0]) and SeedSequence([0, 1, 5]) are one state
+        a = noise_generator(2**32, 5, 0).random(8)
+        b = noise_generator(0, 1, 5).random(8)
+        assert not np.array_equal(a, b)

@@ -9,7 +9,7 @@ pass at seed 1, and prints one JSON line of what that pass did:
 * ``images_rendered``: poses the render path takes from ``zbuffer_changes``,
   each rendered and hashed once;
 * ``adjacent_errors``: ``adjacent_frame_error`` calls made by ``certify``;
-* ``noise_generators``: Philox generators made (``noise_generator``), one
+* ``noise_generators``: noise generators made (``noise_generator``), one
   per noise block;
 * ``noise_blocks``: noise blocks drawn (``_noise_block``) on the logit and
   the pixel path alike, which do not depend on ``PWS_THREADS``;

@@ -28,6 +28,7 @@ from .errors import (
     InvalidRange,
     MissingFile,
     NegativeMargin,
+    NonFiniteScores,
     NonPositiveDepth,
     PwsError,
     ShapeMismatch,

@@ -48,7 +48,7 @@ from .smoothing import (STREAM_ATTACK, STREAM_FRAME, SmoothingConfig, smoothed_e
 # not drawn by the program: the benchmark's replay imports it to tally the
 # attack's reference apart from the sweep
 STREAM_ATTACK_REFERENCE = 3
-REPORT_VERSION = 7
+REPORT_VERSION = 8
 
 
 class Verdict(str, enum.Enum):
@@ -148,35 +148,20 @@ def certify(
     images, index = sweep_images(cloud, spec, cam, plan.values)
 
     by_image = _run_tasks(images, classifier, smoothing_cfg, STREAM_FRAME)
-    estimates = [by_image[i] for i in index]
     # neighbours rendering one image differ by exactly 0.0: skip them
     pairs = {(a, b) for a, b in zip(index.tolist(), index[1:].tolist()) if a != b}
     max_err = max((adjacent_frame_error(images[a], images[b]) for a, b in pairs),
                   default=0.0)
+    per_partition = [PartitionEstimate(float(alpha), e.top_label, e.p_a_lower, e.p_b_upper,
+                                       e.radius, e.abstained)
+                     for alpha, e in zip(plan.values, (by_image[i] for i in index))]
 
-    per_partition = [
-        PartitionEstimate(
-            alpha=float(alpha),
-            top_label=e.top_label,
-            p_a_lower=e.p_a_lower,
-            p_b_upper=e.p_b_upper,
-            radius=e.radius,
-            abstained=e.abstained,
-        )
-        for alpha, e in zip(plan.values, estimates)
-    ]
-    labels = {e.top_label for e in estimates}
-    any_abstain = any(e.abstained for e in estimates)
-    min_radius = min((e.radius for e in estimates if not e.abstained), default=0.0)
-
-    if any_abstain or len(labels) != 1:
-        verdict = Verdict.ABSTAIN
-        top = -1 if len(labels) != 1 else estimates[0].top_label
-    else:
-        top = estimates[0].top_label
-        verdict = (
-            Verdict.CERTIFIED if max_err < min_radius else Verdict.NOT_CERTIFIED
-        )
+    # every distinct image renders at some pose: decide over them once
+    labels = {e.top_label for e in by_image}
+    min_radius = min((e.radius for e in by_image if not e.abstained), default=0.0)
+    top = labels.pop() if len(labels) == 1 else -1
+    verdict = (Verdict.ABSTAIN if top < 0 or any(e.abstained for e in by_image) else
+               Verdict.CERTIFIED if max_err < min_radius else Verdict.NOT_CERTIFIED)
 
     return CertificationReport(
         verdict=verdict,

@@ -91,7 +91,7 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 class LinearSoftmaxClassifier(BaseClassifier):
     """Softmax regression over mean-pooled pixels; the constructor checks
-    the whole pooling geometry."""
+    the whole pooling geometry and that every weight and bias is finite."""
 
     def __init__(self, weights, bias, image_shape, downsample=DEFAULT_DOWNSAMPLE):
         self.weights = np.asarray(weights, dtype=np.float64)  # (F, L)
@@ -102,6 +102,8 @@ class LinearSoftmaxClassifier(BaseClassifier):
                 or self.bias.shape != self.weights.shape[1:] or not len(self.bias)):
             raise ShapeMismatch(f"weights {self.weights.shape} and bias {self.bias.shape} "
                                 f"do not fit a {self.image_shape} image pooled by {f}")
+        if not (np.isfinite(self.weights).all() and np.isfinite(self.bias).all()):
+            raise ConfigError("model weights and bias must be finite")
         # pixel (k, r, c) feeds feature (k, r // f, c // f) with weight 1/f^2
         feature = (
             (np.arange(k)[:, None, None] * (h // f) + np.arange(h)[:, None] // f)
@@ -256,7 +258,7 @@ def load_model(path) -> LinearSoftmaxClassifier:
     if len(body) != size:
         raise FileFormatError(f"model body has {len(body)} bytes, expected {size}")
     params = np.frombuffer(body, dtype="<f4").astype(np.float64)
-    try:  # the constructor checks the pooling geometry
+    try:  # the constructor checks the pooling geometry and finite parameters
         return LinearSoftmaxClassifier(params[: f * labels].reshape(f, labels),
                                        params[f * labels :], shape, downsample)
     except (ConfigError, ShapeMismatch) as exc:

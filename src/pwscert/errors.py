@@ -68,6 +68,12 @@ class DomainError(PwsError):
     kind = "domain_error"
 
 
+class NonFiniteScores(PwsError):
+    """A classifier scored an image, or mapped it to logits, with NaN or infinity."""
+
+    kind = "non_finite_scores"
+
+
 class ConfigError(PwsError, ValueError):
     """Bad run configuration (CLI exits with status 2)."""
 

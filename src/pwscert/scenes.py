@@ -36,7 +36,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, FileFormatError, InvalidRange, MissingFile
+from .errors import (ConfigError, FileFormatError, InvalidRange, MissingFile, check_integer,
+                     check_real)
 from .geometry import Axis, CameraModel, project_points
 from .rasterizer import ColoredPointCloud, load_cloud, save_cloud, zbuffer_winners
 
@@ -194,6 +195,14 @@ def generate_scene(
     ``cross_plan`` entries are (range index, pose fraction) pairs cycled
     over the designated crossing points.
     """
+    check_integer(point_count, lambda n: True,
+                  f"point_count must be an integer, got {point_count!r}")
+    check_integer(color_seed, lambda c: c >= 0,
+                  f"color_seed must be a non-negative integer, got {color_seed!r}")
+    check_integer(channels, lambda k: k >= 1,
+                  f"channels must be a positive integer, got {channels!r}")
+    for end in depth_range[:2]:
+        check_real(end, lambda d: True, f"depth range ends must be real numbers, got {end!r}")
     lo, hi = float(depth_range[0]), float(depth_range[1])
     if point_count < 100:
         raise InvalidRange(f"need at least 100 points, got {point_count}")

@@ -7,9 +7,10 @@ bound its true probability from below with a one-sided Clopper-Pearson
 interval, reduce the runner-up bound to ``1 - pA`` (two-class reduction),
 and convert the gap into a certified L2 radius
 
-    radius = sigma / 2 * (quantile(pA_lower) - quantile(pB_upper)),
+    radius = sigma / 2 * (quantile(pA_lower) - quantile(pB_upper))
+           = sigma * quantile(pA_lower),
 
-with the standard normal quantile taken from ``scipy.special.ndtri``.
+bit for bit, with the antisymmetric normal quantile ``scipy.special.ndtri``.
 
 Noised images are deliberately not clamped to [0, 1]; the radius formula
 is exact only for unclipped additive noise and the classifiers accept
@@ -50,8 +51,10 @@ For classifiers exposing an affine pixel-to-logit map, the argmax under
 pixel noise is sampled exactly in logit space: the noise pushes forward to
 ``N(0, sigma^2 A A^T)`` over the logits, which is cheaper by the ratio of
 pixel count to label count and distributionally identical.  There ``W`` is
-the label count and a block times a factor of that covariance is logit
-noise.  Set ``SmoothingConfig.force_pixel_noise`` to bypass it.
+the label count and a block times ``V sqrt(max(lambda, 0))``, from an
+eigendecomposition of that covariance, is logit noise: the built-in model's
+covariance is singular, where Cholesky passes or fails by rounding alone.
+Set ``SmoothingConfig.force_pixel_noise`` to bypass it.
 """
 
 from __future__ import annotations
@@ -65,7 +68,8 @@ import numpy as np
 from numpy.random import SFC64, Generator, SeedSequence
 from scipy.special import betaincinv, ndtri
 
-from .errors import ConfigError, DomainError, check_integer, check_real
+from .errors import (ConfigError, DomainError, NonFiniteScores, ShapeMismatch, check_integer,
+                     check_real)
 from .classifier import BaseClassifier
 
 _WORD = (1 << 64) - 1
@@ -153,10 +157,8 @@ def clopper_pearson_lower(successes: int, trials: int, alpha: float) -> float:
     check_integer(trials, lambda n: n >= 1, bad)
     check_integer(successes, lambda k: 0 <= k <= trials, bad)
     check_real(alpha, lambda a: 0.0 < a < 1.0, f"alpha must lie in (0, 1), got {alpha!r}")
-    if successes == 0:
+    if successes == 0:  # betaincinv's NaN
         return 0.0
-    if successes == trials:
-        return float(alpha ** (1.0 / trials))
     return float(betaincinv(successes, trials - successes + 1, alpha))
 
 
@@ -198,8 +200,7 @@ def _estimate(counts: np.ndarray, cfg: SmoothingConfig) -> SmoothedEstimate:
     p_b = 1.0 - p_a
     if p_a <= 0.5:
         return SmoothedEstimate(top, p_a, p_b, counts, 0.0, True)
-    radius = 0.5 * cfg.sigma * (gaussian_quantile(p_a) - gaussian_quantile(p_b))
-    return SmoothedEstimate(top, p_a, p_b, counts, radius, False)
+    return SmoothedEstimate(top, p_a, p_b, counts, cfg.sigma * gaussian_quantile(p_a), False)
 
 
 def smoothed_estimates(
@@ -210,33 +211,42 @@ def smoothed_estimates(
 ) -> list:
     """Estimate the smoothed prediction at each image, every image tallied
     against the same draws of ``stream``, on the threads of the module's
-    thread rule.
+    thread rule.  A score block that is not one row of ``label_count``
+    scores per draw raises ``ShapeMismatch``; non-finite scores, or a
+    non-finite logit map or image logits, raise ``NonFiniteScores``.
     """
     threads = worker_count()
     images = np.asarray(images, dtype=np.float64)
     if not len(images):
         return []
+    label_count = classifier.label_count
     logit_map = None if cfg.force_pixel_noise else classifier.logit_map()
     if logit_map is None:
         bases = images.reshape(len(images), -1)
         push = lambda block: np.multiply(block, cfg.sigma, out=block)
-        score = lambda batch: classifier.predict_batch(batch.reshape(-1, *images.shape[1:]))
+
+        def score(batch):
+            scores = np.asarray(classifier.predict_batch(batch.reshape(-1, *images.shape[1:])))
+            if scores.shape != (len(batch), label_count):
+                raise ShapeMismatch(f"scores of shape {scores.shape} for {len(batch)} "
+                                    f"images of {label_count} labels")
+            if not np.isfinite(scores).all():
+                raise NonFiniteScores("the classifier returned non-finite scores")
+            return scores
     else:
         a_mat, bias = logit_map
         # one product per image, the arithmetic of a one-image call
         bases = np.array([a_mat @ image.reshape(-1) + bias for image in images])
-        cov = (cfg.sigma**2) * (a_mat @ a_mat.T)
-        try:
-            factor = np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError:
-            vals, vecs = np.linalg.eigh(cov)
-            factor = vecs * np.sqrt(np.clip(vals, 0.0, None))
+        if not (np.isfinite(a_mat).all() and np.isfinite(bases).all()):
+            raise NonFiniteScores("the logit map or an image's logits are not finite")
+        vals, vecs = np.linalg.eigh((cfg.sigma**2) * (a_mat @ a_mat.T))
+        factor = vecs * np.sqrt(np.clip(vals, 0.0, None))
         push = lambda block: block @ factor.T
         score = lambda logits: logits
         # one thread: letting the thread rule apply here made demo-attack
         # slower in 7 of 8 alternating 8 s pairs (35.5 against 38.4 scenes/s)
         threads = 1
-    counts = _tally(bases, cfg, stream, threads, push, score, classifier.label_count)
+    counts = _tally(bases, cfg, stream, threads, push, score, label_count)
     return [_estimate(c, cfg) for c in counts]
 
 

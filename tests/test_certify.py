@@ -212,7 +212,7 @@ class TestCertify:
         report = certify(cloud, spec, cam, ConfidentClassifier(), SMOOTH,
                          CertMethod.EXACT, IVCFG)
         payload = report.to_json()
-        assert payload["pws_report_version"] == 7
+        assert payload["pws_report_version"] == 8
         assert payload["verdict"] == "certified"
         assert payload["n_distinct_frames"] == 1  # the point never leaves its cell
         assert "noise_clamped" not in payload
@@ -227,7 +227,7 @@ class TestCertify:
         report = certify(cloud, spec, cam, clf, SMOOTH, CertMethod.EXACT, IVCFG)
         payload = report.to_json()
         want = dataclasses.asdict(report)
-        want.update(pws_report_version=7, verdict=report.verdict.value,
+        want.update(pws_report_version=8, verdict=report.verdict.value,
                     method=report.method.value,
                     timing={"wall_time_s": want.pop("wall_time_s")})
         assert payload == want

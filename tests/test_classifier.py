@@ -11,6 +11,7 @@ from pwscert import (
     FileFormatError,
     IntervalConfig,
     LinearSoftmaxClassifier,
+    NonFiniteScores,
     ShapeMismatch,
     SmoothingConfig,
     Verdict,
@@ -131,6 +132,15 @@ class TestPredict:
         with pytest.raises(ShapeMismatch):
             LinearSoftmaxClassifier(weights, bias, (1, 8, 8), 4)
 
+    @pytest.mark.parametrize("weight, bias", [
+        (np.nan, 0.0), (np.inf, 0.0), (-np.inf, 0.0), (0.0, np.nan), (0.0, np.inf),
+    ])
+    def test_non_finite_weights_or_bias_rejected(self, weight, bias):
+        weights = np.ones((4, 3))
+        weights[2, 1] = weight
+        with pytest.raises(ConfigError, match="finite"):
+            LinearSoftmaxClassifier(weights, [0.0, bias, 0.0], (1, 8, 8), 4)
+
     def test_scores_equal_pooled_features_oracle(self, demo_classifier, dataset):
         # training scores the pooled features; prediction goes through the
         # logit map, which sums the same terms in another order
@@ -208,6 +218,34 @@ class TestContract:
             one = model.predict(image)
             assert one.tobytes() == model.predict_batch(image[None])[0].tobytes()
             assert one.tobytes() == demo_classifier.predict(image).tobytes()
+
+    @pytest.mark.parametrize("bad, error", [
+        (lambda scores: np.full_like(scores, np.nan), NonFiniteScores),
+        (lambda scores: np.where(scores > 0.5, np.inf, scores), NonFiniteScores),
+        (lambda scores: scores[:, :-1], ShapeMismatch),
+        (lambda scores: scores[:-1], ShapeMismatch),
+        (lambda scores: scores[:, 0], ShapeMismatch),
+    ], ids=["nan", "inf", "label-short", "row-short", "flat"])
+    def test_bad_scores_never_certify(self, demo_corpus, demo_classifier, bad, error):
+        # NaN scores would take np.argmax's first NaN, label 0, on every draw
+        scenes, cam = demo_corpus
+        model = BatchOnly(demo_classifier)
+        model.predict_batch = lambda images: bad(demo_classifier.predict_batch(images))
+        cfg = SmoothingConfig(sigma=0.5, n_samples=1000, confidence_alpha=0.001, seed=0)
+        with pytest.raises(error):
+            certify(scenes[0].cloud, demo_specs()[0], cam, model, cfg,
+                    CertMethod.EXACT, IntervalConfig(resolution=1201, quantile=1.0))
+
+    @pytest.mark.parametrize("where", ["map", "bias", "image"])
+    def test_non_finite_logits_rejected(self, demo_classifier, dataset, where):
+        a_mat, bias = (array.copy() for array in demo_classifier.logit_map())
+        image = dataset[0][0].copy()
+        {"map": a_mat, "bias": bias, "image": image}[where].flat[3] = np.nan
+        model = BatchOnly(demo_classifier)
+        model.logit_map = lambda: (a_mat, bias)
+        cfg = SmoothingConfig(sigma=0.5, n_samples=1000, confidence_alpha=0.001, seed=0)
+        with pytest.raises(NonFiniteScores):
+            smoothed_estimate(model, image, cfg)
 
     @pytest.mark.parametrize("labels", [None, 2])
     def test_model_without_the_contract_fails_at_its_first_tally(self, labels):
@@ -293,6 +331,18 @@ class TestModelFile:
         # every header above describes 148 floats, the body of a 36 x 4 model
         path.write_bytes(json.dumps(header).encode() + b"\n" + b"\0" * 592)
         with pytest.raises(FileFormatError, match="bad model header fields"):
+            load_model(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("offset", [0, 2, -1])  # weights first, the bias last
+    def test_non_finite_body_rejected(self, tmp_path, demo_classifier, value, offset):
+        path = tmp_path / "model.pws"
+        save_model(path, demo_classifier)
+        head, body = path.read_bytes().split(b"\n", 1)
+        params = np.frombuffer(body, dtype="<f4").copy()
+        params[offset] = value
+        path.write_bytes(head + b"\n" + params.tobytes())
+        with pytest.raises(FileFormatError, match="finite"):
             load_model(path)
 
     @pytest.mark.parametrize("downsample", [0, -1])

@@ -141,7 +141,7 @@ class TestCertifyAttackReport:
         assert 0.0 <= summary["certified_accuracy"] <= 1.0
         one = next(iter(summary["samples"]))
         payload = json.loads((run / f"{one}.cert.json").read_text())
-        assert payload["pws_report_version"] == 7
+        assert payload["pws_report_version"] == 8
 
         res = runner.invoke(main, [
             "attack", "--corpus", str(corpus), "--model", str(model),
@@ -408,6 +408,24 @@ class TestErrorHandling:
         assert res.exit_code == 1
         [line] = res.output.splitlines()
         assert line.startswith("file_format: bad model header fields: ")
+
+    def test_nan_model_exits_1(self, runner, workspace, tmp_path):
+        # one NaN weight used to certify every scene with label 0
+        _, corpus, model = workspace
+        head, body = model.read_bytes().split(b"\n", 1)
+        params = np.frombuffer(body, dtype="<f4").copy()
+        params[5] = np.nan
+        bad = tmp_path / "nan.pws"
+        bad.write_bytes(head + b"\n" + params.tobytes())
+        res = runner.invoke(main, [
+            "certify", "--corpus", str(corpus), "--model", str(bad),
+            "--axis", "tz", "--radius", "36mm", "--n-samples", "1000",
+            "--out", str(tmp_path / "run"),
+        ])
+        assert res.exit_code == 1
+        [line] = res.output.splitlines()
+        assert line.startswith("file_format: ") and "finite" in line
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("command", ["certify", "attack", "project", "report",
                                          "train", "partition", "gen-scenes"])

@@ -5,6 +5,7 @@ from pwscert import (
     Axis,
     CameraModel,
     ColoredPointCloud,
+    ConfigError,
     EmptyFrame,
     FileFormatError,
     InvalidRange,
@@ -56,6 +57,25 @@ class TestGenerateScene:
     def test_too_few_points(self, demo_cam):
         with pytest.raises(InvalidRange):
             generate_scene(ShapeClass.BOX_FACE, 50, (1.5, 2.5), 0, demo_cam)
+
+    @pytest.mark.parametrize("field, value", [
+        ("point_count", 500.0), ("point_count", "500"), ("point_count", True),
+        ("color_seed", 1.5), ("color_seed", "1"), ("color_seed", True), ("color_seed", -1),
+        ("channels", 1.0), ("channels", True), ("channels", 0),
+        ("depth_range", ("1.5", 2.5)), ("depth_range", (1.5, None)),
+        ("depth_range", (True, 2.5)),
+    ])
+    def test_bad_numbers_rejected(self, demo_cam, field, value):
+        args = dict(point_count=500, depth_range=(1.5, 2.5), color_seed=0, channels=1)
+        with pytest.raises(ConfigError, match=field.split("_")[0]):
+            generate_scene(ShapeClass.BOX_FACE, cam=demo_cam, **{**args, field: value})
+
+    def test_numpy_numbers_accepted(self, demo_cam):
+        a = generate_scene(ShapeClass.BOX_FACE, np.int64(800), np.array([1.5, 2.5]),
+                           np.uint8(3), demo_cam, channels=np.int32(1))
+        b = generate_scene(ShapeClass.BOX_FACE, 800, (1.5, 2.5), 3, demo_cam, channels=1)
+        assert a.name == b.name == "box_face_3"
+        np.testing.assert_array_equal(a.cloud.points, b.cloud.points)
 
     def test_bad_depth_band(self, demo_cam):
         with pytest.raises(InvalidRange):

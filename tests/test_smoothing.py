@@ -17,7 +17,8 @@ from pwscert import (
     smoothed_estimates,
     smoothed_prediction,
 )
-from pwscert.smoothing import _NOISE_ENTRIES, STREAM_FRAME, noise_generator, stream_id
+from pwscert.smoothing import (_NOISE_ENTRIES, STREAM_FRAME, _estimate, noise_generator,
+                               stream_id)
 
 
 class ConstantClassifier(BaseClassifier):
@@ -83,9 +84,11 @@ def block_oracle(clf, image, cfg, stream, rows):
 
 def logit_block_oracle(clf, image, cfg, stream, rows):
     """Logit-path counts of ``image``: the block draws of one logit vector
-    each, pushed through a Cholesky factor of ``sigma^2 A A^T``."""
+    each, pushed through the factor ``V sqrt(max(lambda, 0))`` of the
+    eigendecomposition of ``sigma^2 A A^T``."""
     a_mat, bias = clf.logit_map()
-    factor = np.linalg.cholesky((cfg.sigma**2) * (a_mat @ a_mat.T))
+    vals, vecs = np.linalg.eigh((cfg.sigma**2) * (a_mat @ a_mat.T))
+    factor = vecs * np.sqrt(np.clip(vals, 0.0, None))
     noise = block_draws(cfg, stream, rows, len(bias)) @ factor.T
     logits = a_mat @ image.reshape(-1) + bias + noise
     return np.bincount(np.argmax(logits, axis=1), minlength=clf.label_count)
@@ -176,10 +179,13 @@ class TestClopperPearson:
         assert clopper_pearson_lower(0, 50, 0.05) == 0.0
 
     def test_all_successes_closed_form(self):
-        # Beta(n, 1) quantile is alpha**(1/n)
-        val = clopper_pearson_lower(100, 100, 0.001)
-        assert val == pytest.approx(0.001 ** (1 / 100), rel=1e-12)
-        assert val == pytest.approx(0.9332543007969910, abs=1e-12)
+        # Beta(n, 1) quantile is alpha**(1/n); betaincinv returns its bits
+        trials = [*range(1, 400), 1000, 2000, 4000, 9999, 10000, 40000, 123457]
+        for alpha in (1e-9, 1e-6, 1e-4, 0.001, 0.01, 0.05, 0.5, 0.9):
+            for n in trials:
+                assert clopper_pearson_lower(n, n, alpha) == alpha ** (1 / n), (n, alpha)
+        assert clopper_pearson_lower(100, 100, 0.001) == pytest.approx(
+            0.9332543007969910, abs=1e-12)
 
     def test_middle_value_against_bisection(self):
         # mpmath regularized-incomplete-beta bisection: 0.72279975032908635
@@ -266,8 +272,42 @@ class TestSmoothedEstimate:
         want = logit_block_oracle(clf, img, cfg, 7, rows)
         np.testing.assert_array_equal(est.counts, want)
         assert np.count_nonzero(want) == 3 and want.max() < 0.6 * cfg.n_samples
-        # the oracle sees the layout: one row more per block moves the counts
-        assert not np.array_equal(logit_block_oracle(clf, img, cfg, 7, rows + 1), want)
+        # the oracle sees the layout: half the rows per block moves the counts
+        # (one row more moves 4 of the 20,000 draws, whose labels here balance)
+        assert not np.array_equal(logit_block_oracle(clf, img, cfg, 7, rows // 2), want)
+
+    @pytest.mark.parametrize("builtin", [False, True])
+    def test_logit_counts_need_no_cholesky(self, builtin, demo_classifier, demo_corpus,
+                                           monkeypatch):
+        # the built-in model's weights sum to zero over the labels, so its
+        # covariance is singular and Cholesky passes or fails by rounding:
+        # the counts must come from one factor whatever Cholesky would do
+        if builtin:
+            from pwscert import render
+            from pwscert.demo import demo_specs
+            from pwscert.geometry import MotionValue
+
+            scenes, cam = demo_corpus
+            image = render(scenes[0].cloud, MotionValue(demo_specs()[0], 0.0), cam)
+            weights = demo_classifier.weights
+            assert np.abs(weights.sum(axis=1)).max() < 1e-12
+            a_mat, _ = demo_classifier.logit_map()
+            clf = LinearSoftmaxClassifier(weights, -(a_mat @ image.reshape(-1)),
+                                          demo_classifier.image_shape,
+                                          demo_classifier.downsample)
+        else:  # a random full-rank logit map, which Cholesky accepts
+            shape = (1, 8, 8)
+            image = np.random.default_rng(16).uniform(0.0, 1.0, shape)
+            clf = tied_classifier(shape, image, 3, seed=16)
+        cfg = SmoothingConfig(sigma=0.5, n_samples=20000, confidence_alpha=0.01, seed=8)
+        want = smoothed_estimate(clf, image, cfg).counts
+
+        def refuse(matrix):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", refuse)
+        np.testing.assert_array_equal(smoothed_estimate(clf, image, cfg).counts, want)
+        assert np.count_nonzero(want) > 1
 
     def test_pixel_blocks_match_one_batch_oracle(self):
         shape = (1, 64, 64)
@@ -305,6 +345,22 @@ class TestSmoothedEstimate:
         r2 = 0.5 * gaussian_quantile(est2.p_a_lower)
         assert est1.radius == pytest.approx(r1, rel=1e-12)
         assert est2.radius == pytest.approx(r2, rel=1e-12)
+
+    def test_radius_equals_two_class_form(self):
+        # the tally's one quantile call gives the two-quantile radius bit for bit
+        sigma = 0.37
+        cfg = SmoothingConfig(sigma=sigma, n_samples=10000, confidence_alpha=0.001)
+        for k in range(5100, 10001, 7):
+            counts = np.array([10000 - k, k])
+            est = _estimate(counts, cfg)
+            p = est.p_a_lower
+            if p <= 0.5:
+                continue
+            assert est.radius == 0.5 * sigma * (
+                gaussian_quantile(p) - gaussian_quantile(1 - p)), k
+        for p in np.random.default_rng(21).uniform(0.5, 1.0, 20000):
+            assert sigma * gaussian_quantile(p) == 0.5 * sigma * (
+                gaussian_quantile(p) - gaussian_quantile(1 - p)), p
 
     def test_radius_monotone_in_confidence(self):
         sigma = 0.4

@@ -22,9 +22,12 @@ the same way, certify reports (TZ and RY) and a 300-pose attack on two of
 the demo scenes with ``force_pixel_noise`` at 2,000 draws.  Those runs
 tally at most 4,000 draws, inside the first noise block, so it also
 hashes the logit-path ``smoothed_estimates`` of four demo frames, one per
-class, at 20,000 draws, three blocks, with the demo model and with one
+class, at 20,000 draws, three blocks, with the demo model, with one
 whose logits all tie at the first frame, so that its counts split
-between the labels.
+between the labels, and with a random full-rank logit map tied the same
+way.  Every trained model's logit covariance is singular, so only that
+last line shows a change to how the logit path factors a covariance that
+Cholesky would accept.
 
 The sweep part hashes, bit for bit, the ``_sweep_runs`` arrays (2,001
 poses) and the ``render_sweep`` frames (2,001 sorted poses, plus a sorted
@@ -130,7 +133,8 @@ def library_digests(workdir: Path):
     """Library runs on the pixel-space tally, which no CLI run takes: certify
     on TZ 36 mm and RY 0.026 rad (quantile 1.0) and a 300-pose attack on TZ,
     on two scenes of the demo corpus with its model, at 2,000 draws; then
-    logit-path estimates past the first noise block."""
+    logit-path estimates past the first noise block, the last of them with
+    a random full-rank logit map."""
     scenes, cam = pc.load_corpus(workdir / "demo")
     clf = pc.load_model(workdir / "demo.pws")
     cfg = pc.SmoothingConfig(sigma=0.5, n_samples=2000, confidence_alpha=0.001,
@@ -145,11 +149,18 @@ def library_digests(workdir: Path):
         yield f"library attack {scene.name} tz", attack.to_json()
     frames = [pc.render(scene.cloud, pc.MotionValue(demo_specs()[0], 0.0), cam)
               for scene in scenes[::2]]  # one scene per class
-    a_mat, _ = clf.logit_map()
-    tied = pc.LinearSoftmaxClassifier(clf.weights, -(a_mat @ frames[0].reshape(-1)),
-                                      clf.image_shape, clf.downsample)
+
+    def tied(weights):
+        untied = pc.LinearSoftmaxClassifier(weights, np.zeros(weights.shape[1]),
+                                            clf.image_shape, clf.downsample)
+        a_mat, _ = untied.logit_map()
+        return pc.LinearSoftmaxClassifier(weights, -(a_mat @ frames[0].reshape(-1)),
+                                          clf.image_shape, clf.downsample)
+
+    full_rank = np.random.default_rng(20261022).standard_normal(clf.weights.shape)
     cfg = pc.SmoothingConfig(sigma=0.5, n_samples=20000, confidence_alpha=0.001, seed=0)
-    for name, model in (("demo", clf), ("tied", tied)):
+    for name, model in (("demo", clf), ("tied", tied(clf.weights)),
+                        ("full-rank", tied(full_rank))):
         estimates = pc.smoothed_estimates(model, frames, cfg)
         yield f"library estimates {name} logit", [
             {**vars(est), "counts": est.counts.tolist()} for est in estimates]

@@ -258,7 +258,9 @@ def load_model(path) -> LinearSoftmaxClassifier:
     if len(body) != size:
         raise FileFormatError(f"model body has {len(body)} bytes, expected {size}")
     params = np.frombuffer(body, dtype="<f4").astype(np.float64)
-    try:  # the constructor checks the pooling geometry and finite parameters
+    if not np.isfinite(params).all():
+        raise FileFormatError("model body holds weights or bias that are not finite")
+    try:  # the constructor checks the pooling geometry
         return LinearSoftmaxClassifier(params[: f * labels].reshape(f, labels),
                                        params[f * labels :], shape, downsample)
     except (ConfigError, ShapeMismatch) as exc:

@@ -196,6 +196,8 @@ def cmd_gen_scenes(out, profile, classes, per_class, points, grid, channels, dep
     if per_class < 1 or channels < 1:
         raise ConfigError(f"per-class and channels must be at least 1, got "
                           f"{per_class} and {channels}")
+    if seed < 0:  # each scene's color seed is seed * 1000 + its index
+        raise ConfigError(f"--seed must be a non-negative integer, got {seed}")
     if profile in ("demo", "churn"):
         variant = "trend" if profile == "demo" else "churn"
         cam = demo_camera()

@@ -40,6 +40,7 @@ for point clouds (ASCII), documented in ``save_image`` / ``save_cloud``.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -127,11 +128,14 @@ def _cells(uv, depth, cam: CameraModel) -> np.ndarray:
     return cell.astype(np.int64)
 
 
-def _grid(cam: CameraModel):
-    """The number of ``_cells`` cells, and the cell of each of the H*W
-    pixels in row-major order."""
-    padded = (cam.height + 2) * (cam.width + 2)
-    return padded + 1, np.arange(padded).reshape(cam.height + 2, -1)[1:-1, 1:-1].ravel()
+@functools.lru_cache(maxsize=16)
+def _grid(height: int, width: int):
+    """The number of ``_cells`` cells of an H x W camera, and the cell of
+    each of its H*W pixels in row-major order, read-only."""
+    padded = (height + 2) * (width + 2)
+    pixels = np.arange(padded).reshape(height + 2, -1)[1:-1, 1:-1].ravel()
+    pixels.setflags(write=False)
+    return padded + 1, pixels
 
 
 def _zbuffer(cloud: ColoredPointCloud, axis: Axis, values, cam: CameraModel):
@@ -141,7 +145,7 @@ def _zbuffer(cloud: ColoredPointCloud, axis: Axis, values, cam: CameraModel):
     winning point index, -1 where empty."""
     values = np.asarray(values, dtype=np.float64).reshape(-1, 1)
     poses, n = len(values), len(cloud)
-    size, pixels = _grid(cam)
+    size, pixels = _grid(cam.height, cam.width)
     uv, depth = project_points(cloud.points, axis, values, cam)
     cell = _cells(uv, depth, cam)
     # pose t owns slots t*size .. t*size + size - 1
@@ -191,7 +195,7 @@ def _traced_changes(cloud: ColoredPointCloud, axis: Axis, values, cam: CameraMod
     pose 0 only.
     """
     points = cloud.points
-    n, (size, pixels) = len(points), _grid(cam)
+    n, (size, pixels) = len(points), _grid(cam.height, cam.width)
     if axis is Axis.TZ:
         z = np.unique(points[:, 2])
         # 2^-51: one more bit covers the rounding of the gaps and the bound
@@ -294,7 +298,7 @@ def _horizon_changes(cloud: ColoredPointCloud, axis: Axis, values, cam: CameraMo
     # the depth turns in the plane (p, q) of _MOTION or stays at z, so two
     # points' depths drift apart at most at hypot(dp, dq), or never
     pair = sorted(_MOTION[axis]) if 2 in _MOTION[axis] else None
-    index, (size, pixels) = np.arange(len(points)), _grid(cam)
+    index, (size, pixels) = np.arange(len(points)), _grid(cam.height, cam.width)
     most = _block_size(max(len(points), cam.height * cam.width))
 
     def horizon(uv, depth, cell, winners):

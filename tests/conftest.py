@@ -15,6 +15,7 @@ from pwscert.demo import build_demo_scene, demo_camera, demo_specs
 from pwscert.errors import NonPositiveDepth
 from pwscert.geometry import DEPTH_EPS, MotionValue, _sinusoid_range, project_points
 from pwscert.scenes import ShapeClass
+from pwscert.smoothing import _cached_block
 
 
 def random_visible_points(rng, n, z_lo=1.2, z_hi=3.0, spread=0.9):
@@ -232,6 +233,13 @@ def dense_logit_map(clf):
 def axis_radius(axis):
     """Motion radii keeping random test points visible over the range."""
     return 0.25 if not axis.is_rotation else 0.12
+
+
+@pytest.fixture(autouse=True)
+def cold_noise_cache():
+    """Each test starts with no noise block cached, so generator counts do
+    not depend on the tests run before it."""
+    _cached_block.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -342,7 +342,7 @@ class TestModelFile:
         params = np.frombuffer(body, dtype="<f4").copy()
         params[offset] = value
         path.write_bytes(head + b"\n" + params.tobytes())
-        with pytest.raises(FileFormatError, match="finite"):
+        with pytest.raises(FileFormatError, match="^model body .* not finite$"):
             load_model(path)
 
     @pytest.mark.parametrize("downsample", [0, -1])

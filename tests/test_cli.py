@@ -333,6 +333,8 @@ class TestErrorHandling:
         ("--channels", "-1", "per-class and channels must be at least 1, got 1 and -1"),
         ("--per-class", "0", "per-class and channels must be at least 1, got 0 and 1"),
         ("--per-class", "-1", "per-class and channels must be at least 1, got -1 and 1"),
+        ("--seed", "-1", "--seed must be a non-negative integer, got -1"),
+        ("--seed", "-1000", "--seed must be a non-negative integer, got -1000"),
     ])
     def test_bad_gen_scenes_number_exits_2(self, runner, tmp_path, option, value, message):
         out = tmp_path / "corpus"
@@ -425,6 +427,7 @@ class TestErrorHandling:
         assert res.exit_code == 1
         [line] = res.output.splitlines()
         assert line.startswith("file_format: ") and "finite" in line
+        assert "body" in line and "header" not in line
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("command", ["certify", "attack", "project", "report",

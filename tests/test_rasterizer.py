@@ -221,6 +221,14 @@ class TestCells:
             assert winners[0, 8 * small_cam.width + 8] == (0 if on_grid else -1), name
             assert np.count_nonzero(winners >= 0) == on_grid, name
 
+    def test_grid_is_built_once_and_read_only(self):
+        size, pixels = rasterizer._grid(2, 3)
+        # a 4 x 5 padded grid and one cell behind the camera
+        assert size == 21 and pixels.tolist() == [6, 7, 8, 11, 12, 13]
+        assert rasterizer._grid(2, 3)[1] is pixels
+        with pytest.raises(ValueError, match="read-only"):
+            pixels[0] = 0
+
     def test_nan_pose_reaches_no_pixel(self, small_cam):
         cloud = ColoredPointCloud([p for p, _ in self.POINTS.values()],
                                   np.full((len(self.POINTS), 1), 0.7))

@@ -17,8 +17,8 @@ from pwscert import (
     smoothed_estimates,
     smoothed_prediction,
 )
-from pwscert.smoothing import (_NOISE_ENTRIES, STREAM_FRAME, _estimate, noise_generator,
-                               stream_id)
+from pwscert.smoothing import (_CACHED_PREFIX, _NOISE_ENTRIES, STREAM_FRAME, _cached_block,
+                               _estimate, _noise_block, noise_generator, stream_id)
 
 
 class ConstantClassifier(BaseClassifier):
@@ -617,3 +617,110 @@ class TestNoiseStreams:
         a = noise_generator(2**32, 5, 0).random(8)
         b = noise_generator(0, 1, 5).random(8)
         assert not np.array_equal(a, b)
+
+
+def record_generators(monkeypatch):
+    """The key of every noise generator made, appended as it is made."""
+    from pwscert import smoothing
+
+    keys, make = [], smoothing.noise_generator
+    monkeypatch.setattr(smoothing, "noise_generator",
+                        lambda *key: keys.append(key) or make(*key))
+    return keys
+
+
+class TestNoiseCache:
+    """Every stream's first blocks are drawn once per process, read-only,
+    and the estimates do not depend on the cache."""
+
+    @pytest.mark.parametrize("path", ["pixel", "logit"])
+    @pytest.mark.parametrize("cold, warm", [(1, 2), (2, 1)])
+    def test_warm_repeat_draws_nothing(self, path, cold, warm, monkeypatch):
+        shape = (1, 8, 8)
+        images = np.random.default_rng(16).uniform(0.0, 1.0, (2, *shape))
+        clf = tied_classifier(shape, images[0], 3, seed=16)
+        # 3 blocks on either path: 1024-draw pixel blocks, 8192-draw logit blocks
+        cfg = SmoothingConfig(sigma=0.5, n_samples=2500 if path == "pixel" else 20000,
+                              confidence_alpha=0.01, seed=9,
+                              force_pixel_noise=path == "pixel")
+        keys = record_generators(monkeypatch)
+        monkeypatch.setenv("PWS_THREADS", str(cold))
+        want = smoothed_estimates(clf, images, cfg, stream=7)
+        assert sorted(keys) == [(9, 7, b) for b in range(3)]
+        keys.clear()
+        monkeypatch.setenv("PWS_THREADS", str(warm))
+        got = smoothed_estimates(clf, images, cfg, stream=7)
+        assert keys == []
+        for est, ref in zip(got, want):
+            np.testing.assert_array_equal(est.counts, ref.counts)
+        assert np.count_nonzero(want[0].counts) > 1
+
+    def test_concurrent_callers_share_the_cache(self, monkeypatch):
+        from pwscert import smoothing
+
+        # six cold callers on more threads than cores, with a thread switch
+        # every microsecond: a block stored half drawn, or drawn under
+        # another block's key, changes some image's counts
+        rng = np.random.default_rng(17)
+        shape = (1, 4, 4)
+        clf = LinearSoftmaxClassifier(rng.standard_normal((1, 3)),
+                                      rng.standard_normal(3), shape, 4)
+        images = rng.uniform(0.0, 1.0, (3, *shape))
+        cfg = SmoothingConfig(sigma=4.0, n_samples=400, confidence_alpha=0.01,
+                              seed=8, force_pixel_noise=True)
+        monkeypatch.setattr(smoothing, "_NOISE_ENTRIES", 16 * 16)  # 25 blocks of 16 draws
+        monkeypatch.setenv("PWS_THREADS", "2")
+        want = [est.counts for est in smoothed_estimates(clf, images, cfg, stream=2)]
+        _cached_block.cache_clear()
+        got = [None] * 6
+
+        def call(i):
+            got[i] = [est.counts for est in smoothed_estimates(clf, images, cfg, stream=2)]
+
+        callers = [threading.Thread(target=call, args=(i,)) for i in range(len(got))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        for counts in got:
+            for c, w in zip(counts, want):
+                np.testing.assert_array_equal(c, w)
+        assert _cached_block.cache_info().currsize == _CACHED_PREFIX
+
+    def test_cached_block_is_read_only(self):
+        cfg = SmoothingConfig(sigma=0.5, seed=2)
+        block = _noise_block(cfg, 3, 0, 16, 4)
+        assert _noise_block(cfg, 3, 0, 16, 4) is block
+        with pytest.raises(ValueError, match="read-only"):
+            block[0, 0] = 1.0
+        np.testing.assert_array_equal(
+            block, noise_generator(2, 3, 0).standard_normal((16, 4)))
+
+    def test_only_the_prefix_of_small_blocks_is_cached(self, monkeypatch):
+        cfg = SmoothingConfig(sigma=0.5, seed=2)
+        past = _noise_block(cfg, 3, _CACHED_PREFIX, 16, 4)
+        large = _noise_block(cfg, 3, 0, 1, _NOISE_ENTRIES + 1)
+        assert past.flags.writeable and large.flags.writeable
+        assert _cached_block.cache_info().currsize == 0
+        _noise_block(cfg, 3, _CACHED_PREFIX - 1, 2, _NOISE_ENTRIES // 2)
+        assert _cached_block.cache_info().currsize == 1
+        # a 10-block pixel tally keeps its first 8 blocks, and 2^16 + 1
+        # pixels make one-draw blocks too large to keep
+        keys = record_generators(monkeypatch)
+        for width, n_samples, drawn, cached in [(1024, 640, 10, _CACHED_PREFIX),
+                                                (_NOISE_ENTRIES + 1, 100, 100, 0)]:
+            _cached_block.cache_clear()
+            keys.clear()
+            smoothed_estimate(ConstantClassifier(1), np.zeros((1, 1, width)),
+                              SmoothingConfig(sigma=0.5, n_samples=n_samples))
+            info = _cached_block.cache_info()
+            assert (info.currsize, info.misses, info.hits) == (cached, cached, 0)
+            assert len(keys) == drawn
+        # at most maxsize blocks of at most 2^16 float64 values: 16 MiB
+        assert _cached_block.cache_info().maxsize * _NOISE_ENTRIES * 8 == 16 << 20

@@ -3,16 +3,19 @@
     PYTHONPATH=src python tools/work_counts.py demo-attack wild-certify blackbox-certify
 
 For each named workload it sets the corpus and model up as the benchmark
-does (``perfbench/workloads.py``, imported and left unchanged), runs one
-pass at seed 1, and prints one JSON line of what that pass did:
+does (``perfbench/workloads.py``, imported and left unchanged), empties the
+noise block cache, runs one pass at seed 1, and prints one JSON line of
+what that pass did.  Each line is a cold pass, whatever workloads ran
+before it:
 
 * ``images_rendered``: poses the render path takes from ``zbuffer_changes``,
   each rendered and hashed once;
 * ``adjacent_errors``: ``adjacent_frame_error`` calls made by ``certify``;
-* ``noise_generators``: noise generators made (``noise_generator``), one
-  per noise block;
-* ``noise_blocks``: noise blocks drawn (``_noise_block``) on the logit and
-  the pixel path alike, which do not depend on ``PWS_THREADS``;
+* ``noise_generators``: noise blocks drawn, one generator (``noise_generator``)
+  each: the blocks the cache did not hold;
+* ``noise_blocks``: noise blocks requested (``_noise_block``), cached or
+  not, on the logit and the pixel path alike; neither count depends on
+  ``PWS_THREADS``;
 * ``tallied_images``: images handed to ``smoothed_estimates``.
 
 The counts come from wrapping those functions, so they run against any
@@ -39,6 +42,8 @@ certify = importlib.import_module("pwscert.certify")
 COUNTS = dict.fromkeys(["images_rendered", "adjacent_errors", "noise_generators",
                         "noise_blocks", "tallied_images"], 0)
 LOCK = threading.Lock()  # pixel-path tally threads count concurrently
+# the noise block cache; a checkout without one draws every block it asks for
+CACHE = getattr(smoothing, "_cached_block", None)
 
 
 def count(module, name, key, amount=lambda args: 1):
@@ -75,6 +80,8 @@ def main(names) -> None:
         with tempfile.TemporaryDirectory() as tmp:
             env = W.setup(Path(tmp), 1, workload.corpus)
             COUNTS.update(dict.fromkeys(COUNTS, 0))  # the set-up renders too
+            if CACHE is not None:
+                CACHE.cache_clear()
             workload.run(env)
         print(json.dumps({"workload": name, **COUNTS}), flush=True)
 

@@ -166,6 +166,8 @@ def builtin_train(
     derived from the seed and the example content, so shuffling the input
     list does not change the model.
     """
+    check_integer(seed, lambda s: 0 <= s < 1 << 64,
+                  f"seed must be an integer in [0, 2**64), got {seed!r}")
     if not dataset:
         raise DegenerateDataset("empty dataset")
     images = [np.asarray(img, dtype=np.float64) for img, _ in dataset]
@@ -187,7 +189,7 @@ def builtin_train(
         flat = images[i].ravel()
         rows.append(flat)
         row_labels.append(labels[i])
-        base_key = int.from_bytes(digests[i][:16], "little") ^ (seed & 0xFFFFFFFFFFFFFFFF)
+        base_key = int.from_bytes(digests[i][:16], "little") ^ int(seed)
         for copy in range(augment_count):
             rng = Generator(Philox(key=(base_key + copy + 1) & _KEY_MASK))
             rows.append(flat + noise_sigma * rng.standard_normal(flat.size))

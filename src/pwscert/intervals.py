@@ -50,6 +50,7 @@ from .errors import (ConfigError, DegenerateInterval, InvalidDelta, NegativeMarg
                      check_integer, check_real)
 from .geometry import (
     CameraModel,
+    DEPTH_EPS,
     MotionSpec,
     lipschitz_constants,
     delta_constant,
@@ -98,6 +99,11 @@ class IntervalConfig:
     quantile: float = DEFAULT_QUANTILE
     convexity: DeltaConvexity = None
     background = DEFAULT_BACKGROUND  # not a field: certification always renders on it
+
+    def __post_init__(self):
+        if not (self.convexity is None or isinstance(self.convexity, DeltaConvexity)):
+            raise ConfigError("convexity must be a DeltaConvexity or None, "
+                              f"got {self.convexity!r}")
 
 
 @dataclass
@@ -271,7 +277,7 @@ def one_frame_delta(
     constant with the closed-form convexity slack and trimming each span
     by two deltas, so the bound never exceeds the full cloud's exact one.
     """
-    if convexity is None:
+    if not isinstance(convexity, DeltaConvexity):
         raise ConfigError("one-frame certification requires a convexity delta")
 
     def margins(runs):
@@ -298,6 +304,8 @@ def check_delta_convexity(
     (max norm) at a depth no greater than the absent point's.  Returns
     False at the first counterexample.
     """
+    check_integer(samples, lambda s: s >= 1,
+                  f"samples must be a positive integer, got {samples!r}")
     from scipy.spatial import cKDTree  # here: it slows the start of every command
     of_keys = {p.tobytes() for p in one_frame.points}
     hidden_mask = np.array(
@@ -306,11 +314,11 @@ def check_delta_convexity(
     if not np.any(hidden_mask):
         return True
     hidden = full_cloud.points[hidden_mask]
-    poses = np.linspace(-spec.radius_b, spec.radius_b, max(int(samples), 1))
+    poses = np.linspace(-spec.radius_b, spec.radius_b, samples)
     for pose in poses:
         uv_h, d_h = project_points(hidden, spec.axis, float(pose), cam)
         uv_f, d_f = project_points(one_frame.points, spec.axis, float(pose), cam)
-        if np.any(d_h <= 0) or np.any(d_f <= 0):
+        if np.any(d_h <= DEPTH_EPS) or np.any(d_f <= DEPTH_EPS):
             return False
         tree = cKDTree(uv_f)
         neighborhoods = tree.query_ball_point(uv_h, r=convexity.delta, p=np.inf)

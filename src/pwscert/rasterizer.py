@@ -4,8 +4,8 @@ A cloud point lands in the pixel cell ``(row, col) = (floor(v), floor(u))``
 of its continuous projection.  Among all points mapping to the same cell
 with positive depth, the nearest one paints the cell; exact depth ties
 break toward the smallest point index, so rendering is fully
-deterministic.  Cells no point reaches take a configurable background
-color (default mid-gray), keeping every image inside [0, 1].
+deterministic.  Cells no point reaches take one background value in
+[0, 1] on every channel (default mid-gray), so every image stays in [0, 1].
 
 One kernel, ``_zbuffer``, applies this rule to many poses at once: it
 projects the cloud at every pose in one broadcast, places each point
@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyFrame, FileFormatError, InvalidCloud, ShapeMismatch
+from .errors import EmptyFrame, FileFormatError, InvalidCloud, ShapeMismatch, check_real
 from .geometry import (
     Axis,
     CameraModel,
@@ -376,14 +376,9 @@ def extract_one_frame(cloud: ColoredPointCloud, cam: CameraModel) -> ColoredPoin
     return cloud.subset(idx)
 
 
-def render(
-    cloud: ColoredPointCloud,
-    motion: MotionValue,
-    cam: CameraModel,
-    background=DEFAULT_BACKGROUND,
-) -> np.ndarray:
+def render(cloud: ColoredPointCloud, motion: MotionValue, cam: CameraModel) -> np.ndarray:
     """Render the cloud at one pose into a (K, H, W) float image in [0, 1]."""
-    return render_sweep(cloud, motion.spec, cam, [motion.value], background)[0]
+    return render_sweep(cloud, motion.spec, cam, [motion.value])[0]
 
 
 def sweep_images(
@@ -396,22 +391,20 @@ def sweep_images(
     """``(images, index)``: the distinct read-only (K, H, W) images the
     poses in ``values`` render, in order of first appearance, and
     ``index[i]``, the image pose ``i`` renders.  The first value outside [-b, +b], NaN
-    included, raises ``MotionValue``'s ``ConfigError``."""
+    included, raises ``MotionValue``'s ``ConfigError``, and so does a
+    ``background`` that is not one real number in [0, 1]."""
+    check_real(background, lambda g: 0.0 <= g <= 1.0,
+               f"background must be a real number in [0, 1], got {background!r}")
     values = np.asarray(values, dtype=np.float64).reshape(-1)
     outside = np.flatnonzero(~(np.abs(values) <= spec.radius_b))  # NaN fails too
     if outside.size:
         MotionValue(spec, float(values[outside[0]]))  # raises
-    k = cloud.channels
-    bg = np.broadcast_to(np.asarray(background, dtype=np.float64).reshape(-1), (k,))
     seen, starts, changes = {}, [], []  # seen: each distinct image's number, by bytes
     for pose, winners in zbuffer_changes(cloud, spec.axis, values, cam):
-        image = np.empty((k, cam.height * cam.width), dtype=np.float64)
-        image[:] = bg[:, None]
-        covered = winners >= 0
-        image[:, covered] = cloud.colors[winners[covered]].T
+        image = np.where(winners >= 0, cloud.colors[winners].T, background)
         changes.append(seen.setdefault(image.tobytes(), len(seen)))
         starts.append(pose)
-    images = [np.frombuffer(key).reshape(k, cam.height, cam.width) for key in seen]
+    images = [np.frombuffer(key).reshape(-1, cam.height, cam.width) for key in seen]
     at = np.searchsorted(starts, np.arange(len(values)), side="right") - 1
     return images, np.array(changes, dtype=np.int64)[at]
 

@@ -4,18 +4,18 @@ Each scene is a colored point sampling of one parametric surface, textured
 so that classes differ in simple intensity statistics a small classifier
 can learn.
 
-Two placement modes exist:
+Both placement modes put one front point in each of up to ``point_count``
+grid cells (half as many when layered):
 
-* random: ``point_count`` points at uniform sub-pixel positions.  Cheap
-  and generic, but pixel-ownership runs can then start or end arbitrarily
-  close to the motion-range endpoints, which drives the strict
-  (quantile 1.0) partition bound toward zero.
-* hardened (``harden_for`` given): one point per covered pixel, with each
-  point's sub-pixel offset chosen from its projected drift across the
-  given motion ranges so that it either never leaves its cell or crosses
-  exactly one cell border well inside the range.  A small designated
-  fraction crosses (``crosser_period``); everything else stays put.  The
-  strict bound is then a healthy fraction of the range by construction.
+* random: a uniform offset in each cell's middle band (``OFFSET_BAND``).
+  Cheap and generic, but pixel-ownership runs can then start or end
+  arbitrarily close to the motion-range endpoints, which drives the
+  strict (quantile 1.0) partition bound toward zero.
+* hardened (``harden_for`` given): no cell near the principal point, and
+  drift-aware offsets, so that each point never leaves its cell or crosses
+  exactly one cell border well inside the given motion ranges.  A small
+  designated fraction crosses (``crosser_period``); everything else stays
+  put: the strict bound is a healthy fraction of the range by design.
 
 ``layered`` drops a hidden back copy of each non-crossing point along its
 exact viewing ray.  Ray-aligned copies project identically under pure
@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import (ConfigError, FileFormatError, InvalidRange, MissingFile, check_integer,
                      check_real)
-from .geometry import Axis, CameraModel, project_points
+from .geometry import Axis, CameraModel, DEPTH_EPS, project_points
 from .rasterizer import ColoredPointCloud, load_cloud, save_cloud, zbuffer_winners
 
 OFFSET_BAND = (0.18, 0.82)
@@ -117,7 +117,7 @@ def _drift_spans(points, specs, cam):
     for spec in specs:
         poses = np.linspace(-spec.radius_b, spec.radius_b, _SWEEP_PROBES)
         uv, depth = project_points(points, spec.axis, poses[:, None], cam)
-        if np.any(depth <= 0):
+        if np.any(depth <= DEPTH_EPS):
             raise InvalidRange("scene depth too shallow for the requested motion range")
         drift = uv - uv0
         lo.append(np.minimum(drift.min(axis=0), 0.0))
@@ -189,11 +189,10 @@ def generate_scene(
 ) -> Scene:
     """Deterministically sample one labeled scene.
 
-    ``harden_for`` is an iterable of MotionSpec; when given, placement is
-    one point per pixel with drift-aware offsets (see module docstring)
-    and ``point_count`` caps the pixel budget (halved when layered).
-    ``cross_plan`` entries are (range index, pose fraction) pairs cycled
-    over the designated crossing points.
+    ``point_count`` caps the cell budget (halved when layered, never below 100).
+    ``harden_for`` is an iterable of MotionSpec whose drift sets the point
+    offsets (see module docstring); ``cross_plan`` entries are (range
+    index, pose fraction) pairs cycled over the designated crossing points.
     """
     check_integer(point_count, lambda n: True,
                   f"point_count must be an integer, got {point_count!r}")
@@ -219,12 +218,12 @@ def generate_scene(
     rows_avail = np.arange(my, cam.height - my)
 
     budget = point_count // 2 if layered else point_count
+    # hardened scenes leave the cells near the principal point empty: radial
+    # motions barely move projections there, and one-frame bounds need every
+    # owning point's span to clear twice the convexity slack
+    rows, cols = _grid_cells(rows_avail, cols_avail, cam, budget, rng,
+                             0.0 if harden_for is None else _EXCLUDE_CENTER_PX)
     if harden_for is not None:
-        # cells near the principal point stay empty: radial motions barely
-        # move projections there, and one-frame bounds need every owning
-        # point's span to clear twice the convexity slack
-        rows, cols = _grid_cells(rows_avail, cols_avail, cam, budget, rng,
-                                 _EXCLUDE_CENTER_PX)
         u, v, crosser = _hardened_placement(
             shape_class, tuple(harden_for), cam, rng, rows, cols, cols_avail,
             z0, lo, crosser_period, tuple(cross_plan), min_cross_ux,
@@ -232,11 +231,6 @@ def generate_scene(
         )
     else:
         band_lo, band_hi = OFFSET_BAND
-        if layered:
-            rows, cols = _grid_cells(rows_avail, cols_avail, cam, budget, rng)
-        else:
-            cols = rng.choice(cols_avail, size=point_count, replace=True).astype(float)
-            rows = rng.choice(rows_avail, size=point_count, replace=True).astype(float)
         u = cols + rng.uniform(band_lo, band_hi, len(cols))
         v = rows + rng.uniform(band_lo, band_hi, len(rows))
         crosser = np.zeros(len(u), dtype=bool)

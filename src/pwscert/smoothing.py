@@ -142,11 +142,11 @@ class SmoothingConfig:
     def __post_init__(self):
         check_real(self.sigma, lambda s: 0 < s < math.inf,
                    f"sigma must be positive and finite, got {self.sigma}")
-        for name in ("n_samples", "seed"):
-            value = getattr(self, name)
-            check_integer(value, lambda v: True, f"{name} must be an integer, got {value!r}")
-        if self.n_samples < 100:
-            raise ConfigError("need at least 100 Monte-Carlo samples")
+        check_integer(self.n_samples, lambda n: n >= 100,
+                      f"n_samples must be an integer of at least 100, got {self.n_samples!r}")
+        # one 64-bit key word: 2**64 or -1 would alias seeds 0 or 2**64 - 1
+        check_integer(self.seed, lambda s: 0 <= s <= _WORD,
+                      f"seed must be an integer in [0, 2**64), got {self.seed!r}")
         check_real(self.confidence_alpha, lambda a: 0.0 < a < 1.0,
                    "confidence_alpha must lie in (0, 1)")
 

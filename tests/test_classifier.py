@@ -55,6 +55,17 @@ class TestTraining:
         b = builtin_train(dataset, noise_sigma=0.5, augment_count=4, seed=4)
         assert not np.array_equal(a.weights, b.weights)
 
+    @pytest.mark.parametrize("seed", [-1, 1 << 64, 1.0, True])
+    def test_seed_outside_one_word_rejected(self, dataset, seed):
+        # one 64-bit word: -1 and 2**64 would train the models of 2**64 - 1 and 0
+        with pytest.raises(ConfigError, match=r"seed must be an integer in \[0, 2"):
+            builtin_train(dataset, noise_sigma=0.5, augment_count=1, seed=seed)
+
+    def test_largest_seed_accepted(self, dataset):
+        a = builtin_train(dataset, noise_sigma=0.5, augment_count=1, seed=(1 << 64) - 1)
+        b = builtin_train(dataset, noise_sigma=0.5, augment_count=1, seed=0)
+        assert not np.array_equal(a.weights, b.weights)
+
     def test_permutation_invariant(self, dataset):
         a = builtin_train(dataset, noise_sigma=0.5, augment_count=3, seed=9)
         shuffled = list(dataset)

@@ -357,6 +357,20 @@ class TestErrorHandling:
             f"config_error: downsample factor must be an integer of at least 1, got {factor}"
         ]
 
+    @pytest.mark.parametrize("command", ["certify", "attack", "train"])
+    def test_negative_seed_exits_2(self, runner, workspace, tmp_path, command):
+        # seeds are one 64-bit word: -1 would alias seed 2**64 - 1
+        _, corpus, model = workspace
+        out = tmp_path / "out"
+        args = [command, "--corpus", str(corpus), "--out", str(out), "--seed", "-1"]
+        if command != "train":
+            args += ["--model", str(model), "--axis", "tz", "--radius", "36mm"]
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2
+        assert res.output.splitlines() == [
+            "config_error: seed must be an integer in [0, 2**64), got -1"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["partition", "certify"])
     def test_corpus_without_scenes_exits_1(self, runner, workspace, tmp_path, command):
         _, corpus, model = workspace

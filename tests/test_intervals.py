@@ -29,7 +29,7 @@ from pwscert.demo import (
     build_demo_scene,
     demo_specs,
 )
-from pwscert.geometry import MotionValue
+from pwscert.geometry import DEPTH_EPS, MotionValue
 from pwscert.geometry import delta_constant, lipschitz_constants
 from pwscert.intervals import CertMethod, DeltaConvexity, _spans, _sweep_runs
 from pwscert.scenes import ShapeClass
@@ -338,6 +338,19 @@ class TestOneFrameDelta:
         with pytest.raises(ConfigError, match="requires a convexity delta"):
             one_frame_delta(cloud, spec, cam, 1501, None, 1.0)
 
+    def test_bare_float_convexity_rejected(self, cam):
+        # the CLI's --delta is a float: passed on bare, it must fail here,
+        # not where the delta is read
+        cloud, spec = single_point_scene(cam)
+        with pytest.raises(ConfigError, match="requires a convexity delta"):
+            one_frame_delta(cloud, spec, cam, 1501, 0.015, 1.0)
+
+    @pytest.mark.parametrize("convexity", [0.015, "0.015", 1])
+    def test_interval_config_rejects_bare_delta(self, convexity):
+        # a bare float must fail here, not in certify's report after its work
+        with pytest.raises(ConfigError, match="must be a DeltaConvexity or None"):
+            IntervalConfig(convexity=convexity)
+
 
 class TestCheckDeltaConvexity:
     def test_identical_clouds_vacuously_true(self, cam, two_point_cloud):
@@ -382,6 +395,25 @@ class TestCheckDeltaConvexity:
         assert not check_delta_convexity(
             full, front, DeltaConvexity(0.5), spec, cam, 20
         )
+
+
+    @pytest.mark.parametrize("samples", [2.7, "abc", 0, True])
+    def test_samples_must_be_positive_integer(self, cam, two_point_cloud, samples):
+        spec = MotionSpec(Axis.TZ, 0.2)
+        with pytest.raises(ConfigError, match="samples must be a positive integer"):
+            check_delta_convexity(two_point_cloud, two_point_cloud, DeltaConvexity(0.1),
+                                  spec, cam, samples)
+
+    def test_depth_at_floor_counts_as_behind_camera(self, cam):
+        # both points sit on the optical axis, where RZ keeps their pixel and
+        # depth: DEPTH_EPS / 2 at every probe pose, at or below the floor
+        # under which the rasterizer draws nothing
+        front = ColoredPointCloud(np.array([[0.0, 0.0, DEPTH_EPS / 4]]), np.array([[0.9]]))
+        full = ColoredPointCloud(np.array([[0.0, 0.0, DEPTH_EPS / 4],
+                                           [0.0, 0.0, DEPTH_EPS / 2]]),
+                                 np.array([[0.9], [0.1]]))
+        assert not check_delta_convexity(full, front, DeltaConvexity(0.5),
+                                         MotionSpec(Axis.RZ, 0.1), cam, 3)
 
 
 class TestBuildPartition:

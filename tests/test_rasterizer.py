@@ -67,9 +67,16 @@ class TestRender:
         assert img[0, 50, 50] == 0.1
 
     def test_empty_region_takes_background(self, cam, two_point_cloud):
-        img = render(two_point_cloud, at_rest(), cam, background=0.25)
+        img = render_sweep(two_point_cloud, TX1, cam, [0.0], background=0.25)[0]
         assert img[0, 0, 0] == 0.25
         assert np.count_nonzero(img != 0.25) == 1
+
+    @pytest.mark.parametrize("background", [2.0, -0.1, math.nan, "0.5", True, [0.5]])
+    def test_background_outside_unit_range_rejected(self, cam, two_point_cloud,
+                                                    background):
+        # one real number in [0, 1]: every image stays inside [0, 1]
+        with pytest.raises(ConfigError):
+            render_sweep(two_point_cloud, TX1, cam, [0.0], background)
 
     def test_integer_position_lands_in_its_cell(self, cam):
         # projection (50.0, 50.0) exactly: floor puts it in pixel (50, 50)
@@ -298,8 +305,7 @@ class TestRenderSweep:
                 frames = render_sweep(cloud, spec, small_cam, values, background=0.3)
                 assert len(frames) == len(values)
                 for frame, value in zip(frames, values):
-                    direct = render(cloud, MotionValue(spec, float(value)),
-                                    small_cam, 0.3)
+                    direct = render_sweep(cloud, spec, small_cam, [value], 0.3)[0]
                     assert frame.tobytes() == direct.tobytes(), (axis, kind, value)
                 # owners change inside the range, but not at every pose
                 distinct = {f.tobytes() for f in frames}
@@ -344,8 +350,7 @@ class TestSweepImages:
                 first = [index.tolist().index(k) for k in range(len(images))]
                 assert first == sorted(first) and set(index) == set(range(len(images)))
                 for i, value in zip(index, values):
-                    direct = render(cloud, MotionValue(spec, float(value)),
-                                    small_cam, 0.3)
+                    direct = render_sweep(cloud, spec, small_cam, [value], 0.3)[0]
                     assert images[i].tobytes() == direct.tobytes(), (axis, kind)
             if not axis.is_rotation:  # sorted translation sweeps skip poses
                 assert len(sweep_images(cloud, spec, small_cam, ramp)[0]) < len(ramp)

@@ -20,7 +20,7 @@ from pwscert import (
     save_corpus,
 )
 from pwscert.demo import build_demo_scene
-from pwscert.geometry import MotionValue
+from pwscert.geometry import DEPTH_EPS, MotionValue, project_points
 from pwscert.scenes import _SWEEP_PROBES, ShapeClass, _drift_spans
 
 from conftest import axis_radius, drift_spans_loop, random_visible_points
@@ -129,6 +129,15 @@ class TestDriftSpans:
     def test_point_behind_camera_rejected(self, cam):
         with pytest.raises(InvalidRange, match="too shallow"):
             _drift_spans(np.array([[0.0, 0.0, 0.1]]), (MotionSpec(Axis.TZ, 0.2),), cam)
+
+    def test_point_at_depth_floor_rejected(self, cam):
+        # depth DEPTH_EPS / 2 at the last probe pose, where the rasterizer
+        # puts the point behind the camera
+        pts = np.array([[0.0, 0.0, 0.2 + DEPTH_EPS / 2]])
+        _, depth = project_points(pts, Axis.TZ, 0.2, cam)
+        assert 0 < depth[0] <= DEPTH_EPS
+        with pytest.raises(InvalidRange, match="too shallow"):
+            _drift_spans(pts, (MotionSpec(Axis.TZ, 0.2),), cam)
 
 
 class TestExtractOneFrame:

@@ -391,6 +391,14 @@ class TestSmoothedEstimate:
             with pytest.raises(ConfigError, match="confidence_alpha must lie in"):
                 SmoothingConfig(sigma=0.5, n_samples=100, confidence_alpha=alpha)
 
+    def test_seed_outside_one_word_rejected(self):
+        # one 64-bit key word: 2**64 and -1 would draw the noise of 0 and 2**64 - 1
+        for seed in [1 << 64, -1]:
+            with pytest.raises(ConfigError, match=r"seed must be an integer in \[0, 2"):
+                SmoothingConfig(sigma=0.5, n_samples=100, seed=seed)
+        top = (1 << 64) - 1
+        assert SmoothingConfig(sigma=0.5, n_samples=100, seed=top).seed == top
+
 
 class TestSharedDraws:
     """Every image of one call sees the draws a one-image call would."""

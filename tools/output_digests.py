@@ -45,6 +45,10 @@ guard that makes a TZ sweep z-buffer every pose; and one 64 px layered
 random-profile scene (the wild-certify profile) at TZ 20 mm.  Each of
 these sweeps too runs on the three pose lists.
 
+The scene part hashes, bit for bit, the points and colors of one 800-point
+non-layered random scene on the demo camera (seed 3), the one placement no
+other part builds: the CLI's random profile and the wild scene are layered.
+
 The geometry part hashes, bit for bit, ``min_depth_over_range``,
 ``lipschitz_constants`` and ``delta_constant`` (or the exception each
 raises) on 1,500 seeded random 400-point clouds for all six axes, with
@@ -324,6 +328,13 @@ def sweep_digests():
         yield f"sweep {kind} {axis.value} {digest.hexdigest()}"
 
 
+def scene_digests():
+    cloud = pc.generate_scene(pc.ShapeClass.SPHERE_CAP, 800, (1.5, 2.5), 3,
+                              demo_camera()).cloud
+    digest = hashlib.sha256(cloud.points.tobytes() + cloud.colors.tobytes())
+    yield f"scene random {digest.hexdigest()}"
+
+
 def main(argv) -> None:
     workdir = Path(argv[1])
     workdir.mkdir(parents=True, exist_ok=False)
@@ -331,7 +342,7 @@ def main(argv) -> None:
     library = [f"{name} {_json_digest(payload)}"
                for name, payload in library_digests(workdir)]
     for line in [*file_digests(workdir), *library, *sweep_digests(),
-                 *geometry_digests(), *projection_digests()]:
+                 *scene_digests(), *geometry_digests(), *projection_digests()]:
         print(line)
 
 

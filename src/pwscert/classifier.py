@@ -23,7 +23,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .errors import (ConfigError, DegenerateDataset, FileFormatError, ShapeMismatch,
-                     check_integer)
+                     check_integer, check_real)
 
 DEFAULT_DOWNSAMPLE = 4
 _KEY_MASK = (1 << 128) - 1
@@ -168,6 +168,10 @@ def builtin_train(
     """
     check_integer(seed, lambda s: 0 <= s < 1 << 64,
                   f"seed must be an integer in [0, 2**64), got {seed!r}")
+    check_real(noise_sigma, lambda s: 0 <= s < np.inf,
+               f"noise_sigma must be a finite real number >= 0, got {noise_sigma!r}")
+    check_integer(augment_count, lambda c: c >= 0,
+                  f"augment_count must be an integer >= 0, got {augment_count!r}")
     if not dataset:
         raise DegenerateDataset("empty dataset")
     images = [np.asarray(img, dtype=np.float64) for img, _ in dataset]

@@ -23,10 +23,10 @@ pose 0 and of the later poses where a winner may change; every other
 pose repeats the winners of the pose before it; ``sweep_images`` keeps
 the distinct images of the yielded poses.  Under TX, TY and TZ with sorted
 poses those are the poses where some point changes cell (124-234 of 2,001
-on the 64 px wild-certify scenes at TZ 20 mm), and the kernel runs at pose
-0 only: the points keep one (depth, index) order, so each later change
-moves its points between cells and picks every cell's winner again by
-that order.
+on the 64 px wild-certify scenes at TZ 20 mm): a point's cell is monotone
+in the pose, so splitting the pose brackets of the points that move finds
+them all.  The kernel runs at pose 0 only: the points keep one (depth,
+index) order, so each change picks every cell's winner again by it.
 Under RX, RY and RZ with sorted poses, each pose z-buffered bounds how
 far the pose may move before a point can reach a cell border or pass its
 cell's winner, and the sweep skips to the first pose beyond (38-68 of
@@ -110,12 +110,6 @@ def _block_size(entries: int) -> int:
     return max(1, _BLOCK_ENTRIES // entries)
 
 
-def _blocks(values, entries: int):
-    """Consecutive blocks of ``values`` of ``_block_size(entries)`` poses."""
-    size = _block_size(entries)
-    return (values[start : start + size] for start in range(0, len(values), size))
-
-
 def _cells(uv, depth, cam: CameraModel) -> np.ndarray:
     """(T, N) cell of each point on the grid padded by one ring of cells:
     ``(row + 1) * (W + 2) + col + 1``, where col = floor(u) and row =
@@ -166,8 +160,9 @@ def zbuffer_blocks(cloud: ColoredPointCloud, axis: Axis, values, cam: CameraMode
     of at most ``_BLOCK_ENTRIES`` poses x max(points, pixels) entries (at
     least one pose): each pixel's winning point index, -1 where empty."""
     values = np.asarray(values, dtype=np.float64).reshape(-1)
-    for block in _blocks(values, max(len(cloud), cam.height * cam.width)):
-        yield _zbuffer(cloud, axis, block, cam)[3]
+    size = _block_size(max(len(cloud), cam.height * cam.width))
+    for start in range(0, len(values), size):
+        yield _zbuffer(cloud, axis, values[start : start + size], cam)[3]
 
 
 def _traced_changes(cloud: ColoredPointCloud, axis: Axis, values, cam: CameraModel):
@@ -185,14 +180,14 @@ def _traced_changes(cloud: ColoredPointCloud, axis: Axis, values, cam: CameraMod
     kernel's (depth, index) order at every pose, and each cell's winner is
     its point of least rank in that order.
 
-    The kernel z-buffers pose 0.  Cells are then taken at about sqrt(T)
-    coarse poses, and only the points whose cell differs between a coarse
-    window's ends are traced through the window.  At each pose where one
-    of them changes cell, the sweep moves the changed points to their new
-    cells and picks each cell's least rank again, with one unbuffered
-    minimum over the points.  On the four 64 px wild-certify scenes at
-    TZ 20 mm this yields 124-234 of 2,001 poses and runs the kernel at
-    pose 0 only.
+    The kernel z-buffers pose 0.  Only the movers, whose cell differs
+    between the first and the last pose, change cell.  Each round cuts
+    every mover's bracket of poses, at first (0, T - 1), into isqrt(T - 1)
+    + 1 steps, in batches of at most ``_BLOCK_ENTRIES`` entries, and keeps
+    the steps whose ends differ in cell until each is one pose wide.  Then,
+    in pose order, each pose's changed points move to their new cells and
+    each cell's least rank is picked again with one unbuffered minimum.
+    At TZ 20 mm, 154-321 of the 5,832 points of a wild-certify scene move.
     """
     points = cloud.points
     n, (size, pixels) = len(points), _grid(cam.height, cam.width)
@@ -203,14 +198,13 @@ def _traced_changes(cloud: ColoredPointCloud, axis: Axis, values, cam: CameraMod
         if z.size > 1 and np.min(np.diff(z)) <= reach:
             return None
     order = np.lexsort((np.arange(n), points[:, 2]))
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.arange(n)
+    rank = np.argsort(order)  # each point's rank in that order
     owner = np.append(order, -1)  # the point of each rank; rank n: none
-    ends = np.unique(np.r_[0 : len(values) : math.isqrt(len(values) - 1) + 1,
-                           len(values) - 1])
+    last, steps = len(values) - 1, math.isqrt(len(values) - 1) + 1
+    take = _block_size(steps + 1)  # brackets per batch
 
-    def place(pts, block):
-        return _cells(*project_points(pts, axis, block[:, None], cam), cam)
+    def place(idx, poses):  # each point's cell at its own pose
+        return _cells(*project_points(points[idx], axis, values[poses], cam), cam)
 
     def winners(cell):
         least = np.full(size, n)  # each cell's least rank, n where empty
@@ -218,25 +212,30 @@ def _traced_changes(cloud: ColoredPointCloud, axis: Axis, values, cam: CameraMod
         return owner[least[pixels]]
 
     def sweep():
-        _, _, cells, first = _zbuffer(cloud, axis, values[:1], cam)
-        yield 0, first[0]
-        cell = cells[0]  # each point's cell at the last pose
-        coarse = (row for block in _blocks(values[ends], n)
-                  for row in place(points, block))
-        start = next(coarse)
-        for lo, hi, end in zip(ends[:-1], ends[1:], coarse):
-            movers = np.flatnonzero(start != end)
-            prev, pose, start = start[movers], lo + 1, end
-            if movers.size == 0:
-                continue
-            for block in _blocks(values[lo + 1 : hi + 1], movers.size):
-                rows = place(points[movers], block)
-                moving = rows != np.vstack([prev, rows[:-1]])
-                for t in np.flatnonzero(np.any(moving, axis=1)).tolist():
-                    moved = np.flatnonzero(moving[t])
-                    cell[movers[moved]] = rows[t, moved]
-                    yield pose + t, winners(cell)
-                prev, pose = rows[-1], pose + len(rows)
+        _, _, (cell,), (first,) = _zbuffer(cloud, axis, values[:1], cam)
+        yield 0, first
+        end = place(np.arange(n), np.full(n, last))
+        batches, found = [], []
+
+        def push(idx, lo, hi, to):  # point idx changes cell in (lo, hi], to `to`
+            one = hi - lo == 1  # one pose wide: the change is at hi
+            found.append(np.stack([hi, idx, to])[:, one])
+            wide = np.stack([idx, lo, hi])[:, ~one]
+            batches.extend(wide[:, at : at + take] for at in range(0, wide.shape[1], take))
+        movers = np.flatnonzero(cell != end)
+        push(movers, np.zeros_like(movers), np.full_like(movers, last), end[movers])
+        while batches:
+            idx, lo, hi = batches.pop()
+            cut = lo[:, None] + (hi - lo)[:, None] * np.arange(steps + 1) // steps
+            ends = place(np.repeat(idx, steps + 1), cut.ravel()).reshape(cut.shape)
+            b, j = np.nonzero(ends[:, 1:] != ends[:, :-1])
+            push(idx[b], cut[b, j], cut[b, j + 1], ends[b, j + 1])
+        pose, moved, to = np.concatenate(found, axis=1)
+        by_pose = np.argsort(pose)
+        poses, starts = np.unique(pose[by_pose], return_index=True)
+        for at, group in zip(poses.tolist(), np.split(by_pose, starts[1:])):
+            cell[moved[group]] = to[group]  # each point's cell at pose at
+            yield at, winners(cell)
 
     return sweep()
 
@@ -460,10 +459,9 @@ def load_image(path) -> np.ndarray:
         if len(header) != 12:
             raise FileFormatError(f"truncated PWSI1 header: {len(header)} of 12 bytes")
         k, h, w = struct.unpack("<III", header)
-        size = 4 * k * h * w
-        body = fh.read(size)
-    if len(body) != size:
-        raise FileFormatError(f"truncated PWSI1 body: {len(body)} of {size} bytes")
+        body = fh.read()  # all the file holds, whatever size the header claims
+    if len(body) != 4 * k * h * w:
+        raise FileFormatError(f"PWSI1 body of {len(body)} bytes, header says {4 * k * h * w}")
     return np.frombuffer(body, dtype="<f4").reshape(k, h, w).astype(np.float64)
 
 

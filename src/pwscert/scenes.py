@@ -384,11 +384,18 @@ def _plan_candidates(anchor_idx, t0, n_specs):
 # Corpus directory layout: scenes/<name>.pwspc, labels.json, camera.json
 
 
+def _unsafe(name: str) -> bool:
+    """Whether a scene name would leave its directory or name no file."""
+    return name in ("", ".", "..") or any(c in name for c in "/\\\0")
+
+
 def save_corpus(root, scenes, cam: CameraModel) -> None:
     root = Path(root)
     (root / "scenes").mkdir(parents=True, exist_ok=True)
     labels = {}
     for scene in scenes:
+        if _unsafe(scene.name):
+            raise ConfigError(f"scene name {scene.name!r} is not a plain file name")
         if scene.name in labels:
             raise ConfigError(f"duplicate scene name {scene.name}")
         labels[scene.name] = scene.label
@@ -418,6 +425,8 @@ def _read_corpus(root):
         labels = {name: int(label) for name, label in labels.items()}
         if not labels:
             raise ValueError("labels.json names no scene")
+        if unsafe := [name for name in labels if _unsafe(name)]:
+            raise ValueError(f"scene name {unsafe[0]!r} is not a plain file name")
         cam = CameraModel(**json.loads((root / "camera.json").read_text(encoding="utf-8")))
     except (ValueError, TypeError) as exc:
         raise FileFormatError(f"bad corpus metadata in {root}: {exc}") from exc

@@ -313,11 +313,11 @@ def sweep_traps(cam):
         return ColoredPointCloud(points, colors[:, None])
 
     traps = []
-    # TX: a point 5 cm away crosses the whole grid (32 px) within one coarse
-    # window of sqrt(T) poses, entering and leaving it off the grid
+    # TX: a point 5 cm away crosses the whole grid (32 px) within 21 of 401
+    # poses, about sqrt(T), entering and leaving it off the grid
     values = np.linspace(-1.0, 1.0, 401)
     mid = 0.5 * (values[105] + values[126])
-    traps.append(("crosses the grid in one window",
+    traps.append(("crosses the grid in 21 poses",
                   scene([[mid, 0.0, 0.05], [mid + 0.01, 0.02, 0.05]]),
                   MotionSpec(Axis.TX, 1.0), 401))
     # TZ: depths that pass through (0, DEPTH_EPS] inside the range, on the
@@ -334,6 +334,23 @@ def sweep_traps(cam):
     near = np.column_stack([xs, np.full(12, 0.01), np.ones(12)])
     traps.append(("equal depths tie on index", scene(near), MotionSpec(Axis.TZ, 0.3), 301))
     traps.append(("equal depths under TX", scene(near), MotionSpec(Axis.TX, 0.05), 301))
+    # TZ: a point at depth 10 whose column changes only at pose ``col_at``
+    # and whose row changes only at pose ``row_at`` (never if None): u and v
+    # reach a border halfway between that pose and the one before, and move
+    # less than 0.4 px over the sweep
+    values = np.linspace(-0.3, 0.3, 301)
+
+    def crossing(col_at, row_at=None):
+        def on(offset, focal, pose):  # the x or y that puts u or v offset px from c
+            return offset * (10.0 - 0.5 * (values[pose - 1] + values[pose])) / focal
+        col = math.floor(cam.cx) + 5 - cam.cx
+        row = 0.0 if row_at is None else on(math.floor(cam.cy) + 4 - cam.cy, cam.fy, row_at)
+        return scene([[on(col, cam.fx, col_at), row, 10.0]])
+
+    traps.append(("one change, at pose 1", crossing(1), MotionSpec(Axis.TZ, 0.3), 301))
+    traps.append(("one change, at the last pose", crossing(300), MotionSpec(Axis.TZ, 0.3), 301))
+    traps.append(("changes at two adjacent poses", crossing(150, 151),
+                  MotionSpec(Axis.TZ, 0.3), 301))
     # TZ: two depths one ulp apart round to one value at pose -2, so the
     # owner changes with no point changing cell
     z1 = 3.0

@@ -74,6 +74,25 @@ class TestTraining:
         np.testing.assert_array_equal(a.weights, b.weights)
         np.testing.assert_array_equal(a.bias, b.bias)
 
+    @pytest.mark.parametrize("sigma, augment, message", [
+        (np.nan, 4, "noise_sigma"), (np.inf, 4, "noise_sigma"), (-0.5, 4, "noise_sigma"),
+        ("0.5", 4, "noise_sigma"), (0.5, -3, "augment_count"), (0.5, 2.0, "augment_count"),
+    ])
+    def test_noise_it_cannot_train_on_rejected(self, dataset, sigma, augment, message,
+                                               monkeypatch):
+        from pwscert import classifier
+
+        def no_pool(*args):
+            raise AssertionError("trained before the noise was checked")
+
+        monkeypatch.setattr(classifier, "_pool", no_pool)
+        with pytest.raises(ConfigError, match=message):
+            builtin_train(dataset, noise_sigma=sigma, augment_count=augment)
+
+    def test_empty_dataset_degenerate(self):
+        with pytest.raises(DegenerateDataset, match="empty dataset"):
+            builtin_train([])
+
     def test_single_label_degenerate(self, dataset):
         only = [(img, 0) for img, _ in dataset]
         with pytest.raises(DegenerateDataset):

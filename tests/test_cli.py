@@ -60,6 +60,10 @@ class TestParseRadius:
         with pytest.raises(ConfigError):
             parse_radius("0.01", Axis.TZ)
 
+    def test_not_a_number(self):
+        with pytest.raises(ConfigError, match="bad radius 'xmm'"):
+            parse_radius("xmm", Axis.TZ)
+
 
 class TestPartitionAndProject:
     def test_partition_prints_spacing(self, runner, workspace):
@@ -335,6 +339,8 @@ class TestErrorHandling:
         ("--per-class", "-1", "per-class and channels must be at least 1, got -1 and 1"),
         ("--seed", "-1", "--seed must be a non-negative integer, got -1"),
         ("--seed", "-1000", "--seed must be a non-negative integer, got -1000"),
+        ("--classes", "1", "classes must be 2..4"),
+        ("--depth", "1.6-2.4", "bad depth range '1.6-2.4'"),
     ])
     def test_bad_gen_scenes_number_exits_2(self, runner, tmp_path, option, value, message):
         out = tmp_path / "corpus"
@@ -356,6 +362,21 @@ class TestErrorHandling:
         assert res.output.splitlines() == [
             f"config_error: downsample factor must be an integer of at least 1, got {factor}"
         ]
+
+    @pytest.mark.parametrize("option, value, message", [
+        ("--sigma", "nan", "noise_sigma must be a finite real number >= 0, got nan"),
+        ("--sigma", "inf", "noise_sigma must be a finite real number >= 0, got inf"),
+        ("--augment", "-3", "augment_count must be an integer >= 0, got -3"),
+    ])
+    def test_noise_train_cannot_use_exits_2(self, runner, workspace, tmp_path, option,
+                                            value, message):
+        _, corpus, _ = workspace
+        out = tmp_path / "model.pws"
+        res = runner.invoke(main, ["train", "--corpus", str(corpus), "--out", str(out),
+                                   option, value])
+        assert res.exit_code == 2
+        assert res.output.splitlines() == [f"config_error: {message}"]
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["certify", "attack", "train"])
     def test_negative_seed_exits_2(self, runner, workspace, tmp_path, command):

@@ -385,6 +385,18 @@ class TestCheckDeltaConvexity:
             full, front, DeltaConvexity(2.0), spec, cam, 20
         )
 
+    def test_hidden_point_nearer_than_every_neighbor_fails(self, cam):
+        # delta reaches the one-frame point at every pose, but it is deeper
+        front = ColoredPointCloud(np.array([[0.0, 0.0, 2.0]]), np.array([[0.9]]))
+        full = ColoredPointCloud(
+            np.array([[0.0, 0.0, 2.0], [0.0004, 0.0, 1.0]]),
+            np.array([[0.9], [0.1]]),
+        )
+        spec = MotionSpec(Axis.TX, 0.05)
+        assert not check_delta_convexity(
+            full, front, DeltaConvexity(100.0), spec, cam, 20
+        )
+
     def test_isolated_hidden_point_fails(self, cam):
         front = ColoredPointCloud(np.array([[0.0, 0.0, 2.0]]), np.array([[0.9]]))
         full = ColoredPointCloud(

@@ -1,5 +1,6 @@
 import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -421,6 +422,18 @@ class TestChangePoses:
             changed = np.flatnonzero(np.any(want[1:] != want[:-1], axis=1)) + 1
             assert changed.size, name  # owners do change inside the range
 
+    @pytest.mark.parametrize("name, poses", [("one change, at pose 1", [1]),
+                                             ("one change, at the last pose", [300]),
+                                             ("changes at two adjacent poses", [150, 151])])
+    def test_bracket_traps_are_what_they_say(self, small_cam, name, poses):
+        cloud, spec, resolution = next(trap[1:] for trap in sweep_traps(small_cam)
+                                       if trap[0] == name)
+        values = np.linspace(-spec.radius_b, spec.radius_b, resolution)
+        cells = cells_at(cloud.points[:1], spec.axis, values, small_cam)[:, 0]
+        assert (np.flatnonzero(cells[1:] != cells[:-1]) + 1).tolist() == poses
+        # the near point, index 0, owns a pixel at every pose
+        assert np.all(np.any(winners_batch(cloud, spec.axis, values, small_cam) == 0, axis=1))
+
     def test_traps_skip_poses(self, small_cam):
         traps = sweep_traps(small_cam)[:-1]  # the last forces every pose
         for name, cloud, spec, resolution in traps:
@@ -623,6 +636,34 @@ class TestChangePoses:
                 winners = changes.get(pose, winners)
                 np.testing.assert_array_equal(winners, want, err_msg=str(pose))
 
+    def test_translation_projections_stay_within_the_block_bound(self, small_cam,
+                                                                  monkeypatch):
+        project, sizes = rasterizer.project_points, []
+
+        def counting(points, axis, value, cam):
+            uv, depth = project(points, axis, value, cam)
+            sizes.append(depth.size)
+            return uv, depth
+
+        monkeypatch.setattr(rasterizer, "project_points", counting)
+        # the dense TY cloud above, in which some point changes cell at nearly every pose
+        dense_cam = CameraModel(fx=32.0, fy=32.0, cx=16.0, cy=16.0, width=32, height=32)
+        rng = np.random.default_rng(31)
+        dense = ColoredPointCloud(random_visible_points(rng, 2000), rng.uniform(0, 1, (2000, 1)))
+        # a cloud beyond the budget in which every point changes cell
+        n = _BLOCK_ENTRIES + 5
+        wide = ColoredPointCloud(random_visible_points(rng, n), rng.uniform(0, 1, (n, 1)))
+        ends = cells_at(wide.points, Axis.TX, [-0.1, 0.1], small_cam)
+        assert np.all(ends[0] != ends[1])
+        for cloud, spec, cam, poses in [(dense, MotionSpec(Axis.TY, 0.25), dense_cam, 2001),
+                                        (wide, MotionSpec(Axis.TX, 0.1), small_cam, 12)]:
+            values = np.linspace(-spec.radius_b, spec.radius_b, poses)
+            sizes.clear()
+            got = per_pose(zbuffer_changes(cloud, spec.axis, values, cam), poses)
+            assert sum(sizes) > 2 * len(cloud)  # brackets were traced
+            assert max(sizes) <= max(_BLOCK_ENTRIES, len(cloud)), (len(cloud), max(sizes))
+            np.testing.assert_array_equal(got, winners_batch(cloud, spec.axis, values, cam))
+
 
 class TestAdjacentFrameError:
     def test_identical_frames(self):
@@ -711,6 +752,21 @@ class TestFileFormats:
             with pytest.raises(FileFormatError):
                 load_image(cut)
 
+    @pytest.mark.parametrize("dims, body", [
+        ((2**32 - 1,) * 3, 48),  # 4 * K * H * W overflows an index
+        ((1, 1000, 1000), 48),
+        ((2, 2, 3), 52),  # four bytes past the body
+    ])
+    def test_image_header_that_misstates_the_body_rejected(self, tmp_path, dims, body):
+        path = tmp_path / "bad.pwsi"
+        path.write_bytes(b"PWSI1" + struct.pack("<III", *dims) + bytes(body))
+        with pytest.raises(FileFormatError, match="header says"):
+            load_image(path)
+
+    def test_two_dimensional_image_not_saved(self, tmp_path):
+        with pytest.raises(ShapeMismatch):
+            save_image(tmp_path / "flat.pwsi", np.zeros((4, 4)))
+
     def test_truncated_cloud_rejected_at_every_offset(self, tmp_path):
         path = tmp_path / "full.pwspc"
         save_cloud(path, ColoredPointCloud(np.array([[0.0, 0.0, 1.0]]),
@@ -740,6 +796,11 @@ class TestCloudValidation:
     def test_length_mismatch(self):
         with pytest.raises(ShapeMismatch):
             ColoredPointCloud(np.zeros((2, 3)), np.zeros((3, 1)))
+
+    @pytest.mark.parametrize("points, colors", [((2, 2), (2, 1)), ((2, 3), (2, 0))])
+    def test_points_without_z_or_colors_rejected(self, points, colors):
+        with pytest.raises(ShapeMismatch):
+            ColoredPointCloud(np.zeros(points), np.zeros(colors))
 
     def test_empty_cloud_rejected(self):
         with pytest.raises(ShapeMismatch):

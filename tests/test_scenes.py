@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -192,6 +195,23 @@ class TestCorpusIO:
         with pytest.raises(ValueError, match="duplicate scene name") as err:
             save_corpus(tmp_path / "c", [scene, scene], demo_cam)
         assert err.value.kind == "config_error"
+
+    @pytest.mark.parametrize("name", ["../escaped", "a\0b", "", ".", "..", "a/b", "a\\b"])
+    def test_scene_name_outside_its_directory_not_saved(self, tmp_path, demo_cam, name):
+        scene = generate_scene(ShapeClass.BOX_FACE, 700, (1.5, 2.5), 5, demo_cam)
+        with pytest.raises(ConfigError, match="not a plain file name"):
+            save_corpus(tmp_path / "c", [dataclasses.replace(scene, name=name)], demo_cam)
+        assert not (tmp_path / "c" / "escaped.pwspc").exists()
+
+    @pytest.mark.parametrize("name", ["../escaped", "a\0b", "", ".", "..", "a/b", "a\\b"])
+    def test_scene_name_outside_its_directory_not_loaded(self, tmp_path, demo_cam, name):
+        scene = generate_scene(ShapeClass.BOX_FACE, 700, (1.5, 2.5), 5, demo_cam)
+        save_corpus(tmp_path / "c", [scene], demo_cam)
+        # the cloud "../escaped" names, so that only the name check can fail
+        (tmp_path / "c" / "scenes" / f"{scene.name}.pwspc").rename(tmp_path / "c" / "escaped.pwspc")
+        (tmp_path / "c" / "labels.json").write_text(json.dumps({name: 0}))
+        with pytest.raises(FileFormatError, match="not a plain file name"):
+            load_corpus(tmp_path / "c")
 
     @pytest.mark.parametrize("name, text", [
         ("camera.json", '{"fx": 0, "fy": 7.5, "cx": 12, "cy": 12, "width": 24, "height": 24}'),

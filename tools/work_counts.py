@@ -16,7 +16,10 @@ before it:
 * ``noise_blocks``: noise blocks requested (``_noise_block``), cached or
   not, on the logit and the pixel path alike; neither count depends on
   ``PWS_THREADS``;
-* ``tallied_images``: images handed to ``smoothed_estimates``.
+* ``tallied_images``: images handed to ``smoothed_estimates``;
+* ``projected_points``: the summed ``depth.size`` of every ``project_points``
+  call made through ``pwscert.rasterizer``, by the z-buffer kernel and by
+  the translation sweep's tracer alike: one per point and pose projected.
 
 The counts come from wrapping those functions, so they run against any
 checkout whose ``src`` is on the path.
@@ -31,6 +34,8 @@ import tempfile
 import threading
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import workloads as W  # noqa: E402
@@ -40,7 +45,7 @@ from pwscert import rasterizer, smoothing  # noqa: E402
 certify = importlib.import_module("pwscert.certify")
 
 COUNTS = dict.fromkeys(["images_rendered", "adjacent_errors", "noise_generators",
-                        "noise_blocks", "tallied_images"], 0)
+                        "noise_blocks", "tallied_images", "projected_points"], 0)
 LOCK = threading.Lock()  # pixel-path tally threads count concurrently
 # the noise block cache; a checkout without one draws every block it asks for
 CACHE = getattr(smoothing, "_cached_block", None)
@@ -75,6 +80,9 @@ def main(names) -> None:
     count(smoothing, "_noise_block", "noise_blocks")
     for module in (smoothing, certify):  # certify holds its own reference
         count(module, "smoothed_estimates", "tallied_images", lambda args: len(args[1]))
+    # depth has the broadcast shape of the points and the poses
+    count(rasterizer, "project_points", "projected_points",
+          lambda args: np.broadcast(args[0][:, 0], args[2]).size)
     for name in names:
         workload = W.WORKLOADS[name]
         with tempfile.TemporaryDirectory() as tmp:

@@ -246,8 +246,11 @@ def lipschitz_constants(points, spec: MotionSpec, cam: CameraModel):
         m_u = np.max(np.abs(_sinusoid_range(y, -x, b)), axis=0)
         m_v = np.max(np.abs(_sinusoid_range(x, y, b)), axis=0)
         return np.maximum(cam.fx * m_u, cam.fy * m_v) / z
-    rates = projection_derivative_points(pts, spec.axis, np.array([[-b], [b]]), cam)
-    return np.abs(rates).max(axis=(0, 2))
+    rates = np.abs(projection_derivative_points(pts, spec.axis, np.array([[-b], [b]]), cam))
+    # elementwise over the four (range end, coordinate) slices: exact, and
+    # cheaper than a reduction over such short axes
+    ends = np.maximum(rates[0], rates[1])
+    return np.maximum(ends[:, 0], ends[:, 1])
 
 
 def delta_constant(spec: MotionSpec, cam: CameraModel, one_frame_points, delta_px: float) -> float:

@@ -232,7 +232,8 @@ def _spans(cloud, spec, cam, runs):
     pts = cloud.points[runs.point_index]
     uv_lo, _ = project_points(pts, spec.axis, runs.lo, cam)
     uv_hi, _ = project_points(pts, spec.axis, runs.hi, cam)
-    return np.max(np.abs(uv_hi - uv_lo), axis=1)
+    travel = np.abs(uv_hi - uv_lo)
+    return np.maximum(travel[:, 0], travel[:, 1])
 
 
 def exact_delta(

@@ -29,7 +29,7 @@ from pwscert.demo import (
     build_demo_scene,
     demo_specs,
 )
-from pwscert.geometry import DEPTH_EPS, MotionValue
+from pwscert.geometry import DEPTH_EPS, MotionValue, project_points
 from pwscert.geometry import delta_constant, lipschitz_constants
 from pwscert.intervals import CertMethod, DeltaConvexity, _spans, _sweep_runs
 from pwscert.scenes import ShapeClass
@@ -373,17 +373,22 @@ class TestCheckDeltaConvexity:
             )
 
     def test_front_runner_breaks_convexity(self, cam):
-        # the hidden point sits in front of its one-frame neighbor, so the
-        # occlusion requirement fails
+        # the hidden point stays within delta of its one-frame neighbor at
+        # every sampled pose, so only the depths decide: in front of the
+        # neighbor it breaks the occlusion requirement, behind it it holds
+        spec, delta, samples = MotionSpec(Axis.TX, 0.05), 2.0, 20
+        poses = np.linspace(-spec.radius_b, spec.radius_b, samples)[:, None]
         front = ColoredPointCloud(np.array([[0.0, 0.0, 2.0]]), np.array([[0.9]]))
-        full = ColoredPointCloud(
-            np.array([[0.0, 0.0, 2.0], [0.0004, 0.0, 1.0]]),
-            np.array([[0.9], [0.1]]),
-        )
-        spec = MotionSpec(Axis.TX, 0.05)
-        assert not check_delta_convexity(
-            full, front, DeltaConvexity(2.0), spec, cam, 20
-        )
+        for depth, holds in ((1.9, False), (2.1, True)):
+            hidden = np.array([[0.0004, 0.0, depth]])
+            full = ColoredPointCloud(np.vstack([front.points, hidden]),
+                                     np.array([[0.9], [0.1]]))
+            uv_f, _ = project_points(front.points, spec.axis, poses, cam)
+            uv_h, _ = project_points(hidden, spec.axis, poses, cam)
+            assert np.abs(uv_h - uv_f).max() <= delta
+            assert check_delta_convexity(
+                full, front, DeltaConvexity(delta), spec, cam, samples
+            ) is holds
 
     def test_hidden_point_nearer_than_every_neighbor_fails(self, cam):
         # delta reaches the one-frame point at every pose, but it is deeper

@@ -18,7 +18,8 @@ from pwscert import (
     smoothed_prediction,
 )
 from pwscert.smoothing import (_CACHED_PREFIX, _NOISE_ENTRIES, STREAM_FRAME, _cached_block,
-                               _estimate, _noise_block, noise_generator, stream_id)
+                               _estimate, _first_max_counts, _noise_block, noise_generator,
+                               stream_id)
 
 
 class ConstantClassifier(BaseClassifier):
@@ -309,6 +310,40 @@ class TestSmoothedEstimate:
         np.testing.assert_array_equal(smoothed_estimate(clf, image, cfg).counts, want)
         assert np.count_nonzero(want) > 1
 
+    @pytest.mark.parametrize("labels", [2, 3])
+    def test_logit_ties_go_to_the_lower_label(self, labels):
+        # labels 0 and 1 share one column and one bias; the column is zero, so
+        # their rows of the covariance, and of its factor, are exact zeros and
+        # the pair ties on every draw (equal random columns would not do: eigh
+        # rounds their factor rows apart).  With 3 labels, the third label's
+        # random column takes about half the draws and leaves the pair the rest.
+        rng = np.random.default_rng(21)
+        weights = np.zeros((4, labels))  # an 8 x 8 image pooled by 4
+        weights[:, 2:] = rng.standard_normal((4, labels - 2))
+        clf = LinearSoftmaxClassifier(weights, np.full(labels, 0.25), (1, 8, 8), 4)
+        img = np.zeros((1, 8, 8))
+        cfg = SmoothingConfig(sigma=0.5, n_samples=10000, confidence_alpha=0.01, seed=9)
+        counts = smoothed_estimate(clf, img, cfg, stream=7).counts
+        np.testing.assert_array_equal(counts, logit_block_oracle(clf, img, cfg, 7, 8192))
+        assert counts[1] == 0
+        if labels == 2:
+            assert counts[0] == cfg.n_samples
+        else:
+            assert 0.4 < counts[2] / cfg.n_samples < 0.6
+
+    def test_many_label_logit_blocks_match_one_batch_oracle(self):
+        # 12 labels make 2^16 // 12 = 5461-draw blocks, so 12,000 draws are
+        # two full blocks and a short one of 1,078; the map has full rank over
+        # 16 pooled features and ties at the image, so the noise decides
+        shape = (1, 16, 16)
+        img = np.random.default_rng(22).uniform(0.0, 1.0, shape)
+        clf = tied_classifier(shape, img, 12, seed=22)
+        assert np.linalg.matrix_rank(clf.logit_map()[0]) == 12
+        cfg = SmoothingConfig(sigma=0.5, n_samples=12000, confidence_alpha=0.01, seed=5)
+        counts = smoothed_estimate(clf, img, cfg, stream=7).counts
+        np.testing.assert_array_equal(counts, logit_block_oracle(clf, img, cfg, 7, 5461))
+        assert np.count_nonzero(counts) == 12
+
     def test_pixel_blocks_match_one_batch_oracle(self):
         shape = (1, 64, 64)
         img = np.random.default_rng(6).uniform(0.0, 1.0, shape)
@@ -542,6 +577,34 @@ class TestSharedDraws:
     def test_empty_input(self):
         cfg = SmoothingConfig(sigma=0.5, n_samples=100)
         assert smoothed_estimates(ConstantClassifier(0), [], cfg) == []
+
+
+class TestFirstMaxCounts:
+    """The logit path's column counter against the argmax it replaces."""
+
+    @pytest.mark.parametrize("labels", [1, 2, 3, 4, 10, 30, 100])
+    @pytest.mark.parametrize("rows", [1, 2, 113, 1808, 8192])
+    def test_equals_argmax_counts(self, labels, rows):
+        rng = np.random.default_rng(labels * 10007 + rows)
+        draws = rng.standard_normal((labels, rows))
+        special = rng.choice([-np.inf, -1.0, -0.0, 0.0, np.inf], size=(labels, rows))
+        signed_zeros = np.zeros((labels, rows))
+        signed_zeros[::2] = -0.0
+        cases = {
+            "distinct": draws,
+            "coarse": np.round(2 * draws) / 2,  # many exact ties
+            "duplicated labels": draws[rng.integers(labels, size=labels)],
+            "signed zeros and infinities": special,
+            "mixed": np.where(rng.random((labels, rows)) < 0.3, special, draws),
+            "every draw tied at -0.0 and 0.0": signed_zeros,
+            "every draw tied at +inf": np.full((labels, rows), np.inf),
+            "every draw tied at -inf": np.full((labels, rows), -np.inf),
+        }
+        for name, cols in cases.items():
+            want = np.bincount(np.argmax(cols.T, axis=1), minlength=labels)
+            got = _first_max_counts(cols)
+            assert got.dtype.kind == "i", name
+            np.testing.assert_array_equal(got, want, err_msg=name)
 
 
 class TestNoiseEquivalence:

@@ -13,10 +13,14 @@ chosen resolution.  Ownership changes only at the poses the rasterizer's
 ``zbuffer_changes`` yields, so the runs are those of a z-buffer at every
 pose.  Under translations those are pose 0 and the poses where some
 point changes cell (124-234 of 2001 on the 64 px wild-certify scenes at
-TZ 20 mm), and the z-buffer kernel runs at pose 0 only; under rotations
-they are pose 0 and each pose at the horizon of the last one (38-68 of
-2001 on the seed-0 demo scenes at RY 0.026 rad).  The bounds differ only
-in the width they give each run:
+TZ 20 mm); the z-buffer kernel runs at pose 0 only, and each later pose
+picks every cell's winner again over the points that move only.  Under
+rotations they are pose 0 and each pose at the horizon of the last one
+(38-68 of 2001 on the seed-0 demo scenes at RY 0.026 rad).  The sweep
+records each pixel change as (pose, pixel, previous owner); one stable
+sort by pixel then gives each run its start, the pose of the change
+before at that pixel.  The bounds differ only in the width they give
+each run:
 
 * exact    - the interval widths themselves,
 * lipschitz - projection span across each interval divided by the point's
@@ -126,32 +130,32 @@ def _sweep_runs(
     step = float(values[1] - values[0])
     npix = cam.height * cam.width
 
-    # runs change only at the poses zbuffer_changes yields
+    # runs change only at the poses zbuffer_changes yields; each change at
+    # pose t ends the run of its pixel's previous owner at pose t - 1
     frames = zbuffer_changes(cloud, spec.axis, values, cam)
     _, prev = next(frames)
-    run_start = np.zeros(npix, dtype=np.int64)
-    # empty seeds give typed empty arrays when no run ever ends
-    no_ints, no_floats = np.empty(0, dtype=np.int64), np.empty(0)
-    px_parts, pt_parts = [no_ints], [no_ints]
-    lo_parts, hi_parts = [no_floats], [no_floats]
-
+    poses, pixel_parts, owner_parts = [], [], []
     # an all-empty frame after the last pose closes every open run
     closing = (resolution, np.full(npix, -1, dtype=np.int64))
     for t, cur in itertools.chain(frames, [closing]):
-        changed = np.nonzero(cur != prev)[0]
-        if changed.size:
-            ended = changed[prev[changed] >= 0]
-            px_parts.append(ended)
-            pt_parts.append(prev[ended])
-            lo_parts.append(values[run_start[ended]])
-            hi_parts.append(np.full(ended.size, values[t - 1]))
-            run_start[changed] = t
+        changed = np.flatnonzero(cur != prev)
+        poses.append(t)
+        pixel_parts.append(changed)
+        owner_parts.append(prev[changed])
         prev = cur
 
-    pixel_flat = np.concatenate(px_parts)
-    point_index = np.concatenate(pt_parts)
-    lo = np.concatenate(lo_parts)
-    hi = np.concatenate(hi_parts)
+    pose = np.repeat(poses, [len(part) for part in pixel_parts])
+    pixel = np.concatenate(pixel_parts)
+    owner = np.concatenate(owner_parts)
+    # in pixel order, each change's run starts at the pixel's change before, or at pose 0
+    by_pixel = np.argsort(pixel, kind="stable")
+    start = np.zeros(len(pose), dtype=np.int64)
+    in_order = pixel[by_pixel]
+    same = in_order[1:] == in_order[:-1]
+    start[by_pixel[1:][same]] = pose[by_pixel[:-1][same]]
+    ended = owner >= 0
+    pixel_flat, point_index = pixel[ended], owner[ended]
+    lo, hi = values[start[ended]], values[pose[ended] - 1]
     return _SweepRuns(point_index, pixel_flat, lo, hi, step)
 
 

@@ -21,17 +21,22 @@ A sweep (``sweep_images``, and the ownership sweep behind every spacing
 bound) goes through ``zbuffer_changes``, which yields the winners of
 pose 0 and of the later poses where a winner may change; every other
 pose repeats the winners of the pose before it; ``sweep_images`` keeps
-the distinct images of the yielded poses.  Under TX, TY and TZ with sorted
-poses those are the poses where some point changes cell (124-234 of 2,001
-on the 64 px wild-certify scenes at TZ 20 mm): a point's cell is monotone
-in the pose, so splitting the pose brackets of the points that move finds
-them all.  The kernel runs at pose 0 only: the points keep one (depth,
-index) order, so each change picks every cell's winner again by it.
-Under RX, RY and RZ with sorted poses, each pose z-buffered bounds how
-far the pose may move before a point can reach a cell border or pass its
-cell's winner, and the sweep skips to the first pose beyond (38-68 of
-2,001 on the seed-0 demo scenes at RY 0.026 rad, where 4-7 poses change
-a winner).  Unsorted pose lists z-buffer every pose.
+the distinct images of the yielded poses, each painted by one gather
+from the point colors with the background as one more color.  Under TX,
+TY and TZ with sorted poses those are the poses where some point changes
+cell (124-234 of 2,001 on the 64 px wild-certify scenes at TZ 20 mm): a
+point's cell is monotone in the pose, so splitting the pose brackets of
+the points that move finds them all.  The kernel runs at pose 0 only:
+the points keep one (depth, index) order, so at each change pose every
+cell's winner is picked again by it from the least rank of the points
+that never move, kept once per sweep, and the ranks of the movers in
+it: the minimum runs over the movers only.  Under RX, RY and RZ with
+sorted poses, each pose z-buffered bounds how far the pose may move
+before a point can reach a cell border or pass its cell's winner, and
+the sweep skips to the first pose beyond (38-68 of 2,001 on the seed-0
+demo scenes at RY 0.026 rad, where 4-7 poses change a winner).  Unsorted
+pose lists z-buffer every pose, and so do lists that fit one block of
+``zbuffer_blocks``, in one kernel call.
 
 Points are pure one-pixel splats: no footprint, no interpolation, no
 anti-aliasing.  File formats: ``PWSI1`` for images (binary) and ``PWSPC1``
@@ -184,58 +189,73 @@ def _traced_changes(cloud: ColoredPointCloud, axis: Axis, values, cam: CameraMod
     between the first and the last pose, change cell.  Each round cuts
     every mover's bracket of poses, at first (0, T - 1), into isqrt(T - 1)
     + 1 steps, in batches of at most ``_BLOCK_ENTRIES`` entries, and keeps
-    the steps whose ends differ in cell until each is one pose wide.  Then,
-    in pose order, each pose's changed points move to their new cells and
-    each cell's least rank is picked again with one unbuffered minimum.
-    At TZ 20 mm, 154-321 of the 5,832 points of a wild-certify scene move.
+    the steps whose ends differ in cell until each is one pose wide.  At
+    TZ 20 mm, 154-321 of the 5,832 points of a wild-certify scene move.
+
+    The points that never move keep one least rank per cell.  Then, in
+    pose order, each pose's changed points move to their new cells, and
+    each cell's winner is the lesser of that rank and the least rank of
+    the movers in it, picked with one unbuffered minimum over the movers.
     """
     points = cloud.points
     n, (size, pixels) = len(points), _grid(cam.height, cam.width)
-    if axis is Axis.TZ:
-        z = np.unique(points[:, 2])
-        # 2^-51: one more bit covers the rounding of the gaps and the bound
-        reach = 2.0**-51 * (np.max(np.abs(z)) + np.max(np.abs(values)))
-        if z.size > 1 and np.min(np.diff(z)) <= reach:
-            return None
     order = np.lexsort((np.arange(n), points[:, 2]))
-    rank = np.argsort(order)  # each point's rank in that order
-    owner = np.append(order, -1)  # the point of each rank; rank n: none
+    if axis is Axis.TZ:
+        z = points[order, 2]
+        gaps = z[1:] - z[:-1]  # 0 between equal z
+        # 2^-51: one more bit covers the rounding of the gaps and the bound
+        reach = 2.0**-51 * (np.max(np.abs(points[:, 2])) + np.max(np.abs(values)))
+        if np.any((gaps > 0) & (gaps <= reach)):
+            return None
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)  # each point's rank in that order
+    owner = np.concatenate([order, [-1]])  # the point of each rank; rank n: none
     last, steps = len(values) - 1, math.isqrt(len(values) - 1) + 1
     take = _block_size(steps + 1)  # brackets per batch
 
     def place(idx, poses):  # each point's cell at its own pose
         return _cells(*project_points(points[idx], axis, values[poses], cam), cam)
 
-    def winners(cell):
-        least = np.full(size, n)  # each cell's least rank, n where empty
-        np.minimum.at(least, cell, rank)
-        return owner[least[pixels]]
-
-    def sweep():
-        _, _, (cell,), (first,) = _zbuffer(cloud, axis, values[:1], cam)
-        yield 0, first
-        end = place(np.arange(n), np.full(n, last))
+    def trace(movers, to):  # (pose, point, cell) of every change of the movers
         batches, found = [], []
 
         def push(idx, lo, hi, to):  # point idx changes cell in (lo, hi], to `to`
             one = hi - lo == 1  # one pose wide: the change is at hi
-            found.append(np.stack([hi, idx, to])[:, one])
-            wide = np.stack([idx, lo, hi])[:, ~one]
-            batches.extend(wide[:, at : at + take] for at in range(0, wide.shape[1], take))
-        movers = np.flatnonzero(cell != end)
-        push(movers, np.zeros_like(movers), np.full_like(movers, last), end[movers])
+            found.append((hi[one], idx[one], to[one]))
+            wide = ~one
+            idx, lo, hi = idx[wide], lo[wide], hi[wide]
+            batches.extend((idx[at : at + take], lo[at : at + take], hi[at : at + take])
+                           for at in range(0, len(idx), take))
+        push(movers, np.zeros_like(movers), np.full_like(movers, last), to)
         while batches:
             idx, lo, hi = batches.pop()
             cut = lo[:, None] + (hi - lo)[:, None] * np.arange(steps + 1) // steps
             ends = place(np.repeat(idx, steps + 1), cut.ravel()).reshape(cut.shape)
             b, j = np.nonzero(ends[:, 1:] != ends[:, :-1])
             push(idx[b], cut[b, j], cut[b, j + 1], ends[b, j + 1])
-        pose, moved, to = np.concatenate(found, axis=1)
+        return (np.concatenate(part) for part in zip(*found))
+
+    def sweep():
+        _, _, (cell,), (first,) = _zbuffer(cloud, axis, values[:1], cam)
+        yield 0, first
+        end = _cells(*project_points(points, axis, values[last], cam), cam)
+        moving = cell != end
+        movers = np.flatnonzero(moving)
+        if not movers.size:
+            return
+        pose, moved, to = trace(movers, end[movers])
+        fixed = np.full(size, n)  # each cell's least rank of the points that never move
+        np.minimum.at(fixed, cell[~moving], rank[~moving])
+        track, moving_rank = cell[movers], rank[movers]  # the movers' cells and ranks
         by_pose = np.argsort(pose)
-        poses, starts = np.unique(pose[by_pose], return_index=True)
-        for at, group in zip(poses.tolist(), np.split(by_pose, starts[1:])):
-            cell[moved[group]] = to[group]  # each point's cell at pose at
-            yield at, winners(cell)
+        slot = np.searchsorted(movers, moved[by_pose])  # each change's place in movers
+        to, (poses, starts) = to[by_pose], np.unique(pose[by_pose], return_index=True)
+        ends = [*starts[1:].tolist(), len(to)]
+        for at, a, b in zip(poses.tolist(), starts.tolist(), ends):
+            track[slot[a:b]] = to[a:b]  # each mover's cell at pose at
+            least = fixed.copy()
+            np.minimum.at(least, track, moving_rank)
+            yield at, owner[least[pixels]]
 
     return sweep()
 
@@ -342,12 +362,14 @@ def zbuffer_changes(cloud: ColoredPointCloud, axis: Axis, values, cam: CameraMod
     pose whose winners may differ from the pose before; every pose not
     yielded has the winners of the last one yielded before it.
 
-    Sorted sweeps of at least 3 poses skip poses: translations by
-    ``_traced_changes``, rotations by ``_horizon_changes``.  Every other
-    list z-buffers every pose.
+    Sorted sweeps of at least 3 poses and more than one kernel block (see
+    ``zbuffer_blocks``) skip poses: translations by ``_traced_changes``,
+    rotations by ``_horizon_changes``.  Every other list z-buffers every
+    pose, a list that fits one block in one kernel call.
     """
     values = np.asarray(values, dtype=np.float64).reshape(-1)
-    if len(values) >= 3 and np.all(values[1:] >= values[:-1]):
+    one_block = _block_size(max(len(cloud), cam.height * cam.width))
+    if len(values) > max(2, one_block) and np.all(values[1:] >= values[:-1]):
         rule = _horizon_changes if axis.is_rotation else _traced_changes
         if (changes := rule(cloud, axis, values, cam)) is not None:
             return changes
@@ -398,9 +420,12 @@ def sweep_images(
     outside = np.flatnonzero(~(np.abs(values) <= spec.radius_b))  # NaN fails too
     if outside.size:
         MotionValue(spec, float(values[outside[0]]))  # raises
+    # each point's colors, then the background's in the last column: winner -1
+    palette = np.concatenate([cloud.colors.T, np.full((cloud.channels, 1), background,
+                                                      dtype=np.float64)], axis=1)
     seen, starts, changes = {}, [], []  # seen: each distinct image's number, by bytes
     for pose, winners in zbuffer_changes(cloud, spec.axis, values, cam):
-        image = np.where(winners >= 0, cloud.colors[winners].T, background)
+        image = np.take(palette, winners, axis=1)
         changes.append(seen.setdefault(image.tobytes(), len(seen)))
         starts.append(pose)
     images = [np.frombuffer(key).reshape(-1, cam.height, cam.width) for key in seen]

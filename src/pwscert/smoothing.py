@@ -63,13 +63,19 @@ threads, at most one per block, and on the calling thread alone when that
 is one; a logit-path tally always runs on the calling thread.
 
 For classifiers exposing an affine pixel-to-logit map, the argmax under
-pixel noise is sampled exactly in logit space: the noise pushes forward to
+pixel noise is sampled in logit space: the noise pushes forward to
 ``N(0, sigma^2 A A^T)`` over the logits, which is cheaper by the ratio of
-pixel count to label count and distributionally identical.  There ``W`` is
-the label count and a block times ``V sqrt(max(lambda, 0))``, from an
-eigendecomposition of that covariance, is logit noise: the built-in model's
-covariance is singular, where Cholesky passes or fails by rounding alone.
-Set ``SmoothingConfig.force_pixel_noise`` to bypass it.
+pixel count to label count.  There ``W`` is the label count and a block
+times ``V sqrt(max(lambda, 0))``, from an eigendecomposition of that
+covariance, is logit noise: the built-in model's covariance is singular,
+where Cholesky passes or fails by rounding alone.  The factor rows of two
+labels with one row of (A, b) can differ by rounding, so such labels would
+split draws that the pixel path gives to the first of them; they share
+that label's noise column and base instead, and the covariance is
+factored over the first occurrences of the distinct rows, in label order.
+With that, both paths sample the same distribution of top labels, though
+not the same draws.  Set ``SmoothingConfig.force_pixel_noise`` to bypass
+the logit path.
 
 Each draw counts for the first label holding its maximum score, the label
 ``np.argmax`` picks, so an exact tie goes to the lower label.  The pixel
@@ -229,14 +235,13 @@ def _first_max_counts(cols) -> np.ndarray:
     return counts
 
 
-def _tally(bases, cfg, stream, threads, push, count, label_count) -> np.ndarray:
-    """Label counts of every row of ``bases`` over every block of the draws.
-    ``count(base, push(block))`` counts one image's draws of one block, each
-    for the first label holding its maximum score, as ``np.argmax`` picks,
-    so a tie goes to the lower label.  ``push`` sets the layout ``count``
-    reads: (draws, pixels) noise on the pixel path, (labels, draws) label
-    columns on the logit path."""
-    width = bases.shape[1]
+def _tally(bases, width, cfg, stream, threads, push, count, label_count) -> np.ndarray:
+    """Label counts of every row of ``bases`` over every block of the draws
+    of ``width`` values.  ``count(base, push(block))`` counts one image's
+    draws of one block, each for the first label holding its maximum score,
+    as ``np.argmax`` picks, so a tie goes to the lower label.  ``push`` sets
+    the layout ``count`` reads: (draws, pixels) noise on the pixel path,
+    (labels, draws) label columns on the logit path."""
     rows = max(1, min(_BLOCK_DRAWS, _NOISE_ENTRIES // width))
     n_blocks = -(-cfg.n_samples // rows)
 
@@ -284,9 +289,11 @@ def smoothed_estimates(
     if not len(images):
         return []
     label_count = classifier.label_count
+    keep = np.arange(label_count)  # the labels tallied; the others take no draw
     logit_map = None if cfg.force_pixel_noise else classifier.logit_map()
     if logit_map is None:
         bases = images.reshape(len(images), -1)
+        width = bases.shape[1]
         push = lambda block: block * cfg.sigma  # out of place: cached blocks are read-only
 
         def count(base, noise):
@@ -304,8 +311,18 @@ def smoothed_estimates(
         bases = np.array([a_mat @ image.reshape(-1) + bias for image in images])
         if not (np.isfinite(a_mat).all() and np.isfinite(bases).all()):
             raise NonFiniteScores("the logit map or an image's logits are not finite")
+        # labels with one row of (A, b) tie at every draw, and argmax gives
+        # the tie to the first of them: they share its noise column and base
+        # (+ 0.0 makes -0.0 and 0.0 one value)
+        first = {}
+        for label, row in enumerate(np.column_stack([a_mat, bias]) + 0.0):
+            first.setdefault(row.tobytes(), label)
+        keep = np.array(list(first.values()))
+        a_mat, bases, width = a_mat[keep], bases[:, keep], label_count
         vals, vecs = np.linalg.eigh((cfg.sigma**2) * (a_mat @ a_mat.T))
-        factor = vecs * np.sqrt(np.clip(vals, 0.0, None))
+        # the kept labels' noise from their own columns of the draws
+        factor = np.zeros((len(keep), label_count))
+        factor[:, keep] = vecs * np.sqrt(np.clip(vals, 0.0, None))
         # (labels, draws) columns: one transpose-copy per block, then every
         # image adds its logits to the same sums base + noise would hold
         push = lambda block: (block @ factor.T).T.copy()
@@ -313,7 +330,8 @@ def smoothed_estimates(
         # one thread: letting the thread rule apply here made demo-attack
         # slower in 6 of 6 alternating 8 s pairs (49.4 against 62.6 scenes/s)
         threads = 1
-    counts = _tally(bases, cfg, stream, threads, push, count, label_count)
+    counts = np.zeros((len(images), label_count), dtype=np.int64)
+    counts[:, keep] = _tally(bases, width, cfg, stream, threads, push, count, len(keep))
     return [_estimate(c, cfg) for c in counts]
 
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from pwscert.rasterizer import (
     _BLOCK_ENTRIES,
     _cells,
     _horizon_changes,
+    _traced_changes,
     sweep_images,
     zbuffer_blocks,
     zbuffer_changes,
@@ -396,6 +398,16 @@ def per_pose(changes, count):
     return np.array(rows)
 
 
+def rule_changes(cloud, axis, values, cam):
+    """The pose-skipping rule's ``zbuffer_changes`` output for a sorted
+    list of at least 3 poses, even one that ``zbuffer_changes`` z-buffers
+    in one kernel block, or None where the rule falls back."""
+    values = np.asarray(values, dtype=np.float64)
+    assert len(values) >= 3 and np.all(values[1:] >= values[:-1])
+    rule = _horizon_changes if axis.is_rotation else _traced_changes
+    return rule(cloud, axis, values, cam)
+
+
 @pytest.fixture
 def kernel_poses(monkeypatch):
     """The poses of each ``_zbuffer`` call made while the test runs: every
@@ -410,6 +422,43 @@ def kernel_poses(monkeypatch):
     return poses
 
 
+# One lane per case of the movers-only re-pick, each point given by its
+# pixel (u, v) at the first pose of np.linspace(-0.3, 0.3, 301) and its z,
+# on the 16 px small_cam: under TX (and TY, with u and v swapped) every point
+# moves 9.6 / z px toward smaller u, under TZ its offset from the principal
+# point grows by (z + 0.3) / (z - 0.3).  F: fixed, M: mover, W: the winner
+# that leaves, S: the point that stays.
+REPICK_LANES = {
+    "lateral": {"F1": (5.9, 2.5, 15), "M1": (6.15, 2.5, 30),
+                "F2": (5.7, 4.5, 20), "M2": (6.4, 4.5, 12),
+                "W3": (5.3, 6.5, 12), "S3": (5.9, 6.5, 20),
+                "W4": (5.3, 9.5, 12),
+                "M5a": (10.3, 11.5, 12), "M5b": (10.3, 12.5, 12),
+                "M6": (4.5, 14.5, 1.0)},
+    "radial": {"F1": (13.5, 2.5, 15), "M1": (12.95, 2.5, 30),
+               "F2": (13.5, 4.5, 20), "M2": (12.85, 4.5, 12),
+               "W3": (13.85, 6.5, 12), "S3": (13.3, 6.5, 20),
+               "W4": (13.85, 10.5, 12),
+               "M5a": (13.85, 11.5, 12), "M5b": (13.85, 12.5, 12),
+               "M6": (12.5, 8.0, 1.0)},
+}
+
+
+def repick_scene(axis, cam):
+    """The ``REPICK_LANES`` cloud of a translation axis, and each name's index."""
+    lanes = REPICK_LANES["radial" if axis is Axis.TZ else "lateral"]
+    first = -0.3
+    points = []
+    for u, v, z in lanes.values():
+        if axis is Axis.TY:
+            u, v = v, u
+        depth = z - first if axis is Axis.TZ else z
+        points.append([(u - cam.cx) * depth / cam.fx + (first if axis is Axis.TX else 0.0),
+                       (v - cam.cy) * depth / cam.fy + (first if axis is Axis.TY else 0.0), z])
+    colors = np.linspace(0.1, 0.9, len(points))[:, None]
+    return ColoredPointCloud(points, colors), {name: i for i, name in enumerate(lanes)}
+
+
 class TestChangePoses:
     def test_traps_match_per_pose_kernel(self, small_cam):
         for name, cloud, spec, resolution in sweep_traps(small_cam):
@@ -421,6 +470,44 @@ class TestChangePoses:
             np.testing.assert_array_equal(got, want, err_msg=name)
             changed = np.flatnonzero(np.any(want[1:] != want[:-1], axis=1)) + 1
             assert changed.size, name  # owners do change inside the range
+
+    @pytest.mark.parametrize("axis", [Axis.TX, Axis.TY, Axis.TZ])
+    def test_repick_cases_match_per_pose_kernel(self, small_cam, axis):
+        cloud, at = repick_scene(axis, small_cam)
+        values = np.linspace(-0.3, 0.3, 301)
+        want = winners_batch(cloud, axis, values, small_cam)
+        changes = dict(zbuffer_changes(cloud, axis, values, small_cam))
+        assert len(changes) < 20  # traced, not z-buffered pose by pose
+        np.testing.assert_array_equal(per_pose(changes.items(), len(values)), want)
+        cells = cells_at(cloud.points, axis, values, small_cam)
+        ring = small_cam.width + 2
+
+        def change(name):  # the one pose the point changes cell, and its pixels
+            i = at[name]
+            (t,) = np.flatnonzero(cells[1:, i] != cells[:-1, i]) + 1
+            row, col = np.divmod(cells[t - 1 : t + 1, i], ring)
+            return t, (row - 1) * small_cam.width + col - 1
+
+        for fixed in ("F1", "F2", "S3"):
+            assert np.all(cells[:, at[fixed]] == cells[0, at[fixed]]), fixed
+        # a mover enters a cell whose fixed winner is nearer (lower rank) ...
+        t, (_, into) = change("M1")
+        assert want[t - 1, into] == want[t, into] == at["F1"]
+        # ... and one whose fixed winner is farther
+        t, (_, into) = change("M2")
+        assert want[t - 1, into] == at["F2"] and want[t, into] == at["M2"]
+        # the winner leaves a cell where another point stays, and one where none does
+        t, (left, _) = change("W3")
+        assert want[t - 1, left] == at["W3"] and want[t, left] == at["S3"]
+        t, (left, _) = change("W4")
+        assert want[t - 1, left] == at["W4"] and want[t, left] == -1
+        # two movers change cell at one pose
+        assert change("M5a")[0] == change("M5b")[0]
+        # a mover crosses several cells into the ring, in front of the camera
+        path = cells[:, at["M6"]]
+        row, col = np.divmod(path[-1], ring)
+        assert len(set(path.tolist())) >= 4 and path[-1] < (small_cam.height + 2) * ring
+        assert not (1 <= row <= small_cam.height and 1 <= col <= small_cam.width)
 
     @pytest.mark.parametrize("name, poses", [("one change, at pose 1", [1]),
                                              ("one change, at the last pose", [300]),
@@ -479,6 +566,7 @@ class TestChangePoses:
 
     def test_short_and_irregular_lists(self, small_cam):
         rng = np.random.default_rng(25)
+        traced = 0
         for name, cloud, spec, resolution in sweep_traps(small_cam):
             b = spec.radius_b
             lists = [[-b, b], [-b, 0.0, b], [b, -b, 0.0], [0.0, 0.0, b],
@@ -489,8 +577,18 @@ class TestChangePoses:
                 got = per_pose(zbuffer_changes(cloud, spec.axis, values, small_cam),
                                len(values))
                 np.testing.assert_array_equal(got, want, err_msg=f"{name} {values}")
+                # the short sorted lists fit one block here, so run the tracer
+                # on them too: on a larger cloud or camera it takes them
+                if len(values) >= 3 and np.all(np.diff(values) >= 0):
+                    changes = rule_changes(cloud, spec.axis, values, small_cam)
+                    if changes is not None:
+                        traced += 1
+                        np.testing.assert_array_equal(per_pose(changes, len(values)), want,
+                                                      err_msg=f"{name} {values}")
+        assert traced >= 20, traced
 
     def test_random_translation_clouds(self, small_cam):
+        traced = 0
         for seed in range(30):
             rng = np.random.default_rng(100 + seed)
             cloud = awkward_cloud(rng, int(rng.integers(8, 300)))
@@ -502,6 +600,13 @@ class TestChangePoses:
             want = np.concatenate(list(zbuffer_blocks(cloud, axis, values, small_cam)))
             got = per_pose(zbuffer_changes(cloud, axis, values, small_cam), len(values))
             np.testing.assert_array_equal(got, want, err_msg=f"seed {seed}")
+            # lists that fit one block z-buffer every pose: run the tracer too
+            changes = rule_changes(cloud, axis, values, small_cam)
+            if changes is not None:
+                traced += 1
+                np.testing.assert_array_equal(per_pose(changes, len(values)), want,
+                                              err_msg=f"seed {seed}")
+        assert traced >= 28, traced
 
     def test_rotation_traps_are_what_they_say(self, trap_cam):
         traps = {name: (cloud, spec, res)
@@ -594,7 +699,13 @@ class TestChangePoses:
             changes = list(zbuffer_changes(cloud, axis, values, small_cam))
             np.testing.assert_array_equal(per_pose(changes, len(values)), want,
                                           err_msg=f"seed {seed}")
-            skipped += len(changes) < len(values)
+            # lists that fit one block z-buffer every pose: run the horizon rule too
+            if seed % 4 != 2 and (changes := rule_changes(cloud, axis, values,
+                                                          small_cam)) is not None:
+                changes = list(changes)
+                np.testing.assert_array_equal(per_pose(changes, len(values)), want,
+                                              err_msg=f"seed {seed}")
+                skipped += len(changes) < len(values)
         assert skipped >= 8  # the horizon rule, not only its fall-backs
 
     def test_demo_ry_sweeps_zbuffer_few_poses(self, demo_cam, kernel_poses):
@@ -635,6 +746,23 @@ class TestChangePoses:
             for pose, want in enumerate(row for block in blocks for row in block):
                 winners = changes.get(pose, winners)
                 np.testing.assert_array_equal(winners, want, err_msg=str(pose))
+
+    @pytest.mark.parametrize("axis, radius", [(Axis.TY, 0.25), (Axis.TZ, 0.8)])
+    def test_dense_sweep_memory_stays_bounded(self, axis, radius):
+        # 676 points, 2,000 asked for, of which 676 (TY) and 673 (TZ) change
+        # cell; 1,285 and 1,788 of the 2,001 poses change a winner.  A
+        # (poses, movers) cell track of all the change poses at once peaked
+        # at 22.0 (TY) and 30.0 MB (TZ)
+        cam = CameraModel(fx=32.0, fy=32.0, cx=16.0, cy=16.0, width=32, height=32)
+        cloud = generate_scene(ShapeClass.PLANE_BILLBOARD, 2000, (1.6, 2.4), 0, cam,
+                               channels=1).cloud
+        tracemalloc.start()
+        try:
+            _sweep_runs(cloud, MotionSpec(axis, radius), cam, 2001)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, peak
 
     def test_translation_projections_stay_within_the_block_bound(self, small_cam,
                                                                   monkeypatch):

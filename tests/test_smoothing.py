@@ -314,9 +314,9 @@ class TestSmoothedEstimate:
     def test_logit_ties_go_to_the_lower_label(self, labels):
         # labels 0 and 1 share one column and one bias; the column is zero, so
         # their rows of the covariance, and of its factor, are exact zeros and
-        # the pair ties on every draw (equal random columns would not do: eigh
-        # rounds their factor rows apart).  With 3 labels, the third label's
-        # random column takes about half the draws and leaves the pair the rest.
+        # the pair ties on every draw (the next test shares a random column).
+        # With 3 labels, the third label's random column takes about half the
+        # draws and leaves the pair the rest.
         rng = np.random.default_rng(21)
         weights = np.zeros((4, labels))  # an 8 x 8 image pooled by 4
         weights[:, 2:] = rng.standard_normal((4, labels - 2))
@@ -330,6 +330,28 @@ class TestSmoothedEstimate:
             assert counts[0] == cfg.n_samples
         else:
             assert 0.4 < counts[2] / cfg.n_samples < 0.6
+
+    def test_equal_labels_share_one_noise_column(self):
+        # labels 0 and 1 share a non-zero column and one bias, and label 2
+        # ties them at the image: the pixel path gives every draw the pair
+        # wins to label 0.  With the pair factored apart, its noise rows
+        # differ by rounding, and label 1 took 4,241 of the 10,000 logit draws
+        shape = (1, 8, 8)
+        img = np.random.default_rng(23).uniform(0.0, 1.0, shape)
+        weights = np.random.default_rng(24).standard_normal((4, 3))
+        weights[:, 1] = weights[:, 0]
+        a_mat, _ = LinearSoftmaxClassifier(weights, np.zeros(3), shape, 4).logit_map()
+        clf = LinearSoftmaxClassifier(weights, -(a_mat @ img.reshape(-1)), shape, 4)
+        cfg = SmoothingConfig(sigma=0.5, n_samples=10000, confidence_alpha=0.01, seed=0)
+        logit = smoothed_estimate(clf, img, cfg).counts
+        pixel = smoothed_estimate(clf, img, SmoothingConfig(
+            sigma=0.5, n_samples=10000, confidence_alpha=0.01, seed=0,
+            force_pixel_noise=True)).counts
+        assert logit[1] == pixel[1] == 0
+        # both paths sample one smoothed classifier, which splits about evenly:
+        # five standard deviations of the difference of two binomial counts
+        assert abs(int(logit[0]) - int(pixel[0])) < 5 * math.sqrt(2 * 10000 * 0.25)
+        assert 0.4 < logit[0] / cfg.n_samples < 0.6
 
     def test_many_label_logit_blocks_match_one_batch_oracle(self):
         # 12 labels make 2^16 // 12 = 5461-draw blocks, so 12,000 draws are

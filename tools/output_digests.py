@@ -41,9 +41,11 @@ Together with ``pws project --axis ry`` above, they cover every path of
 seeded random clouds on TX, TY and TZ at radii 0.01-0.25 m, with
 duplicates, one shared depth, points off the grid and a point whose TZ
 depth passes DEPTH_EPS, every fifth with two depths inside the 2^-51
-guard that makes a TZ sweep z-buffer every pose; and one 64 px layered
-random-profile scene (the wild-certify profile) at TZ 20 mm.  Each of
-these sweeps too runs on the three pose lists.
+guard that makes a TZ sweep z-buffer every pose; one 64 px layered
+random-profile scene (the wild-certify profile) at TZ 20 mm; and one 32 px
+non-layered random scene of 2,000 asked points, 676 placed, at TY 0.25 m
+and TZ 0.8 m, where nearly every point changes cell and most poses change
+a winner.  Each of these sweeps too runs on the three pose lists.
 
 The scene part hashes, bit for bit, the points and colors of one 800-point
 non-layered random scene on the demo camera (seed 3), the one placement no
@@ -324,6 +326,11 @@ def sweep_digests():
                              channels=1, layered=True)
     feed(("wild", pc.Axis.TZ), wild.cloud, pc.MotionSpec(pc.Axis.TZ, 0.020), cam,
          pose_lists(rng, 0.020))
+    cam = pc.CameraModel(fx=32.0, fy=32.0, cx=16.0, cy=16.0, width=32, height=32)
+    dense = pc.generate_scene(pc.ShapeClass.PLANE_BILLBOARD, 2000, (1.6, 2.4), 0, cam,
+                              channels=1)
+    for axis, b in ((pc.Axis.TY, 0.25), (pc.Axis.TZ, 0.8)):
+        feed(("dense", axis), dense.cloud, pc.MotionSpec(axis, b), cam, pose_lists(rng, b))
     for (kind, axis), digest in hashes.items():
         yield f"sweep {kind} {axis.value} {digest.hexdigest()}"
 

@@ -184,8 +184,9 @@ def certify(
         n_samples=smoothing_cfg.n_samples,
         confidence_alpha=smoothing_cfg.confidence_alpha,
         aggregate_alpha=plan.count * smoothing_cfg.confidence_alpha,
+        # only the one-frame bound reads a delta
         convexity_delta=(
-            interval_cfg.convexity.delta if interval_cfg.convexity else None
+            interval_cfg.convexity.delta if plan.method is CertMethod.ONE_FRAME else None
         ),
         wall_time_s=time.perf_counter() - t0,
         extra={"classifier": classifier.describe()},

@@ -253,9 +253,10 @@ def load_model(path) -> LinearSoftmaxClassifier:
         header = json.loads(line.decode("utf-8"))
         if not isinstance(header, dict) or header.get("format") != "pws-linear-1":
             raise ValueError("header is not pws-linear-1")
-        f, labels = int(header["features"]), int(header["labels"])
-        shape = tuple(int(s) for s in header["image_shape"])
-        downsample = int(header["downsample"])
+        f, labels = header["features"], header["labels"]
+        shape, downsample = tuple(header["image_shape"]), header["downsample"]
+        for value in (f, labels, *shape, downsample):
+            check_integer(value, lambda _: True, f"header value {value!r} is not an integer")
     except (ValueError, KeyError, TypeError) as exc:
         raise FileFormatError(f"not a pws linear model file: {exc!r}") from exc
     if f < 1 or labels < 1:  # the body size below needs both

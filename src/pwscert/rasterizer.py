@@ -26,11 +26,11 @@ from the point colors with the background as one more color.  Under TX,
 TY and TZ with sorted poses those are the poses where some point changes
 cell (124-234 of 2,001 on the 64 px wild-certify scenes at TZ 20 mm): a
 point's cell is monotone in the pose, so splitting the pose brackets of
-the points that move finds them all.  The kernel runs at pose 0 only:
-the points keep one (depth, index) order, so at each change pose every
-cell's winner is picked again by it from the least rank of the points
-that never move, kept once per sweep, and the ranks of the movers in
-it: the minimum runs over the movers only.  Under RX, RY and RZ with
+the points that move finds them all.  The kernel never runs: the
+points keep one (depth, index) order, so at pose 0 and at each change
+pose every cell's winner is picked by it from the least rank of the
+points that never move, kept once per sweep, and the ranks of the movers
+in it: the minimum runs over the movers only.  Under RX, RY and RZ with
 sorted poses, each pose z-buffered bounds how far the pose may move
 before a point can reach a cell border or pass its cell's winner, and
 the sweep skips to the first pose beyond (38-68 of 2,001 on the seed-0
@@ -171,9 +171,9 @@ def zbuffer_blocks(cloud: ColoredPointCloud, axis: Axis, values, cam: CameraMode
 
 
 def _traced_changes(cloud: ColoredPointCloud, axis: Axis, values, cam: CameraModel):
-    """``zbuffer_changes`` for a sorted TX, TY or TZ sweep of at least 3
-    poses, or None where the rule does not apply and every pose is
-    z-buffered: under TZ, two distinct z closer than the rounding of z - a.
+    """``zbuffer_changes`` for a sorted TX, TY or TZ sweep, or None where
+    the rule does not apply and every pose is z-buffered: under TZ, two
+    distinct z closer than the rounding of z - a.
 
     Depth, u and v are each a chain of correctly rounded operations
     monotone in the pose, so each term of a point's ``_cells`` cell (behind
@@ -185,17 +185,18 @@ def _traced_changes(cloud: ColoredPointCloud, axis: Axis, values, cam: CameraMod
     kernel's (depth, index) order at every pose, and each cell's winner is
     its point of least rank in that order.
 
-    The kernel z-buffers pose 0.  Only the movers, whose cell differs
-    between the first and the last pose, change cell.  Each round cuts
-    every mover's bracket of poses, at first (0, T - 1), into isqrt(T - 1)
-    + 1 steps, in batches of at most ``_BLOCK_ENTRIES`` entries, and keeps
-    the steps whose ends differ in cell until each is one pose wide.  At
-    TZ 20 mm, 154-321 of the 5,832 points of a wild-certify scene move.
+    Only the movers, whose cell differs between the first and the last
+    pose, change cell.  Each round cuts every mover's bracket of poses, at
+    first (0, T - 1), into isqrt(T - 1) + 1 steps, in batches of at most
+    ``_BLOCK_ENTRIES`` entries, and keeps the steps whose ends differ in
+    cell until each is one pose wide.  At TZ 20 mm, 154-321 of the 5,832
+    points of a wild-certify scene move.
 
-    The points that never move keep one least rank per cell.  Then, in
-    pose order, each pose's changed points move to their new cells, and
-    each cell's winner is the lesser of that rank and the least rank of
-    the movers in it, picked with one unbuffered minimum over the movers.
+    The points that never move keep one least rank per cell.  Then, at
+    pose 0 and in order at each change pose, once that pose's changed
+    points move to their new cells, each cell's winner is the lesser of
+    that rank and the least rank of the movers in it, picked with one
+    unbuffered minimum over the movers.  No pose is z-buffered.
     """
     points = cloud.points
     n, (size, pixels) = len(points), _grid(cam.height, cam.width)
@@ -236,13 +237,9 @@ def _traced_changes(cloud: ColoredPointCloud, axis: Axis, values, cam: CameraMod
         return (np.concatenate(part) for part in zip(*found))
 
     def sweep():
-        _, _, (cell,), (first,) = _zbuffer(cloud, axis, values[:1], cam)
-        yield 0, first
-        end = _cells(*project_points(points, axis, values[last], cam), cam)
+        cell, end = (place(slice(None), at) for at in (0, last))
         moving = cell != end
         movers = np.flatnonzero(moving)
-        if not movers.size:
-            return
         pose, moved, to = trace(movers, end[movers])
         fixed = np.full(size, n)  # each cell's least rank of the points that never move
         np.minimum.at(fixed, cell[~moving], rank[~moving])
@@ -250,8 +247,8 @@ def _traced_changes(cloud: ColoredPointCloud, axis: Axis, values, cam: CameraMod
         by_pose = np.argsort(pose)
         slot = np.searchsorted(movers, moved[by_pose])  # each change's place in movers
         to, (poses, starts) = to[by_pose], np.unique(pose[by_pose], return_index=True)
-        ends = [*starts[1:].tolist(), len(to)]
-        for at, a, b in zip(poses.tolist(), starts.tolist(), ends):
+        starts = [0, *starts.tolist()]  # pose 0 first, with no change
+        for at, a, b in zip([0, *poses.tolist()], starts, [*starts[1:], len(to)]):
             track[slot[a:b]] = to[a:b]  # each mover's cell at pose at
             least = fixed.copy()
             np.minimum.at(least, track, moving_rank)
@@ -283,10 +280,10 @@ def _border_distance(coord, size: int):
 
 
 def _horizon_changes(cloud: ColoredPointCloud, axis: Axis, values, cam: CameraModel):
-    """``zbuffer_changes`` for a sorted rotation sweep of at least 3 poses,
-    or None where the rule does not apply and every pose is z-buffered:
-    some depth comes within DEPTH_EPS plus the pad of zero on [-b, b],
-    b = max(|values[0]|, |values[-1]|).
+    """``zbuffer_changes`` for a sorted rotation sweep, or None where the
+    rule does not apply and every pose is z-buffered: some depth comes
+    within DEPTH_EPS plus the pad of zero on [-b, b], b = max(|values[0]|,
+    |values[-1]|).
 
     The last pose k z-buffered sets a horizon H, the smallest of
     * each point's distance to the border that changes its ``_cells`` cell,
@@ -362,14 +359,14 @@ def zbuffer_changes(cloud: ColoredPointCloud, axis: Axis, values, cam: CameraMod
     pose whose winners may differ from the pose before; every pose not
     yielded has the winners of the last one yielded before it.
 
-    Sorted sweeps of at least 3 poses and more than one kernel block (see
-    ``zbuffer_blocks``) skip poses: translations by ``_traced_changes``,
-    rotations by ``_horizon_changes``.  Every other list z-buffers every
-    pose, a list that fits one block in one kernel call.
+    Sorted sweeps of more than one kernel block (see ``zbuffer_blocks``)
+    skip poses: translations by ``_traced_changes``, rotations by
+    ``_horizon_changes``.  Every other list z-buffers every pose, a list
+    that fits one block in one kernel call.
     """
     values = np.asarray(values, dtype=np.float64).reshape(-1)
     one_block = _block_size(max(len(cloud), cam.height * cam.width))
-    if len(values) > max(2, one_block) and np.all(values[1:] >= values[:-1]):
+    if len(values) > one_block and np.all(values[1:] >= values[:-1]):
         rule = _horizon_changes if axis.is_rotation else _traced_changes
         if (changes := rule(cloud, axis, values, cam)) is not None:
             return changes

@@ -422,7 +422,9 @@ def _read_corpus(root):
         labels = json.loads((root / "labels.json").read_text(encoding="utf-8"))
         if not isinstance(labels, dict):
             raise TypeError("labels.json must map scene names to labels")
-        labels = {name: int(label) for name, label in labels.items()}
+        for name, label in labels.items():
+            check_integer(label, lambda v: v >= 0, f"scene {name!r} has label {label!r}, "
+                          "not an integer of at least 0")
         if not labels:
             raise ValueError("labels.json names no scene")
         if unsafe := [name for name in labels if _unsafe(name)]:

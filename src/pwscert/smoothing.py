@@ -281,8 +281,9 @@ def smoothed_estimates(
     """Estimate the smoothed prediction at each image, every image tallied
     against the same draws of ``stream``, on the threads of the module's
     thread rule.  A score block that is not one row of ``label_count``
-    scores per draw raises ``ShapeMismatch``; non-finite scores, or a
-    non-finite logit map or image logits, raise ``NonFiniteScores``.
+    scores per draw, or images whose size is not the logit map's column
+    count, raise ``ShapeMismatch``; non-finite scores, or a non-finite
+    logit map or image logits, raise ``NonFiniteScores``.
     """
     threads = worker_count()
     images = np.asarray(images, dtype=np.float64)
@@ -307,6 +308,9 @@ def smoothed_estimates(
             return np.bincount(np.argmax(scores, axis=1), minlength=label_count)
     else:
         a_mat, bias = logit_map
+        if images[0].size != a_mat.shape[1]:
+            raise ShapeMismatch(f"images of {images[0].size} pixels for a logit map of "
+                                f"{a_mat.shape[1]} pixels")
         # one product per image, the arithmetic of a one-image call
         bases = np.array([a_mat @ image.reshape(-1) + bias for image in images])
         if not (np.isfinite(a_mat).all() and np.isfinite(bases).all()):

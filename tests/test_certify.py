@@ -207,6 +207,15 @@ class TestCertify:
         assert report.convexity_delta == DEMO_CONVEXITY_DELTA
         assert report.n_partitions > 0
 
+    @pytest.mark.parametrize("method", [CertMethod.EXACT, CertMethod.LIPSCHITZ])
+    def test_delta_recorded_only_where_the_bound_reads_it(self, cam, method):
+        cloud, spec = static_scene(cam)
+        cfg = dataclasses.replace(IVCFG, convexity=DeltaConvexity(0.1))
+        report = certify(cloud, spec, cam, ConfidentClassifier(), SMOOTH, method, cfg)
+        assert report.method is method
+        assert report.convexity_delta is None
+        assert report.to_json()["convexity_delta"] is None
+
     def test_json_schema(self, cam):
         cloud, spec = static_scene(cam)
         report = certify(cloud, spec, cam, ConfidentClassifier(), SMOOTH,

@@ -375,6 +375,19 @@ class TestModelFile:
         with pytest.raises(FileFormatError, match="^model body .* not finite$"):
             load_model(path)
 
+    @pytest.mark.parametrize("field, value", [
+        ("image_shape", [1, 24.5, 24]), ("image_shape", [1.0, 24, 24]),
+        ("image_shape", [1, True, 24]), ("downsample", 4.0), ("downsample", "4"),
+        ("labels", "4"), ("labels", 4.0), ("labels", True), ("features", 36.0),
+    ])
+    def test_header_field_that_is_no_json_integer_rejected(self, tmp_path, field, value):
+        header = {"downsample": 4, "features": 36, "format": "pws-linear-1",
+                  "image_shape": [1, 24, 24], "labels": 4, field: value}
+        path = tmp_path / "bad.pws"
+        path.write_bytes(json.dumps(header).encode() + b"\n" + b"\0" * 592)
+        with pytest.raises(FileFormatError, match="not an integer"):
+            load_model(path)
+
     @pytest.mark.parametrize("downsample", [0, -1])
     def test_bad_downsample_in_header_rejected(self, tmp_path, downsample):
         header = {"downsample": downsample, "features": 36, "format": "pws-linear-1",

@@ -11,6 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 import pwscert
+from pwscert.classifier import LinearSoftmaxClassifier, save_model
 from pwscert.cli import main, parse_radius
 from pwscert.errors import ConfigError
 from pwscert.geometry import Axis
@@ -445,6 +446,33 @@ class TestErrorHandling:
         assert res.exit_code == 1
         [line] = res.output.splitlines()
         assert line.startswith("file_format: bad model header fields: ")
+
+    @pytest.mark.parametrize("command", ["certify", "attack"])
+    def test_model_of_another_grid_ends_in_shape_mismatch(self, runner, workspace,
+                                                          tmp_path, command):
+        # a model of 32 x 32 images, run on the 24 x 24 demo corpus
+        _, corpus, _ = workspace
+        rng = np.random.default_rng(4)
+        other = tmp_path / "other.pws"
+        save_model(other, LinearSoftmaxClassifier(rng.normal(size=(64, 3)), np.zeros(3),
+                                                  (1, 32, 32), 4))
+        run = tmp_path / "run"
+        res = runner.invoke(main, [
+            command, "--corpus", str(corpus), "--model", str(other),
+            "--axis", "tz", "--radius", "36mm", "--n-samples", "200", "--out", str(run),
+        ])
+        if command == "attack":
+            assert res.exit_code == 1
+            [line] = res.output.splitlines()
+            assert line.startswith("shape_mismatch: ")
+            return
+        assert res.exit_code == 0, res.output
+        summary = json.loads((run / "summary.json").read_text())
+        assert len(summary["samples"]) == 3
+        for sample in summary["samples"].values():
+            assert set(sample) == {"error", "true_label"}
+            assert sample["error"].startswith("shape_mismatch: ")
+        assert summary["certified_accuracy"] == 0.0
 
     def test_nan_model_exits_1(self, runner, workspace, tmp_path):
         # one NaN weight used to certify every scene with label 0

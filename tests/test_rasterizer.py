@@ -400,10 +400,10 @@ def per_pose(changes, count):
 
 def rule_changes(cloud, axis, values, cam):
     """The pose-skipping rule's ``zbuffer_changes`` output for a sorted
-    list of at least 3 poses, even one that ``zbuffer_changes`` z-buffers
+    list of one pose or more, even one that ``zbuffer_changes`` z-buffers
     in one kernel block, or None where the rule falls back."""
     values = np.asarray(values, dtype=np.float64)
-    assert len(values) >= 3 and np.all(values[1:] >= values[:-1])
+    assert len(values) >= 1 and np.all(values[1:] >= values[:-1])
     rule = _horizon_changes if axis.is_rotation else _traced_changes
     return rule(cloud, axis, values, cam)
 
@@ -579,13 +579,48 @@ class TestChangePoses:
                 np.testing.assert_array_equal(got, want, err_msg=f"{name} {values}")
                 # the short sorted lists fit one block here, so run the tracer
                 # on them too: on a larger cloud or camera it takes them
-                if len(values) >= 3 and np.all(np.diff(values) >= 0):
+                if np.all(np.diff(values) >= 0):
                     changes = rule_changes(cloud, spec.axis, values, small_cam)
                     if changes is not None:
                         traced += 1
                         np.testing.assert_array_equal(per_pose(changes, len(values)), want,
                                                       err_msg=f"{name} {values}")
         assert traced >= 20, traced
+
+    def test_rules_on_lists_of_one_to_three_poses(self, small_cam):
+        # zbuffer_changes sends such lists to the rules on a cloud or camera
+        # beyond one kernel block; here they fit one, so run the rules directly
+        ruled = 0
+        for seed in range(40):
+            rng = np.random.default_rng(700 + seed)
+            cloud = ColoredPointCloud(random_visible_points(rng, 300),
+                                      rng.uniform(0, 1, (300, 1)))
+            for axis in Axis:
+                b = axis_radius(axis)
+                for count in (1, 2, 3):
+                    values = np.sort(rng.uniform(-b, b, count))
+                    changes = rule_changes(cloud, axis, values, small_cam)
+                    if changes is not None:
+                        ruled += 1
+                        np.testing.assert_array_equal(
+                            per_pose(changes, count), winners_batch(cloud, axis, values, small_cam),
+                            err_msg=f"seed {seed} {axis} {values}")
+        assert ruled == 40 * 6 * 3, ruled
+
+    @pytest.mark.parametrize("axis", [Axis.TX, Axis.TY, Axis.TZ])
+    def test_translation_sweep_with_no_mover_yields_pose_0_only(self, small_cam, axis):
+        # four points at pixel centres, each within 0.1 px of it at every pose;
+        # the first two share a cell
+        points = [[(u + 0.5 - small_cam.cx) * z / small_cam.fx,
+                   (v + 0.5 - small_cam.cy) * z / small_cam.fy, z]
+                  for u, v, z in [(3, 4, 2.0), (3, 4, 1.5), (10, 12, 2.5), (7, 1, 3.0)]]
+        cloud = ColoredPointCloud(points, np.full((4, 1), 0.5))
+        values = np.linspace(-0.002, 0.002, _BLOCK_ENTRIES // 256 + 1)  # two blocks
+        cells = cells_at(cloud.points, axis, values, small_cam)
+        assert np.all(cells == cells[0])
+        ((pose, winners),) = zbuffer_changes(cloud, axis, values, small_cam)
+        assert pose == 0
+        np.testing.assert_array_equal(winners, zbuffer_winners(cloud, axis, values[0], small_cam))
 
     def test_random_translation_clouds(self, small_cam):
         traced = 0
@@ -717,7 +752,7 @@ class TestChangePoses:
             _sweep_runs(cloud, spec, demo_cam, 2001)
             assert 0 < sum(kernel_poses) <= 100, (shape, sum(kernel_poses))  # not all 2,001
 
-    def test_translation_sweeps_zbuffer_pose_0_only(self, demo_cam, kernel_poses):
+    def test_translation_sweeps_never_zbuffer(self, demo_cam, kernel_poses):
         spec = demo_specs()[0]
         assert spec == MotionSpec(Axis.TZ, 0.036)
         sweeps = [(build_demo_scene(shape, 0).cloud, spec, demo_cam)
@@ -736,7 +771,7 @@ class TestChangePoses:
         for cloud, spec, cam in sweeps:
             kernel_poses.clear()
             _sweep_runs(cloud, spec, cam, 2001)
-            assert 0 < sum(kernel_poses) <= 3, (len(cloud), sum(kernel_poses))
+            assert sum(kernel_poses) == 0, (len(cloud), sum(kernel_poses))
         # the winners are the kernel's at every pose
         for cloud, spec, cam, (fewest, most) in checked:
             values = np.linspace(-spec.radius_b, spec.radius_b, 2001)

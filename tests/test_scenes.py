@@ -231,3 +231,12 @@ class TestCorpusIO:
         (tmp_path / "c" / name).write_text(text)
         with pytest.raises(FileFormatError):
             load_corpus(tmp_path / "c")
+
+    @pytest.mark.parametrize("label", [1.7, 1.0, True, False, "2", -1, None, [1]])
+    def test_label_that_is_no_json_integer_of_at_least_0_rejected(self, tmp_path, demo_cam,
+                                                                  label):
+        scene = generate_scene(ShapeClass.BOX_FACE, 700, (1.5, 2.5), 5, demo_cam)
+        save_corpus(tmp_path / "c", [scene], demo_cam)
+        (tmp_path / "c" / "labels.json").write_text(json.dumps({scene.name: label}))
+        with pytest.raises(FileFormatError, match="not an integer of at least 0"):
+            load_corpus(tmp_path / "c")

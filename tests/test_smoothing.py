@@ -10,6 +10,7 @@ from pwscert import (
     ConfigError,
     DomainError,
     LinearSoftmaxClassifier,
+    ShapeMismatch,
     SmoothingConfig,
     clopper_pearson_lower,
     gaussian_quantile,
@@ -595,6 +596,14 @@ class TestSharedDraws:
             monkeypatch.setenv("PWS_THREADS", env)
             with pytest.raises(ConfigError, match="PWS_THREADS"):
                 smoothed_estimate(clf, np.zeros((1, 8, 8)), cfg)
+
+    @pytest.mark.parametrize("pixel", [False, True])
+    def test_images_of_another_grid_rejected_on_either_path(self, pixel):
+        # a model of 8 x 8 images, 64 logit map columns, given 12 x 12 images
+        clf = LinearSoftmaxClassifier(np.ones((4, 3)), np.zeros(3), (1, 8, 8), 4)
+        cfg = SmoothingConfig(sigma=0.5, n_samples=100, force_pixel_noise=pixel)
+        with pytest.raises(ShapeMismatch):
+            smoothed_estimates(clf, np.zeros((2, 1, 12, 12)), cfg)
 
     def test_empty_input(self):
         cfg = SmoothingConfig(sigma=0.5, n_samples=100)

@@ -19,7 +19,11 @@ before it:
 * ``tallied_images``: images handed to ``smoothed_estimates``;
 * ``projected_points``: the summed ``depth.size`` of every ``project_points``
   call made through ``pwscert.rasterizer``, by the z-buffer kernel and by
-  the translation sweep's tracer alike: one per point and pose projected.
+  the translation sweep's tracer alike: one per point and pose projected;
+* ``zbuffer_calls``, ``zbuffered_poses``: calls of the z-buffer kernel
+  (``rasterizer._zbuffer``) and the poses they z-buffer, from single
+  renders, pose-by-pose blocks and rotation sweeps; translation sweeps
+  call it on no pose.
 
 The counts come from wrapping those functions, so they run against any
 checkout whose ``src`` is on the path.
@@ -45,7 +49,8 @@ from pwscert import rasterizer, smoothing  # noqa: E402
 certify = importlib.import_module("pwscert.certify")
 
 COUNTS = dict.fromkeys(["images_rendered", "adjacent_errors", "noise_generators",
-                        "noise_blocks", "tallied_images", "projected_points"], 0)
+                        "noise_blocks", "tallied_images", "projected_points",
+                        "zbuffer_calls", "zbuffered_poses"], 0)
 LOCK = threading.Lock()  # pixel-path tally threads count concurrently
 # the noise block cache; a checkout without one draws every block it asks for
 CACHE = getattr(smoothing, "_cached_block", None)
@@ -83,6 +88,8 @@ def main(names) -> None:
     # depth has the broadcast shape of the points and the poses
     count(rasterizer, "project_points", "projected_points",
           lambda args: np.broadcast(args[0][:, 0], args[2]).size)
+    count(rasterizer, "_zbuffer", "zbuffer_calls")
+    count(rasterizer, "_zbuffer", "zbuffered_poses", lambda args: np.size(args[2]))
     for name in names:
         workload = W.WORKLOADS[name]
         with tempfile.TemporaryDirectory() as tmp:

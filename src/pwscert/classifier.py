@@ -34,6 +34,14 @@ class BaseClassifier:
     """Deterministic image classifier interface; ``predict_batch`` and
     ``logit_map`` may be called from several threads at once."""
 
+    image_shape = None  # the (K, H, W) of every image it takes; None: any
+
+    def check_images(self, images: np.ndarray) -> None:
+        """Raise ShapeMismatch unless each image of the (B, K, H, W) batch
+        has ``image_shape``."""
+        if self.image_shape is not None and images.shape[1:] != self.image_shape:
+            raise ShapeMismatch(f"image shape {images.shape[1:]} != trained {self.image_shape}")
+
     @property
     def label_count(self) -> int:
         raise NotImplementedError
@@ -120,10 +128,7 @@ class LinearSoftmaxClassifier(BaseClassifier):
 
     def predict_batch(self, images: np.ndarray) -> np.ndarray:
         images = np.asarray(images, dtype=np.float64)
-        if images.shape[1:] != self.image_shape:
-            raise ShapeMismatch(
-                f"image shape {images.shape[1:]} != trained {self.image_shape}"
-            )
+        self.check_images(images)
         a_mat, bias = self._pixel_map
         return _softmax(images.reshape(len(images), -1) @ a_mat.T + bias)
 

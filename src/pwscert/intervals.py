@@ -16,7 +16,7 @@ point changes cell (124-234 of 2001 on the 64 px wild-certify scenes at
 TZ 20 mm); the z-buffer kernel never runs: each of those poses picks
 every cell's winner by one (z, index) rank rule, whose minimum runs over
 the points that move only.  Under rotations they are pose 0 and each
-pose at the horizon of the last one (38-68 of 2001 on the seed-0 demo
+pose at the horizon of the last one (10-20 of 2001 on the seed-0 demo
 scenes at RY 0.026 rad).  The sweep records each pixel change as (pose,
 pixel, previous owner); one stable sort by pixel then gives each run its
 start, the pose of the change before at that pixel.  The bounds differ

@@ -32,9 +32,10 @@ pose every cell's winner is picked by it from the least rank of the
 points that never move, kept once per sweep, and the ranks of the movers
 in it: the minimum runs over the movers only.  Under RX, RY and RZ with
 sorted poses, each pose z-buffered bounds how far the pose may move
-before a point can reach a cell border or pass its cell's winner, and
-the sweep skips to the first pose beyond (38-68 of 2,001 on the seed-0
-demo scenes at RY 0.026 rad, where 4-7 poses change a winner).  Unsorted
+before a point can reach a cell border or pass its cell's winner (on RX
+and RY, only the border ahead of a coordinate that moves one way), and
+the sweep skips to the first pose beyond (10-20 of 2,001 on the seed-0
+demo scenes at RY 0.026 rad, where 3-6 poses change a winner).  Unsorted
 pose lists z-buffer every pose, and so do lists that fit one block of
 ``zbuffer_blocks``, in one kernel call.
 
@@ -63,6 +64,7 @@ from .geometry import (
     lipschitz_constants,
     min_depth_over_range,
     project_points,
+    projection_derivative_points,
 )
 
 DEFAULT_BACKGROUND = 0.5
@@ -270,24 +272,28 @@ def _traced_changes(cloud: ColoredPointCloud, axis: Axis, values, cam: CameraMod
 _PAD = 2.0**-44
 
 
-def _border_distance(coord, size: int):
-    """Distance from each coordinate to the nearest integer border at which
-    its ``_cells`` column or row, floor(coord) clamped to [-1, size],
-    changes."""
-    low = np.floor(coord)
-    return np.minimum(np.abs(coord - np.clip(low, 0, size)),
-                      np.abs(np.clip(low + 1, 0, size) - coord))
-
-
 def _horizon_changes(cloud: ColoredPointCloud, axis: Axis, values, cam: CameraModel):
     """``zbuffer_changes`` for a sorted rotation sweep, or None where the
     rule does not apply and every pose is z-buffered: some depth comes
     within DEPTH_EPS plus the pad of zero on [-b, b], b = max(|values[0]|,
     |values[-1]|).
 
+    Each coordinate u, v of each point moves at most at its speed, its
+    largest |rate| on [-b, b].  On RX and RY that is the larger of its
+    rates at -b and +b (see ``lipschitz_constants``), and a coordinate
+    whose rate has one sign at both ends is monotone: the turning one's
+    rate, +-f / cos^2(theta), never changes sign, and the fixed one's,
+    f r sin(theta) / (rho cos^2(theta)), is monotone in theta.  Such a
+    coordinate moves only toward the border ahead of it, and can reach
+    the border behind it only from within the pad, which covers rounding.
+    On RZ each coordinate moves both ways at the point's Lipschitz rate.
+
     The last pose k z-buffered sets a horizon H, the smallest of
-    * each point's distance to the border that changes its ``_cells`` cell,
-      less the pad, over its Lipschitz rate on [-b, b];
+    * each coordinate's distance to the borders it can reach, less the
+      pad, over its speed, where a border is an integer at which its
+      ``_cells`` column or row changes: H <= 0 while a coordinate lies
+      within the pad of either border; a speed of 0 means a coordinate
+      that never moves;
     * for each point in a cell another point wins, its depth gap to the
       winner, less the pad, over the rate at which the two depths drift
       apart; a rate of 0 means bit-identical depths, whose order never
@@ -295,9 +301,12 @@ def _horizon_changes(cloud: ColoredPointCloud, axis: Axis, values, cam: CameraMo
     No point changes cell and no winner loses its place while the pose
     moves less than H, so every pose j with values[j] - values[k] < H
     repeats pose k's winners, and the next pose z-buffered is the first
-    beyond.  Where H keeps falling short of the next pose, the poses ahead
-    are z-buffered in blocks that double up to ``zbuffer_blocks``' size,
-    so dense sweeps cost little more than z-buffering every pose.
+    beyond.  Right after a crossing, a point sits just past the border it
+    left, which bounds it no more.  Where H keeps falling short of the
+    next pose, the poses ahead are z-buffered in blocks that double up to
+    ``zbuffer_blocks``' size, so dense sweeps cost little more than
+    z-buffering every pose.  On the seed-0 demo scenes at 0.026 rad that
+    z-buffers 10-20 of 2,001 poses under RY and 22-56 under RX.
     """
     b = max(abs(values[0]), abs(values[-1]))
     if not 0 < b < math.inf:
@@ -308,7 +317,22 @@ def _horizon_changes(cloud: ColoredPointCloud, axis: Axis, values, cam: CameraMo
     floor = min_depth_over_range(points, spec, cam)
     if np.any(floor <= DEPTH_EPS + _PAD * extent):
         return None
-    rate = lipschitz_constants(points, spec, cam)
+    # (2, N) rows of u and v from here on
+    if axis is Axis.RZ:
+        speed = np.tile(lipschitz_constants(points, spec, cam), (2, 1))
+        rising = falling = np.zeros(speed.shape, dtype=bool)
+    else:
+        ends = projection_derivative_points(points, axis, np.array([[-b], [b]]), cam).T
+        speed = np.maximum(np.abs(ends[..., 0]), np.abs(ends[..., 1]))
+        rising, falling = np.all(ends > 0, axis=-1), np.all(ends < 0, axis=-1)
+    # a NaN speed, from a rate that overflowed, gives a NaN reach
+    slowness = np.divide(1.0, speed, out=np.ones_like(speed), where=speed != 0)
+    still = np.where(speed == 0, np.inf, 0.0)  # no border bounds a still coordinate
+    # inf on the border a coordinate moves away from: below a rising one,
+    # above a falling one, and both of a still one
+    behind_below, behind_above = (np.where(way, np.inf, 0.0) + still
+                                  for way in (rising, falling))
+    edge = np.array([[cam.width], [cam.height]], dtype=np.float64)
     pad_px = _PAD * (1 + extent / floor)
     span_px = max(cam.fx, cam.fy) + cam.width + cam.height
     # the depth turns in the plane (p, q) of _MOTION or stays at z, so two
@@ -318,12 +342,18 @@ def _horizon_changes(cloud: ColoredPointCloud, axis: Axis, values, cam: CameraMo
     most = _block_size(max(len(points), cam.height * cam.width))
 
     def horizon(uv, depth, cell, winners):
-        u, v = uv[:, 0], uv[:, 1]
-        margin = (np.minimum(_border_distance(u, cam.width),
-                             _border_distance(v, cam.height))
-                  - pad_px * (span_px + np.abs(u) + np.abs(v)))
-        reach = np.divide(margin, rate, out=np.full(len(points), np.inf),
-                          where=rate > 0).min()
+        coord = uv.T
+        # the borders below and above each coordinate: floor(coord)
+        # clamped to [-1, size] changes at each integer of [0, size], so
+        # off the grid both are the grid's edge
+        low = np.floor(coord)
+        below = np.abs(coord - np.minimum(np.maximum(low, 0.0), edge))
+        above = np.abs(np.minimum(np.maximum(low + 1, 0.0), edge) - coord)
+        pad = pad_px * (span_px + np.abs(coord[0]) + np.abs(coord[1]))
+        near = np.minimum(below, above) + still
+        front = np.minimum(below + behind_below, above + behind_above)
+        # NaN, from a coordinate that overflowed, fails near > pad and stays
+        reach = ((np.where(near > pad, front, near) - pad) * slowness).min()
         if pair is not None:
             owner = np.full(size, -1)  # the ring and behind the camera: none
             owner[pixels] = winners

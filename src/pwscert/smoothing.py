@@ -281,8 +281,9 @@ def smoothed_estimates(
     """Estimate the smoothed prediction at each image, every image tallied
     against the same draws of ``stream``, on the threads of the module's
     thread rule.  A score block that is not one row of ``label_count``
-    scores per draw, or images whose size is not the logit map's column
-    count, raise ``ShapeMismatch``; non-finite scores, or a non-finite
+    scores per draw, or images whose shape is not the classifier's
+    ``image_shape`` or whose size is not the logit map's column count,
+    raise ``ShapeMismatch``; non-finite scores, or a non-finite
     logit map or image logits, raise ``NonFiniteScores``.
     """
     threads = worker_count()
@@ -308,6 +309,7 @@ def smoothed_estimates(
             return np.bincount(np.argmax(scores, axis=1), minlength=label_count)
     else:
         a_mat, bias = logit_map
+        classifier.check_images(images)  # predict_batch's check on the pixel path
         if images[0].size != a_mat.shape[1]:
             raise ShapeMismatch(f"images of {images[0].size} pixels for a logit map of "
                                 f"{a_mat.shape[1]} pixels")

@@ -376,7 +376,8 @@ def _nudged(point, coord, holds, steps=10_000):
 def rotation_traps(cam):
     """Rotation sweeps built to trip a z-buffer that skips poses: a list of
     (name, cloud, spec, resolution), each sampled at
-    ``np.linspace(-b, b, resolution)`` with b = 0.3 rad, 301 poses.
+    ``np.linspace(-b, b, resolution)`` with 301 poses and b = 0.3 rad, but
+    for the last trap, at b = 1e-6 rad.
 
     Built for a camera whose principal point sits mid-cell (``trap_cam``):
     where a sinusoidal coordinate peaks, the other one is at the principal
@@ -454,4 +455,32 @@ def rotation_traps(cam):
     traps.append(("RX depth passes through (0, DEPTH_EPS]",
                   cloud([traps[1][1].points[0], grazing]),
                   MotionSpec(Axis.RX, 0.3), resolution))
+
+    # RY over b = 1e-6 rad: the depth peaks just before -b, so the fixed
+    # coordinate v = cy + fy y / depth rises at every pose, but near pose 0
+    # by less than the rounding of the depth.  The first radius whose
+    # rounded depth rises after pose 0 gets the y that puts v on a row
+    # border at pose 0; rounding then carries v back below that border
+    tiny = 1e-6
+    near = np.linspace(-tiny, tiny, resolution)
+
+    def rounded_ry(point):
+        return project_points(np.array([point]), Axis.RY, near[:, None], cam)
+
+    border = math.floor(cam.cy) + 2
+    for rho in np.linspace(1.2, 1.9, 701):
+        x, z = rho * math.sin(-1.01 * tiny), rho * math.cos(-1.01 * tiny)
+        depth = rounded_ry([x, 0.0, z])[1][:, 0]
+        if np.any(depth[1:] > depth[0]):
+            break
+    else:
+        raise AssertionError("no radius whose rounded depth rises after pose 0")
+
+    def dips(point):
+        v = rounded_ry(point)[0][:, 0, 1]
+        return v[0] >= border > np.min(v[1:])
+
+    dipping = _nudged([x, (border - cam.cy) * rho / cam.fy, z], 1, dips)
+    traps.append(("RY rising v rounds back below its border", cloud([dipping]),
+                  MotionSpec(Axis.RY, tiny), resolution))
     return traps

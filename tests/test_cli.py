@@ -447,15 +447,16 @@ class TestErrorHandling:
         [line] = res.output.splitlines()
         assert line.startswith("file_format: bad model header fields: ")
 
-    @pytest.mark.parametrize("command", ["certify", "attack"])
-    def test_model_of_another_grid_ends_in_shape_mismatch(self, runner, workspace,
-                                                          tmp_path, command):
-        # a model of 32 x 32 images, run on the 24 x 24 demo corpus
-        _, corpus, _ = workspace
+    @staticmethod
+    def run_other_model(runner, corpus, tmp_path, command, shape, want):
+        """Run ``command`` on the demo corpus with a model of ``shape``
+        images: ``attack`` exits 1 and ``certify`` records one error per
+        scene, each a line starting ``want``."""
         rng = np.random.default_rng(4)
+        features = shape[1] * shape[2] // 16
         other = tmp_path / "other.pws"
-        save_model(other, LinearSoftmaxClassifier(rng.normal(size=(64, 3)), np.zeros(3),
-                                                  (1, 32, 32), 4))
+        save_model(other, LinearSoftmaxClassifier(rng.normal(size=(features, 3)),
+                                                  np.zeros(3), shape, 4))
         run = tmp_path / "run"
         res = runner.invoke(main, [
             command, "--corpus", str(corpus), "--model", str(other),
@@ -464,15 +465,29 @@ class TestErrorHandling:
         if command == "attack":
             assert res.exit_code == 1
             [line] = res.output.splitlines()
-            assert line.startswith("shape_mismatch: ")
+            assert line.startswith(want)
             return
         assert res.exit_code == 0, res.output
         summary = json.loads((run / "summary.json").read_text())
         assert len(summary["samples"]) == 3
         for sample in summary["samples"].values():
             assert set(sample) == {"error", "true_label"}
-            assert sample["error"].startswith("shape_mismatch: ")
+            assert sample["error"].startswith(want)
         assert summary["certified_accuracy"] == 0.0
+
+    @pytest.mark.parametrize("command", ["certify", "attack"])
+    def test_model_of_another_grid_ends_in_shape_mismatch(self, runner, workspace,
+                                                          tmp_path, command):
+        # a model of 32 x 32 images, run on the 24 x 24 demo corpus
+        self.run_other_model(runner, workspace[1], tmp_path, command, (1, 32, 32),
+                             "shape_mismatch: ")
+
+    @pytest.mark.parametrize("command", ["certify", "attack"])
+    def test_model_of_as_many_pixels_on_another_grid_ends_in_shape_mismatch(
+            self, runner, workspace, tmp_path, command):
+        # a model of 16 x 36 images, as many pixels as the 24 x 24 demo corpus
+        self.run_other_model(runner, workspace[1], tmp_path, command, (1, 16, 36),
+                             "shape_mismatch: image shape (1, 24, 24) != trained (1, 16, 36)")
 
     def test_nan_model_exits_1(self, runner, workspace, tmp_path):
         # one NaN weight used to certify every scene with label 0

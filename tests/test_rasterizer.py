@@ -24,7 +24,8 @@ from pwscert import (
 from pwscert import rasterizer
 from pwscert.errors import ConfigError
 from pwscert.demo import build_demo_scene, demo_specs
-from pwscert.geometry import CameraModel, DEPTH_EPS, MotionValue, project_points
+from pwscert.geometry import (CameraModel, DEPTH_EPS, MotionValue, project_points,
+                              projection_derivative_points)
 from pwscert.intervals import _sweep_runs
 from pwscert.rasterizer import (
     _BLOCK_ENTRIES,
@@ -682,6 +683,15 @@ class TestChangePoses:
         assert 0 < depth[200, 1] <= DEPTH_EPS
         assert _horizon_changes(cloud, spec.axis, np.linspace(-0.3, 0.3, res),
                                 trap_cam) is None
+        name = "RY rising v rounds back below its border"
+        uv, _, cells, _ = project(name)
+        cloud, spec, _ = traps[name]
+        ends = projection_derivative_points(
+            cloud.points, spec.axis, np.array([[-spec.radius_b], [spec.radius_b]]), trap_cam)
+        assert np.all(ends[:, 0, 1] > 0)  # v is monotone, rising
+        rows = np.floor(uv[:, 0, 1])
+        assert uv[0, 0, 1] == math.floor(trap_cam.cy) + 2 and np.any(rows[1:] < rows[0])
+        assert len(set(cells[:, 0])) == 2  # only v's row changes
 
     def test_rotation_traps_match_per_pose_kernel(self, trap_cam):
         for name, cloud, spec, resolution in rotation_traps(trap_cam):
@@ -707,6 +717,17 @@ class TestChangePoses:
             runs = _sweep_runs(cloud, spec, trap_cam, resolution)
             got = list(zip(runs.point_index, runs.pixel_flat, runs.lo, runs.hi))
             assert got == oracle_sweep_runs(cloud, spec, trap_cam, resolution), name
+
+    def test_overflowing_rates_bound_no_skip(self, trap_cam):
+        # the far point's rates at +-b overflow to NaN, which must bound
+        # nothing: the sweep z-buffers pose by pose, not past its moves
+        cloud = ColoredPointCloud([[1e159, 0.0, 1e160], [0.0, 0.0, 2.0]], [[0.2], [0.7]])
+        values = np.linspace(-0.3, 0.3, 301)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = winners_batch(cloud, Axis.RY, values, trap_cam)
+            got = per_pose(zbuffer_changes(cloud, Axis.RY, values, trap_cam), len(values))
+        assert np.any(want[1:] != want[:-1])
+        np.testing.assert_array_equal(got, want)
 
     def test_random_rotation_clouds(self, small_cam):
         skipped = 0
@@ -750,7 +771,7 @@ class TestChangePoses:
             cloud = build_demo_scene(shape, 0).cloud  # its build runs the kernel too
             kernel_poses.clear()
             _sweep_runs(cloud, spec, demo_cam, 2001)
-            assert 0 < sum(kernel_poses) <= 100, (shape, sum(kernel_poses))  # not all 2,001
+            assert 0 < sum(kernel_poses) <= 24, (shape, sum(kernel_poses))  # not all 2,001
 
     def test_translation_sweeps_never_zbuffer(self, demo_cam, kernel_poses):
         spec = demo_specs()[0]

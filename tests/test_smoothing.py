@@ -605,6 +605,15 @@ class TestSharedDraws:
         with pytest.raises(ShapeMismatch):
             smoothed_estimates(clf, np.zeros((2, 1, 12, 12)), cfg)
 
+    @pytest.mark.parametrize("pixel", [False, True])
+    def test_images_of_as_many_pixels_on_another_grid_rejected(self, pixel):
+        # 16 x 36 = 24 x 24 pixels: the logit map's column count matches
+        clf = LinearSoftmaxClassifier(np.ones((36, 3)), np.zeros(3), (1, 24, 24), 4)
+        cfg = SmoothingConfig(sigma=0.5, n_samples=100, force_pixel_noise=pixel)
+        with pytest.raises(ShapeMismatch,
+                           match=r"image shape \(1, 16, 36\) != trained \(1, 24, 24\)"):
+            smoothed_estimates(clf, np.zeros((2, 1, 16, 36)), cfg)
+
     def test_empty_input(self):
         cfg = SmoothingConfig(sigma=0.5, n_samples=100)
         assert smoothed_estimates(ConstantClassifier(0), [], cfg) == []

@@ -75,6 +75,10 @@ class CameraModel:
             check_integer(side, lambda s: True, f"grid size must be integers, got {size}")
         if self.width < 1 or self.height < 1:
             raise ConfigError("grid size must be positive")
+        # so one pose's z-buffer and image arrays stay within tens of MiB
+        if int(self.width) * int(self.height) > 1 << 20:  # no int64 wrap-around
+            raise ConfigError(f"grid of {self.width} x {self.height} pixels exceeds "
+                              "2^20 = 1,048,576 pixels")
         for f in (self.fx, self.fy):
             check_real(f, lambda v: 0 < v < math.inf,
                        "focal lengths must be positive and finite")

@@ -50,8 +50,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConfigError, DegenerateInterval, InvalidDelta, NegativeMargin,
-                     check_integer, check_real)
+from .errors import (ConfigError, DegenerateInterval, DomainError, InvalidDelta,
+                     NegativeMargin, check_integer, check_real)
 from .geometry import (
     CameraModel,
     DEPTH_EPS,
@@ -213,7 +213,11 @@ def _spacing(cloud, spec, cam, resolution, quantile, run_widths):
     runs = _sweep_runs(cloud, spec, cam, resolution)
     if len(runs.pixel_flat) == 0:
         raise DegenerateInterval("no pixel is ever covered over the motion range")
-    widths, rate = run_widths(runs)
+    with np.errstate(over="ignore", invalid="ignore"):  # NaN is refused below
+        widths, rate = run_widths(runs)
+    if np.isnan(widths).any() or (rate is not None and math.isnan(rate)):
+        raise DomainError("a run width is NaN: a point's projection rate overflows, "
+                          "or is 0 on a run it owns")
     picked, _ = _governing_min(runs.pixel_flat, widths, quantile)
     if rate is not None:
         if picked <= 0:

@@ -317,14 +317,15 @@ def _horizon_changes(cloud: ColoredPointCloud, axis: Axis, values, cam: CameraMo
     floor = min_depth_over_range(points, spec, cam)
     if np.any(floor <= DEPTH_EPS + _PAD * extent):
         return None
-    # (2, N) rows of u and v from here on
-    if axis is Axis.RZ:
-        speed = np.tile(lipschitz_constants(points, spec, cam), (2, 1))
-        rising = falling = np.zeros(speed.shape, dtype=bool)
-    else:
-        ends = projection_derivative_points(points, axis, np.array([[-b], [b]]), cam).T
-        speed = np.maximum(np.abs(ends[..., 0]), np.abs(ends[..., 1]))
-        rising, falling = np.all(ends > 0, axis=-1), np.all(ends < 0, axis=-1)
+    # (2, N) rows of u and v from here on; a rate may overflow, quietly
+    with np.errstate(over="ignore", invalid="ignore"):
+        if axis is Axis.RZ:
+            speed = np.tile(lipschitz_constants(points, spec, cam), (2, 1))
+            rising = falling = np.zeros(speed.shape, dtype=bool)
+        else:
+            ends = projection_derivative_points(points, axis, np.array([[-b], [b]]), cam).T
+            speed = np.maximum(np.abs(ends[..., 0]), np.abs(ends[..., 1]))
+            rising, falling = np.all(ends > 0, axis=-1), np.all(ends < 0, axis=-1)
     # a NaN speed, from a rate that overflowed, gives a NaN reach
     slowness = np.divide(1.0, speed, out=np.ones_like(speed), where=speed != 0)
     still = np.where(speed == 0, np.inf, 0.0)  # no border bounds a still coordinate

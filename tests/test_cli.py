@@ -308,6 +308,10 @@ class TestErrorHandling:
         ("certify", "--quantile", "0", "quantile must lie in (0, 1], got 0.0"),
         ("partition", "--quantile", "0", "quantile must lie in (0, 1], got 0.0"),
         ("certify", "--sigma", "0", "sigma must be positive and finite, got 0.0"),
+        ("certify", "--sigma", "1e160",
+         "sigma must have a finite square, at most about 1.34e154, got 1e+160"),
+        # a finite square that overflows the model's logit covariance
+        ("certify", "--sigma", "1e154", "sigma 1e+154 overflows the logit noise covariance"),
         ("certify", "--radius", "nanmm", "motion radius must be positive and finite"),
         ("attack", "--poses", "0", "need at least one pose, got 0"),
         ("partition", "--resolution", "1", "analysis resolution must be at least 2, got 1"),
@@ -406,6 +410,23 @@ class TestErrorHandling:
         assert res.exit_code == 1
         assert res.output.splitlines() == [
             f"file_format: bad corpus metadata in {copy}: labels.json names no scene"
+        ]
+
+    def test_camera_grid_past_2_20_pixels_exits_1(self, runner, workspace, tmp_path):
+        _, corpus, model = workspace
+        copy = tmp_path / "corpus"
+        shutil.copytree(corpus, copy)
+        camera = json.loads((copy / "camera.json").read_text())
+        camera["height"] = 2**70
+        (copy / "camera.json").write_text(json.dumps(camera))
+        res = runner.invoke(main, [
+            "certify", "--corpus", str(copy), "--model", str(model), "--axis", "tz",
+            "--radius", "36mm", "--out", str(tmp_path / "out"),
+        ])
+        assert res.exit_code == 1
+        assert res.output.splitlines() == [
+            f"file_format: bad corpus metadata in {copy}: grid of {camera['width']} x "
+            f"{2**70} pixels exceeds 2^20 = 1,048,576 pixels"
         ]
 
     def test_unknown_scene_exits_2(self, runner, workspace, tmp_path):

@@ -313,6 +313,14 @@ class TestValidation:
             CameraModel(fx=7.5, fy=7.5, cx=0.5, cy=0.5, width=width, height=height)
         CameraModel(fx=7.5, fy=7.5, cx=0.5, cy=0.5, width=np.int64(24), height=24)
 
+    @pytest.mark.parametrize("width, height", [(1025, 1024), (1, 2**70), (2**70, 2**70),
+                                               (np.int64(2**62), np.int64(4))])
+    def test_camera_rejects_a_grid_past_2_20_pixels(self, width, height):
+        # rasterizer._grid would end in numpy's "Maximum allowed size exceeded"
+        with pytest.raises(ConfigError, match=r"pixels exceeds 2\^20 = 1,048,576 pixels"):
+            CameraModel(fx=7.5, fy=7.5, cx=0.5, cy=0.5, width=width, height=height)
+        assert CameraModel(fx=7.5, fy=7.5, cx=0.5, cy=0.5, width=1024, height=1024)
+
     def test_motion_value_respects_radius(self):
         spec = MotionSpec(Axis.TX, 0.1)
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from pwscert import (
     ColoredPointCloud,
     ConfigError,
     DegenerateInterval,
+    DomainError,
     IntervalConfig,
     InvalidDelta,
     MotionSpec,
@@ -283,6 +285,22 @@ class TestLipschitzDelta:
         one_frame_width = (span - 2 * delta) / rate
         assert np.all(lip_width <= (runs.hi - runs.lo) * (1 + 1e-12))
         assert np.all(one_frame_width <= lip_width * (1 + 1e-12))
+
+    @pytest.mark.parametrize("axis", list(Axis))
+    def test_overflowing_rate_is_a_domain_error(self, trap_cam, axis):
+        # the far point's rate overflows to NaN, so its runs' widths are NaN
+        # and no pixel minimum equalled the NaN quantile: a bare IndexError,
+        # after numpy's overflow warnings, which must not escape either
+        cloud = ColoredPointCloud([[1e159, 0.0, 1e160], [0.0, 0.0, 2.0]], [[0.2], [0.7]])
+        spec = MotionSpec(axis, axis_radius(axis))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert exact_delta(cloud, spec, trap_cam) > 0
+            with pytest.raises(DomainError, match="a run width is NaN"):
+                lipschitz_delta(cloud, spec, trap_cam)
+            if axis in (Axis.RX, Axis.RY):  # the one-frame rate is NaN too
+                with pytest.raises(DomainError, match="a run width is NaN"):
+                    one_frame_delta(cloud, spec, trap_cam, convexity=DeltaConvexity(0.01))
 
 
 class TestOneFrameDelta:

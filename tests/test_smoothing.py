@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -18,9 +19,10 @@ from pwscert import (
     smoothed_estimates,
     smoothed_prediction,
 )
+from pwscert import smoothing
 from pwscert.smoothing import (_CACHED_PREFIX, _NOISE_ENTRIES, STREAM_FRAME, _cached_block,
-                               _estimate, _first_max_counts, _noise_block, noise_generator,
-                               stream_id)
+                               _estimate, _first_max_counts, _logit_counts, _noise_block,
+                               noise_generator, stream_id)
 
 
 class ConstantClassifier(BaseClassifier):
@@ -449,6 +451,27 @@ class TestSmoothedEstimate:
             with pytest.raises(ConfigError, match="confidence_alpha must lie in"):
                 SmoothingConfig(sigma=0.5, n_samples=100, confidence_alpha=alpha)
 
+    def test_sigma_without_a_finite_square_rejected(self):
+        # the logit path squares sigma, where 1e160 raised a bare OverflowError
+        top = math.sqrt(sys.float_info.max)
+        for sigma in [1e160, math.nextafter(top, math.inf), 10**200]:
+            with pytest.raises(ConfigError, match="sigma must have a finite square"):
+                SmoothingConfig(sigma=sigma, n_samples=100)
+        assert SmoothingConfig(sigma=top, n_samples=100).sigma == top
+
+    def test_sigma_that_overflows_the_logit_covariance_rejected(self):
+        # sigma^2 is finite, but sigma^2 A A^T is not: eigh would raise a bare
+        # LinAlgError, after an overflow warning
+        rng = np.random.default_rng(25)
+        clf = LinearSoftmaxClassifier(10.0 * rng.standard_normal((4, 3)), np.zeros(3),
+                                      (1, 8, 8), 4)
+        img = np.zeros((1, 8, 8))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="overflows the logit noise covariance"):
+                smoothed_estimate(clf, img, SmoothingConfig(sigma=1e154, n_samples=100))
+            assert smoothed_estimate(clf, img, SmoothingConfig(sigma=1e150, n_samples=100))
+
     def test_seed_outside_one_word_rejected(self):
         # one 64-bit key word: 2**64 and -1 would draw the noise of 0 and 2**64 - 1
         for seed in [1 << 64, -1]:
@@ -645,6 +668,52 @@ class TestFirstMaxCounts:
             got = _first_max_counts(cols)
             assert got.dtype.kind == "i", name
             np.testing.assert_array_equal(got, want, err_msg=name)
+
+
+class TestLogitCounts:
+    """The logit path's bound step, then its scan, against argmax."""
+
+    @staticmethod
+    def argmax_counts(bases, cols):
+        return np.array([np.bincount(np.argmax((base[:, None] + cols).T, axis=1),
+                                     minlength=len(cols)) for base in bases])
+
+    @pytest.mark.parametrize("labels", [1, 2, 4, 10])
+    @pytest.mark.parametrize("offset", [0.0, 1e16])
+    def test_equals_argmax_counts(self, labels, offset, monkeypatch):
+        # each label's noise spans about 7 over 2,000 draws: rows spread over
+        # 300 mostly settle, rows spread over 3 never do; near 1e16 a sum
+        # rounds to a multiple of 2, so draws tie there
+        rng = np.random.default_rng(labels * 10 + (offset > 0))
+        cols = rng.standard_normal((labels, 2000))
+        spread = rng.choice([3.0, 300.0], size=(64, 1))
+        bases = offset + spread * rng.random((64, labels))
+        bases[:4] = offset  # every label equal: no settled top
+        scanned = []
+        scan = smoothing._first_max_counts
+        monkeypatch.setattr(smoothing, "_first_max_counts",
+                            lambda sums: scanned.append(1) or scan(sums))
+        got = _logit_counts(bases, cols)
+        assert got.dtype.kind == "i"
+        np.testing.assert_array_equal(got, self.argmax_counts(bases, cols))
+        if labels == 1:
+            assert not scanned
+        else:  # the batch mixes settled and scanned images
+            assert 4 <= len(scanned) < len(bases) - 4
+
+    @pytest.mark.parametrize("base, lower, upper", [
+        (0.0, [-5.0, 2.0, -5.0], [3.0, 2.0, 4.0]),
+        # 1e16 + 0.4 and 1e16 + 0.6 both round to 1e16: label 0 takes the tie
+        (1e16, [-8.0, 0.4, -8.0], [4.0, 0.6, 6.0]),
+    ])
+    def test_bound_equal_to_a_lower_label_is_a_tie(self, base, lower, upper):
+        # label 1's least sum equals label 0's greatest, at one draw, where
+        # argmax gives the tie to label 0: the step must scan, not settle
+        cols = np.array([lower, upper])
+        bases = np.full((2, 2), base)
+        bases[1, 1] += 1e3  # and a row that settles for label 1
+        np.testing.assert_array_equal(_logit_counts(bases, cols), [[1, 2], [0, 3]])
+        np.testing.assert_array_equal(self.argmax_counts(bases, cols), [[1, 2], [0, 3]])
 
 
 class TestNoiseEquivalence:

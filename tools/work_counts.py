@@ -17,6 +17,10 @@ before it:
   not, on the logit and the pixel path alike; neither count depends on
   ``PWS_THREADS``;
 * ``tallied_images``: images handed to ``smoothed_estimates``;
+* ``scanned_logit_draws``: draws the logit path compares label by label,
+  one per image and draw that ``_first_max_counts`` scans; the draws of
+  an image that the bound step settles are not scanned.  A checkout
+  without that counter prints null;
 * ``projected_points``: the summed ``depth.size`` of every ``project_points``
   call made through ``pwscert.rasterizer``, by the z-buffer kernel and by
   the translation sweep's tracer alike: one per point and pose projected;
@@ -49,11 +53,13 @@ from pwscert import rasterizer, smoothing  # noqa: E402
 certify = importlib.import_module("pwscert.certify")
 
 COUNTS = dict.fromkeys(["images_rendered", "adjacent_errors", "noise_generators",
-                        "noise_blocks", "tallied_images", "projected_points",
-                        "zbuffer_calls", "zbuffered_poses"], 0)
+                        "noise_blocks", "tallied_images", "scanned_logit_draws",
+                        "projected_points", "zbuffer_calls", "zbuffered_poses"], 0)
 LOCK = threading.Lock()  # pixel-path tally threads count concurrently
 # the noise block cache; a checkout without one draws every block it asks for
 CACHE = getattr(smoothing, "_cached_block", None)
+# the logit path's per-draw scan of (labels, draws) sums
+SCAN = getattr(smoothing, "_first_max_counts", None)
 
 
 def count(module, name, key, amount=lambda args: 1):
@@ -90,6 +96,9 @@ def main(names) -> None:
           lambda args: np.broadcast(args[0][:, 0], args[2]).size)
     count(rasterizer, "_zbuffer", "zbuffer_calls")
     count(rasterizer, "_zbuffer", "zbuffered_poses", lambda args: np.size(args[2]))
+    if SCAN is not None:
+        count(smoothing, "_first_max_counts", "scanned_logit_draws",
+              lambda args: np.shape(args[0])[1])
     for name in names:
         workload = W.WORKLOADS[name]
         with tempfile.TemporaryDirectory() as tmp:
@@ -98,6 +107,8 @@ def main(names) -> None:
             if CACHE is not None:
                 CACHE.cache_clear()
             workload.run(env)
+        if SCAN is None:
+            COUNTS["scanned_logit_draws"] = None
         print(json.dumps({"workload": name, **COUNTS}), flush=True)
 
 

@@ -205,6 +205,7 @@ def empirical_attack(
     from pose 0's.  Pose 0 is one of the sweep's poses, so a pose that
     renders the pose-0 image gets its label by construction."""
     check_integer(poses, lambda p: p >= 1, f"need at least one pose, got {poses}")
+    check_integer(poses, lambda p: p <= 1 << 24, f"need at most 2^24 poses, got {poses}")
     values = np.linspace(-spec.radius_b, spec.radius_b, poses) if poses > 1 else [0.0]
     swept = np.union1d(values, [0.0])  # sorted, and holding every value once
     images, index = sweep_images(cloud, spec, cam, swept)

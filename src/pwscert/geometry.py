@@ -19,11 +19,11 @@ In the camera frame, every axis either subtracts ``alpha`` from one
 coordinate (the translations) or turns one coordinate plane by ``alpha``
 (the rotations).  One table, ``_MOTION``, states which for each axis, and
 every rate reads it: the projection, its exact derivative, the minimum
-depth, the one-frame slack and the per-point Lipschitz constant over a
-symmetric motion range ``[-b, +b]``, which is the derivative's largest value
-over the range.  That maximum is taken analytically (the range ends, plus
-the interior peaks of RZ's sinusoids), never by grid sampling, so the
-constants are sound upper bounds.
+depth, the one-frame slack and each coordinate's speed (largest |rate|)
+and sign over a symmetric motion range ``[-b, +b]``; a point's larger
+speed is its Lipschitz constant.  Speeds are taken analytically (the range
+ends, plus the interior peaks of RZ's sinusoids), never by grid sampling,
+so they are sound upper bounds.
 """
 
 from __future__ import annotations
@@ -96,6 +96,8 @@ class MotionSpec:
     def __post_init__(self):
         check_real(self.radius_b, lambda b: 0 < b < math.inf,
                    "motion radius must be positive and finite")
+        check_real(self.radius_b, lambda b: 2 * b < math.inf,  # linspace(-b, b) spans 2b
+                   f"motion radius {self.radius_b} has no finite range width 2b")
 
 
 @dataclass(frozen=True)
@@ -156,7 +158,7 @@ def project_points(points, axis: Axis, value, cam: CameraModel):
     pts = _as_points(points)
     a = np.asarray(value, dtype=np.float64)
     x, y, depth = _moved(pts, axis, a)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # off the grid
         uv = np.stack(np.broadcast_arrays(cam.fx * x / depth + cam.cx,
                                           cam.fy * y / depth + cam.cy), axis=-1)
     if np.may_share_memory(depth, pts):  # the points' own z: a fresh array
@@ -223,38 +225,43 @@ def _in_front(points, spec: MotionSpec, cam: CameraModel, message: str):
     return pts
 
 
-def lipschitz_constants(points, spec: MotionSpec, cam: CameraModel):
-    """Per-point Lipschitz constants of the pixel position over [-b, +b]:
-    the largest ``max(|du/dalpha|, |dv/dalpha|)`` over the range.
+def coordinate_rates(points, spec: MotionSpec, cam: CameraModel):
+    """``(speed, sign)``, each (N, 2) over u and v, of points that stay in
+    front of the camera over [-b, +b]: ``speed`` is a coordinate's largest
+    |d/dalpha| there, ``sign`` +1 or -1 where its rate keeps that sign
+    throughout and 0 otherwise.
 
-    On every axis but RZ that is the larger of the derivative's values at
-    the range ends, ``projection_derivative_points`` at -b and +b:
-
-    * TX / TY: the rates are constant.
-    * TZ: both rates grow toward +b, where the depth is least.
-    * RX / RY: let theta be the pose shifted by the point's angle in the
-      turning plane and rho the point's radius there.  The turning
-      coordinate's rate is f / cos^2(theta); the fixed coordinate r's is
-      f |r| |sin(theta)| / (rho cos^2(theta)).  Both are least at
-      theta = 0 and grow away from it, and a positive depth keeps theta
-      inside (-pi/2, pi/2).
-
-    RZ keeps the depth z, and each rate is a sinusoid in alpha whose peak
-    may lie inside the range (``_sinusoid_range``).
+    Off RZ both come from the rates at -b and +b.  TX and TY rates are
+    constant; TZ's, f x / depth^2 and f y / depth^2, grow toward +b.  On RX
+    and RY, with theta the pose shifted by the point's angle in the turning
+    plane and rho its radius there, the turning coordinate's rate is
+    +-f / cos^2(theta), of one sign, and the fixed coordinate r's is
+    f r sin(theta) / (rho cos^2(theta)), monotone in theta; both magnitudes
+    grow away from theta = 0, and a positive depth keeps theta inside
+    (-pi/2, pi/2).  RZ keeps the depth z, and each rate is a sinusoid whose
+    peak may lie inside the range (``_sinusoid_range``); its zeros lie pi
+    apart, so one sign at both ends holds throughout only when 2b < pi.
     """
+    pts = _as_points(points)
+    b = spec.radius_b
+    ends = projection_derivative_points(pts, spec.axis, np.array([[-b], [b]]), cam)
+    sign = np.all(ends > 0, axis=0) * 1 - np.all(ends < 0, axis=0)
+    # elementwise over the two range ends: exact, and cheaper than a reduction
+    speed = np.maximum(np.abs(ends[0]), np.abs(ends[1]))
+    if spec.axis is Axis.RZ:
+        x, y, z = pts.T
+        m_u, m_v = (np.max(np.abs(_sinusoid_range(*w, b)), axis=0) for w in ((y, -x), (x, y)))
+        speed = np.stack([cam.fx * m_u, cam.fy * m_v], axis=-1) / z[:, None]
+        sign *= 2 * b < math.pi
+    return speed, sign
+
+
+def lipschitz_constants(points, spec: MotionSpec, cam: CameraModel):
+    """Per-point Lipschitz constants of the pixel position over [-b, +b]: the
+    largest ``max(|du/dalpha|, |dv/dalpha|)``, a point's larger speed."""
     pts = _in_front(points, spec, cam, "point depth reaches zero inside the motion "
                     "range; the sample is not certifiable at this radius")
-    b = spec.radius_b
-    if spec.axis is Axis.RZ:
-        x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
-        m_u = np.max(np.abs(_sinusoid_range(y, -x, b)), axis=0)
-        m_v = np.max(np.abs(_sinusoid_range(x, y, b)), axis=0)
-        return np.maximum(cam.fx * m_u, cam.fy * m_v) / z
-    rates = np.abs(projection_derivative_points(pts, spec.axis, np.array([[-b], [b]]), cam))
-    # elementwise over the four (range end, coordinate) slices: exact, and
-    # cheaper than a reduction over such short axes
-    ends = np.maximum(rates[0], rates[1])
-    return np.maximum(ends[:, 0], ends[:, 1])
+    return np.maximum(*coordinate_rates(pts, spec, cam)[0].T)  # elementwise: no reduction
 
 
 def delta_constant(spec: MotionSpec, cam: CameraModel, one_frame_points, delta_px: float) -> float:
@@ -290,4 +297,4 @@ def delta_constant(spec: MotionSpec, cam: CameraModel, one_frame_points, delta_p
         t1 = (delta_px / f[t]) * (f[r] * np.abs(pts[:, r]) + f[t] * num) / moved[2]
         t2 = 2.0 * delta_px * num / moved[2]
         best = max(best, float(np.max(np.maximum(t1, t2))))
-    return delta_px**2 / curve + best
+    return delta_px * delta_px / curve + best  # inf, not OverflowError, past 1e154

@@ -126,6 +126,8 @@ def _sweep_runs(
 ) -> _SweepRuns:
     check_integer(resolution, lambda r: r >= 2,
                   f"analysis resolution must be at least 2, got {resolution}")
+    check_integer(resolution, lambda r: r <= 1 << 24,  # poses within 128 MiB
+                  f"analysis resolution must be at most 2^24, got {resolution}")
     values = np.linspace(-spec.radius_b, spec.radius_b, resolution)
     step = float(values[1] - values[0])
     npix = cam.height * cam.width

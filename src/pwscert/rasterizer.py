@@ -31,13 +31,13 @@ points keep one (depth, index) order, so at pose 0 and at each change
 pose every cell's winner is picked by it from the least rank of the
 points that never move, kept once per sweep, and the ranks of the movers
 in it: the minimum runs over the movers only.  Under RX, RY and RZ with
-sorted poses, each pose z-buffered bounds how far the pose may move
-before a point can reach a cell border or pass its cell's winner (on RX
-and RY, only the border ahead of a coordinate that moves one way), and
-the sweep skips to the first pose beyond (10-20 of 2,001 on the seed-0
-demo scenes at RY 0.026 rad, where 3-6 poses change a winner).  Unsorted
-pose lists z-buffer every pose, and so do lists that fit one block of
-``zbuffer_blocks``, in one kernel call.
+sorted poses, one rule bounds how far the pose may move from each pose
+z-buffered before a point can reach a cell border (only the one ahead of
+a coordinate that moves one way) or pass its cell's winner, and the sweep
+skips to the first pose beyond (10-20 of 2,001 on the seed-0 demo scenes
+at RY 0.026 rad, where 3-6 poses change a winner; 30-66 at RZ 0.05 rad).
+Unsorted pose lists z-buffer every pose, and so do lists that fit one
+block of ``zbuffer_blocks``, in one kernel call.
 
 Points are pure one-pixel splats: no footprint, no interpolation, no
 anti-aliasing.  File formats: ``PWSI1`` for images (binary) and ``PWSPC1``
@@ -61,10 +61,9 @@ from .geometry import (
     MotionSpec,
     MotionValue,
     _MOTION,
-    lipschitz_constants,
+    coordinate_rates,
     min_depth_over_range,
     project_points,
-    projection_derivative_points,
 )
 
 DEFAULT_BACKGROUND = 0.5
@@ -278,15 +277,12 @@ def _horizon_changes(cloud: ColoredPointCloud, axis: Axis, values, cam: CameraMo
     within DEPTH_EPS plus the pad of zero on [-b, b], b = max(|values[0]|,
     |values[-1]|).
 
-    Each coordinate u, v of each point moves at most at its speed, its
-    largest |rate| on [-b, b].  On RX and RY that is the larger of its
-    rates at -b and +b (see ``lipschitz_constants``), and a coordinate
-    whose rate has one sign at both ends is monotone: the turning one's
-    rate, +-f / cos^2(theta), never changes sign, and the fixed one's,
-    f r sin(theta) / (rho cos^2(theta)), is monotone in theta.  Such a
-    coordinate moves only toward the border ahead of it, and can reach
-    the border behind it only from within the pad, which covers rounding.
-    On RZ each coordinate moves both ways at the point's Lipschitz rate.
+    One rule serves RX, RY and RZ.  Each coordinate u, v of each point
+    moves at most at its speed, its largest |rate| on [-b, b], and a
+    coordinate whose rate keeps one sign there is monotone (both from
+    ``coordinate_rates``).  Such a coordinate moves only toward the border
+    ahead of it, and can reach the border behind it only from within the
+    pad, which covers rounding; any other coordinate moves both ways.
 
     The last pose k z-buffered sets a horizon H, the smallest of
     * each coordinate's distance to the borders it can reach, less the
@@ -305,8 +301,9 @@ def _horizon_changes(cloud: ColoredPointCloud, axis: Axis, values, cam: CameraMo
     left, which bounds it no more.  Where H keeps falling short of the
     next pose, the poses ahead are z-buffered in blocks that double up to
     ``zbuffer_blocks``' size, so dense sweeps cost little more than
-    z-buffering every pose.  On the seed-0 demo scenes at 0.026 rad that
-    z-buffers 10-20 of 2,001 poses under RY and 22-56 under RX.
+    z-buffering every pose.  On the seed-0 demo scenes that z-buffers
+    10-20 of 2,001 poses under RY and 22-56 under RX at 0.026 rad, and
+    30-66 under RZ at 0.05 rad.
     """
     b = max(abs(values[0]), abs(values[-1]))
     if not 0 < b < math.inf:
@@ -319,20 +316,13 @@ def _horizon_changes(cloud: ColoredPointCloud, axis: Axis, values, cam: CameraMo
         return None
     # (2, N) rows of u and v from here on; a rate may overflow, quietly
     with np.errstate(over="ignore", invalid="ignore"):
-        if axis is Axis.RZ:
-            speed = np.tile(lipschitz_constants(points, spec, cam), (2, 1))
-            rising = falling = np.zeros(speed.shape, dtype=bool)
-        else:
-            ends = projection_derivative_points(points, axis, np.array([[-b], [b]]), cam).T
-            speed = np.maximum(np.abs(ends[..., 0]), np.abs(ends[..., 1]))
-            rising, falling = np.all(ends > 0, axis=-1), np.all(ends < 0, axis=-1)
-    # a NaN speed, from a rate that overflowed, gives a NaN reach
-    slowness = np.divide(1.0, speed, out=np.ones_like(speed), where=speed != 0)
+        speed, sign = (rates.T for rates in coordinate_rates(points, spec, cam))
+        # a NaN speed, from a rate that overflowed, gives a NaN reach
+        slowness = np.divide(1.0, speed, out=np.ones_like(speed), where=speed != 0)
     still = np.where(speed == 0, np.inf, 0.0)  # no border bounds a still coordinate
     # inf on the border a coordinate moves away from: below a rising one,
     # above a falling one, and both of a still one
-    behind_below, behind_above = (np.where(way, np.inf, 0.0) + still
-                                  for way in (rising, falling))
+    behind_below, behind_above = (np.where(sign == way, np.inf, 0.0) + still for way in (1, -1))
     edge = np.array([[cam.width], [cam.height]], dtype=np.float64)
     pad_px = _PAD * (1 + extent / floor)
     span_px = max(cam.fx, cam.fy) + cam.width + cam.height
@@ -374,7 +364,7 @@ def _horizon_changes(cloud: ColoredPointCloud, axis: Axis, values, cam: CameraMo
             uv, depth, cell, winners = _zbuffer(cloud, axis, values[k : k + ahead], cam)
             yield from zip(range(k, k + len(winners)), winners)
             k += len(winners) - 1
-            with np.errstate(over="ignore"):  # an infinite reach is sound
+            with np.errstate(over="ignore", invalid="ignore"):  # an infinite reach is sound
                 reach = horizon(uv[-1], depth[-1], cell[-1], winners[-1])
             # NaN, from a coordinate that overflowed, keeps the next pose
             skip = 0 if np.isnan(reach) else int(

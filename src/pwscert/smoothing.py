@@ -66,8 +66,8 @@ For classifiers exposing an affine pixel-to-logit map, the argmax under
 pixel noise is sampled in logit space: the noise pushes forward to
 ``N(0, sigma^2 A A^T)`` over the logits, which is cheaper by the ratio of
 pixel count to label count.  There ``W`` is the label count and a block
-times ``V sqrt(max(lambda, 0))``, from an eigendecomposition of that
-covariance, is logit noise: the built-in model's covariance is singular,
+times ``sigma V sqrt(max(lambda, 0))``, from an eigendecomposition of
+``A A^T``, is logit noise: the built-in model's covariance is singular,
 where Cholesky passes or fails by rounding alone.  The factor rows of two
 labels with one row of (A, b) can differ by rounding, so such labels would
 split draws that the pixel path gives to the first of them; they share
@@ -181,7 +181,7 @@ class SmoothingConfig:
     def __post_init__(self):
         check_real(self.sigma, lambda s: 0 < s < math.inf,
                    f"sigma must be positive and finite, got {self.sigma}")
-        # the logit path factors sigma**2 times the logit covariance
+        # a finite variance sigma**2, which keeps the logit noise factor finite
         check_real(self.sigma, lambda s: s <= math.sqrt(sys.float_info.max),
                    f"sigma must have a finite square, at most about 1.34e154, "
                    f"got {self.sigma}")
@@ -365,14 +365,14 @@ def smoothed_estimates(
             first.setdefault(row.tobytes(), label)
         keep = np.array(list(first.values()))
         a_mat, bases, width = a_mat[keep], bases[:, keep], label_count
+        factor = np.zeros((len(keep), label_count))  # the kept labels' own draw columns
         with np.errstate(over="ignore", invalid="ignore"):
-            cov = (cfg.sigma**2) * (a_mat @ a_mat.T)
-        if not np.isfinite(cov).all():
-            raise ConfigError(f"sigma {cfg.sigma} overflows the logit noise covariance")
-        vals, vecs = np.linalg.eigh(cov)
-        # the kept labels' noise from their own columns of the draws
-        factor = np.zeros((len(keep), label_count))
-        factor[:, keep] = vecs * np.sqrt(np.clip(vals, 0.0, None))
+            cov = a_mat @ a_mat.T  # sigma scales its factor: sigma^2 A A^T may overflow
+            if np.isfinite(cov).all():  # eigh raises a bare LinAlgError on inf or NaN
+                vals, vecs = np.linalg.eigh(cov)
+                factor[:, keep] = vecs * np.sqrt(np.clip(vals, 0.0, None)) * cfg.sigma
+        if not (np.isfinite(cov).all() and np.isfinite(factor).all()):
+            raise NonFiniteScores("the logit noise covariance A A^T, or its factor, is not finite")
         # (labels, draws) columns: one transpose-copy per block, then every
         # image adds its logits to the same sums base + noise would hold
         push = lambda block: (block @ factor.T).T.copy()

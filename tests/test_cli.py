@@ -310,11 +310,16 @@ class TestErrorHandling:
         ("certify", "--sigma", "0", "sigma must be positive and finite, got 0.0"),
         ("certify", "--sigma", "1e160",
          "sigma must have a finite square, at most about 1.34e154, got 1e+160"),
-        # a finite square that overflows the model's logit covariance
-        ("certify", "--sigma", "1e154", "sigma 1e+154 overflows the logit noise covariance"),
         ("certify", "--radius", "nanmm", "motion radius must be positive and finite"),
         ("attack", "--poses", "0", "need at least one pose, got 0"),
         ("partition", "--resolution", "1", "analysis resolution must be at least 2, got 1"),
+        # each past numpy's array size: linspace raised a bare ValueError
+        ("attack", "--poses", str(2**70), f"need at most 2^24 poses, got {2**70}"),
+        ("partition", "--resolution", str(2**70),
+         f"analysis resolution must be at most 2^24, got {2**70}"),
+        # 2b overflows: linspace warned in its subtraction
+        ("partition", "--radius", "1.7e308m",
+         "motion radius 1.7e+308 has no finite range width 2b"),
         ("partition", "--delta", "-1", "convexity delta must be positive and finite"),
     ])
     def test_bad_numeric_option_exits_2(self, runner, workspace, tmp_path, command,
@@ -333,6 +338,23 @@ class TestErrorHandling:
         res = runner.invoke(main, argv)
         assert res.exit_code == 2
         assert res.output.splitlines() == [f"config_error: {message}"]
+
+    def test_huge_sigma_certifies_and_abstains(self, runner, workspace, tmp_path):
+        # sigma^2 A A^T overflows at 1e154, but sigma times a factor of A A^T
+        # does not: the logit path tallies and every scene abstains, as on
+        # the pixel path
+        _, corpus, model = workspace
+        run = tmp_path / "run"
+        res = runner.invoke(main, [
+            "certify", "--corpus", str(corpus), "--model", str(model), "--axis", "tz",
+            "--radius", "36mm", "--sigma", "1e154", "--n-samples", "500",
+            "--resolution", "201", "--out", str(run),
+        ])
+        assert res.exit_code == 0, res.output
+        summary = json.loads((run / "summary.json").read_text())
+        assert len(summary["samples"]) == 3
+        for sample in summary["samples"].values():
+            assert (sample["verdict"], sample["min_radius"]) == ("abstain", 0.0)
 
     @pytest.mark.parametrize("option, value, message", [
         ("--focal", "-1", "focal lengths must be positive and finite"),

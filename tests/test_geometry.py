@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from pwscert import (
 from pwscert.geometry import (
     MotionValue,
     _sinusoid_range,
+    coordinate_rates,
     projection_derivative_points,
     min_depth_over_range,
 )
@@ -43,6 +45,15 @@ class TestProject:
         uv, depth = project_points((0, 0, 2), Axis.TZ, 0.0, cam)
         assert tuple(uv[0]) == (50.0, 50.0)
         assert depth[0] == 2.0
+
+    @pytest.mark.parametrize("axis", ALL_AXES)
+    def test_coordinate_past_max_float_projects_quietly(self, cam, axis):
+        # fx * x overflows for a cloud point at 1e308: an off-grid inf, not a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            uv, _ = project_points([(1e308, -1e308, 2.0), (0.1, 0.2, 2.0)], axis, 0.0, cam)
+        assert uv[0, 0] == math.inf and uv[0, 1] == -math.inf
+        assert np.all(np.isfinite(uv[1]))
 
     def test_tz_closed_form(self, cam):
         # u = fx*X/(Z-tz) + cx = 100*0.1/1 + 50
@@ -228,6 +239,31 @@ class TestLipschitz:
                 assert np.all(d >= dmin - 1e-12)
 
 
+class TestCoordinateRates:
+    @pytest.mark.parametrize("axis", ALL_AXES)
+    def test_bound_sampled_rates(self, axis):
+        # at 10^4 poses, no exact rate exceeds its coordinate's speed or takes
+        # the sign opposite a nonzero sign; past 2b = pi an RZ rate with one
+        # sign at both ends can change sign inside the range
+        rng = np.random.default_rng(43)
+        signed = 0
+        for b in (0.01, 0.3, 1.0, 1.7, 3.0):
+            spec = MotionSpec(axis, b)
+            pts = rng.uniform(-1.5, 1.5, (2000, 3))
+            pts[:, 2] = rng.uniform(0.5, 6.0, 2000)
+            pts = pts[min_depth_over_range(pts, spec, ODD_CAM) > 0.05][:60]
+            speed, sign = coordinate_rates(pts, spec, ODD_CAM)
+            assert speed.shape == sign.shape == (len(pts), 2)
+            rates = projection_derivative_points(pts, axis, np.linspace(-b, b, 10_000)[:, None],
+                                                 ODD_CAM)
+            assert np.all(np.abs(rates) <= speed * (1 + 1e-12)), b
+            assert np.all(rates * sign >= 0), b
+            signed += np.count_nonzero(sign)
+            if axis is Axis.RZ and 2 * b >= math.pi:
+                assert not np.any(sign)
+        assert signed > 0
+
+
 class TestSinusoidRange:
     @pytest.mark.parametrize("half", [0.01, 0.5, 1.6, 2.5, 3.1])
     def test_brackets_and_attains_sampled_extremes(self, half):
@@ -266,6 +302,14 @@ class TestDeltaConstant:
         for axis in (Axis.TX, Axis.RY):
             with pytest.raises(ConfigError, match="convexity delta must be positive"):
                 delta_constant(MotionSpec(axis, 0.1), cam, [(0.1, 0.1, 2.0)], delta)
+
+    def test_delta_whose_square_overflows_gives_inf(self, cam):
+        # RX and RY's delta_px**2 on a Python float raised OverflowError past 1e154
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for axis in (Axis.RX, Axis.RY):
+                spec = MotionSpec(axis, 0.1)
+                assert delta_constant(spec, cam, [(0.1, 0.1, 2.0)], 1e160) == math.inf
 
     def test_lipschitz_relaxation_bounds_hidden_points(self):
         # hidden back layer of a layered scene: every hidden point's own
@@ -343,6 +387,10 @@ class TestValidation:
                 MotionSpec(Axis.TX, radius)
         with pytest.raises(ConfigError, match="outside"):
             MotionValue(MotionSpec(Axis.TX, 0.1), "0.05")
+        # np.linspace(-b, b) overflowed in its subtraction past 2b = max float
+        with pytest.raises(ConfigError, match="has no finite range width 2b"):
+            MotionSpec(Axis.RY, 1e308)
+        assert MotionSpec(Axis.TX, 8e307).radius_b == 8e307
 
     @pytest.mark.parametrize("points", [[(1.0, 2.0)], np.zeros((2, 3, 1)), [[]]])
     def test_points_of_wrong_shape_raise_shape_mismatch(self, cam, points):

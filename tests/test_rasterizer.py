@@ -764,6 +764,33 @@ class TestChangePoses:
                 skipped += len(changes) < len(values)
         assert skipped >= 8  # the horizon rule, not only its fall-backs
 
+    def test_rz_sweeps_past_half_pi_match_per_pose_kernel(self, small_cam):
+        # past 2b = pi an RZ rate can keep one sign at both ends and change
+        # it inside the range, so no coordinate counts as monotone there
+        skipped = 0
+        for seed in range(20):
+            rng = np.random.default_rng(900 + seed)
+            n = int(rng.integers(8, 120))
+            cloud = ColoredPointCloud(random_visible_points(rng, n), rng.uniform(0, 1, (n, 1)))
+            b = float(rng.uniform(1.6, 3.1))
+            values = np.linspace(-b, b, 2001)
+            changes = list(zbuffer_changes(cloud, Axis.RZ, values, small_cam))
+            np.testing.assert_array_equal(per_pose(changes, len(values)),
+                                          winners_batch(cloud, Axis.RZ, values, small_cam),
+                                          err_msg=f"seed {seed}")
+            skipped += len(changes) < len(values)
+        assert skipped >= 10  # the horizon rule, not only its fall-backs
+
+    def test_demo_rz_sweeps_zbuffer_few_poses(self, demo_cam, kernel_poses):
+        # each coordinate bounded only toward the border ahead of it: 30-66
+        # poses, where bounding both borders of both coordinates took 150-338
+        spec = MotionSpec(Axis.RZ, 0.05)
+        for shape in ShapeClass:
+            cloud = build_demo_scene(shape, 0).cloud
+            kernel_poses.clear()
+            _sweep_runs(cloud, spec, demo_cam, 2001)
+            assert 0 < sum(kernel_poses) <= 70, (shape, sum(kernel_poses))
+
     def test_demo_ry_sweeps_zbuffer_few_poses(self, demo_cam, kernel_poses):
         spec = demo_specs()[1]
         assert spec == MotionSpec(Axis.RY, 0.026)

@@ -11,6 +11,7 @@ from pwscert import (
     ConfigError,
     DomainError,
     LinearSoftmaxClassifier,
+    NonFiniteScores,
     ShapeMismatch,
     SmoothingConfig,
     clopper_pearson_lower,
@@ -459,18 +460,35 @@ class TestSmoothedEstimate:
                 SmoothingConfig(sigma=sigma, n_samples=100)
         assert SmoothingConfig(sigma=top, n_samples=100).sigma == top
 
-    def test_sigma_that_overflows_the_logit_covariance_rejected(self):
-        # sigma^2 is finite, but sigma^2 A A^T is not: eigh would raise a bare
-        # LinAlgError, after an overflow warning
+    def test_huge_sigma_tallies_on_both_paths(self):
+        # sigma^2 A A^T overflows at 1e154, but sigma times a factor of A A^T
+        # does not: the logit path tallies and abstains, as the pixel path does
         rng = np.random.default_rng(25)
         clf = LinearSoftmaxClassifier(10.0 * rng.standard_normal((4, 3)), np.zeros(3),
                                       (1, 8, 8), 4)
         img = np.zeros((1, 8, 8))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ConfigError, match="overflows the logit noise covariance"):
-                smoothed_estimate(clf, img, SmoothingConfig(sigma=1e154, n_samples=100))
-            assert smoothed_estimate(clf, img, SmoothingConfig(sigma=1e150, n_samples=100))
+            for pixel in (False, True):
+                cfg = SmoothingConfig(sigma=1e154, n_samples=100, force_pixel_noise=pixel)
+                est = smoothed_estimate(clf, img, cfg)
+                assert est.abstained and est.radius == 0.0, pixel
+                assert est.counts.sum() == 100 and np.all(est.counts > 0), pixel
+
+    @pytest.mark.parametrize("weights", [
+        # A A^T overflows: eigh would raise a bare LinAlgError
+        1e160 * np.array([[1.0, -1.0, 0.5]] * 4),
+        # A A^T is finite, but its largest eigenvalue, about 2e308, is not:
+        # the factor would hold inf and tally every draw to label 0
+        2e154 * np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [1.0, 0.99, 0.0], [1.0, 1.0, 1.0]]),
+    ])
+    def test_logit_noise_that_overflows_is_refused(self, weights):
+        clf = LinearSoftmaxClassifier(weights, np.zeros(3), (1, 8, 8), 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteScores, match=r"covariance A A\^T, or its factor, is not"):
+                smoothed_estimate(clf, np.zeros((1, 8, 8)),
+                                  SmoothingConfig(sigma=0.5, n_samples=100))
 
     def test_seed_outside_one_word_rejected(self):
         # one 64-bit key word: 2**64 and -1 would draw the noise of 0 and 2**64 - 1

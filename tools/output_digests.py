@@ -36,6 +36,9 @@ list of 300 random poses with repeats and the same list shuffled) of the
 24-392-point clouds on RX, RY and RZ at radii 0.01-0.2 rad, with
 duplicates, one shared depth, pairs that swap depth order inside the
 range and points off the grid, every fifth with a point behind the camera.
+The same clouds are swept on RZ once more at radii between pi/2 and pi,
+where an RZ rate of one sign at both range ends may change sign inside
+the range, so the horizon must let each coordinate move both ways.
 Together with ``pws project --axis ry`` above, they cover every path of
 ``zbuffer_changes`` under rotation.  Under translation, it hashes 20 more
 seeded random clouds on TX, TY and TZ at radii 0.01-0.25 m, with
@@ -275,6 +278,7 @@ def sweep_digests():
         return ramp, ragged, rng.permutation(ragged)
 
     rng = np.random.default_rng(20261019)
+    wide_rng = np.random.default_rng(20261022)  # leaves rng's draws as they were
     cam = demo_camera()
     for shape in pc.ShapeClass:
         for seed in (0, 1):
@@ -304,6 +308,9 @@ def sweep_digests():
         for axis in (pc.Axis.RX, pc.Axis.RY, pc.Axis.RZ):
             feed(("random", axis), cloud, pc.MotionSpec(axis, b), cam,
                  pose_lists(rng, b))
+        wide = float(wide_rng.uniform(np.pi / 2, np.pi))
+        feed(("wide", pc.Axis.RZ), cloud, pc.MotionSpec(pc.Axis.RZ, wide), cam,
+             pose_lists(wide_rng, wide))
     rng = np.random.default_rng(20261020)
     for index in range(20):
         n = 8 * int(rng.integers(3, 50))

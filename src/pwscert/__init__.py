@@ -5,8 +5,10 @@ from .certify import (
     AttackReport,
     CertificationReport,
     Verdict,
+    attack_corpus,
     certified_accuracy,
     certify,
+    certify_corpus,
     empirical_attack,
 )
 from .classifier import (

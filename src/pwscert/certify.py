@@ -15,9 +15,12 @@ Frames that render the same image share one Monte-Carlo estimate: the
 smoothed classifier depends only on the image.  A sweep returns each
 distinct image once (``sweep_images``), each is tallied once, every pose
 takes its image's estimate, and adjacent errors are taken between
-neighbouring poses that render different images.  All distinct images of
-one call are tallied against the same noise draws, those of the stream
-``stream_id(context, 0)``.  Each estimate still holds with its own
+neighbouring poses that render different images.  ``certify_corpus`` and
+``attack_corpus`` plan every scene, tally the distinct images of all of
+them in one call on the stream ``stream_id(context, 0)``, and decide each
+scene; ``certify`` and ``empirical_attack`` are their one-scene calls.
+An image sees the same draws in any call, so no report depends on the
+scenes tallied with it.  Each estimate still holds with its own
 failure probability alpha, and a union bound needs no independence
 between them, so the distinct estimates fail jointly with probability at
 most ``n_partitions * alpha``; the report carries that figure as
@@ -37,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classifier import BaseClassifier
-from .errors import ConfigError, check_integer
+from .errors import ConfigError, PwsError, check_integer
 from .geometry import CameraModel, MotionSpec
 from .intervals import CertMethod, IntervalConfig, plan_partition
 from .rasterizer import (ColoredPointCloud, DEFAULT_BACKGROUND, adjacent_frame_error,
@@ -93,7 +96,7 @@ class CertificationReport:
     confidence_alpha: float
     aggregate_alpha: float
     convexity_delta: float = None
-    wall_time_s: float = 0.0
+    timing: dict = field(default_factory=dict)
     extra: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
@@ -105,7 +108,7 @@ class CertificationReport:
             method=self.method.value,
             per_partition=[p.to_json() for p in self.per_partition],
             extra=dict(self.extra),
-            timing={"wall_time_s": payload.pop("wall_time_s")},
+            timing=dict(self.timing),
         )
         return payload
 
@@ -127,100 +130,137 @@ def _run_tasks(images, classifier, cfg, context):
     return smoothed_estimates(classifier, images, cfg, stream_id(context, 0))
 
 
-def certify(
-    cloud: ColoredPointCloud,
-    spec: MotionSpec,
-    cam: CameraModel,
-    classifier: BaseClassifier,
-    smoothing_cfg: SmoothingConfig,
-    method: CertMethod = CertMethod.EXACT,
-    interval_cfg: IntervalConfig = None,
-) -> CertificationReport:
+def _attempt(fn, *args):
+    """``(fn(*args), seconds)``, returning a raised ``PwsError`` other than ``ConfigError``."""
+    t0 = time.perf_counter()
+    try:
+        result = fn(*args)
+    except ConfigError:
+        raise
+    except PwsError as err:
+        result = err
+    return result, time.perf_counter() - t0
+
+
+def _corpus(clouds, plan_one, decide, classifier, cfg, context) -> list:
+    """Per cloud, ``decide(estimates of its images, index, *rest, timing)``
+    after ``plan_one(cloud) -> (images, index, *rest)``, or the ``PwsError``
+    its plan or its tally raised.  The planned images are tallied in one
+    ``_run_tasks`` call per image shape, one unless channel counts differ."""
+    planned, shapes = [_attempt(plan_one, cloud) for cloud in clouds], {}
+    for outcome, _ in planned:
+        if not isinstance(outcome, PwsError):
+            shapes.setdefault(outcome[0][0].shape, []).extend(outcome[0])
+    tallies = {shape: _attempt(_run_tasks, images, classifier, cfg, context)
+               for shape, images in shapes.items()}
+    results = []
+    for outcome, plan_s in planned:
+        if not isinstance(outcome, PwsError):
+            images, index, *rest = outcome
+            outcome, tally_s = tallies[images[0].shape]
+        if not isinstance(outcome, PwsError):  # a list in the order of its scenes
+            t0, timing = time.perf_counter(), {"plan_s": plan_s, "tally_s": tally_s}
+            outcome = decide([outcome.pop(0) for _ in images], index, *rest, timing)
+            timing["wall_time_s"] = plan_s + tally_s + time.perf_counter() - t0
+        results.append(outcome)
+    return results
+
+
+def _one(result):
+    if isinstance(result, PwsError):
+        raise result
+    return result
+
+
+def certify_corpus(clouds, spec: MotionSpec, cam: CameraModel, classifier: BaseClassifier,
+                   smoothing_cfg: SmoothingConfig, method: CertMethod = CertMethod.EXACT,
+                   interval_cfg: IntervalConfig = None) -> list:
+    """``certify`` each of ``clouds``, their distinct frames tallied in one
+    call: per cloud its report, or the ``PwsError`` it raised."""
+    interval_cfg = interval_cfg or IntervalConfig()
+
+    def plan_one(cloud):
+        plan = plan_partition(cloud, spec, cam, method, interval_cfg)
+        images, index = sweep_images(cloud, spec, cam, plan.values)
+        # neighbours rendering one image differ by exactly 0.0: skip them
+        pairs = {(a, b) for a, b in zip(index.tolist(), index[1:].tolist()) if a != b}
+        max_err = max((adjacent_frame_error(images[a], images[b]) for a, b in pairs),
+                      default=0.0)
+        return images, index, plan, max_err
+
+    def decide(by_image, index, plan, max_err, timing):
+        per_partition = [PartitionEstimate(float(alpha), e.top_label, e.p_a_lower,
+                                           e.p_b_upper, e.radius, e.abstained)
+                         for alpha, e in zip(plan.values, (by_image[i] for i in index))]
+        # every distinct image renders at some pose: decide over them once
+        labels = {e.top_label for e in by_image}
+        min_radius = min((e.radius for e in by_image if not e.abstained), default=0.0)
+        top = labels.pop() if len(labels) == 1 else -1
+        verdict = (Verdict.ABSTAIN if top < 0 or any(e.abstained for e in by_image) else
+                   Verdict.CERTIFIED if max_err < min_radius else Verdict.NOT_CERTIFIED)
+        return CertificationReport(
+            verdict=verdict, method=plan.method, axis=spec.axis.value,
+            radius_b=spec.radius_b, sigma=smoothing_cfg.sigma, n_partitions=plan.count,
+            n_distinct_frames=len(by_image), delta_alpha=plan.delta_alpha,
+            max_adjacent_error=max_err, min_radius=min_radius,
+            margin=min_radius - max_err, top_label=top, per_partition=per_partition,
+            quantile=interval_cfg.quantile, resolution=interval_cfg.resolution,
+            background=DEFAULT_BACKGROUND, seed=smoothing_cfg.seed,
+            n_samples=smoothing_cfg.n_samples, confidence_alpha=smoothing_cfg.confidence_alpha,
+            aggregate_alpha=plan.count * smoothing_cfg.confidence_alpha,
+            # only the one-frame bound reads a delta
+            convexity_delta=(interval_cfg.convexity.delta
+                             if plan.method is CertMethod.ONE_FRAME else None),
+            timing=timing, extra={"classifier": classifier.describe()},
+        )
+
+    return _corpus(clouds, plan_one, decide, classifier, smoothing_cfg, STREAM_FRAME)
+
+
+def certify(cloud: ColoredPointCloud, spec: MotionSpec, cam: CameraModel,
+            classifier: BaseClassifier, smoothing_cfg: SmoothingConfig,
+            method: CertMethod = CertMethod.EXACT,
+            interval_cfg: IntervalConfig = None) -> CertificationReport:
     """Certify one scene; ``cloud`` is what the camera images.
 
     For the one-frame method the spacing bound consumes only the points
     recoverable from the reference render, while the frames themselves are
     still captured from the scene, mirroring a real camera.
     """
-    t0 = time.perf_counter()
-    interval_cfg = interval_cfg or IntervalConfig()
-    plan = plan_partition(cloud, spec, cam, method, interval_cfg)
-    images, index = sweep_images(cloud, spec, cam, plan.values)
-
-    by_image = _run_tasks(images, classifier, smoothing_cfg, STREAM_FRAME)
-    # neighbours rendering one image differ by exactly 0.0: skip them
-    pairs = {(a, b) for a, b in zip(index.tolist(), index[1:].tolist()) if a != b}
-    max_err = max((adjacent_frame_error(images[a], images[b]) for a, b in pairs),
-                  default=0.0)
-    per_partition = [PartitionEstimate(float(alpha), e.top_label, e.p_a_lower, e.p_b_upper,
-                                       e.radius, e.abstained)
-                     for alpha, e in zip(plan.values, (by_image[i] for i in index))]
-
-    # every distinct image renders at some pose: decide over them once
-    labels = {e.top_label for e in by_image}
-    min_radius = min((e.radius for e in by_image if not e.abstained), default=0.0)
-    top = labels.pop() if len(labels) == 1 else -1
-    verdict = (Verdict.ABSTAIN if top < 0 or any(e.abstained for e in by_image) else
-               Verdict.CERTIFIED if max_err < min_radius else Verdict.NOT_CERTIFIED)
-
-    return CertificationReport(
-        verdict=verdict,
-        method=plan.method,
-        axis=spec.axis.value,
-        radius_b=spec.radius_b,
-        sigma=smoothing_cfg.sigma,
-        n_partitions=plan.count,
-        n_distinct_frames=len(images),
-        delta_alpha=plan.delta_alpha,
-        max_adjacent_error=max_err,
-        min_radius=min_radius,
-        margin=min_radius - max_err,
-        top_label=top,
-        per_partition=per_partition,
-        quantile=interval_cfg.quantile,
-        resolution=interval_cfg.resolution,
-        background=DEFAULT_BACKGROUND,
-        seed=smoothing_cfg.seed,
-        n_samples=smoothing_cfg.n_samples,
-        confidence_alpha=smoothing_cfg.confidence_alpha,
-        aggregate_alpha=plan.count * smoothing_cfg.confidence_alpha,
-        # only the one-frame bound reads a delta
-        convexity_delta=(
-            interval_cfg.convexity.delta if plan.method is CertMethod.ONE_FRAME else None
-        ),
-        wall_time_s=time.perf_counter() - t0,
-        extra={"classifier": classifier.describe()},
-    )
+    return _one(certify_corpus([cloud], spec, cam, classifier, smoothing_cfg, method,
+                               interval_cfg)[0])
 
 
-def empirical_attack(
-    cloud: ColoredPointCloud,
-    spec: MotionSpec,
-    cam: CameraModel,
-    classifier: BaseClassifier,
-    smoothing_cfg: SmoothingConfig,
-    poses: int = 100,
-) -> AttackReport:
-    """Probe uniformly spaced poses for a smoothed-prediction label change
-    from pose 0's.  Pose 0 is one of the sweep's poses, so a pose that
-    renders the pose-0 image gets its label by construction."""
+def attack_corpus(clouds, spec: MotionSpec, cam: CameraModel, classifier: BaseClassifier,
+                  smoothing_cfg: SmoothingConfig, poses: int = 100) -> list:
+    """``empirical_attack`` on each of ``clouds``, their distinct frames
+    tallied in one call: per cloud its report, or the ``PwsError`` it raised."""
     check_integer(poses, lambda p: p >= 1, f"need at least one pose, got {poses}")
     check_integer(poses, lambda p: p <= 1 << 24, f"need at most 2^24 poses, got {poses}")
     values = np.linspace(-spec.radius_b, spec.radius_b, poses) if poses > 1 else [0.0]
     swept = np.union1d(values, [0.0])  # sorted, and holding every value once
-    images, index = sweep_images(cloud, spec, cam, swept)
-    labels = [e.top_label for e in _run_tasks(images, classifier, smoothing_cfg,
-                                              STREAM_ATTACK)]
-    reference = labels[index[np.searchsorted(swept, 0.0)]]
-    first_failure = next((float(value) for value, i in
-                          zip(values, index[np.searchsorted(swept, values)])
-                          if labels[i] != reference), None)
-    return AttackReport(
-        poses_tested=int(poses),
-        first_failure_pose=first_failure,
-        empirically_robust=first_failure is None,
-        reference_label=int(reference),
-    )
+
+    def decide(by_image, index, _timing):
+        labels = [e.top_label for e in by_image]
+        reference = labels[index[np.searchsorted(swept, 0.0)]]
+        first_failure = next((float(value) for value, i in
+                              zip(values, index[np.searchsorted(swept, values)])
+                              if labels[i] != reference), None)
+        return AttackReport(poses_tested=int(poses), first_failure_pose=first_failure,
+                            empirically_robust=first_failure is None,
+                            reference_label=int(reference))
+
+    return _corpus(clouds, lambda cloud: sweep_images(cloud, spec, cam, swept), decide,
+                   classifier, smoothing_cfg, STREAM_ATTACK)
+
+
+def empirical_attack(cloud: ColoredPointCloud, spec: MotionSpec, cam: CameraModel,
+                     classifier: BaseClassifier, smoothing_cfg: SmoothingConfig,
+                     poses: int = 100) -> AttackReport:
+    """Probe uniformly spaced poses for a smoothed-prediction label change
+    from pose 0's.  Pose 0 is one of the sweep's poses, so a pose that
+    renders the pose-0 image gets its label by construction."""
+    return _one(attack_corpus([cloud], spec, cam, classifier, smoothing_cfg, poses)[0])
 
 
 def certified_accuracy(results) -> float:

@@ -22,7 +22,8 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .certify import certified_accuracy, certify, empirical_attack
+from .certify import attack_corpus, certified_accuracy, certify_corpus
+from .certify import certify, empirical_attack  # noqa: F401 (the benchmark wraps these)
 from .classifier import builtin_train, load_model, save_model
 from .demo import build_demo_scene, demo_camera
 from .errors import ConfigError, FileFormatError, PathError, PwsError
@@ -291,17 +292,12 @@ def cmd_certify(method, resolution, quantile, delta_px, **run):
     cfg = _interval_config(resolution, quantile, delta_px)
     t0 = time.perf_counter()
     samples, results = {}, []
-    for scene in scenes:
-        try:
-            report = certify(scene.cloud, spec, cam, clf, smoothing, method, cfg)
-        except ConfigError:
-            raise
-        except PwsError as err:
+    reports = certify_corpus([s.cloud for s in scenes], spec, cam, clf, smoothing, method, cfg)
+    for scene, report in zip(scenes, reports):
+        if isinstance(report, PwsError):
+            samples[scene.name] = {"error": f"{report.kind}: {report}",
+                                   "true_label": scene.label}
             report = None
-            samples[scene.name] = {
-                "error": f"{err.kind}: {err}",
-                "true_label": scene.label,
-            }
         else:
             _write_report(run["out"] / f"{scene.name}.cert.json", report, scene)
             samples[scene.name] = {
@@ -345,8 +341,10 @@ def cmd_attack(poses, **run):
     """Sweep poses looking for smoothed-prediction label changes."""
     scenes, cam, clf, spec, smoothing = _run_setup(**run)
     robust = 0
-    for scene in scenes:
-        report = empirical_attack(scene.cloud, spec, cam, clf, smoothing, poses)
+    reports = attack_corpus([s.cloud for s in scenes], spec, cam, clf, smoothing, poses)
+    for scene, report in zip(scenes, reports):
+        if isinstance(report, PwsError):  # the first error ends the run
+            raise report
         _write_report(run["out"] / f"{scene.name}.attack.json", report, scene)
         robust += int(report.empirically_robust)
     click.echo(f"{robust}/{len(scenes)} scenes empirically robust; "

@@ -231,8 +231,8 @@ def _spacing(cloud, spec, cam, resolution, quantile, run_widths):
     result = picked - runs.step
     if result <= runs.step:
         raise DegenerateInterval(
-            f"spacing {result:.3g} not above one sweep step {runs.step:.3g}; "
-            "raise the resolution or relax the quantile"
+            f"governing run width {picked:.3g} not above two sweep steps "
+            f"{2 * runs.step:.3g}; raise the resolution or relax the quantile"
         )
     return result
 

@@ -18,10 +18,10 @@ unbounded inputs.
 
 Randomness is organized in named streams keyed by (seed, stream id).
 ``smoothed_estimates`` tallies several images against the same draws of
-one stream: certification and attack sweeps tally all distinct frames of
-a call on ``stream_id(context, 0)``, so one draw serves every frame, and
-a one-image call (``smoothed_estimate``) sees exactly the draws its image
-sees in a larger call.
+one stream: a corpus certification or attack tallies the distinct frames
+of all its scenes on ``stream_id(context, 0)`` in one call, so one draw
+serves every frame, and a one-image call (``smoothed_estimate``) sees
+exactly the draws its image sees in a larger call.
 
 Every tally draws one block layout.  Block ``b`` holds
 ``max(1, min(_BLOCK_DRAWS, _NOISE_ENTRIES // W))`` standard-normal draws
@@ -39,7 +39,7 @@ the stream, ``W`` and ``n_samples`` only, never on the thread count.
 On the pixel path ``W`` is the pixel count and a block times sigma is
 pixel noise.
 
-Every ``certify`` call of a run tallies on ``stream_id(STREAM_FRAME, 0)``
+Every certification of a run tallies on ``stream_id(STREAM_FRAME, 0)``
 and every attack on ``stream_id(STREAM_ATTACK, 0)``, so calls share their
 blocks.  The first ``_CACHED_PREFIX`` = 8 blocks of every stream, where a
 block holds at most ``_NOISE_ENTRIES`` values, are drawn once per process
@@ -54,7 +54,7 @@ blocks are read-only, so the pushes below work out of place, and a
 block's values are its generator's whether it was cached or not: no
 estimate depends on the cache.
 
-The thread rule, for every caller alike (``certify``, ``empirical_attack``,
+The thread rule, for every caller alike (the functions of ``certify``,
 the ``pws`` commands and direct library calls): each ``smoothed_estimates``
 call reads ``PWS_THREADS`` once, before it picks a path, so a value that is
 not a positive integer raises ``ConfigError`` on either path; unset or

@@ -20,14 +20,20 @@ from pwscert import (
     ShapeClass,
     SmoothingConfig,
     Verdict,
+    NonFiniteScores,
+    PwsError,
+    ShapeMismatch,
     adjacent_frame_error,
+    attack_corpus,
     certified_accuracy,
     certify,
+    certify_corpus,
     empirical_attack,
     generate_scene,
     render,
 )
-from pwscert.demo import build_probe_scene, demo_specs, probe_camera, probe_spec
+from pwscert.demo import (DEMO_CONVEXITY_DELTA, build_probe_scene, demo_specs,
+                          probe_camera, probe_spec)
 from pwscert.intervals import CertMethod, DeltaConvexity, plan_partition
 from pwscert.rasterizer import render_sweep, sweep_images
 from pwscert import smoothing as smoothing_module
@@ -226,7 +232,7 @@ class TestCertify:
         assert payload["n_distinct_frames"] == 1  # the point never leaves its cell
         assert "noise_clamped" not in payload
         assert "frames_rendered" not in payload
-        assert "wall_time_s" in payload["timing"]
+        assert set(payload["timing"]) == {"wall_time_s", "plan_s", "tally_s"}
         assert len(payload["per_partition"]) == payload["n_partitions"]
         assert payload["extra"]["classifier"]["type"] == "ConfidentClassifier"
 
@@ -237,8 +243,7 @@ class TestCertify:
         payload = report.to_json()
         want = dataclasses.asdict(report)
         want.update(pws_report_version=8, verdict=report.verdict.value,
-                    method=report.method.value,
-                    timing={"wall_time_s": want.pop("wall_time_s")})
+                    method=report.method.value)
         assert payload == want
         assert len(payload["per_partition"]) > 1
         # the payload is a copy: editing it leaves the report alone
@@ -432,6 +437,142 @@ class TestSharedTallies:
                          CertMethod.EXACT, IVCFG)
         assert report.n_distinct_frames >= 3
         assert generators == [(cfg.seed, stream_id(STREAM_FRAME, 0), 0)]  # block 0 only
+
+
+
+class NanClassifier(BaseClassifier):
+    label_count = 2
+
+    def predict_batch(self, images):
+        return np.full((len(images), 2), np.nan)
+
+
+def per_scene(fn, *args):
+    """``fn(*args)``, or the ``PwsError`` other than ``ConfigError`` it raises."""
+    try:
+        return fn(*args)
+    except ConfigError:
+        raise
+    except PwsError as err:
+        return err
+
+
+def outcome(result):
+    """A report's JSON without its timing, or an error's type and message."""
+    if isinstance(result, PwsError):
+        return type(result).__name__, str(result)
+    payload = result.to_json()
+    payload.pop("timing", None)
+    return payload
+
+
+class TestCorpusCalls:
+    """A corpus call tallies every scene's distinct frames in one call and
+    reports what a call per scene reports."""
+
+    CFG = SmoothingConfig(sigma=0.5, n_samples=300, confidence_alpha=0.01, seed=7)
+    ICFG = IntervalConfig(resolution=401, quantile=1.0,
+                          convexity=DeltaConvexity(DEMO_CONVEXITY_DELTA))
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """The image counts of the ``_run_tasks`` calls made."""
+        calls, run_tasks = [], certify_module._run_tasks
+
+        def recording(images, *args):
+            calls.append(len(images))
+            return run_tasks(images, *args)
+
+        monkeypatch.setattr(certify_module, "_run_tasks", recording)
+        return calls
+
+    @pytest.mark.parametrize("pixel", [False, True])
+    @pytest.mark.parametrize("axis", [0, 1])  # TZ, RY
+    @pytest.mark.parametrize("method", list(CertMethod))
+    def test_reports_equal_per_scene_certify(self, demo_corpus, demo_classifier, calls,
+                                             method, axis, pixel):
+        scenes, cam = demo_corpus
+        cfg = dataclasses.replace(self.CFG, force_pixel_noise=pixel)
+        args = (demo_specs()[axis], cam, demo_classifier, cfg, method, self.ICFG)
+        reports = certify_corpus([s.cloud for s in scenes], *args)
+        assert len(calls) == 1
+        want = [outcome(per_scene(certify, s.cloud, *args)) for s in scenes]
+        assert [outcome(r) for r in reports] == want
+        assert len(calls) == 1 + len(scenes)
+        tallied = [r for r in reports if not isinstance(r, PwsError)]
+        assert calls[0] == sum(r.n_distinct_frames for r in tallied) > len(tallied)
+        assert len({r.timing["tally_s"] for r in tallied}) == 1
+        for r in tallied:
+            assert r.timing["wall_time_s"] >= r.timing["plan_s"] + r.timing["tally_s"]
+
+    @pytest.mark.parametrize("pixel", [False, True])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_attacks_equal_per_scene_attacks(self, demo_corpus, demo_classifier, calls,
+                                             axis, pixel):
+        scenes, cam = demo_corpus
+        cfg = dataclasses.replace(self.CFG, force_pixel_noise=pixel)
+        args = (demo_specs()[axis], cam, demo_classifier, cfg, 30)
+        reports = attack_corpus([s.cloud for s in scenes], *args)
+        assert [r.to_json() for r in reports] == [
+            empirical_attack(s.cloud, *args).to_json() for s in scenes]
+        assert len(calls) == 1 + len(scenes)
+
+    def test_failed_plan_leaves_the_other_scenes_alone(self, demo_corpus, demo_classifier,
+                                                       calls):
+        scenes, cam = demo_corpus
+        # never on the grid: no pixel is ever covered
+        off_grid = ColoredPointCloud([[10.0, 0.0, 1.0]], [[0.5]])
+        args = (demo_specs()[0], cam, demo_classifier, self.CFG, CertMethod.EXACT,
+                self.ICFG)
+        clouds = [scenes[0].cloud, off_grid, scenes[1].cloud]
+        reports = certify_corpus(clouds, *args)
+        assert outcome(reports[1]) == (
+            "DegenerateInterval", "no pixel is ever covered over the motion range")
+        without = certify_corpus([clouds[0], clouds[2]], *args)
+        assert [outcome(reports[0]), outcome(reports[2])] == [outcome(r) for r in without]
+        assert len(calls) == 2
+
+    def test_tally_error_is_every_scene_error(self, demo_corpus):
+        scenes, cam = demo_corpus
+        off_grid = ColoredPointCloud([[10.0, 0.0, 1.0]], [[0.5]])
+        spec = demo_specs()[0]
+        clouds = [scenes[0].cloud, off_grid, scenes[1].cloud]
+        reports = certify_corpus(clouds, spec, cam, NanClassifier(), self.CFG,
+                                 CertMethod.EXACT, self.ICFG)
+        assert isinstance(reports[0], NonFiniteScores) and reports[2] is reports[0]
+        assert "no pixel is ever covered" in str(reports[1])
+        attacks = attack_corpus(clouds, spec, cam, NanClassifier(), self.CFG, 10)
+        assert all(isinstance(r, NonFiniteScores) for r in attacks)
+        with pytest.raises(NonFiniteScores):  # the one-scene call raises it
+            certify(scenes[0].cloud, spec, cam, NanClassifier(), self.CFG,
+                    CertMethod.EXACT, self.ICFG)
+
+    def test_each_image_shape_tallies_apart(self, demo_corpus, demo_classifier, calls):
+        # a three-channel scene does not fit the one-channel model: only it fails
+        scenes, cam = demo_corpus
+        rgb = ColoredPointCloud(scenes[0].cloud.points,
+                                np.repeat(scenes[0].cloud.colors, 3, axis=1))
+        args = (demo_specs()[0], cam, demo_classifier, self.CFG, 20)
+        reports = attack_corpus([scenes[0].cloud, rgb, scenes[1].cloud], *args)
+        assert isinstance(reports[1], ShapeMismatch)
+        assert [reports[0].to_json(), reports[2].to_json()] == [
+            empirical_attack(s.cloud, *args).to_json() for s in scenes[:2]]
+        assert len(calls) == 2 + 2
+
+    def test_config_errors_propagate(self, demo_corpus, demo_classifier, monkeypatch):
+        scenes, cam = demo_corpus
+        clouds, spec = [s.cloud for s in scenes[:2]], demo_specs()[0]
+        with pytest.raises(ConfigError, match="requires a convexity delta"):
+            certify_corpus(clouds, spec, cam, demo_classifier, self.CFG,
+                           CertMethod.ONE_FRAME, IntervalConfig(resolution=401))
+        with pytest.raises(ConfigError, match="need at least one pose"):
+            attack_corpus(clouds, spec, cam, demo_classifier, self.CFG, 0)
+        monkeypatch.setenv("PWS_THREADS", "0")  # read by the shared tally
+        with pytest.raises(ConfigError, match="PWS_THREADS"):
+            certify_corpus(clouds, spec, cam, demo_classifier, self.CFG,
+                           CertMethod.EXACT, self.ICFG)
+        with pytest.raises(ConfigError, match="PWS_THREADS"):
+            attack_corpus(clouds, spec, cam, demo_classifier, self.CFG, 10)
 
 
 def wild_scene():

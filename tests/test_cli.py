@@ -77,6 +77,17 @@ class TestPartitionAndProject:
         assert res.exit_code == 0, res.output
         assert "delta_alpha=" in res.output and "n=" in res.output
 
+    @pytest.mark.parametrize("radius, steps", [("1e308mm", "2e+302"), ("1e300mm", "2e+294")])
+    def test_degenerate_spacing_names_the_run_width(self, runner, workspace, radius, steps):
+        # one pose per run: the governing run is 0 wide, which the spacing
+        # after its one-step shrink printed as -step
+        res = runner.invoke(main, ["partition", "--corpus", str(workspace[1]),
+                                   "--axis", "tx", "--radius", radius])
+        assert res.exit_code == 1
+        assert res.output.splitlines() == [
+            f"degenerate_interval: governing run width 0 not above two sweep steps "
+            f"{steps}; raise the resolution or relax the quantile"]
+
     def test_lipschitz_needs_more_frames(self, runner, workspace):
         _, corpus, _ = workspace
         counts = {}

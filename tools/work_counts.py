@@ -17,6 +17,7 @@ before it:
   not, on the logit and the pixel path alike; neither count depends on
   ``PWS_THREADS``;
 * ``tallied_images``: images handed to ``smoothed_estimates``;
+* ``tally_calls``: calls of ``smoothed_estimates``;
 * ``scanned_logit_draws``: draws the logit path compares label by label,
   one per image and draw that ``_first_max_counts`` scans; the draws of
   an image that the bound step settles are not scanned.  A checkout
@@ -53,8 +54,9 @@ from pwscert import rasterizer, smoothing  # noqa: E402
 certify = importlib.import_module("pwscert.certify")
 
 COUNTS = dict.fromkeys(["images_rendered", "adjacent_errors", "noise_generators",
-                        "noise_blocks", "tallied_images", "scanned_logit_draws",
-                        "projected_points", "zbuffer_calls", "zbuffered_poses"], 0)
+                        "noise_blocks", "tallied_images", "tally_calls",
+                        "scanned_logit_draws", "projected_points", "zbuffer_calls",
+                        "zbuffered_poses"], 0)
 LOCK = threading.Lock()  # pixel-path tally threads count concurrently
 # the noise block cache; a checkout without one draws every block it asks for
 CACHE = getattr(smoothing, "_cached_block", None)
@@ -91,6 +93,7 @@ def main(names) -> None:
     count(smoothing, "_noise_block", "noise_blocks")
     for module in (smoothing, certify):  # certify holds its own reference
         count(module, "smoothed_estimates", "tallied_images", lambda args: len(args[1]))
+        count(module, "smoothed_estimates", "tally_calls")
     # depth has the broadcast shape of the points and the poses
     count(rasterizer, "project_points", "projected_points",
           lambda args: np.broadcast(args[0][:, 0], args[2]).size)

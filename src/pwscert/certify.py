@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classifier import BaseClassifier
-from .errors import ConfigError, PwsError, check_integer
+from .errors import ConfigError, PwsError
 from .geometry import CameraModel, MotionSpec
 from .intervals import CertMethod, IntervalConfig, plan_partition
 from .rasterizer import (ColoredPointCloud, DEFAULT_BACKGROUND, adjacent_frame_error,
@@ -235,9 +235,9 @@ def attack_corpus(clouds, spec: MotionSpec, cam: CameraModel, classifier: BaseCl
                   smoothing_cfg: SmoothingConfig, poses: int = 100) -> list:
     """``empirical_attack`` on each of ``clouds``, their distinct frames
     tallied in one call: per cloud its report, or the ``PwsError`` it raised."""
-    check_integer(poses, lambda p: p >= 1, f"need at least one pose, got {poses}")
-    check_integer(poses, lambda p: p <= 1 << 24, f"need at most 2^24 poses, got {poses}")
-    values = np.linspace(-spec.radius_b, spec.radius_b, poses) if poses > 1 else [0.0]
+    values = spec.uniform_poses(poses, "poses")
+    if len(values) == 1:  # one pose probes pose 0
+        values = [0.0]
     swept = np.union1d(values, [0.0])  # sorted, and holding every value once
 
     def decide(by_image, index, _timing):

@@ -22,10 +22,11 @@ import json
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .errors import (ConfigError, DegenerateDataset, FileFormatError, ShapeMismatch,
-                     check_integer, check_real)
+from .errors import (MAX_SIGMA, ConfigError, DegenerateDataset, FileFormatError,
+                     ShapeMismatch, check_integer, check_real)
 
 DEFAULT_DOWNSAMPLE = 4
+MAX_AUGMENT = 1000  # noisy copies of each training example
 _KEY_MASK = (1 << 128) - 1
 _L2 = 1e-3  # ridge penalty on the weights
 
@@ -175,8 +176,15 @@ def builtin_train(
                   f"seed must be an integer in [0, 2**64), got {seed!r}")
     check_real(noise_sigma, lambda s: 0 <= s < np.inf,
                f"noise_sigma must be a finite real number >= 0, got {noise_sigma!r}")
+    # the smoothing sigma's bound: past it a noisy copy can overflow
+    check_real(noise_sigma, lambda s: s <= MAX_SIGMA,
+               f"noise_sigma must have a finite square, at most about 1.34e154, "
+               f"got {noise_sigma!r}")
     check_integer(augment_count, lambda c: c >= 0,
                   f"augment_count must be an integer >= 0, got {augment_count!r}")
+    # every example's copies are held at once, as rows of the training matrix
+    check_integer(augment_count, lambda c: c <= MAX_AUGMENT,
+                  f"augment_count must be at most {MAX_AUGMENT}, got {augment_count!r}")
     if not dataset:
         raise DegenerateDataset("empty dataset")
     images = [np.asarray(img, dtype=np.float64) for img, _ in dataset]

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import json
-import os
 import sys
 import math
 import time
@@ -31,7 +30,7 @@ from .geometry import Axis, CameraModel, MotionSpec, MotionValue
 from .intervals import (CertMethod, DEFAULT_QUANTILE, DEFAULT_RESOLUTION,
                         DeltaConvexity, IntervalConfig, plan_partition)
 from .rasterizer import render, render_sweep, save_image
-from .scenes import ShapeClass, generate_scene, load_corpus, save_corpus
+from .scenes import ShapeClass, generate_scene, load_corpus, save_corpus, write_json
 from .smoothing import SmoothingConfig
 
 _AXES = {a.value: a for a in Axis}
@@ -60,17 +59,6 @@ def _spec_from(axis_name: str, radius_text: str) -> MotionSpec:
     if axis is None:
         raise ConfigError(f"unknown axis {axis_name!r}")
     return MotionSpec(axis, parse_radius(radius_text, axis))
-
-
-def _write_json(path: Path, obj) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-    try:
-        os.replace(tmp, path)
-    except OSError:  # a directory at ``path``, say: leave no temporary file
-        tmp.unlink()
-        raise
 
 
 def _interval_config(resolution, quantile, delta_px):
@@ -152,7 +140,7 @@ def _run_setup(corpus, model, axis, radius, sigma, n_samples, alpha, seed, only,
 def _write_report(path: Path, report, scene) -> None:
     payload = report.to_json()
     payload.update(scene=scene.name, true_label=scene.label)
-    _write_json(path, payload)
+    write_json(path, payload)
 
 
 def _fail(err: PwsError):
@@ -197,6 +185,8 @@ def cmd_gen_scenes(out, profile, classes, per_class, points, grid, channels, dep
     if per_class < 1 or channels < 1:
         raise ConfigError(f"per-class and channels must be at least 1, got "
                           f"{per_class} and {channels}")
+    if per_class > 1000:  # so that no two seeds share a color seed
+        raise ConfigError(f"--per-class must be at most 1000, got {per_class}")
     if seed < 0:  # each scene's color seed is seed * 1000 + its index
         raise ConfigError(f"--seed must be a non-negative integer, got {seed}")
     if profile in ("demo", "churn"):
@@ -262,7 +252,7 @@ def cmd_partition(corpus, scene_name, axis, radius, json_out, **spacing):
     click.echo(f"delta_alpha={plan.delta_alpha:.8g} n={plan.count} "
                f"method={plan.method.value}")
     if json_out is not None:
-        _write_json(json_out, plan.to_json())
+        write_json(json_out, plan.to_json())
 
 
 @main.command("project")
@@ -279,7 +269,7 @@ def cmd_project(corpus, scene_name, axis, radius, out, **spacing):
     frames = render_sweep(scene.cloud, plan.spec, cam, plan.values)
     for i, frame in enumerate(frames):
         save_image(out / f"{scene.name}_{i:05d}.pwsi", frame)
-    _write_json(out / "partition.json", plan.to_json())
+    write_json(out / "partition.json", plan.to_json())
     click.echo(f"wrote {plan.count} frames to {out}")
 
 
@@ -327,7 +317,7 @@ def cmd_certify(method, resolution, quantile, delta_px, **run):
         "certified_accuracy": certified_accuracy(results),
         "timing": {"wall_time_s": time.perf_counter() - t0},
     }
-    _write_json(run["out"] / "summary.json", summary)
+    write_json(run["out"] / "summary.json", summary)
     click.echo(
         f"certified accuracy {summary['certified_accuracy']:.3f} "
         f"over {len(samples)} scenes; reports in {run['out']}"

@@ -1,11 +1,13 @@
 """Exception hierarchy shared across the package.
 
 Every error carries a machine-readable ``kind`` so the CLI can emit
-single-line ``kind: message`` diagnostics.  ``check_real`` and
-``check_integer`` are the shared checks of configuration numbers.
+single-line ``kind: message`` diagnostics.  ``check_real``, ``check_integer``
+and ``check_count`` are the shared checks of configuration numbers.
 """
 
+import math
 import numbers
+import sys
 
 
 class PwsError(Exception):
@@ -116,3 +118,16 @@ def check_integer(value, holds, message: str) -> None:
     for which ``holds(value)`` is true: 24.0 is no pixel count."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not holds(value):
         raise ConfigError(message)
+
+
+# the largest noise sigma whose square, the noise variance, is finite
+MAX_SIGMA = math.sqrt(sys.float_info.max)
+# the most poses of a uniform pose list, and the most noise draws of a
+# tally: 2^24 float64 values are 128 MiB
+MAX_COUNT = 1 << 24
+
+
+def check_count(count, least: int, what: str) -> None:
+    """``ConfigError`` unless ``count`` is an integer from ``least`` to 2^24."""
+    check_integer(count, lambda c: c >= least, f"{what} must be at least {least}, got {count!r}")
+    check_integer(count, lambda c: c <= MAX_COUNT, f"{what} must be at most 2^24, got {count!r}")

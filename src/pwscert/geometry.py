@@ -34,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConfigError, NonPositiveDepth, ShapeMismatch, check_integer,
-                     check_real)
+from .errors import (ConfigError, NonPositiveDepth, ShapeMismatch, check_count,
+                     check_integer, check_real)
 
 
 # Depths at or below this are treated as "on or behind the image plane";
@@ -98,6 +98,12 @@ class MotionSpec:
                    "motion radius must be positive and finite")
         check_real(self.radius_b, lambda b: 2 * b < math.inf,  # linspace(-b, b) spans 2b
                    f"motion radius {self.radius_b} has no finite range width 2b")
+
+    def uniform_poses(self, count, what: str, least: int = 1) -> np.ndarray:
+        """``np.linspace(-b, b, count)``, every uniform pose list's one rule,
+        once ``check_count`` admits ``count``; ``what`` names it in the error."""
+        check_count(count, least, what)
+        return np.linspace(-self.radius_b, self.radius_b, count)
 
 
 @dataclass(frozen=True)

@@ -8,14 +8,14 @@ intervals*; the narrowest one at a pixel bounds how far two neighboring
 partition poses may sit apart before a pixel could take a value not seen
 at either pose.
 
-Three spacing bounds are computed from a discretized sweep at a caller
-chosen resolution.  Ownership changes only at the poses the rasterizer's
-``zbuffer_changes`` yields, so the runs are those of a z-buffer at every
-pose.  Under translations those are pose 0 and the poses where some
-point changes cell (124-234 of 2001 on the 64 px wild-certify scenes at
-TZ 20 mm); the z-buffer kernel never runs: each of those poses picks
-every cell's winner by one (z, index) rank rule, whose minimum runs over
-the points that move only.  Under rotations they are pose 0 and each
+Three spacing bounds are computed from a sweep of 2 to 2^24 uniform poses
+(``MotionSpec.uniform_poses``).  Ownership changes only at the poses the
+rasterizer's ``zbuffer_changes`` yields, so the runs are those of a
+z-buffer at every pose.  Under translations those are pose 0 and the poses
+where some point changes cell (124-234 of 2001 on the 64 px wild-certify
+scenes at TZ 20 mm); the z-buffer kernel never runs: each of those poses
+picks every cell's winner by one (z, index) rank rule, whose minimum runs
+over the points that move only.  Under rotations they are pose 0 and each
 pose at the horizon of the last one (10-20 of 2001 on the seed-0 demo
 scenes at RY 0.026 rad).  The sweep records each pixel change as (pose,
 pixel, previous owner); one stable sort by pixel then gives each run its
@@ -32,7 +32,7 @@ One core, ``_spacing``, turns run widths into a spacing: each pixel keeps
 its narrowest run, the per-pixel minima aggregate by a lower quantile (1.0
 keeps the strict minimum), and the result is shrunk by one sweep step to
 absorb the discretization of the interval endpoints.  ``plan_partition``
-picks a method's bound and builds the uniform partition from it.
+picks a method's bound and builds the uniform partition (2^24 poses at most).
 
 No bound needs monotone projection drift: a point's Lipschitz constant
 ``L`` is its largest rate over the whole range, so its Lipschitz width
@@ -50,8 +50,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConfigError, DegenerateInterval, DomainError, InvalidDelta,
-                     NegativeMargin, check_integer, check_real)
+from .errors import (MAX_COUNT, ConfigError, DegenerateInterval, DomainError, InvalidDelta,
+                     NegativeMargin, check_real)
 from .geometry import (
     CameraModel,
     DEPTH_EPS,
@@ -124,11 +124,7 @@ class _SweepRuns:
 def _sweep_runs(
     cloud: ColoredPointCloud, spec: MotionSpec, cam: CameraModel, resolution: int
 ) -> _SweepRuns:
-    check_integer(resolution, lambda r: r >= 2,
-                  f"analysis resolution must be at least 2, got {resolution}")
-    check_integer(resolution, lambda r: r <= 1 << 24,  # poses within 128 MiB
-                  f"analysis resolution must be at most 2^24, got {resolution}")
-    values = np.linspace(-spec.radius_b, spec.radius_b, resolution)
+    values = spec.uniform_poses(resolution, "analysis resolution", 2)
     step = float(values[1] - values[0])
     npix = cam.height * cam.width
 
@@ -174,18 +170,8 @@ def consistent_intervals(
     lie within one sweep step outside the reported ones.
     """
     runs = _sweep_runs(cloud, spec, cam, resolution)
-    out = []
-    for i in range(len(runs.pixel_flat)):
-        flat = int(runs.pixel_flat[i])
-        out.append(
-            ConsistentInterval(
-                point_index=int(runs.point_index[i]),
-                pixel=(flat // cam.width, flat % cam.width),
-                lo=float(runs.lo[i]),
-                hi=float(runs.hi[i]),
-            )
-        )
-    return out
+    return [ConsistentInterval(int(point), divmod(int(flat), cam.width), float(lo), float(hi))
+            for point, flat, lo, hi in zip(runs.point_index, runs.pixel_flat, runs.lo, runs.hi)]
 
 
 def _governing_min(pixel_flat, widths, quantile):
@@ -315,8 +301,7 @@ def check_delta_convexity(
     (max norm) at a depth no greater than the absent point's.  Returns
     False at the first counterexample.
     """
-    check_integer(samples, lambda s: s >= 1,
-                  f"samples must be a positive integer, got {samples!r}")
+    poses = spec.uniform_poses(samples, "samples")
     from scipy.spatial import cKDTree  # here: it slows the start of every command
     of_keys = {p.tobytes() for p in one_frame.points}
     hidden_mask = np.array(
@@ -325,7 +310,6 @@ def check_delta_convexity(
     if not np.any(hidden_mask):
         return True
     hidden = full_cloud.points[hidden_mask]
-    poses = np.linspace(-spec.radius_b, spec.radius_b, samples)
     for pose in poses:
         uv_h, d_h = project_points(hidden, spec.axis, float(pose), cam)
         uv_f, d_f = project_points(one_frame.points, spec.axis, float(pose), cam)
@@ -375,23 +359,19 @@ def build_partition(
     method: CertMethod = CertMethod.EXACT,
     quantile: float = DEFAULT_QUANTILE,
 ) -> PartitionPlan:
-    """Uniform partition with spacing at most ``delta_alpha``."""
-    b = spec.radius_b
+    """Uniform partition with spacing at most ``delta_alpha``: at most 2^24
+    poses, so a spacing below 2b / (2^24 - 1) is an ``InvalidDelta``."""
+    width = 2.0 * spec.radius_b
     check_real(delta_alpha, lambda d: True,
                f"spacing must be a real number, got {delta_alpha!r}")
-    if not (0.0 < delta_alpha <= 2.0 * b) or not math.isfinite(delta_alpha):
-        raise InvalidDelta(
-            f"spacing must lie in (0, {2 * b:.6g}], got {delta_alpha:.6g}"
-        )
-    n = int(math.ceil(2.0 * b / delta_alpha)) + 1
-    values = np.linspace(-b, b, n)
-    return PartitionPlan(
-        spec=spec,
-        delta_alpha=float(delta_alpha),
-        method=method,
-        quantile=quantile,
-        values=values,
-    )
+    # NaN fails; ceil(steps) + 1 poses are at most 2^24
+    steps = width / float(delta_alpha) if 0.0 < delta_alpha <= width else math.inf
+    if not steps <= MAX_COUNT - 1:
+        raise InvalidDelta(f"spacing must lie in [{width / (MAX_COUNT - 1):.6g}, "
+                           f"{width:.6g}], got {delta_alpha!r}")
+    values = spec.uniform_poses(math.ceil(steps) + 1, "partition poses")
+    return PartitionPlan(spec=spec, delta_alpha=float(delta_alpha), method=method,
+                         quantile=quantile, values=values)
 
 
 def plan_partition(

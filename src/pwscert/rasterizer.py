@@ -14,8 +14,8 @@ camera in one more cell), and picks each cell's winner with two
 unbuffered minimum passes, first over depths, then over the indices of
 the points at the winning depth.  There is no sort and no rounding, so
 the winners are those of ordering each cell's points by (depth, index).
-``zbuffer_blocks`` feeds long pose sequences through the kernel in blocks
-of bounded size.
+Every call takes a block of at most ``_BLOCK_ENTRIES`` poses x
+max(points, pixels) entries, and at least one pose.
 
 A sweep (``sweep_images``, and the ownership sweep behind every spacing
 bound) goes through ``zbuffer_changes``, which yields the winners of
@@ -36,8 +36,8 @@ z-buffered before a point can reach a cell border (only the one ahead of
 a coordinate that moves one way) or pass its cell's winner, and the sweep
 skips to the first pose beyond (10-20 of 2,001 on the seed-0 demo scenes
 at RY 0.026 rad, where 3-6 poses change a winner; 30-66 at RZ 0.05 rad).
-Unsorted pose lists z-buffer every pose, and so do lists that fit one
-block of ``zbuffer_blocks``, in one kernel call.
+Unsorted pose lists, and lists that fit one block, z-buffer every pose,
+one block per kernel call.
 
 Points are pure one-pixel splats: no footprint, no interpolation, no
 anti-aliasing.  File formats: ``PWSI1`` for images (binary) and ``PWSPC1``
@@ -110,10 +110,10 @@ class ColoredPointCloud:
 _BLOCK_ENTRIES = 1 << 14
 
 
-def _block_size(entries: int) -> int:
-    """Poses per block when each pose costs ``entries`` entries: at most
-    ``_BLOCK_ENTRIES`` entries in all, at least one pose."""
-    return max(1, _BLOCK_ENTRIES // entries)
+def _block_size(cloud: ColoredPointCloud, cam: CameraModel) -> int:
+    """Poses per kernel call: at most ``_BLOCK_ENTRIES`` poses x
+    max(points, pixels) entries, and at least one pose."""
+    return max(1, _BLOCK_ENTRIES // max(len(cloud), cam.height * cam.width))
 
 
 def _cells(uv, depth, cam: CameraModel) -> np.ndarray:
@@ -161,16 +161,6 @@ def _zbuffer(cloud: ColoredPointCloud, axis: Axis, values, cam: CameraModel):
     return uv, depth, cell, winners
 
 
-def zbuffer_blocks(cloud: ColoredPointCloud, axis: Axis, values, cam: CameraModel):
-    """Yield the (T, H*W) winners of consecutive blocks of ``values``, each
-    of at most ``_BLOCK_ENTRIES`` poses x max(points, pixels) entries (at
-    least one pose): each pixel's winning point index, -1 where empty."""
-    values = np.asarray(values, dtype=np.float64).reshape(-1)
-    size = _block_size(max(len(cloud), cam.height * cam.width))
-    for start in range(0, len(values), size):
-        yield _zbuffer(cloud, axis, values[start : start + size], cam)[3]
-
-
 def _traced_changes(cloud: ColoredPointCloud, axis: Axis, values, cam: CameraModel):
     """``zbuffer_changes`` for a sorted TX, TY or TZ sweep, or None where
     the rule does not apply and every pose is z-buffered: under TZ, two
@@ -213,7 +203,7 @@ def _traced_changes(cloud: ColoredPointCloud, axis: Axis, values, cam: CameraMod
     rank[order] = np.arange(n)  # each point's rank in that order
     owner = np.concatenate([order, [-1]])  # the point of each rank; rank n: none
     last, steps = len(values) - 1, math.isqrt(len(values) - 1) + 1
-    take = _block_size(steps + 1)  # brackets per batch
+    take = max(1, _BLOCK_ENTRIES // (steps + 1))  # brackets per batch
 
     def place(idx, poses):  # each point's cell at its own pose
         return _cells(*project_points(points[idx], axis, values[poses], cam), cam)
@@ -300,7 +290,7 @@ def _horizon_changes(cloud: ColoredPointCloud, axis: Axis, values, cam: CameraMo
     beyond.  Right after a crossing, a point sits just past the border it
     left, which bounds it no more.  Where H keeps falling short of the
     next pose, the poses ahead are z-buffered in blocks that double up to
-    ``zbuffer_blocks``' size, so dense sweeps cost little more than
+    the kernel's block size, so dense sweeps cost little more than
     z-buffering every pose.  On the seed-0 demo scenes that z-buffers
     10-20 of 2,001 poses under RY and 22-56 under RX at 0.026 rad, and
     30-66 under RZ at 0.05 rad.
@@ -330,7 +320,7 @@ def _horizon_changes(cloud: ColoredPointCloud, axis: Axis, values, cam: CameraMo
     # points' depths drift apart at most at hypot(dp, dq), or never
     pair = sorted(_MOTION[axis]) if 2 in _MOTION[axis] else None
     index, (size, pixels) = np.arange(len(points)), _grid(cam.height, cam.width)
-    most = _block_size(max(len(points), cam.height * cam.width))
+    most = _block_size(cloud, cam)
 
     def horizon(uv, depth, cell, winners):
         coord = uv.T
@@ -380,19 +370,18 @@ def zbuffer_changes(cloud: ColoredPointCloud, axis: Axis, values, cam: CameraMod
     pose whose winners may differ from the pose before; every pose not
     yielded has the winners of the last one yielded before it.
 
-    Sorted sweeps of more than one kernel block (see ``zbuffer_blocks``)
-    skip poses: translations by ``_traced_changes``, rotations by
-    ``_horizon_changes``.  Every other list z-buffers every pose, a list
-    that fits one block in one kernel call.
+    Sorted sweeps of more than one kernel block skip poses: translations
+    by ``_traced_changes``, rotations by ``_horizon_changes``.  Every other
+    list z-buffers every pose, in kernel calls of one block each.
     """
     values = np.asarray(values, dtype=np.float64).reshape(-1)
-    one_block = _block_size(max(len(cloud), cam.height * cam.width))
-    if len(values) > one_block and np.all(values[1:] >= values[:-1]):
+    size = _block_size(cloud, cam)
+    if len(values) > size and np.all(values[1:] >= values[:-1]):
         rule = _horizon_changes if axis.is_rotation else _traced_changes
         if (changes := rule(cloud, axis, values, cam)) is not None:
             return changes
-    blocks = zbuffer_blocks(cloud, axis, values, cam)
-    return enumerate(winners for block in blocks for winners in block)
+    return enumerate(winners for at in range(0, len(values), size)
+                     for winners in _zbuffer(cloud, axis, values[at : at + size], cam)[3])
 
 
 def zbuffer_winners(

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import enum
 import json
+import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -48,6 +49,8 @@ _SWEEP_PROBES = 9
 # pixels) stay empty, and crossers need this much drift under every range
 _EXCLUDE_CENTER_PX = 1.5
 _MIN_CROSS_SPAN = 0.12
+# so that an image of the largest grid, 2^20 pixels, holds at most 2^24 values
+MAX_CHANNELS = 16
 
 
 class ShapeClass(enum.Enum):
@@ -115,7 +118,7 @@ def _drift_spans(points, specs, cam):
     uv0, _ = project_points(points, Axis.TX, 0.0, cam)
     lo, hi = [], []
     for spec in specs:
-        poses = np.linspace(-spec.radius_b, spec.radius_b, _SWEEP_PROBES)
+        poses = spec.uniform_poses(_SWEEP_PROBES, "drift probes")
         uv, depth = project_points(points, spec.axis, poses[:, None], cam)
         if np.any(depth <= DEPTH_EPS):
             raise InvalidRange("scene depth too shallow for the requested motion range")
@@ -198,8 +201,8 @@ def generate_scene(
                   f"point_count must be an integer, got {point_count!r}")
     check_integer(color_seed, lambda c: c >= 0,
                   f"color_seed must be a non-negative integer, got {color_seed!r}")
-    check_integer(channels, lambda k: k >= 1,
-                  f"channels must be a positive integer, got {channels!r}")
+    check_integer(channels, lambda k: 1 <= k <= MAX_CHANNELS,
+                  f"channels must be an integer from 1 to {MAX_CHANNELS}, got {channels!r}")
     for end in depth_range[:2]:
         check_real(end, lambda d: True, f"depth range ends must be real numbers, got {end!r}")
     lo, hi = float(depth_range[0]), float(depth_range[1])
@@ -240,7 +243,8 @@ def generate_scene(
     # enter has a contest whose winner is fixed over the whole range, so
     # ownership switches exactly once, at the designed crossing pose
     z = np.where(crosser, z * 0.975, z)
-    points = _back_project(u, v, z, cam)
+    with np.errstate(over="ignore"):  # a tiny focal length: ColoredPointCloud refuses inf
+        points = _back_project(u, v, z, cam)
     colors = _texture(shape_class, u, v, cam, channels)
 
     if layered:
@@ -389,6 +393,19 @@ def _unsafe(name: str) -> bool:
     return name in ("", ".", "..") or any(c in name for c in "/\\\0")
 
 
+def write_json(path: Path, obj) -> None:
+    """``obj`` as sorted, indented JSON, written to a temporary file that
+    is then renamed to ``path``: ``path`` never holds a file cut short."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_suffix(path.suffix + ".tmp")
+    tmp.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    try:
+        os.replace(tmp, path)
+    except OSError:  # a directory at ``path``, say: leave no temporary file
+        tmp.unlink()
+        raise
+
+
 def save_corpus(root, scenes, cam: CameraModel) -> None:
     root = Path(root)
     (root / "scenes").mkdir(parents=True, exist_ok=True)
@@ -400,12 +417,8 @@ def save_corpus(root, scenes, cam: CameraModel) -> None:
             raise ConfigError(f"duplicate scene name {scene.name}")
         labels[scene.name] = scene.label
         save_cloud(root / "scenes" / f"{scene.name}.pwspc", scene.cloud)
-    (root / "labels.json").write_text(
-        json.dumps(labels, sort_keys=True, indent=2), encoding="utf-8"
-    )
-    (root / "camera.json").write_text(
-        json.dumps(asdict(cam), sort_keys=True, indent=2), encoding="utf-8"
-    )
+    write_json(root / "labels.json", labels)
+    write_json(root / "camera.json", asdict(cam))
 
 
 def load_corpus(root):

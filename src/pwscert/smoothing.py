@@ -115,7 +115,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -123,8 +122,8 @@ import numpy as np
 from numpy.random import SFC64, Generator, SeedSequence
 from scipy.special import betaincinv, ndtri
 
-from .errors import (ConfigError, DomainError, NonFiniteScores, ShapeMismatch, check_integer,
-                     check_real)
+from .errors import (MAX_SIGMA, ConfigError, DomainError, NonFiniteScores, ShapeMismatch,
+                     check_count, check_integer, check_real)
 from .classifier import BaseClassifier
 
 _WORD = (1 << 64) - 1
@@ -182,11 +181,10 @@ class SmoothingConfig:
         check_real(self.sigma, lambda s: 0 < s < math.inf,
                    f"sigma must be positive and finite, got {self.sigma}")
         # a finite variance sigma**2, which keeps the logit noise factor finite
-        check_real(self.sigma, lambda s: s <= math.sqrt(sys.float_info.max),
+        check_real(self.sigma, lambda s: s <= MAX_SIGMA,
                    f"sigma must have a finite square, at most about 1.34e154, "
                    f"got {self.sigma}")
-        check_integer(self.n_samples, lambda n: n >= 100,
-                      f"n_samples must be an integer of at least 100, got {self.n_samples!r}")
+        check_count(self.n_samples, 100, "n_samples")  # 2^24 draws: 2,048 logit blocks
         # one 64-bit key word: 2**64 or -1 would alias seeds 0 or 2**64 - 1
         check_integer(self.seed, lambda s: 0 <= s <= _WORD,
                       f"seed must be an integer in [0, 2**64), got {self.seed!r}")

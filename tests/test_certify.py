@@ -565,7 +565,7 @@ class TestCorpusCalls:
         with pytest.raises(ConfigError, match="requires a convexity delta"):
             certify_corpus(clouds, spec, cam, demo_classifier, self.CFG,
                            CertMethod.ONE_FRAME, IntervalConfig(resolution=401))
-        with pytest.raises(ConfigError, match="need at least one pose"):
+        with pytest.raises(ConfigError, match="poses must be at least 1"):
             attack_corpus(clouds, spec, cam, demo_classifier, self.CFG, 0)
         monkeypatch.setenv("PWS_THREADS", "0")  # read by the shared tally
         with pytest.raises(ConfigError, match="PWS_THREADS"):
@@ -709,7 +709,7 @@ class TestEmpiricalAttack:
     @pytest.mark.parametrize("poses", [0, -3, 2.5, 1.0, True, "10"])
     def test_pose_count_must_be_a_positive_integer(self, cam, poses):
         cloud, spec = static_scene(cam)
-        with pytest.raises(ConfigError, match="need at least one pose, got") as err:
+        with pytest.raises(ConfigError, match="poses must be at least 1, got") as err:
             empirical_attack(cloud, spec, cam, ConfidentClassifier(), SMOOTH, poses)
         assert err.value.kind == "config_error"
 

@@ -89,6 +89,22 @@ class TestTraining:
         with pytest.raises(ConfigError, match=message):
             builtin_train(dataset, noise_sigma=sigma, augment_count=augment)
 
+    @pytest.mark.parametrize("sigma, augment, message", [
+        (1e308, 4, "noise_sigma must have a finite square, at most about 1.34e154"),
+        (0.5, 1001, "augment_count must be at most 1000, got 1001"),
+    ])
+    def test_noise_past_its_bounds_rejected(self, dataset, sigma, augment, message,
+                                            monkeypatch):
+        # copies that overflowed to inf, and 1,001 copies of every example
+        from pwscert import classifier
+
+        def no_pool(*args):
+            raise AssertionError("trained before the noise was checked")
+
+        monkeypatch.setattr(classifier, "_pool", no_pool)
+        with pytest.raises(ConfigError, match=message):
+            builtin_train(dataset, noise_sigma=sigma, augment_count=augment)
+
     def test_empty_dataset_degenerate(self):
         with pytest.raises(DegenerateDataset, match="empty dataset"):
             builtin_train([])

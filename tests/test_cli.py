@@ -322,10 +322,10 @@ class TestErrorHandling:
         ("certify", "--sigma", "1e160",
          "sigma must have a finite square, at most about 1.34e154, got 1e+160"),
         ("certify", "--radius", "nanmm", "motion radius must be positive and finite"),
-        ("attack", "--poses", "0", "need at least one pose, got 0"),
+        ("attack", "--poses", "0", "poses must be at least 1, got 0"),
         ("partition", "--resolution", "1", "analysis resolution must be at least 2, got 1"),
         # each past numpy's array size: linspace raised a bare ValueError
-        ("attack", "--poses", str(2**70), f"need at most 2^24 poses, got {2**70}"),
+        ("attack", "--poses", str(2**70), f"poses must be at most 2^24, got {2**70}"),
         ("partition", "--resolution", str(2**70),
          f"analysis resolution must be at most 2^24, got {2**70}"),
         # 2b overflows: linspace warned in its subtraction
@@ -349,6 +349,19 @@ class TestErrorHandling:
         res = runner.invoke(main, argv)
         assert res.exit_code == 2
         assert res.output.splitlines() == [f"config_error: {message}"]
+
+    @pytest.mark.parametrize("command", ["certify", "attack"])
+    def test_n_samples_past_2_24_exits_2(self, runner, workspace, tmp_path, command):
+        # the tally walked 2^70 draws for as long as anyone waited
+        _, corpus, model = workspace
+        out = tmp_path / "out"
+        res = runner.invoke(main, [command, "--corpus", str(corpus), "--model", str(model),
+                                   "--axis", "tz", "--radius", "36mm", "--n-samples",
+                                   str(2**70), "--out", str(out)])
+        assert res.exit_code == 2
+        assert res.output.splitlines() == [
+            f"config_error: n_samples must be at most 2^24, got {2**70}"]
+        assert not out.exists()
 
     def test_huge_sigma_certifies_and_abstains(self, runner, workspace, tmp_path):
         # sigma^2 A A^T overflows at 1e154, but sigma times a factor of A A^T
@@ -379,6 +392,11 @@ class TestErrorHandling:
         ("--seed", "-1000", "--seed must be a non-negative integer, got -1000"),
         ("--classes", "1", "classes must be 2..4"),
         ("--depth", "1.6-2.4", "bad depth range '1.6-2.4'"),
+        # numpy's bare ValueError and its _ArrayMemoryError from the colors,
+        # and scene color seeds that the next --seed would take again
+        ("--channels", str(2**70), f"channels must be an integer from 1 to 16, got {2**70}"),
+        ("--channels", "100000000", "channels must be an integer from 1 to 16, got 100000000"),
+        ("--per-class", "1001", "--per-class must be at most 1000, got 1001"),
     ])
     def test_bad_gen_scenes_number_exits_2(self, runner, tmp_path, option, value, message):
         out = tmp_path / "corpus"
@@ -389,6 +407,15 @@ class TestErrorHandling:
         res = runner.invoke(main, argv)
         assert res.exit_code == 2
         assert res.output.splitlines() == [f"config_error: {message}"]
+        assert not out.exists()
+
+    def test_focal_length_past_the_float_range_exits_1(self, runner, tmp_path):
+        # back-projection overflowed with a numpy warning: now an infinite point
+        out = tmp_path / "corpus"
+        res = runner.invoke(main, ["gen-scenes", "--out", str(out), "--profile", "random",
+                                   "--per-class", "1", "--grid", "16", "--focal", "1e-320"])
+        assert res.exit_code == 1
+        assert res.output.splitlines() == ["invalid_cloud: points and colors must be finite"]
         assert not out.exists()
 
     @pytest.mark.parametrize("factor", ["0", "-2"])
@@ -405,6 +432,11 @@ class TestErrorHandling:
         ("--sigma", "nan", "noise_sigma must be a finite real number >= 0, got nan"),
         ("--sigma", "inf", "noise_sigma must be a finite real number >= 0, got inf"),
         ("--augment", "-3", "augment_count must be an integer >= 0, got -3"),
+        # a training matrix of 1,002 copies of each scene, and copies that
+        # overflowed to inf
+        ("--augment", "1001", "augment_count must be at most 1000, got 1001"),
+        ("--sigma", "1e308",
+         "noise_sigma must have a finite square, at most about 1.34e154, got 1e+308"),
     ])
     def test_noise_train_cannot_use_exits_2(self, runner, workspace, tmp_path, option,
                                             value, message):

@@ -1,11 +1,13 @@
-"""Seeded input fuzzer over the ``pws`` commands that read a corpus.
+"""Seeded input fuzzer over the ``pws`` commands.
 
-Each run mutates one value of a valid setup: a number in the scene's PWSPC1
-file, a field of ``camera.json`` or ``labels.json``, a numeric option, a
-field of the model header or ``PWS_THREADS``.  A run passes when it exits 0,
-or exits 1 or 2 with one ``kind: message`` line, or is a usage error of
-click's own (exit 2, ending in an ``Error:`` line); an exception that
-escapes, a numpy warning included, fails it.
+Each run mutates one value of a valid setup.  For the commands that read a
+corpus, that is a number in the scene's PWSPC1 file, a field of
+``camera.json`` or ``labels.json``, a numeric option, a field of the model
+header or ``PWS_THREADS``; for ``gen-scenes`` and ``train``, a numeric
+option; for ``report``, one field of a certify ``summary.json``.  A run
+passes when it exits 0, or exits 1 or 2 with one ``kind: message`` line,
+or is a usage error of click's own (exit 2, ending in an ``Error:`` line);
+an exception that escapes, a numpy warning included, fails it.
 """
 
 import json
@@ -14,9 +16,12 @@ import random
 import re
 import shutil
 
+import pytest
 from click.testing import CliRunner
 
 from pwscert.cli import main
+
+pytestmark = pytest.mark.filterwarnings("error")  # a numpy warning escapes too
 
 VALUES = [0, -1, 1e308, -1e308, 1e160, 1e200, math.nan, math.inf, -math.inf, 2**70,
           "x", None, [], 1e-320]
@@ -25,6 +30,12 @@ OPTIONS = {
                 "--quantile", "--delta"],
     "attack": ["--sigma", "--n-samples", "--alpha", "--seed", "--radius", "--poses"],
     "partition": ["--radius", "--resolution", "--quantile", "--delta"],
+}
+# gen-scenes runs on the random profile, where every option is read
+MAKE_OPTIONS = {
+    "gen-scenes": ["--classes", "--per-class", "--points", "--grid", "--channels", "--depth",
+                   "--focal", "--seed"],
+    "train": ["--sigma", "--augment", "--downsample", "--seed"],
 }
 MESSAGE = re.compile(r"[a-z_]+: \S")
 
@@ -74,13 +85,31 @@ def _mutate(rng, work, command, opts, env) -> str:
     return f"{key} {opts[key]}"
 
 
-def test_one_mutated_value_ends_in_a_typed_error_or_a_result(tmp_path):
-    runner = CliRunner()
+def _failure(res):
+    """None if ``res`` exited 0, with one ``kind: message`` line at status 1
+    or 2, or with a usage error of click's own; else what went wrong."""
+    lines = res.output.splitlines()
+    typed = res.exit_code in (1, 2) and len(lines) == 1 and MESSAGE.match(lines[0])
+    usage = res.exit_code == 2 and lines and lines[-1].startswith("Error: ")
+    escaped = res.exception is not None and not isinstance(res.exception, SystemExit)
+    if escaped or not (res.exit_code == 0 or typed or usage):
+        return f"exit {res.exit_code}, {res.exception!r}, {lines[-1:]}"
+    return None
+
+
+def _setup(runner, tmp_path):
+    """A two-scene demo corpus and its model."""
     full, model = tmp_path / "full", tmp_path / "model.pws"
     for argv in (["gen-scenes", "--out", str(full), "--classes", "2", "--per-class", "1"],
                  ["train", "--corpus", str(full), "--out", str(model), "--augment", "1"]):
         res = runner.invoke(main, argv)
         assert res.exit_code == 0, res.output
+    return full, model
+
+
+def test_one_mutated_value_ends_in_a_typed_error_or_a_result(tmp_path):
+    runner = CliRunner()
+    full, model = _setup(runner, tmp_path)
     # one scene: the corpus of every run
     good = tmp_path / "good"
     labels = json.loads((full / "labels.json").read_text())
@@ -116,12 +145,61 @@ def test_one_mutated_value_ends_in_a_typed_error_or_a_result(tmp_path):
         for key, value in opts.items():
             argv += [key, value]
         res = runner.invoke(main, argv, env=env)
-        lines = res.output.splitlines()
-        typed = res.exit_code in (1, 2) and len(lines) == 1 and MESSAGE.match(lines[0])
-        usage = res.exit_code == 2 and lines and lines[-1].startswith("Error: ")
-        escaped = res.exception is not None and not isinstance(res.exception, SystemExit)
-        if escaped or not (res.exit_code == 0 or typed or usage):
-            failures.append(f"{command} {axis}, {what}: exit {res.exit_code}, "
-                            f"{res.exception!r}, {lines[-1:]}")
+        if failure := _failure(res):
+            failures.append(f"{command} {axis}, {what}: {failure}")
         shutil.rmtree(work)
+    assert not failures, "\n".join(failures)
+
+
+def _mutate_summary(rng, path, value) -> str:
+    """Change one field of the certify summary at ``path``; return which."""
+    summary = json.loads(path.read_text())
+    fields = [("certified_accuracy",), *(("config", key) for key in summary["config"])]
+    for name, sample in summary["samples"].items():
+        fields += [("samples", name, key) for key in sample]
+    *parents, key = rng.choice(fields)
+    holder = summary
+    for parent in parents:
+        holder = holder[parent]
+    holder[key] = value
+    path.write_text(json.dumps(summary))
+    return f"summary {'.'.join([*parents, key])} = {value!r}"
+
+
+def test_mutated_make_options_and_summaries_end_in_a_typed_error_or_a_result(tmp_path):
+    runner = CliRunner()
+    full, model = _setup(runner, tmp_path)
+    runs = tmp_path / "runs"
+    res = runner.invoke(main, ["certify", "--corpus", str(full), "--model", str(model),
+                               "--axis", "tz", "--radius", "36mm", "--n-samples", "100",
+                               "--resolution", "201", "--out", str(runs)])
+    assert res.exit_code == 0, res.output
+
+    rng = random.Random(20261023)
+    failures = []
+    for run in range(90):
+        work = tmp_path / f"run{run}"
+        command = rng.choice(["gen-scenes", "train", "report"])
+        value = rng.choice(VALUES)
+        if command == "report":
+            shutil.copytree(runs, work / "runs")
+            what = _mutate_summary(rng, work / "runs" / "summary.json", value)
+            argv = ["report", "--runs", str(work / "runs"), "--out", str(work / "table.csv")]
+        else:
+            if command == "gen-scenes":
+                opts = {"--profile": "random", "--classes": "2", "--per-class": "1",
+                        "--grid": "16", "--points": "300"}
+            else:
+                opts = {"--corpus": str(full), "--augment": "1"}
+            key = rng.choice(MAKE_OPTIONS[command])
+            text = _text(value)
+            # one end of the depth band
+            opts[key] = rng.choice([f"{text}:2.4", f"1.6:{text}"]) if key == "--depth" else text
+            what = f"{key} {opts[key]}"
+            argv = [command, "--out", str(work / "out")]
+            for option, text in opts.items():
+                argv += [option, text]
+        if failure := _failure(runner.invoke(main, argv)):
+            failures.append(f"{command}, {what}: {failure}")
+        shutil.rmtree(work, ignore_errors=True)
     assert not failures, "\n".join(failures)

@@ -392,6 +392,27 @@ class TestValidation:
             MotionSpec(Axis.RY, 1e308)
         assert MotionSpec(Axis.TX, 8e307).radius_b == 8e307
 
+    @pytest.mark.parametrize("count", [1, 2, 9, 201])
+    def test_uniform_poses_are_linspace(self, count):
+        spec = MotionSpec(Axis.RY, 0.026)
+        np.testing.assert_array_equal(spec.uniform_poses(count, "poses"),
+                                      np.linspace(-0.026, 0.026, count))
+
+    @pytest.mark.parametrize("count, least, message", [
+        (0, 1, "poses must be at least 1, got 0"),
+        (1, 2, "poses must be at least 2, got 1"),
+        (2.0, 1, "poses must be at least 1, got 2.0"),
+        (True, 1, "poses must be at least 1, got True"),
+        ("3", 1, "poses must be at least 1, got '3'"),
+        (2**24 + 1, 1, "poses must be at most 2^24, got 16777217"),
+        (2**70, 2, f"poses must be at most 2^24, got {2**70}"),
+    ])
+    def test_uniform_poses_check_the_count(self, count, least, message):
+        with pytest.raises(ConfigError) as err:
+            MotionSpec(Axis.TX, 0.1).uniform_poses(count, "poses", least)
+        assert str(err.value) == message
+        assert err.value.kind == "config_error"
+
     @pytest.mark.parametrize("points", [[(1.0, 2.0)], np.zeros((2, 3, 1)), [[]]])
     def test_points_of_wrong_shape_raise_shape_mismatch(self, cam, points):
         spec = MotionSpec(Axis.RY, 0.1)

@@ -432,10 +432,19 @@ class TestCheckDeltaConvexity:
         )
 
 
+    def test_samples_past_2_24_are_refused(self, cam):
+        # numpy's bare ValueError from linspace
+        front = ColoredPointCloud(np.array([[0.0, 0.0, 2.0]]), np.array([[0.9]]))
+        full = ColoredPointCloud(np.array([[0.0, 0.0, 2.0], [0.5, 0.5, 3.0]]),
+                                 np.array([[0.9], [0.1]]))
+        with pytest.raises(ConfigError, match=r"samples must be at most 2\^24, got"):
+            check_delta_convexity(full, front, DeltaConvexity(0.5), MotionSpec(Axis.TX, 0.05),
+                                  cam, 2**70)
+
     @pytest.mark.parametrize("samples", [2.7, "abc", 0, True])
     def test_samples_must_be_positive_integer(self, cam, two_point_cloud, samples):
         spec = MotionSpec(Axis.TZ, 0.2)
-        with pytest.raises(ConfigError, match="samples must be a positive integer"):
+        with pytest.raises(ConfigError, match="samples must be at least 1"):
             check_delta_convexity(two_point_cloud, two_point_cloud, DeltaConvexity(0.1),
                                   spec, cam, samples)
 
@@ -484,6 +493,12 @@ class TestBuildPartition:
         for bad in (0.0, -1.0, 2.5, float("nan")):
             with pytest.raises(InvalidDelta):
                 build_partition(bad, spec)
+
+    @pytest.mark.parametrize("spacing", [1e-300, 5e-324])
+    def test_spacing_of_more_than_2_24_poses_is_invalid_delta(self, spacing):
+        # numpy's bare ValueError from linspace, and OverflowError from ceil(inf)
+        with pytest.raises(InvalidDelta, match=r"spacing must lie in \[1\.19209e-07, 2\]"):
+            build_partition(spacing, MotionSpec(Axis.TX, 1.0))
 
     @pytest.mark.parametrize("bad", ["0.1", True, None])
     def test_non_number_spacing_raises_config_error(self, bad):

@@ -32,8 +32,8 @@ from pwscert.rasterizer import (
     _cells,
     _horizon_changes,
     _traced_changes,
+    _zbuffer,
     sweep_images,
-    zbuffer_blocks,
     zbuffer_changes,
     zbuffer_winners,
 )
@@ -52,8 +52,11 @@ def change_poses(cloud, axis, values, cam):
 
 
 def winners_batch(cloud, axis, values, cam):
-    """(T, H*W) winners of the T poses in ``values``, block by block."""
-    return np.concatenate(list(zbuffer_blocks(cloud, axis, values, cam)))
+    """(T, H*W) winners of the T poses in ``values``: the kernel's at every
+    pose, a hundred poses per call to keep its temporaries small."""
+    values = np.asarray(values, dtype=np.float64).reshape(-1)
+    return np.concatenate([_zbuffer(cloud, axis, values[at : at + 100], cam)[3]
+                           for at in range(0, len(values), 100)])
 
 
 def cells_at(points, axis, values, cam):
@@ -182,32 +185,49 @@ class TestBatchedZBuffer:
                     zbuffer_winners(cloud, axis, float(value), small_cam), oracle
                 )
 
-    def test_block_boundaries(self, small_cam):
+    @staticmethod
+    def kernel_calls(monkeypatch):
+        """The pose count of every ``_zbuffer`` call ``zbuffer_changes`` makes."""
+        kernel, calls = rasterizer._zbuffer, []
+
+        def counting(cloud, axis, values, cam):
+            calls.append(len(values))
+            return kernel(cloud, axis, values, cam)
+
+        monkeypatch.setattr(rasterizer, "_zbuffer", counting)
+        return calls
+
+    def test_block_boundaries(self, small_cam, monkeypatch):
         rng = np.random.default_rng(22)
         cloud = awkward_cloud(rng, 400)
         block = _BLOCK_ENTRIES // max(len(cloud), small_cam.height * small_cam.width)
         assert block > 2
+        calls = self.kernel_calls(monkeypatch)
         for axis in (Axis.TZ, Axis.RY):
             b = axis_radius(axis)
             for count in (1, block - 1, block, block + 1):
-                values = np.linspace(-b, b, count)
-                blocks = list(zbuffer_blocks(cloud, axis, values, small_cam))
-                assert [len(blk) for blk in blocks[:-1]] == [block] * (len(blocks) - 1)
-                rows = np.concatenate(blocks)
-                assert len(rows) == count
-                for row, value in zip(rows, values):
+                # descending, so no rule skips a pose: every pose is z-buffered
+                values = np.linspace(b, -b, count)
+                calls.clear()
+                changes = list(zbuffer_changes(cloud, axis, values, small_cam))
+                assert calls == [block] * (count // block) + [count % block] * (count % block > 0)
+                assert [pose for pose, _ in changes] == list(range(count))
+                for (_, row), value in zip(changes, values):
                     oracle = lexsort_winners(cloud, axis, float(value), small_cam)
                     np.testing.assert_array_equal(row, oracle)
 
-    def test_cloud_beyond_block_budget_takes_one_pose_per_block(self, small_cam):
+    def test_cloud_beyond_block_budget_takes_one_pose_per_block(self, small_cam,
+                                                                monkeypatch):
         rng = np.random.default_rng(23)
         cloud = awkward_cloud(rng, _BLOCK_ENTRIES + 5)
-        values = [-0.1, 0.0, 0.07]
-        blocks = list(zbuffer_blocks(cloud, Axis.RX, values, small_cam))
-        assert [len(blk) for blk in blocks] == [1, 1, 1]
-        for blk, value in zip(blocks, values):
+        values = [0.07, 0.0, -0.1]  # descending: every pose is z-buffered
+        calls = self.kernel_calls(monkeypatch)
+        changes = list(zbuffer_changes(cloud, Axis.RX, values, small_cam))
+        assert calls == [1, 1, 1]
+        assert [pose for pose, _ in changes] == [0, 1, 2]
+        for (_, row), value in zip(changes, values):
             oracle = lexsort_winners(cloud, Axis.RX, value, small_cam)
-            np.testing.assert_array_equal(blk[0], oracle)
+            np.testing.assert_array_equal(row, oracle)
 
 
 class TestCells:
@@ -464,8 +484,8 @@ class TestChangePoses:
     def test_traps_match_per_pose_kernel(self, small_cam):
         for name, cloud, spec, resolution in sweep_traps(small_cam):
             values = np.linspace(-spec.radius_b, spec.radius_b, resolution)
-            want = np.concatenate(list(zbuffer_blocks(cloud, spec.axis, values,
-                                                      small_cam)))
+            want = winners_batch(cloud, spec.axis, values,
+                                                      small_cam)
             got = per_pose(zbuffer_changes(cloud, spec.axis, values, small_cam),
                            resolution)
             np.testing.assert_array_equal(got, want, err_msg=name)
@@ -573,8 +593,8 @@ class TestChangePoses:
             lists = [[-b, b], [-b, 0.0, b], [b, -b, 0.0], [0.0, 0.0, b],
                      np.sort(rng.uniform(-b, b, 40))]
             for values in lists:
-                want = np.concatenate(list(zbuffer_blocks(cloud, spec.axis, values,
-                                                          small_cam)))
+                want = winners_batch(cloud, spec.axis, values,
+                                                          small_cam)
                 got = per_pose(zbuffer_changes(cloud, spec.axis, values, small_cam),
                                len(values))
                 np.testing.assert_array_equal(got, want, err_msg=f"{name} {values}")
@@ -633,7 +653,7 @@ class TestChangePoses:
             values = np.sort(rng.uniform(-b, b, int(rng.integers(3, 200))))
             if seed % 2:
                 values = np.repeat(values, 2)
-            want = np.concatenate(list(zbuffer_blocks(cloud, axis, values, small_cam)))
+            want = winners_batch(cloud, axis, values, small_cam)
             got = per_pose(zbuffer_changes(cloud, axis, values, small_cam), len(values))
             np.testing.assert_array_equal(got, want, err_msg=f"seed {seed}")
             # lists that fit one block z-buffer every pose: run the tracer too
@@ -697,7 +717,7 @@ class TestChangePoses:
         for name, cloud, spec, resolution in rotation_traps(trap_cam):
             values = np.linspace(-spec.radius_b, spec.radius_b, resolution)
             for axis in (Axis.RX, Axis.RY, Axis.RZ):
-                want = np.concatenate(list(zbuffer_blocks(cloud, axis, values, trap_cam)))
+                want = winners_batch(cloud, axis, values, trap_cam)
                 changes = list(zbuffer_changes(cloud, axis, values, trap_cam))
                 got = per_pose(changes, resolution)
                 np.testing.assert_array_equal(got, want, err_msg=f"{name} {axis}")
@@ -751,7 +771,7 @@ class TestChangePoses:
                 values = np.repeat(values, 2)
             elif seed % 4 == 2:
                 values = rng.permutation(values)
-            want = np.concatenate(list(zbuffer_blocks(cloud, axis, values, small_cam)))
+            want = winners_batch(cloud, axis, values, small_cam)
             changes = list(zbuffer_changes(cloud, axis, values, small_cam))
             np.testing.assert_array_equal(per_pose(changes, len(values)), want,
                                           err_msg=f"seed {seed}")
@@ -825,8 +845,8 @@ class TestChangePoses:
             values = np.linspace(-spec.radius_b, spec.radius_b, 2001)
             changes = dict(zbuffer_changes(cloud, spec.axis, values, cam))
             assert fewest < len(changes) < most, len(changes)  # wild: 234, dense: 2000
-            blocks, winners = zbuffer_blocks(cloud, spec.axis, values, cam), None
-            for pose, want in enumerate(row for block in blocks for row in block):
+            winners = None
+            for pose, want in enumerate(winners_batch(cloud, spec.axis, values, cam)):
                 winners = changes.get(pose, winners)
                 np.testing.assert_array_equal(winners, want, err_msg=str(pose))
 

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 
 import numpy as np
 import pytest
@@ -72,6 +73,15 @@ class TestGenerateScene:
         args = dict(point_count=500, depth_range=(1.5, 2.5), color_seed=0, channels=1)
         with pytest.raises(ConfigError, match=field.split("_")[0]):
             generate_scene(ShapeClass.BOX_FACE, cam=demo_cam, **{**args, field: value})
+
+    @pytest.mark.parametrize("channels", [17, 2**70])
+    def test_channels_past_16_are_refused(self, demo_cam, channels):
+        # 2^70 ended in numpy's bare ValueError from the colors
+        with pytest.raises(ConfigError, match=f"channels must be an integer from 1 to 16, "
+                                              f"got {channels}"):
+            generate_scene(ShapeClass.BOX_FACE, 500, (1.5, 2.5), 0, demo_cam, channels=channels)
+        assert generate_scene(ShapeClass.BOX_FACE, 500, (1.5, 2.5), 0, demo_cam,
+                              channels=16).cloud.channels == 16
 
     def test_numpy_numbers_accepted(self, demo_cam):
         a = generate_scene(ShapeClass.BOX_FACE, np.int64(800), np.array([1.5, 2.5]),
@@ -189,6 +199,23 @@ class TestCorpusIO:
             orig = by_name[scene.name]
             assert scene.label == orig.label
             np.testing.assert_array_equal(scene.cloud.points, orig.cloud.points)
+
+    def test_metadata_is_renamed_into_place(self, tmp_path, demo_cam, monkeypatch):
+        # written in place, a metadata file could be left cut short
+        scene = generate_scene(ShapeClass.BOX_FACE, 700, (1.5, 2.5), 5, demo_cam)
+        replace, renamed = os.replace, []
+
+        def recording(src, dst):
+            renamed.append(os.path.basename(dst))
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", recording)
+        save_corpus(tmp_path / "c", [scene], demo_cam)
+        assert sorted(renamed) == ["camera.json", "labels.json"]
+        assert (tmp_path / "c" / "labels.json").read_text() == json.dumps(
+            {scene.name: scene.label}, sort_keys=True, indent=2) + "\n"
+        assert json.loads((tmp_path / "c" / "camera.json").read_text()) == dataclasses.asdict(demo_cam)
+        assert not list((tmp_path / "c").glob("*.tmp"))
 
     def test_duplicate_names_rejected(self, tmp_path, demo_cam):
         scene = generate_scene(ShapeClass.BOX_FACE, 700, (1.5, 2.5), 5, demo_cam)

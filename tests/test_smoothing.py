@@ -432,6 +432,13 @@ class TestSmoothedEstimate:
         ]
         assert np.all(np.diff(radii) > 0)
 
+    def test_n_samples_past_2_24_is_refused(self):
+        assert SmoothingConfig(sigma=0.5, n_samples=2**24).n_samples == 2**24
+        # a tally of 2^70 draws ran for as long as anyone waited
+        for n_samples in (2**24 + 1, 2**70):
+            with pytest.raises(ConfigError, match=rf"n_samples must be at most 2\^24, got {n_samples}"):
+                SmoothingConfig(sigma=0.5, n_samples=n_samples)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SmoothingConfig(sigma=0.0, n_samples=1000)
@@ -440,7 +447,7 @@ class TestSmoothedEstimate:
         with pytest.raises(ValueError):
             SmoothingConfig(sigma=0.5, n_samples=1000, confidence_alpha=1.5)
         for n_samples in [1e4, 1000.5, True]:
-            with pytest.raises(ConfigError, match="n_samples must be an integer"):
+            with pytest.raises(ConfigError, match="n_samples must be at least 100"):
                 SmoothingConfig(sigma=0.5, n_samples=n_samples)
         for seed in [1.5, 2.0, True, "1"]:
             with pytest.raises(ConfigError, match="seed must be an integer"):
